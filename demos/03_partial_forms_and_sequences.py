@@ -10,7 +10,6 @@ import json
 
 from taucover import (
     Cover,
-    PartialFormsChart,
     load_fixture,
     rank_torsion_report,
     verify_sequence,
@@ -24,7 +23,7 @@ def build(name):
 def main():
     print("== Presentation of the partial one-forms (order 2, char 2) ==")
     cover = build("GM_P2")
-    pfc = PartialFormsChart(cover, 0)
+    pfc = cover.partial_forms[0]
     print(f"ambient module presented on {pfc.omega1_ambient.n_gens} generators")
     print(f"submodule generators: {list(pfc.sub1.presentation.gen_names)}")
     report = rank_torsion_report(cover)

@@ -15,6 +15,7 @@ explicit inverse of the fiber derivative.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidCocycle, MalformedInput, NotAUnit, RingMismatch
@@ -474,6 +475,13 @@ class Cover:
             a_ovl = scheme.restrict(i, a, j)
             acc = acc + target.gen_power(k).scale(a_ovl * g.inv() ** k)
         return acc
+
+    @cached_property
+    def partial_forms(self) -> tuple:
+        """Each chart's PartialFormsChart, built once on first use."""
+        from .partialforms import PartialFormsChart  # partialforms imports covers
+
+        return tuple(PartialFormsChart(self, i) for i in range(len(self.charts)))
 
     def overlap_cover(self, i: int, j: int) -> CoverChart:
         """Cover algebra on the (i,j) overlap, in chart j's root coordinate."""

@@ -18,7 +18,7 @@ from .covers import Cover, CoverChart, CoverElem, TorsionBundle
 from .errors import DegreeOverflow, GluingFailure, MalformedInput, RingMismatch
 from .pidmod import FpmModule, PolyMatrix
 from .polys import Poly
-from .rings import ChartRing, RingElem
+from .rings import ChartRing
 
 
 class ChartForm:
@@ -371,19 +371,9 @@ def two_form_to_vec(form: CoverTwoForm) -> tuple:
     return tuple(form.c2.coeffs)
 
 
-def vec_to_two_form(chart: CoverChart, vec) -> CoverTwoForm:
-    return CoverTwoForm(chart, chart.from_coeffs(vec))
-
-
 def d_function(f: CoverElem) -> CoverOneForm:
     """Exterior derivative of a cover function, d(sum f_i v^i)."""
-    chart = f.chart
-    ring = chart.ring
-    ct = chart.from_coeffs([ring.derive(c) for c in f.coeffs])
-    cv_coeffs = [ring.zero] * chart.n
-    for i in range(1, chart.n):
-        cv_coeffs[i - 1] = ring.from_int(i) * f.coeffs[i]
-    return CoverOneForm(chart, ct, chart.from_coeffs(cv_coeffs))
+    return CoverOneForm(f.chart, _partial_t(f), _partial_v(f))
 
 
 def _partial_t(x: CoverElem) -> CoverElem:

@@ -46,10 +46,14 @@ from .rings import RingElem
 
 
 class PartialFormsChart:
-    """Partial forms of one cover chart, with presentations and operators."""
+    """Partial forms of one cover chart, with presentations and operators.
+
+    Take these from ``cover.partial_forms``, which builds one per chart, once.
+    No reference to the cover is kept, so the cover that owns its charts is
+    freed by reference counting alone.
+    """
 
     def __init__(self, cover: Cover, index: int):
-        self.cover = cover
         self.index = index
         self.chart = cover.charts[index]
         self.ring = self.chart.ring
@@ -75,7 +79,7 @@ class PartialFormsChart:
         )
         self.sub2 = Submodule(self.omega2_ambient, gens2, ["dv/v^dt"])
 
-        self.omega_coeff = ring.dlog(self.cover.bundle.u[index])
+        self.omega_coeff = ring.dlog(cover.bundle.u[index])
         self.base_functions = FpmModule.free(ring, 1, ["1"])
         self.base_one_forms = FpmModule.free(ring, 1, ["dt"])
         self.base_two_forms = FpmModule.zero(ring)
@@ -234,8 +238,7 @@ def verify_sequence(cover: Cover, degree: int, corrected: bool = False) -> dict:
     if degree not in (1, 2):
         raise ValueError("comparison sequences exist in degrees 1 and 2")
     charts = []
-    for i in range(len(cover.charts)):
-        pfc = PartialFormsChart(cover, i)
+    for i, pfc in enumerate(cover.partial_forms):
         if degree == 1:
             report = degree1_report(pfc)
         else:
@@ -251,7 +254,7 @@ def verify_sequence(cover: Cover, degree: int, corrected: bool = False) -> dict:
 
 def rank_torsion_report(cover: Cover) -> dict:
     """Invariants of the partial one-forms with a strict-inclusion witness."""
-    charts = [PartialFormsChart(cover, i).invariants() for i in range(len(cover.charts))]
+    charts = [pfc.invariants() for pfc in cover.partial_forms]
     return {
         "charts": charts,
         "strict_everywhere": all(c["strict_witness"] is not None for c in charts),
@@ -268,8 +271,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
     """
     rng = random.Random(seed)
     charts = []
-    for i in range(len(cover.charts)):
-        pfc = PartialFormsChart(cover, i)
+    for i, pfc in enumerate(cover.partial_forms):
         ring = pfc.ring
         chart = pfc.chart
         amb1, amb2 = pfc.omega1_ambient, pfc.omega2_ambient
@@ -419,13 +421,10 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
         wj = scheme.restrict(j, ws[j], i)
         new_g[(i, j)] = g * wj * wi.inv()
     new_bundle = TorsionBundle(scheme, n, new_g, new_u)
-    old_cover = Cover(bundle)
-    new_cover = Cover(new_bundle)
+    old_charts = Cover(bundle).partial_forms
+    new_charts = Cover(new_bundle).partial_forms
     charts = []
-    for i in range(scheme.n_charts):
-        old = PartialFormsChart(old_cover, i)
-        new = PartialFormsChart(new_cover, i)
-        w = ws[i]
+    for i, (old, new, w) in enumerate(zip(old_charts, new_charts, ws)):
         s_defined = old.s1_map().is_well_defined
         forward_ok = True
         s_match = True if s_defined else None

@@ -22,9 +22,9 @@ by position, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import IllDefinedMap, RingMismatch
+from .errors import RingMismatch
 from .polys import Poly
 from .rings import ChartRing, RingElem
 
@@ -496,21 +496,6 @@ class FpmModule:
         diff = tuple(a - b for a, b in zip(v, w))
         return self.is_zero_elem(diff)
 
-    def torsion_submodule(self) -> "FpmModule":
-        """Abstract presentation of the torsion part: sum of A/(d_i)."""
-        cores = self.torsion
-        ring = self.ring
-        rel = PolyMatrix(
-            ring,
-            [
-                [ring.from_poly(cores[i]) if i == j else ring.zero for j in range(len(cores))]
-                for i in range(len(cores))
-            ],
-            nrows=len(cores),
-            ncols=len(cores),
-        )
-        return FpmModule(ring, len(cores), rel)
-
     def format_vec(self, vec: Sequence) -> str:
         vec = self.coerce_vec(vec)
         terms = []
@@ -525,12 +510,6 @@ class FpmModule:
                     xs = f"({xs})"
                 terms.append(f"{xs}*{name}")
         return " + ".join(terms) if terms else "0"
-
-    def invariants_summary(self) -> dict:
-        return {
-            "rank": self.rank,
-            "torsion": [str(c) for c in self.torsion],
-        }
 
     def __repr__(self):
         rel = f", {self.relations.ncols} relations" if self.relations.ncols else ""
@@ -670,11 +649,6 @@ class ModuleMap:
     def is_well_defined(self) -> bool:
         return self.well_definedness()[0]
 
-    def require_well_defined(self) -> None:
-        ok, witness = self.well_definedness()
-        if not ok:
-            raise IllDefinedMap(f"map {self.name or '?'} ill-defined: {witness}")
-
     def apply(self, vec: Sequence) -> Vec:
         return self.matrix.apply_vec(self.source.coerce_vec(vec))
 
@@ -750,11 +724,13 @@ def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str] | None = None) -> 
             # kernel inside image
             ker = g.kernel()
             img_gens = f.matrix.hstack(module.relations)
+            img_snf = None
             for j in range(ker.gens.ncols):
                 kvec = ker.gens.col(j)
                 if module.is_zero_elem(kvec):
                     continue
-                if solve(img_gens, kvec) is None:
+                img_snf = img_snf or smith_normal_form(img_gens)
+                if solve(img_gens, kvec, img_snf) is None:
                     failure = {
                         "at": label,
                         "exact": False,

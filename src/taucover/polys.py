@@ -43,10 +43,6 @@ class Poly:
         return cls(c.field, (c,))
 
     @classmethod
-    def from_ints(cls, field, ints: Iterable[int]) -> "Poly":
-        return cls(field, ints)
-
-    @classmethod
     def parse(cls, field, text: str) -> "Poly":
         """Parse "c_k*t^k + ... + c_0"; division is allowed only when exact."""
 
@@ -241,12 +237,6 @@ class Poly:
             (self.coeffs[i] * i for i in range(1, len(self.coeffs))),
         )
 
-    def eval(self, x: FqElem) -> FqElem:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def multiplicity(self, pi: "Poly") -> tuple[int, "Poly"]:
         """Largest k with pi^k dividing self, and the cofactor self / pi^k."""
         if self.is_zero():
@@ -294,10 +284,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.field.p, self.field.e, self.coeffs))
-
-    def sort_key(self) -> tuple:
-        """Total order used for deterministic tie-breaks: degree, then coefficients."""
-        return (self.deg, tuple(c.coeffs for c in reversed(self.coeffs)))
 
     def __str__(self):
         if not self.coeffs:

@@ -1,10 +1,14 @@
 """Partial-form sheaf tests: presentations, sequences, dga laws, gluing."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from fixtures import FIXTURES, coprime, degenerate, twochart, zerotorsion
 
+from taucover.catalog import load_fixture
+from taucover.cli import fixture_report
 from taucover.covers import Cover, TorsionBundle
 from taucover.errors import StabilityFailure
 from taucover.forms import one_form_to_vec
@@ -63,6 +67,43 @@ def test_ambient_rank_equals_order_when_du_nonzero():
                 assert chart_report["ambient_rank"] == 2 * bundle.n
             else:
                 assert chart_report["ambient_rank"] == bundle.n
+
+
+# -- one partial-forms context per cover
+
+
+def test_full_report_builds_each_chart_once(monkeypatch):
+    builds = []
+    original = PartialFormsChart.__init__
+
+    def counting_init(self, cover, index):
+        builds.append(index)
+        original(self, cover, index)
+
+    monkeypatch.setattr(PartialFormsChart, "__init__", counting_init)
+    report = fixture_report(load_fixture("TWOCHART"), samples=5)
+    assert report["fixture"] == "TWOCHART"
+    assert sorted(builds) == [0, 1]
+
+
+def test_cover_hands_out_the_same_chart_structures():
+    cover = Cover(twochart())
+    assert len(cover.partial_forms) == len(cover.charts)
+    for i, pfc in enumerate(cover.partial_forms):
+        assert pfc.index == i
+        assert cover.partial_forms[i] is cover.partial_forms[i]
+
+
+def test_cover_with_built_charts_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        cover = Cover(twochart())
+        assert cover.partial_forms
+        ref = weakref.ref(cover)
+        del cover
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gm_p2_pullback_dies_inside():
