@@ -133,34 +133,39 @@ def _failures(run: dict) -> list[dict]:
     return out
 
 
-def sequence_report(cover: Cover, sequence_id: str) -> dict:
-    if sequence_id not in SEQUENCE_IDS:
-        raise MalformedInput(
-            f"unknown sequence id {sequence_id!r}; known: {', '.join(SEQUENCE_IDS)}"
-        )
-    degree, corrected = SEQUENCE_IDS[sequence_id]
-    if degree == 1:
-        run = verify_sequence(cover, 1)
-        return {
-            "sequence": sequence_id,
-            "degree": 1,
-            "exact": run["exact"],
-            "failures": _failures(run),
-            "report": run,
+def sequence_reports(cover: Cover, sequence_ids) -> dict:
+    """One report per sequence id; each (degree, tail) sequence runs once.
+
+    A degree-2 report carries both tails, so "2.10" and "2.11" share two runs.
+    """
+    runs = {}
+    reports = {}
+    for sid in sequence_ids:
+        if sid not in SEQUENCE_IDS:
+            raise MalformedInput(
+                f"unknown sequence id {sid!r}; known: {', '.join(SEQUENCE_IDS)}"
+            )
+        degree, corrected = SEQUENCE_IDS[sid]
+        for tail in (False,) if degree == 1 else (False, True):
+            if (degree, tail) not in runs:
+                runs[degree, tail] = verify_sequence(cover, degree, corrected=tail)
+        chosen = runs[degree, corrected]
+        report = {
+            "sequence": sid,
+            "degree": degree,
+            "exact": chosen["exact"],
+            "failures": _failures(chosen),
         }
-    literal = verify_sequence(cover, 2, corrected=False)
-    corrected_run = verify_sequence(cover, 2, corrected=True)
-    chosen = corrected_run if corrected else literal
-    return {
-        "sequence": sequence_id,
-        "degree": 2,
-        "exact": chosen["exact"],
-        "failures": _failures(chosen),
-        "literal_exact": literal["exact"],
-        "corrected_exact": corrected_run["exact"],
-        "literal": literal,
-        "corrected": corrected_run,
-    }
+        if degree == 1:
+            report["report"] = chosen
+        else:
+            literal, corrected_run = runs[2, False], runs[2, True]
+            report["literal_exact"] = literal["exact"]
+            report["corrected_exact"] = corrected_run["exact"]
+            report["literal"] = literal
+            report["corrected"] = corrected_run
+        reports[sid] = report
+    return reports
 
 
 def connection_report(
@@ -203,7 +208,7 @@ def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
         "validate": validate_report(bundle),
         "cover": cover_report(bundle, cover=cover),
         "omega_l": omega_l_report(bundle, 1, cover=cover),
-        "sequences": {sid: sequence_report(cover, sid) for sid in SEQUENCE_IDS},
+        "sequences": sequence_reports(cover, SEQUENCE_IDS),
         "dga": dga_check(cover, seed=seed),
         "connection": connection_report(bundle, seed=seed, samples=samples, cover=cover),
         "class": class_report(bundle, cover=cover),
@@ -316,7 +321,7 @@ def _load_bundle(args) -> tuple[TorsionBundle, Fixture | None]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     bundle, fixture = _load_bundle(args)
-    report = sequence_report(Cover(bundle), args.sequence)
+    report = sequence_reports(Cover(bundle), [args.sequence])[args.sequence]
     if fixture is not None:
         expected = fixture.expected.get("sequences", {}).get(args.sequence)
         if expected is None:

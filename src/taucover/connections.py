@@ -346,7 +346,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     # coboundary, so a nonzero value is a complete nontriviality certificate.
     s_kills = None
     for i, pfc in enumerate(pfcs):
-        s_map = pfc.s1_map()
+        s_map = pfc.s1_map
         if not s_map.is_well_defined:
             continue
         if s_kills is None:

@@ -54,5 +54,5 @@ class GluingFailure(TauCoverError):
     """Chart-level data disagrees on an overlap."""
 
 
-class MalformedInput(TauCoverError):
+class MalformedInput(TauCoverError, ValueError):
     """JSON or expression input does not parse against the schema."""

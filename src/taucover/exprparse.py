@@ -23,6 +23,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))")
 
 
 def tokenize(text: str) -> list[tuple[str, Any]]:
+    if not isinstance(text, str):
+        raise MalformedInput(f"expected an expression string, got {text!r}")
     tokens = []
     pos = 0
     while pos < len(text):

@@ -34,53 +34,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- integer-tuple polynomial helpers over F_p (used only for the modulus
-#    search; the real Poly class lives in polys.py and depends on this module)
-
-
-def _int_poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        factor = num[-1] * inv_lead % p
-        shift = len(num) - 1 - dd
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return tuple(num)
-
-
-def _int_poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    # trial division by every monic polynomial of degree 1 .. deg//2
-    for d in range(1, deg // 2 + 1):
-        for value in range(p**d):
-            div = [0] * (d + 1)
-            v = value
-            for i in range(d):
-                div[i] = v % p
-                v //= p
-            div[d] = 1
-            if not _int_poly_mod(poly, tuple(div), p):
-                return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def modulus_coeffs(p: int, e: int) -> tuple[int, ...]:
     """Canonical monic irreducible of degree e over F_p, low degree first."""
     if e == 1:
         return (0, 1)
+    from .polys import Poly  # polys imports this module
+
+    prime_field = FqField(p, 1)
     for value in range(p**e):
         coeffs = [0] * (e + 1)
         v = value
@@ -88,7 +49,7 @@ def modulus_coeffs(p: int, e: int) -> tuple[int, ...]:
             coeffs[i] = v % p
             v //= p
         coeffs[e] = 1
-        if _int_poly_is_irreducible(tuple(coeffs), p):
+        if Poly(prime_field, coeffs).is_irreducible():
             return tuple(coeffs)
     raise AssertionError(f"no irreducible of degree {e} over F_{p}")
 

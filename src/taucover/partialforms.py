@@ -21,6 +21,7 @@ certificate witness.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Sequence
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
@@ -49,6 +50,8 @@ class PartialFormsChart:
     """Partial forms of one cover chart, with presentations and operators.
 
     Take these from ``cover.partial_forms``, which builds one per chart, once.
+    The tail module and the sequence maps are cached properties, so each map's
+    kernel, image and well-definedness certificate is computed once per cover.
     No reference to the cover is kept, so the cover that owns its charts is
     freed by reference counting alone.
     """
@@ -94,6 +97,7 @@ class PartialFormsChart:
     def presentation2(self) -> FpmModule:
         return self.sub2.presentation
 
+    @cached_property
     def corrected_tail(self) -> FpmModule:
         """Omega1_X / A*(du/u), the target of the corrected degree-2 tail map."""
         ring = self.ring
@@ -106,6 +110,7 @@ class PartialFormsChart:
 
     # -- the sequence maps
 
+    @cached_property
     def mul_omega_map(self) -> ModuleMap:
         ring = self.ring
         return ModuleMap(
@@ -115,6 +120,7 @@ class PartialFormsChart:
             "mult-du/u",
         )
 
+    @cached_property
     def sigma1_map(self) -> ModuleMap:
         ring = self.ring
         return ModuleMap(
@@ -124,6 +130,7 @@ class PartialFormsChart:
             "pullback",
         )
 
+    @cached_property
     def s1_map(self) -> ModuleMap:
         ring = self.ring
         return ModuleMap(
@@ -133,18 +140,28 @@ class PartialFormsChart:
             "s",
         )
 
+    @cached_property
     def sigma2_map(self) -> ModuleMap:
         return ModuleMap.zero(self.base_two_forms, self.presentation2, "pullback")
 
-    def s2_map(self, corrected: bool) -> ModuleMap:
+    def _s2_map(self, target: FpmModule) -> ModuleMap:
         ring = self.ring
-        target = self.corrected_tail() if corrected else self.base_one_forms
         return ModuleMap(
             self.presentation2,
             target,
             PolyMatrix(ring, [[ring.one]], nrows=1, ncols=1),
             "s",
         )
+
+    @cached_property
+    def s2_literal_map(self) -> ModuleMap:
+        """s in degree two into the literal tail Omega1_X."""
+        return self._s2_map(self.base_one_forms)
+
+    @cached_property
+    def s2_corrected_map(self) -> ModuleMap:
+        """s in degree two into the corrected tail Omega1_X / A*(du/u)."""
+        return self._s2_map(self.corrected_tail)
 
     # -- lifting presentation coordinates to explicit forms
 
@@ -211,9 +228,9 @@ def degree1_report(pfc: PartialFormsChart) -> dict:
     zero = FpmModule.zero(pfc.ring)
     maps = [
         ModuleMap.zero(zero, pfc.base_functions, "0"),
-        pfc.mul_omega_map(),
-        pfc.sigma1_map(),
-        pfc.s1_map(),
+        pfc.mul_omega_map,
+        pfc.sigma1_map,
+        pfc.s1_map,
         ModuleMap.zero(pfc.base_functions, zero, "0"),
     ]
     labels = ["O_X", "Omega1_X", "Omega1_L", "O_X"]
@@ -222,10 +239,10 @@ def degree1_report(pfc: PartialFormsChart) -> dict:
 
 def degree2_report(pfc: PartialFormsChart, corrected: bool) -> dict:
     zero = FpmModule.zero(pfc.ring)
-    s2 = pfc.s2_map(corrected)
+    s2 = pfc.s2_corrected_map if corrected else pfc.s2_literal_map
     maps = [
         ModuleMap.zero(zero, pfc.base_two_forms, "0"),
-        pfc.sigma2_map(),
+        pfc.sigma2_map,
         s2,
         ModuleMap.zero(s2.target, zero, "0"),
     ]
@@ -314,7 +331,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
                 break
         laws["leibniz"] = ok
 
-        s_defined = pfc.s1_map().is_well_defined
+        s_defined = pfc.s1_map.is_well_defined
         if s_defined:
             ok = True
             for _ in range(samples):
@@ -329,7 +346,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
                     break
             laws["s_anticommutes_representatives"] = ok
 
-            tail = pfc.corrected_tail()
+            tail = pfc.corrected_tail
             ok = True
             for _ in range(samples):
                 a = ring.random_element(rng, max_deg=2, max_den=1)
@@ -425,7 +442,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
     new_charts = Cover(new_bundle).partial_forms
     charts = []
     for i, (old, new, w) in enumerate(zip(old_charts, new_charts, ws)):
-        s_defined = old.s1_map().is_well_defined
+        s_defined = old.s1_map.is_well_defined
         forward_ok = True
         s_match = True if s_defined else None
         for col, expected_s in [(0, old.ring.zero), (1, old.ring.one)]:
@@ -437,7 +454,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
                 continue
             if not s_defined:
                 continue
-            s_val = old.s1_map().apply(coords)[0]
+            s_val = old.s1_map.apply(coords)[0]
             if not old.base_functions.elems_equal([s_val], [expected_s]):
                 s_match = False
         backward_ok = True

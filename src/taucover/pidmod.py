@@ -7,14 +7,22 @@ core.  That gives the classical algorithms:
   * smith_normal_form(M): U * M * V = D with U, V invertible and D a diagonal
     divisibility chain of monic cores.  The identity U*M*V = D and both
     inverse certificates are re-verified by multiplication on every call.
-  * solve / syzygy_matrix / membership: linear algebra over A.
+  * solve / syzygy_matrix: linear algebra over A.
   * FpmModule: generators + relation columns, with invariants (torsion-free
     rank, torsion chain) read off the SNF and a canonical coset representative
     for element comparisons.
-  * ModuleMap: matrix on generators carrying a well-definedness certificate;
-    kernels and images arrive as Submodules with syzygy presentations.
+  * Submodule: the span of generator columns inside an FpmModule.  One SNF of
+    the stacked matrix [gens | ambient relations] gives both its syzygy
+    presentation and its membership test.
+  * ModuleMap: matrix on generators carrying a well-definedness certificate.
+    Its image is the Submodule spanned by the matrix, and its kernel is
+    generated by the relations of that image's presentation, so the kernel of
+    any map is read off the same SNF as the image.
   * is_exact: junction-by-junction kernel = image by double membership, with
     explicit witnesses on failure.  Failures are report content, not errors.
+
+Every derived object (SNF, presentation, image, kernel, certificate) is a
+cached property of the object it belongs to, computed once on first use.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -22,6 +30,7 @@ by position, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch
@@ -427,7 +436,6 @@ class FpmModule:
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             f"e{i}" for i in range(n_gens)
         )
-        self._snf: SNFResult | None = None
 
     @classmethod
     def free(cls, ring: ChartRing, n: int, gen_names=None) -> "FpmModule":
@@ -437,11 +445,9 @@ class FpmModule:
     def zero(cls, ring: ChartRing) -> "FpmModule":
         return cls(ring, 0, None, ())
 
-    @property
+    @cached_property
     def snf(self) -> SNFResult:
-        if self._snf is None:
-            self._snf = smith_normal_form(self.relations)
-        return self._snf
+        return smith_normal_form(self.relations)
 
     @property
     def rank(self) -> int:
@@ -527,20 +533,6 @@ def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
     return ring.from_poly(rep)
 
 
-def membership(
-    vec: Sequence,
-    gens: PolyMatrix,
-    ambient: FpmModule,
-    snf: SNFResult | None = None,
-) -> Vec | None:
-    """Coordinates of vec in the span of gens inside ambient, or None."""
-    stacked = gens.hstack(ambient.relations)
-    sol = solve(stacked, ambient.coerce_vec(vec), snf)
-    if sol is None:
-        return None
-    return tuple(sol[: gens.ncols])
-
-
 class Submodule:
     """Span of generator columns inside an FpmModule, with a syzygy presentation."""
 
@@ -552,31 +544,30 @@ class Submodule:
         self._names = tuple(gen_names) if gen_names else tuple(
             f"g{i}" for i in range(gens.ncols)
         )
-        self._presentation: FpmModule | None = None
-        self._contains_snf: SNFResult | None = None
 
-    @property
+    @cached_property
+    def snf(self) -> SNFResult:
+        """SNF of [gens | ambient relations]; its matrix is that stacked matrix."""
+        return smith_normal_form(self.gens.hstack(self.ambient.relations))
+
+    @cached_property
     def presentation(self) -> FpmModule:
-        if self._presentation is None:
-            stacked = self.gens.hstack(self.ambient.relations)
-            syz = syzygy_matrix(stacked)
-            rel_rows = [list(syz.rows[i]) for i in range(self.gens.ncols)]
-            rel = PolyMatrix(
-                self.ambient.ring,
-                rel_rows,
-                nrows=self.gens.ncols,
-                ncols=syz.ncols,
-            )
-            self._presentation = FpmModule(
-                self.ambient.ring, self.gens.ncols, rel, self._names
-            )
-        return self._presentation
+        """Generators modulo their syzygies: the gens block of ker [gens | relations]."""
+        syz = syzygy_matrix(self.snf.matrix, self.snf)
+        rel = PolyMatrix(
+            self.ambient.ring,
+            syz.rows[: self.gens.ncols],
+            nrows=self.gens.ncols,
+            ncols=syz.ncols,
+        )
+        return FpmModule(self.ambient.ring, self.gens.ncols, rel, self._names)
 
     def contains(self, vec: Sequence) -> Vec | None:
-        if self._contains_snf is None:
-            stacked = self.gens.hstack(self.ambient.relations)
-            self._contains_snf = smith_normal_form(stacked)
-        return membership(vec, self.gens, self.ambient, self._contains_snf)
+        """Coordinates of vec on the generators, or None when vec is outside."""
+        sol = solve(self.snf.matrix, self.ambient.coerce_vec(vec), self.snf)
+        if sol is None:
+            return None
+        return tuple(sol[: self.gens.ncols])
 
     def ambient_vec(self, coords: Sequence) -> Vec:
         coords = [self.ambient.ring.coerce(x) for x in coords]
@@ -618,7 +609,6 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
         self.name = name
-        self._well: tuple[bool, dict | None] | None = None
 
     @classmethod
     def zero(cls, source: FpmModule, target: FpmModule, name: str = "0") -> "ModuleMap":
@@ -629,25 +619,22 @@ class ModuleMap:
             name,
         )
 
+    @cached_property
     def well_definedness(self) -> tuple[bool, dict | None]:
         """Check every source relation maps into the target relation image."""
-        if self._well is None:
-            witness = None
-            for j in range(self.source.relations.ncols):
-                rel = self.source.relations.col(j)
-                image = self.matrix.apply_vec(rel)
-                if not self.target.is_zero_elem(image):
-                    witness = {
-                        "relation": self.source.format_vec(rel),
-                        "image": self.target.format_vec(image),
-                    }
-                    break
-            self._well = (witness is None, witness)
-        return self._well
+        for j in range(self.source.relations.ncols):
+            rel = self.source.relations.col(j)
+            image = self.matrix.apply_vec(rel)
+            if not self.target.is_zero_elem(image):
+                return False, {
+                    "relation": self.source.format_vec(rel),
+                    "image": self.target.format_vec(image),
+                }
+        return True, None
 
     @property
     def is_well_defined(self) -> bool:
-        return self.well_definedness()[0]
+        return self.well_definedness[0]
 
     def apply(self, vec: Sequence) -> Vec:
         return self.matrix.apply_vec(self.source.coerce_vec(vec))
@@ -662,17 +649,20 @@ class ModuleMap:
             f"{self.name}*{first.name}",
         )
 
-    def kernel(self) -> Submodule:
-        """Kernel as a submodule of the source."""
-        stacked = self.matrix.hstack(self.target.relations)
-        syz = syzygy_matrix(stacked)
-        cols = [tuple(syz.col(j)[: self.source.n_gens]) for j in range(syz.ncols)]
-        gens = PolyMatrix.from_columns(self.source.ring, cols, self.source.n_gens)
-        return Submodule(self.source, gens)
-
+    @cached_property
     def image(self) -> Submodule:
         """Image as a submodule of the target."""
         return Submodule(self.target, self.matrix)
+
+    @cached_property
+    def kernel(self) -> Submodule:
+        """Kernel as a submodule of the source.
+
+        x is in the kernel iff matrix*x lies in the target's relation span,
+        iff x is the source block of a syzygy of [matrix | relations]: the
+        relations of the image's presentation generate the kernel.
+        """
+        return Submodule(self.source, self.image.presentation.relations)
 
     def __repr__(self):
         label = self.name or "map"
@@ -694,8 +684,8 @@ def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str] | None = None) -> 
             raise RingMismatch("sequence maps are not composable")
         label = labels[idx] if labels else f"junction{idx}"
         module = f.target
-        f_ok, f_wit = f.well_definedness()
-        g_ok, g_wit = g.well_definedness()
+        f_ok, f_wit = f.well_definedness
+        g_ok, g_wit = g.well_definedness
         if not f_ok or not g_ok:
             junctions.append(
                 {
@@ -722,15 +712,12 @@ def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str] | None = None) -> 
                 break
         if failure is None:
             # kernel inside image
-            ker = g.kernel()
-            img_gens = f.matrix.hstack(module.relations)
-            img_snf = None
+            ker = g.kernel
             for j in range(ker.gens.ncols):
                 kvec = ker.gens.col(j)
                 if module.is_zero_elem(kvec):
                     continue
-                img_snf = img_snf or smith_normal_form(img_gens)
-                if solve(img_gens, kvec, img_snf) is None:
+                if f.image.contains(kvec) is None:
                     failure = {
                         "at": label,
                         "exact": False,

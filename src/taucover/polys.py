@@ -7,6 +7,7 @@ so division with remainder, gcd and exact division are all available.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
@@ -257,19 +258,11 @@ class Poly:
         if self.deg == 1:
             return True
         field = self.field
-        # divisors of degree 1 .. deg//2, enumerated over all coefficient tuples
+        elems = list(field.elements())
+        # monic divisors of degree 1 .. deg//2, over all lower coefficients
         for d in range(1, self.deg // 2 + 1):
-            for value in range(field.q**d):
-                coeffs = []
-                v = value
-                for _ in range(d):
-                    coeffs.append(v % field.q)
-                    v //= field.q
-                cand = Poly(
-                    field,
-                    [_nth_elem(field, c) for c in coeffs] + [field.one],
-                )
-                if cand.divides(self):
+            for lower in itertools.product(elems, repeat=d):
+                if Poly(field, (*lower, field.one)).divides(self):
                     return False
         return True
 
@@ -309,11 +302,3 @@ class Poly:
     def __repr__(self):
         return str(self)
 
-
-def _nth_elem(field, n: int) -> FqElem:
-    """The n-th field element in base-p counter order."""
-    coeffs = []
-    for _ in range(field.e):
-        coeffs.append(n % field.p)
-        n //= field.p
-    return field.elem(tuple(coeffs))

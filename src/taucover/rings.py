@@ -45,7 +45,7 @@ class ChartRing:
                 raise NotIrreducible(f"{pi} is not irreducible over F_{field.q}")
             polys.append(pi)
         if len({p.coeffs for p in polys}) != len(polys):
-            raise ValueError("inverted irreducibles must be distinct")
+            raise MalformedInput("inverted irreducibles must be distinct")
         self.inverted: tuple[Poly, ...] = tuple(polys)
         self.s = len(self.inverted)
         self.zero = self._build(Poly.zero(field), (0,) * self.s)
@@ -274,9 +274,10 @@ class ChartRing:
 
     @classmethod
     def from_json(cls, field: _FqField, data: dict) -> "ChartRing":
-        if not isinstance(data, dict) or "inverted" not in data:
-            raise MalformedInput("chart JSON must be an object with an 'inverted' list")
-        return cls(field, list(data["inverted"]))
+        inverted = data.get("inverted") if isinstance(data, dict) else None
+        if not isinstance(inverted, list) or not all(isinstance(s, str) for s in inverted):
+            raise MalformedInput("chart JSON must be an object with an 'inverted' string list")
+        return cls(field, inverted)
 
 
 def _ring_pow(x: "RingElem", k: int) -> "RingElem":

@@ -12,7 +12,8 @@ from taucover.catalog import (
     load_all,
     load_fixture,
 )
-from taucover.cli import main, matches_expected, omega_l_report
+from taucover import cli
+from taucover.cli import fixture_report, main, matches_expected, omega_l_report
 from taucover.covers import TorsionBundle
 from taucover.errors import MalformedInput
 
@@ -217,6 +218,20 @@ def test_report_single_fixture(capsys):
     assert out["fixtures"][0]["mismatches"] == []
 
 
+def test_fixture_report_runs_each_sequence_once(monkeypatch):
+    runs = []
+    original = cli.verify_sequence
+
+    def counting(cover, degree, corrected=False):
+        runs.append((degree, corrected))
+        return original(cover, degree, corrected=corrected)
+
+    monkeypatch.setattr(cli, "verify_sequence", counting)
+    report = fixture_report(load_fixture("TWOCHART"), samples=5)
+    assert report["matches_expected"], report["mismatches"]
+    assert sorted(runs) == [(1, False), (2, False), (2, True)]
+
+
 def test_report_requires_a_target(capsys):
     code, out = run_cli(capsys, "report")
     assert code == 2
@@ -309,6 +324,43 @@ def test_bad_bundle_shape_exits_two(capsys, tmp_path):
     )
     code, out = run_cli(capsys, "validate", "--json", str(path))
     assert code == 2
+
+
+ONE_CHART = {
+    "field": {"p": 2, "e": 1},
+    "n": 2,
+    "charts": [{"inverted": ["t"]}],
+    "u": ["t"],
+}
+TWO_CHARTS = {
+    "field": {"p": 3, "e": 1},
+    "n": 2,
+    "charts": [{"inverted": ["t"]}, {"inverted": ["t + 1"]}],
+    "u": ["t^2", "(t + 1)^2"],
+}
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        {**ONE_CHART, "charts": [{"inverted": ["t", "t"]}]},
+        {**ONE_CHART, "u": [5]},
+        {**TWO_CHARTS, "g": {"(0,1)": 7}},
+        {**ONE_CHART, "charts": [{"inverted": [3]}]},
+    ],
+    ids=[
+        "duplicate-inverted",
+        "non-string-unit",
+        "non-string-transition",
+        "non-string-inverted",
+    ],
+)
+def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
+    path = write_bundle(tmp_path, bundle)
+    code = main(["validate", "--json", path])
+    out = json.loads(capsys.readouterr().out)  # raises unless exactly one document
+    assert code == 2
+    assert out["kind"] == "malformed-input"
 
 
 def test_bad_sequence_choice_exits_two(capsys):

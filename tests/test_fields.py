@@ -40,6 +40,36 @@ def test_modulus_is_canonical_and_pinned():
     assert modulus_coeffs(2, 4) == (1, 1, 0, 0, 1)  # a^4 + a + 1
 
 
+# The modulus of every extension field F_{p^e}, e >= 2, p^e <= 256.  Reports
+# print extension elements in this basis, so these must never change.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+def test_every_extension_modulus_is_pinned():
+    primes = [p for p in range(2, 17) if all(p % d for d in range(2, p))]
+    extensions = {(p, e) for p in primes for e in range(2, 9) if p**e <= 256}
+    assert extensions == set(PINNED_MODULI)
+    for (p, e), coeffs in PINNED_MODULI.items():
+        assert modulus_coeffs(p, e) == coeffs, (p, e)
+
+
 def test_f4_multiplication_table():
     F4 = FqField(2, 2)
     a = F4.gen

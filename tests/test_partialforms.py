@@ -94,6 +94,36 @@ def test_cover_hands_out_the_same_chart_structures():
         assert cover.partial_forms[i] is cover.partial_forms[i]
 
 
+def test_sequence_maps_are_built_once_per_chart():
+    pfc = Cover(twochart()).partial_forms[1]
+    for name in (
+        "corrected_tail",
+        "mul_omega_map",
+        "sigma1_map",
+        "s1_map",
+        "sigma2_map",
+        "s2_literal_map",
+        "s2_corrected_map",
+    ):
+        assert getattr(pfc, name) is getattr(pfc, name), name
+    assert pfc.s1_map is pfc.s1_map
+    assert pfc.s1_map.kernel is pfc.s1_map.kernel
+    assert pfc.s2_corrected_map.target is pfc.corrected_tail
+
+
+def test_cover_with_cached_maps_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        cover = Cover(twochart())
+        assert verify_sequence(cover, 1)["charts"]
+        assert verify_sequence(cover, 2, corrected=True)["charts"]
+        ref = weakref.ref(cover)
+        del cover
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_cover_with_built_charts_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
@@ -131,7 +161,7 @@ def test_s_well_defined_exactly_when_order_shares_characteristic():
         for i in range(len(cover.charts)):
             pfc = PartialFormsChart(cover, i)
             expected = bundle.n % p == 0
-            assert pfc.s1_map().is_well_defined == expected, name
+            assert pfc.s1_map.is_well_defined == expected, name
 
 
 # -- degree-1 sequences
@@ -211,13 +241,13 @@ def test_degree2_corrected_exact_everywhere(name):
 
 def test_corrected_tail_invariants():
     pfc = PartialFormsChart(Cover(zerotorsion()), 0)
-    tail = pfc.corrected_tail()
+    tail = pfc.corrected_tail
     assert tail.rank == 0
     assert [str(c) for c in tail.torsion] == ["t + 2"]
     pfc2 = PartialFormsChart(build("GM_P2"), 0)
-    assert pfc2.corrected_tail().is_zero_module()
+    assert pfc2.corrected_tail.is_zero_module()
     pfc3 = PartialFormsChart(Cover(degenerate()), 0)
-    assert pfc3.corrected_tail().rank == 1
+    assert pfc3.corrected_tail.rank == 1
 
 
 # -- the relative derivative

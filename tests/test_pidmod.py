@@ -5,6 +5,7 @@ import random
 import pytest
 from oracle import frac_of_ring_elem, fraction_field_rank
 
+from taucover import pidmod
 from taucover.fields import FqField
 from taucover.pidmod import (
     FpmModule,
@@ -12,7 +13,6 @@ from taucover.pidmod import (
     PolyMatrix,
     Submodule,
     is_exact,
-    membership,
     smith_normal_form,
     solve,
     syzygy_matrix,
@@ -225,8 +225,8 @@ def test_invariants_stable_under_presentation_shuffle():
 def test_membership_basic():
     amb = FpmModule.free(A5, 2)
     gens = mat(A5, [["t+2"], ["0"]], ncols=1)
-    assert membership([A5.parse("(t+2)^2"), A5.zero], gens, amb) is not None
-    assert membership([A5.one, A5.zero], gens, amb) is None
+    assert Submodule(amb, gens).contains([A5.parse("(t+2)^2"), A5.zero]) is not None
+    assert Submodule(amb, gens).contains([A5.one, A5.zero]) is None
 
 
 def test_membership_uses_ambient_relations():
@@ -245,6 +245,29 @@ def test_submodule_presentation_of_torsion_generator():
     pres = sub.presentation
     assert pres.rank == 0
     assert [str(c) for c in pres.torsion] == ["t + 2"]
+
+
+def count_snfs(monkeypatch) -> list:
+    """Record the shape of every Smith normal form computed from now on."""
+    shapes = []
+    original = pidmod.smith_normal_form
+
+    def counting(matrix):
+        shapes.append((matrix.nrows, matrix.ncols))
+        return original(matrix)
+
+    monkeypatch.setattr(pidmod, "smith_normal_form", counting)
+    return shapes
+
+
+def test_presentation_and_membership_share_one_snf(monkeypatch):
+    amb = FpmModule(A5, 2, mat(A5, [["(t+2)^2"], ["0"]]))
+    sub = Submodule(amb, mat(A5, [["t+2", "1"], ["0", "t"]], ncols=2))
+    shapes = count_snfs(monkeypatch)
+    assert sub.presentation.n_gens == 2
+    assert sub.contains([A5.parse("t+2"), A5.zero]) is not None
+    assert sub.contains([A5.zero, A5.one]) is None
+    assert shapes == [(2, 3)]
 
 
 def test_submodule_equality_by_double_membership():
@@ -266,7 +289,7 @@ def test_map_well_definedness_certificate():
     src = FpmModule(A5, 1, mat(A5, [["t+2"]]))
     tgt = FpmModule(A5, 1, mat(A5, [["(t+2)^2"]]))
     bad = ModuleMap(src, tgt, mat(A5, [["1"]]))
-    ok, witness = bad.well_definedness()
+    ok, witness = bad.well_definedness
     assert not ok
     assert witness["image"] == "(t + 2)*e0"
     good = ModuleMap(tgt, src, mat(A5, [["1"]]))
@@ -276,7 +299,7 @@ def test_map_well_definedness_certificate():
 def test_kernel_of_multiplication_is_zero_on_domain():
     a = FpmModule.free(A5, 1)
     f = ModuleMap(a, a, mat(A5, [["2*t-1"]]))
-    assert f.kernel().is_zero()
+    assert f.kernel.is_zero()
 
 
 def test_image_of_multiplication_in_quotient_is_zero():
@@ -284,19 +307,33 @@ def test_image_of_multiplication_in_quotient_is_zero():
     q = FpmModule(A5, 1, mat(A5, [["t-3"]]))
     f = ModuleMap(a, q, mat(A5, [["2*t-1"]]))
     assert f.is_well_defined
-    assert f.image().is_zero()
+    assert f.image.is_zero()
 
 
 def test_kernel_into_quotient():
     a = FpmModule.free(A5, 1)
     q = FpmModule(A5, 1, mat(A5, [["t+2"]]))
     f = ModuleMap(a, q, mat(A5, [["1"]]))
-    ker = f.kernel()
+    ker = f.kernel
     assert ker.contains([A5.parse("t+2")]) is not None
     assert ker.contains([A5.one]) is None
     pres = ker.presentation
     assert pres.rank == 1
     assert pres.torsion == []
+
+
+def test_kernel_is_read_off_the_image_presentation(monkeypatch):
+    a = FpmModule.free(A5, 2)
+    q = FpmModule(A5, 1, mat(A5, [["t+2"]]))
+    f = ModuleMap(a, q, mat(A5, [["1", "t"]]))
+    relations = f.image.presentation.relations
+    shapes = count_snfs(monkeypatch)
+    ker = f.kernel
+    assert shapes == []
+    assert ker.gens == relations
+    assert f.kernel is ker
+    assert ker.contains([A5.parse("t+2"), A5.zero]) is not None
+    assert ker.contains([A5.one, A5.zero]) is None
 
 
 def test_composition():
