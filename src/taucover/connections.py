@@ -557,15 +557,16 @@ def _lattice_rows(
             [len(cleared.coeffs) - 1] + [len(c.coeffs) - 1 for c in columns]
         )
     rows = []
-    e = ring.field.e
+    digits = ring.field.digits
     for pos in range(width):
-        for comp in range(e):
+        col_digits = [digits(c[pos].code) for c in columns]
+        for comp, rhs in enumerate(digits(cleared[pos].code)):
             row = {}
             for j in range(len(primes)):
-                val = columns[j][pos].coeffs[comp]
+                val = col_digits[j][comp]
                 if val:
                     row[(chart_key, str(primes[j]))] = val
-            rows.append((row, cleared[pos].coeffs[comp]))
+            rows.append((row, rhs))
     return rows
 
 

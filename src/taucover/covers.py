@@ -384,15 +384,15 @@ class TorsionBundle:
             raise MalformedInput(f"bundle JSON missing keys: {sorted(missing)}")
         fdata = data["field"]
         try:
-            field = FqField(int(fdata["p"]), int(fdata.get("e", 1)))
+            field = FqField(_json_int(fdata["p"], "p"), _json_int(fdata.get("e", 1), "e"))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad field description: {exc}") from None
         if not isinstance(data["charts"], list) or not data["charts"]:
             raise MalformedInput("charts must be a nonempty list")
         charts = [ChartRing.from_json(field, c) for c in data["charts"]]
         scheme = ChartedScheme(field, charts)
-        n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        n = _json_int(data["n"], "n")
+        if n < 1:
             raise MalformedInput("n must be a positive integer")
         if not isinstance(data["u"], list) or len(data["u"]) != len(charts):
             raise MalformedInput("u must list one unit per chart")
@@ -407,6 +407,13 @@ class TorsionBundle:
                 raise MalformedInput(f"transition key {key} is not a chart pair (i,j), i<j")
             g[pair] = scheme.overlap(*pair).parse(expr)
         return cls(scheme, n, g, u)
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer; rejects booleans, floats and strings."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_pair(key: str) -> tuple[int, int]:

@@ -1,11 +1,24 @@
-"""Small finite fields F_q, q = p^e <= 256, with exact arithmetic.
+"""Small finite fields F_q, q = p^e <= 256, with table-driven arithmetic.
 
-Elements are coefficient vectors in the power basis 1, a, ..., a^(e-1) of
-F_p[a]/(m(a)) where m is a fixed monic irreducible modulus.  The modulus for
-each (p, e) is the lexicographically smallest monic irreducible of degree e
-over F_p (coefficients enumerated by base-p value), so serialized elements
-are stable across runs.  For e = 1 the modulus is a and elements are plain
-residues.
+F_q is F_p[a]/(m(a)) for a fixed monic irreducible modulus m of degree e.
+The modulus for each (p, e) is the lexicographically smallest monic
+irreducible of degree e over F_p (coefficients enumerated by base-p value),
+so serialized elements are stable across runs.  For e = 1 the modulus is a
+and elements are plain residues.
+
+Every element is one int, its *code*, in [0, q): the base-p value of its
+power-basis coefficient vector (c_0, ..., c_(e-1)), so the code of
+sum c_i a^i is sum c_i p^i.  This is the order of `elements()`; 0 and 1 are
+the codes of zero and one, and the code of an integer n is n mod p.  The
+coefficient vector, used for printing, is read off the code's base-p digits.
+
+Each field builds its tables once, on first use, each of size O(q): the
+antilog table of a primitive element g (exp[k] = g^k, stored twice over so a
+sum of two logs needs no reduction) and the log table, which make every
+product and inverse two lookups.  Addition is XOR when p = 2 and integer
+addition mod p when e = 1; odd-characteristic extensions add through Zech
+logarithms, zech[k] = log(1 + g^k).  `FqElem` is the public scalar: a thin
+(field, code) pair.  Polynomial loops (`polys`) read the tables directly.
 
 Text syntax: prime-field elements are decimal digits; extension elements are
 polynomials in the generator symbol a, e.g. "a+1".
@@ -61,7 +74,11 @@ def FqField(p: int, e: int = 1) -> "_FqField":
 
 
 class _FqField:
-    """The field F_q; owns the modulus and all element arithmetic."""
+    """The field F_q; owns the modulus, the tables and all element arithmetic.
+
+    The arithmetic methods act on codes.  `exp`, `log` and, for odd-p
+    extensions, `zech` are built together on first access.
+    """
 
     def __init__(self, p: int, e: int):
         if not _is_prime(p) or not (2 <= p <= _MAX_P):
@@ -72,112 +89,141 @@ class _FqField:
         self.e = e
         self.q = p**e
         self.modulus = modulus_coeffs(p, e)
-        # reduction table: a^k for k in [e, 2e-2] as coefficient tuples
-        self._apow: list[tuple[int, ...]] = []
-        if e > 1:
-            cur = tuple((-c) % p for c in self.modulus[:e])  # a^e
-            self._apow.append(cur)
-            for _ in range(e - 2):
-                shifted = (0,) + cur
-                head = shifted[:e]
-                if shifted[e]:
-                    lead = shifted[e]
-                    head = tuple((head[i] - lead * self.modulus[i]) % p for i in range(e))
-                cur = head
-                self._apow.append(cur)
-        self.zero = FqElem(self, (0,) * e)
-        self.one = FqElem(self, (1,) + (0,) * (e - 1))
+        self.zero = FqElem(self, 0)
+        self.one = FqElem(self, 1)
+
+    # -- tables
+
+    def __getattr__(self, name):
+        # Runs only while a table attribute is still missing.
+        if name in ("exp", "log", "zech"):
+            self._build_tables()
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def _build_tables(self) -> None:
+        p, e, q = self.p, self.e, self.q
+        digits = [self.digits(c) for c in range(q)]
+
+        def times(x: int, y: int) -> int:
+            # Power-basis product, used only to list the powers of g.
+            conv = [0] * (2 * e - 1)
+            for i, a in enumerate(digits[x]):
+                for j, b in enumerate(digits[y]):
+                    conv[i + j] += a * b
+            for k in range(2 * e - 2, e - 1, -1):  # a^e = -(m_0 + ... )
+                c = conv[k] % p
+                for i in range(e):
+                    conv[k - e + i] -= c * self.modulus[i]
+            return sum((c % p) * p**i for i, c in enumerate(conv[:e]))
+
+        powers = [1]  # F_2: the only unit, 1, generates
+        for g in range(2, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = times(x, g)
+            if len(powers) == q - 1:
+                break
+        log = [0] * q
+        for k, c in enumerate(powers):
+            log[c] = k
+        self.exp = powers + powers
+        self.log = log
+        if p > 2 and e > 1:
+            # 1 + g^k: add one to the constant digit; -1 where g^k = -1.
+            self.zech = [
+                -1 if c == p - 1 else log[c - c % p + (c % p + 1) % p] for c in powers
+            ]
+        else:
+            self.zech = None
+
+    def digits(self, code: int) -> tuple[int, ...]:
+        """The power-basis coefficient vector (c_0, ..., c_(e-1)) of a code."""
+        p = self.p
+        out = []
+        for _ in range(self.e):
+            out.append(code % p)
+            code //= p
+        return tuple(out)
 
     # -- construction
 
     def elem(self, value) -> "FqElem":
-        """Coerce an int, coefficient tuple, string or FqElem into the field."""
+        """Coerce an int, coefficient vector, string or FqElem into the field."""
         if isinstance(value, FqElem):
             if value.field is not self:
                 raise FieldMismatch("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FqElem(self, (value % self.p,) + (0,) * (self.e - 1))
+            return FqElem(self, value % self.p)
         if isinstance(value, str):
             return self.parse(value)
-        coeffs = tuple(int(c) % self.p for c in value)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.e:
             raise ValueError("coefficient vector longer than the extension degree")
-        coeffs = coeffs + (0,) * (self.e - len(coeffs))
-        return FqElem(self, coeffs)
+        return FqElem(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
 
     @property
     def gen(self) -> "FqElem":
         """Image of a, the power-basis generator.  Extension fields only."""
         if self.e == 1:
             raise ValueError("prime field has no extension generator")
-        return FqElem(self, (0, 1) + (0,) * (self.e - 2))
+        return FqElem(self, self.p)
 
     def elements(self) -> Iterator["FqElem"]:
-        """All q elements, by base-p counter order."""
-        for value in range(self.q):
-            coeffs = []
-            v = value
-            for _ in range(self.e):
-                coeffs.append(v % self.p)
-                v //= self.p
-            yield FqElem(self, tuple(coeffs))
+        """All q elements, by code."""
+        for code in range(self.q):
+            yield FqElem(self, code)
 
     def random_elem(self, rng) -> "FqElem":
-        return FqElem(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
+        # One draw per power-basis coefficient, lowest first: seeded reports depend on it.
+        p = self.p
+        return FqElem(self, sum(rng.randrange(p) * p**i for i in range(self.e)))
 
     def random_nonzero(self, rng) -> "FqElem":
         while True:
             x = self.random_elem(rng)
-            if x.coeffs != self.zero.coeffs:
+            if x.code:
                 return x
 
-    # -- arithmetic on coefficient tuples
+    # -- arithmetic on codes
 
-    def _add(self, x, y):
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
+    def _add(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
+        if self.e == 1:
+            return (x + y) % self.p
+        if not x:
+            return y
+        if not y:
+            return x
+        log = self.log
+        lx = log[x]
+        z = self.zech[log[y] - lx]  # negative indices wrap: g^(q-1) = 1
+        return 0 if z < 0 else self.exp[lx + z]
 
-    def _sub(self, x, y):
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
+    def _neg(self, x: int) -> int:
+        if self.p == 2 or not x:
+            return x
+        if self.e == 1:
+            return self.p - x
+        return self.exp[self.log[x] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
-    def _neg(self, x):
-        p = self.p
-        return tuple((-a) % p for a in x)
+    def _sub(self, x: int, y: int) -> int:
+        return self._add(x, self._neg(y))
 
-    def _mul(self, x, y):
-        p, e = self.p, self.e
-        if e == 1:
-            return (x[0] * y[0] % p,)
-        conv = [0] * (2 * e - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    conv[i + j] += a * b
-        out = [c % p for c in conv[:e]]
-        for k in range(e, 2 * e - 1):
-            c = conv[k] % p
-            if c:
-                red = self._apow[k - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
+    def _mul(self, x: int, y: int) -> int:
+        if not x or not y:
+            return 0
+        log = self.log
+        return self.exp[log[x] + log[y]]
 
-    def _pow(self, x, k: int):
-        result = self.one.coeffs
-        base = x
-        while k:
-            if k & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            k >>= 1
-        return result
-
-    def _inv(self, x):
-        if not any(x):
+    def _inv(self, x: int) -> int:
+        if not x:
             raise DivisionByZero("inverse of zero in F_q")
-        return self._pow(x, self.q - 2)
+        return self.exp[self.q - 1 - self.log[x]]
 
     # -- parsing and printing
 
@@ -200,12 +246,13 @@ class _FqField:
             raise MalformedInput(f"{text!r} is not a field element")
         return value
 
-    def format(self, x: "FqElem") -> str:
+    def format(self, code: int) -> str:
         if self.e == 1:
-            return str(x.coeffs[0])
+            return str(code)
         terms = []
+        digits = self.digits(code)
         for d in range(self.e - 1, -1, -1):
-            c = x.coeffs[d]
+            c = digits[d]
             if c == 0:
                 continue
             if d == 0:
@@ -223,13 +270,18 @@ class _FqField:
 
 
 class FqElem:
-    """Immutable element of an _FqField, a coefficient tuple in the power basis."""
+    """Immutable element of an _FqField: the field and the element's code."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: _FqField, coeffs: tuple[int, ...]):
+    def __init__(self, field: _FqField, code: int):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Power-basis coefficient vector, low degree first."""
+        return self.field.digits(self.code)
 
     def _check(self, other) -> "FqElem":
         if isinstance(other, int):
@@ -244,7 +296,7 @@ class FqElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.field, self.field._add(self.coeffs, other.coeffs))
+        return FqElem(self.field, self.field._add(self.code, other.code))
 
     __radd__ = __add__
 
@@ -252,20 +304,20 @@ class FqElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.field, self.field._sub(self.coeffs, other.coeffs))
+        return FqElem(self.field, self.field._sub(self.code, other.code))
 
     def __rsub__(self, other):
         other = self._check(other)
-        return FqElem(self.field, self.field._sub(other.coeffs, self.coeffs))
+        return FqElem(self.field, self.field._sub(other.code, self.code))
 
     def __neg__(self):
-        return FqElem(self.field, self.field._neg(self.coeffs))
+        return FqElem(self.field, self.field._neg(self.code))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.field, self.field._mul(self.coeffs, other.coeffs))
+        return FqElem(self.field, self.field._mul(self.code, other.code))
 
     __rmul__ = __mul__
 
@@ -273,19 +325,22 @@ class FqElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqElem(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
+        return FqElem(self.field, self.field._mul(self.code, self.field._inv(other.code)))
 
     def __rtruediv__(self, other):
         other = self._check(other)
         return other / self
 
     def __pow__(self, k: int):
+        field = self.field
         if k < 0:
             return self.inv() ** (-k)
-        return FqElem(self.field, self.field._pow(self.coeffs, k))
+        if not self.code:
+            return self if k else field.one
+        return FqElem(field, field.exp[field.log[self.code] * k % (field.q - 1)])
 
     def inv(self) -> "FqElem":
-        return FqElem(self.field, self.field._inv(self.coeffs))
+        return FqElem(self.field, self.field._inv(self.code))
 
     def frobenius(self) -> "FqElem":
         """The arithmetic Frobenius x -> x^p."""
@@ -296,23 +351,23 @@ class FqElem:
         return self ** (self.field.p ** (self.field.e - 1))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.code)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.elem(other)
         if not isinstance(other, FqElem):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.code == other.code
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return hash((self.field.p, self.field.e, self.code))
 
     def __str__(self):
-        return self.field.format(self)
+        return self.field.format(self.code)
 
     def __repr__(self):
-        return self.field.format(self)
+        return self.field.format(self.code)

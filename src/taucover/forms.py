@@ -138,9 +138,7 @@ def cartier(form: ChartForm) -> ChartForm:
         den = den * pi**mult
     lifted = x.num * den ** (p - 1)
     picked = [
-        c.frobenius_inverse()
-        for k, c in enumerate(lifted.coeffs)
-        if k % p == p - 1
+        lifted[k].frobenius_inverse().code for k in range(p - 1, len(lifted.coeffs), p)
     ]
     result_num = Poly(field, picked)
     return ChartForm(ring, 1, ring.from_poly(result_num) * ring.make(den).inv())

@@ -547,7 +547,13 @@ class Submodule:
 
     @cached_property
     def snf(self) -> SNFResult:
-        """SNF of [gens | ambient relations]; its matrix is that stacked matrix."""
+        """SNF of [gens | ambient relations]; its matrix is that stacked matrix.
+
+        With no generators the stack is the relation matrix, whose SNF the
+        ambient module already holds.
+        """
+        if not self.gens.ncols:
+            return self.ambient.snf
         return smith_normal_form(self.gens.hstack(self.ambient.relations))
 
     @cached_property

@@ -1,13 +1,23 @@
 """Dense univariate polynomials over a small finite field.
 
-Coefficients are stored low degree first with no trailing zeros; the empty
-tuple is the zero polynomial.  The coefficient field makes F_q[t] Euclidean,
-so division with remainder, gcd and exact division are all available.
+A `Poly` holds its field and a tuple of coefficient codes (see `fields`: one
+int in [0, q) per coefficient), low degree first with no trailing zeros; the
+empty tuple is the zero polynomial.  The coefficient field makes F_q[t]
+Euclidean, so division with remainder, gcd and exact division are all
+available.
+
+Every operation works on the codes and builds one `Poly` per result.  The
+hot loops, products and division with remainder, take one branch per field:
+over a prime field they use integer arithmetic and reduce mod p once per
+output coefficient; over other fields they multiply through the field's log
+and antilog tables and add by XOR when p = 2, or through the field's `_add`
+(Zech logarithms) otherwise.  Sums, negation, scaling and derivatives use the
+field's code methods and tables directly.  Coefficients are handed out as
+`FqElem` only by `lc()` and indexing.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
@@ -15,15 +25,111 @@ from .exprparse import ExprOps, evaluate
 from .fields import FqElem, _FqField
 
 
+def _mul_codes(field: _FqField, a, b) -> list[int]:
+    """Product of two code sequences, possibly with trailing zeros."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    p = field.p
+    if field.e == 1 and p > 2:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return [c % p for c in out]
+    exp, log = field.exp, field.log
+    low = [(j, log[y]) for j, y in enumerate(b) if y]
+    if p == 2:
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in low:
+                    out[i + j] ^= exp[lx + ly]
+        return out
+    add = field._add
+    for i, x in enumerate(a):
+        if x:
+            lx = log[x]
+            for j, ly in low:
+                out[i + j] = add(out[i + j], exp[lx + ly])
+    return out
+
+
+def _divmod_codes(field: _FqField, a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b (b nonzero, last code nonzero)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    p = field.p
+    if field.e == 1 and p > 2:
+        inv = pow(b[-1], -1, p)
+        low = [(i, c) for i, c in enumerate(b[:db]) if c]
+        for s in range(len(a) - 1 - db, -1, -1):
+            f = rem[s + db] % p * inv % p
+            if f:
+                quo[s] = f
+                for i, c in low:
+                    rem[s + i] -= f * c
+        return quo, [c % p for c in rem[:db]]
+    exp, log = field.exp, field.log
+    n1 = field.q - 1
+    lead = log[b[-1]]
+    low = [(i, log[c]) for i, c in enumerate(b[:db]) if c]
+    if p == 2:
+        for s in range(len(a) - 1 - db, -1, -1):
+            r = rem[s + db]
+            if r:
+                lf = log[r] - lead
+                if lf < 0:
+                    lf += n1
+                quo[s] = exp[lf]
+                for i, li in low:
+                    rem[s + i] ^= exp[lf + li]
+        return quo, rem[:db]
+    add, half = field._add, n1 // 2  # -1 = g^half
+    for s in range(len(a) - 1 - db, -1, -1):
+        r = rem[s + db]
+        if r:
+            lf = log[r] - lead
+            if lf < 0:
+                lf += n1
+            quo[s] = exp[lf]
+            lf = (lf + half) % n1
+            for i, li in low:
+                rem[s + i] = add(rem[s + i], exp[lf + li])
+    return quo, rem[:db]
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 class Poly:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: _FqField, coeffs: Iterable = ()):
-        cs = [field.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+    def __init__(self, field: _FqField, coeffs: Iterable[int] = ()):
+        """A polynomial from coefficient codes, low degree first."""
+        cs = tuple(coeffs)
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = cs if n == len(cs) else cs[:n]
 
     # -- constructors
 
@@ -41,7 +147,7 @@ class Poly:
 
     @classmethod
     def const(cls, c: FqElem) -> "Poly":
-        return cls(c.field, (c,))
+        return cls(c.field, (c.code,))
 
     @classmethod
     def parse(cls, field, text: str) -> "Poly":
@@ -57,7 +163,7 @@ class Poly:
         if field.e > 1:
             atoms["a"] = cls.const(field.gen)
         ops = ExprOps(
-            from_int=lambda n: cls(field, (n,)),
+            from_int=lambda n: cls.const(field.elem(n)),
             add=lambda x, y: x + y,
             sub=lambda x, y: x - y,
             mul=lambda x, y: x * y,
@@ -79,7 +185,7 @@ class Poly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return self.coeffs == (1,)
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -87,21 +193,22 @@ class Poly:
     def lc(self) -> FqElem:
         if not self.coeffs:
             raise DivisionByZero("leading coefficient of zero")
-        return self.coeffs[-1]
+        return FqElem(self.field, self.coeffs[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __getitem__(self, i: int) -> FqElem:
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        return FqElem(self.field, self.coeffs[i] if i < len(self.coeffs) else 0)
 
     def _check(self, other) -> "Poly":
-        if isinstance(other, FqElem):
-            other = Poly.const(other)
-        if isinstance(other, int):
-            other = Poly(self.field, (other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if isinstance(other, FqElem):
+                other = Poly.const(other)
+            elif isinstance(other, int):
+                other = Poly.const(self.field.elem(other))
+            else:
+                return NotImplemented
         if other.field is not self.field:
             raise FieldMismatch("polynomials over different fields")
         return other
@@ -112,8 +219,10 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] + other[i] for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly(self.field, (*map(self.field._add, a, b), *a[len(b):]))
 
     __radd__ = __add__
 
@@ -121,28 +230,19 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] - other[i] for i in range(n)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return Poly(self.field, (-c for c in self.coeffs))
+        return Poly(self.field, map(self.field._neg, self.coeffs))
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly(self.field, _mul_codes(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -159,32 +259,26 @@ class Poly:
         return result
 
     def scale(self, c: FqElem) -> "Poly":
-        return Poly(self.field, (c * a for a in self.coeffs))
+        field = self.field
+        if not c.code:
+            return Poly(field)
+        exp, log = field.exp, field.log
+        lc = log[c.code]
+        return Poly(field, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
+        return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         other = self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.deg
-        inv_lead = other.lc().inv()
-        quo = [self.field.zero] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd:
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            factor = rem[-1] * inv_lead
-            shift = len(rem) - 1 - dd
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            rem.pop()
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly(self.field), self
+        quo, rem = _divmod_codes(self.field, self.coeffs, other.coeffs)
         return Poly(self.field, quo), Poly(self.field, rem)
 
     def __mod__(self, other):
@@ -206,7 +300,7 @@ class Poly:
         return (other % self).is_zero()
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
         return self.scale(self.lc().inv())
 
@@ -233,9 +327,16 @@ class Poly:
         return a.scale(lead), s0.scale(lead), t0.scale(lead)
 
     def derivative(self) -> "Poly":
+        field = self.field
+        p, cs = field.p, self.coeffs
+        # i * c for the integer i: c times the prime-field code i mod p
+        exp, log = field.exp, field.log
         return Poly(
-            self.field,
-            (self.coeffs[i] * i for i in range(1, len(self.coeffs))),
+            field,
+            [
+                exp[log[cs[i]] + log[i % p]] if cs[i] and i % p else 0
+                for i in range(1, len(cs))
+            ],
         )
 
     def multiplicity(self, pi: "Poly") -> tuple[int, "Poly"]:
@@ -252,25 +353,47 @@ class Poly:
             cur = q
 
     def is_irreducible(self) -> bool:
-        """Trial division; intended for the desk-scale degrees used here."""
-        if self.deg < 1:
-            return False
-        if self.deg == 1:
-            return True
-        field = self.field
-        elems = list(field.elements())
-        # monic divisors of degree 1 .. deg//2, over all lower coefficients
-        for d in range(1, self.deg // 2 + 1):
-            for lower in itertools.product(elems, repeat=d):
-                if Poly(field, (*lower, field.one)).divides(self):
+        """Rabin's test (SIAM J. Comput. 9, 1980).
+
+        f of degree d >= 1 over F_q is irreducible exactly when
+        t^(q^d) = t mod f and gcd(t^(q^(d/r)) - t, f) = 1 for each prime
+        r | d.  Costs O(d log q) multiplications mod f.
+        """
+        d = self.deg
+        if d <= 1:
+            return d == 1
+        field, f = self.field, self.coeffs
+        checkpoints = {d // r for r in _prime_divisors(d)}
+        x = [0, 1]  # t^(q^k) mod f, k = 0
+        for k in range(1, d + 1):
+            x = self._powmod(x, field.q)
+            if k in checkpoints:
+                g = x + [0] * (2 - len(x))
+                g[1] = field._sub(g[1], 1)  # t^(q^k) - t
+                a, b = list(f), _trim(g)
+                while b:
+                    a, b = b, _trim(_divmod_codes(field, a, b)[1])
+                if len(a) > 1:
                     return False
-        return True
+        return x == [0, 1]
+
+    def _powmod(self, base: list[int], k: int) -> list[int]:
+        """base^k mod self, on codes."""
+        field, f = self.field, self.coeffs
+        result = [1]
+        while k:
+            if k & 1:
+                result = _trim(_divmod_codes(field, _mul_codes(field, result, base), f)[1])
+            k >>= 1
+            if k:
+                base = _trim(_divmod_codes(field, _mul_codes(field, base, base), f)[1])
+        return result
 
     # -- comparisons, hashing, printing
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Poly(self.field, (other,))
+            other = Poly.const(self.field.elem(other))
         if not isinstance(other, Poly):
             return NotImplemented
         return self.field is other.field and self.coeffs == other.coeffs
@@ -281,17 +404,18 @@ class Poly:
     def __str__(self):
         if not self.coeffs:
             return "0"
+        field = self.field
         terms = []
         for d in range(self.deg, -1, -1):
-            c = self[d]
-            if c.is_zero():
+            c = self.coeffs[d]
+            if not c:
                 continue
-            cs = str(c)
+            cs = field.format(c)
             if d == 0:
                 terms.append(cs)
                 continue
             var = "t" if d == 1 else f"t^{d}"
-            if c == self.field.one:
+            if c == 1:
                 terms.append(var)
             elif "+" in cs:
                 terms.append(f"({cs})*{var}")
@@ -301,4 +425,3 @@ class Poly:
 
     def __repr__(self):
         return str(self)
-

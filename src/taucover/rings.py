@@ -80,7 +80,7 @@ class ChartRing:
         return self.make(num)
 
     def from_int(self, n: int) -> "RingElem":
-        return self.make(Poly(self.field, (n,)))
+        return self.from_field(self.field.elem(n))
 
     def from_field(self, c: FqElem) -> "RingElem":
         return self.make(Poly.const(c))
@@ -233,15 +233,14 @@ class ChartRing:
         dens = [0] * target.s
         for j, m in enumerate(a.dens):
             dens[index[self.inverted[j].coeffs]] = m
-        num = Poly(target.field, a.num.coeffs)
-        return target.make(num, dens)
+        return target.make(a.num, dens)
 
     # -- randomness for tests and probabilistic checks
 
     def random_element(self, rng, max_deg: int = 3, max_den: int = 1) -> "RingElem":
         num = Poly(
             self.field,
-            [self.field.random_elem(rng) for _ in range(rng.randrange(max_deg + 2))],
+            [self.field.random_elem(rng).code for _ in range(rng.randrange(max_deg + 2))],
         )
         dens = tuple(rng.randrange(max_den + 1) for _ in range(self.s))
         return self.make(num, dens)
@@ -327,7 +326,7 @@ class RingElem:
             return NotImplemented
         if other.ring is not self.ring:
             if isinstance(other.ring, ChartRing) and other.ring.same_ring(self.ring):
-                return self.ring.make(Poly(self.ring.field, other.num.coeffs), other.dens)
+                return self.ring.make(other.num, other.dens)
             raise RingMismatch("elements of different chart rings")
         return other
 

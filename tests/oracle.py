@@ -1,9 +1,15 @@
-"""Independent rank oracle: Gaussian elimination over the fraction field.
+"""Independent references for the tests.
 
-Entries are (numerator, denominator) polynomial pairs handled with plain
-fraction arithmetic.  Deliberately shares nothing with the module engine so
-the two rank computations are genuinely separate routes.
+The rank oracle is Gaussian elimination over the fraction field.  Entries are
+(numerator, denominator) polynomial pairs handled with plain fraction
+arithmetic.  It deliberately shares nothing with the module engine, so the two
+rank computations are genuinely separate routes.
+
+The field references compute on power-basis coefficient vectors, not the
+field's tables, and the irreducibility reference is trial division.
 """
+
+import itertools
 
 from taucover.polys import Poly
 
@@ -71,3 +77,55 @@ def fraction_field_rank(rows: list[list[Frac]]) -> int:
         rank += 1
         pivot_col += 1
     return rank
+
+
+# -- field and irreducibility references
+
+# A field element's code is the base-p value of its power-basis coefficient
+# vector; these references work on the vectors and share no table with the
+# field.
+
+
+def code_digits(p: int, e: int, code: int) -> list[int]:
+    return [code // p**i % p for i in range(e)]
+
+
+def digits_code(p: int, digits) -> int:
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+def schoolbook_add(p: int, e: int, x: int, y: int) -> int:
+    dx, dy = code_digits(p, e, x), code_digits(p, e, y)
+    return digits_code(p, [(a + b) % p for a, b in zip(dx, dy)])
+
+
+def schoolbook_sub(p: int, e: int, x: int, y: int) -> int:
+    dx, dy = code_digits(p, e, x), code_digits(p, e, y)
+    return digits_code(p, [(a - b) % p for a, b in zip(dx, dy)])
+
+
+def schoolbook_mul(p: int, modulus, x: int, y: int) -> int:
+    """x * y in F_p[a]/(modulus), by convolution and long division."""
+    e = len(modulus) - 1
+    dx, dy = code_digits(p, e, x), code_digits(p, e, y)
+    conv = [0] * (2 * e - 1)
+    for i, a in enumerate(dx):
+        for j, b in enumerate(dy):
+            conv[i + j] = (conv[i + j] + a * b) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c = conv[k]
+        for i in range(e + 1):
+            conv[k - e + i] = (conv[k - e + i] - c * modulus[i]) % p
+    return digits_code(p, conv[:e])
+
+
+def trial_division_is_irreducible(f: Poly) -> bool:
+    """No monic divisor of degree 1 .. deg f // 2, over every lower part."""
+    if f.deg < 1:
+        return False
+    q = f.field.q
+    for d in range(1, f.deg // 2 + 1):
+        for lower in itertools.product(range(q), repeat=d):
+            if Poly(f.field, (*lower, 1)).divides(f):
+                return False
+    return True

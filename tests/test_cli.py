@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 
 import pytest
 
@@ -347,12 +348,26 @@ TWO_CHARTS = {
         {**ONE_CHART, "u": [5]},
         {**TWO_CHARTS, "g": {"(0,1)": 7}},
         {**ONE_CHART, "charts": [{"inverted": [3]}]},
+        {**ONE_CHART, "n": True},
+        {**ONE_CHART, "field": {"p": True}},
+        {**ONE_CHART, "field": {"p": "2"}},
+        {**ONE_CHART, "field": {"p": 2.9}},
+        {**ONE_CHART, "field": {"p": 2, "e": True}},
+        {**ONE_CHART, "field": {"p": 2, "e": "1"}},
+        {**ONE_CHART, "field": {"p": 2, "e": 1.0}},
     ],
     ids=[
         "duplicate-inverted",
         "non-string-unit",
         "non-string-transition",
         "non-string-inverted",
+        "boolean-order",
+        "boolean-p",
+        "string-p",
+        "float-p",
+        "boolean-e",
+        "string-e",
+        "float-e",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
@@ -361,6 +376,23 @@ def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bun
     out = json.loads(capsys.readouterr().out)  # raises unless exactly one document
     assert code == 2
     assert out["kind"] == "malformed-input"
+
+
+def test_large_field_bundle_validates_within_budget(capsys, tmp_path):
+    # Irreducibility over F_256 must not enumerate 256^3 cubic divisors.
+    bundle = {
+        "field": {"p": 2, "e": 8},
+        "n": 2,
+        "charts": [{"inverted": ["t^7 + t + 1"]}],
+        "u": ["t^7 + t + 1"],
+    }
+    path = write_bundle(tmp_path, bundle)
+    start = time.perf_counter()
+    code = main(["validate", "--json", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert elapsed < 2.0
 
 
 def test_bad_sequence_choice_exits_two(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from oracle import code_digits, schoolbook_add, schoolbook_mul, schoolbook_sub
 
 from taucover.errors import DivisionByZero, FieldMismatch
 from taucover.fields import FqField, modulus_coeffs
@@ -157,3 +158,29 @@ def test_random_elements_deterministic(field):
     xs = [field.random_elem(r1) for _ in range(20)]
     ys = [field.random_elem(r2) for _ in range(20)]
     assert xs == ys
+
+
+PRIMES = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+EVERY_FIELD = [(p, e) for p in PRIMES for e in range(1, 9) if p**e <= 256]
+
+
+@pytest.mark.parametrize("p,e", EVERY_FIELD, ids=field_ids(EVERY_FIELD))
+def test_tables_agree_with_schoolbook_arithmetic(p, e):
+    """Exhaustive for q <= 32, a seeded sample of pairs above that."""
+    field = FqField(p, e)
+    q, modulus = field.q, field.modulus
+    if q <= 32:
+        pairs = [(x, y) for x in range(q) for y in range(q)]
+        units = range(1, q)
+    else:
+        rng = random.Random(1000 * p + e)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+        units = [rng.randrange(1, q) for _ in range(100)]
+    for x, y in pairs:
+        assert field._mul(x, y) == schoolbook_mul(p, modulus, x, y), (x, y)
+        assert field._add(x, y) == schoolbook_add(p, e, x, y), (x, y)
+        assert field._sub(x, y) == schoolbook_sub(p, e, x, y), (x, y)
+    for x in units:
+        assert schoolbook_mul(p, modulus, x, field._inv(x)) == 1, x
+        assert field.elem(code_digits(p, e, x)).code == x
+        assert list(field.elem(code_digits(p, e, x)).coeffs) == code_digits(p, e, x)

@@ -95,7 +95,7 @@ def _is_exact_derivative(poly: Poly) -> bool:
     """f = g' iff f has no coefficients in degrees = p-1 mod p."""
     p = poly.field.p
     return all(
-        c.is_zero() for k, c in enumerate(poly.coeffs) if k % p == p - 1
+        not c for k, c in enumerate(poly.coeffs) if k % p == p - 1
     )
 
 
@@ -106,7 +106,7 @@ def test_cartier_defect_is_exact_derivative(ring):
     for _ in range(30):
         f = Poly(
             ring.field,
-            [ring.field.random_elem(rng) for _ in range(rng.randrange(1, 8))],
+            [ring.field.random_elem(rng).code for _ in range(rng.randrange(1, 8))],
         )
         c = cartier(ChartForm(ring, 1, ring.from_poly(f))).coeff
         assert not c.dens or all(m == 0 for m in c.dens)

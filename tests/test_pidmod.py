@@ -270,6 +270,20 @@ def test_presentation_and_membership_share_one_snf(monkeypatch):
     assert shapes == [(2, 3)]
 
 
+def test_submodule_without_generators_reuses_the_ambient_snf(monkeypatch):
+    amb = FpmModule(A5, 2, mat(A5, [["(t+2)^2", "0"], ["0", "t+2"]], ncols=2))
+    amb_snf = amb.snf
+    shapes = count_snfs(monkeypatch)
+    sub = Submodule(amb, PolyMatrix(A5, [[], []], nrows=2, ncols=0))
+    assert sub.snf is amb_snf
+    assert sub.presentation.n_gens == 0
+    assert sub.contains(amb.zero_vec()) == ()
+    assert sub.contains([A5.one, A5.zero]) is None
+    image = ModuleMap.zero(FpmModule.zero(A5), amb).image
+    assert image.contains([A5.parse("(t+2)^2"), A5.zero]) == ()
+    assert shapes == []
+
+
 def test_submodule_equality_by_double_membership():
     amb = FpmModule.free(A5, 2)
     s1 = Submodule(amb, mat(A5, [["1", "0"], ["0", "t+2"]], ncols=2))
