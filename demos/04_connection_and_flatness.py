@@ -46,7 +46,7 @@ def main():
     print(f"classical form coefficient: {classical.eta[0]}")
     print(f"curvature vanishes: {classical.curvature_check()['passed']}")
 
-    degeneration = coprime_degeneration_check(Cover(bundle), seed=7)
+    degeneration = coprime_degeneration_check(Cover(bundle))
     chart = degeneration["charts"][0]
     print(f"partial forms equal pullbacks: {chart['partial_equals_pullback']}")
     print(f"dv/v equals the classical form: {chart['root_form_equals_classical']}")

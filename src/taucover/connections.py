@@ -8,9 +8,11 @@ in the dual frame 1/v a section written lambda/v goes to
     v * d(lambda / v) = dlambda - lambda * (dv/v),
 
 so the connection form is -dv/v.  Everything here is verified exactly: the
-Leibniz rule on random sections, flatness, the transformation rule across
-charts, and the degeneration to the classical averaged connection du/(n*u)
-when n is invertible.
+Leibniz rule, flatness, the transformation rule across charts, and the
+degeneration to the classical averaged connection du/(n*u) when n is
+invertible.  Both sides of the Leibniz identity are connections on the rank-1
+module A*(1/v), so their difference is A-linear in lambda and the identity is
+decided at lambda = 1; random sections only guard the code it rests on.
 
 The obstruction class of the pair (transitions, dv/v) lives in the first
 hypercohomology of the two-term complex [units --dlog--> partial one-forms].
@@ -22,6 +24,7 @@ against both defining identities before being reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -62,47 +65,49 @@ class TauConnection:
         return -dv_over_v(self.cover.charts[index])
 
     def leibniz_check(self, seed: int = 0, samples: int = 200) -> dict:
-        """nabla(lambda/v) = (dlambda - lambda dv/v)/v on random sections.
+        """nabla(lambda/v) = (dlambda - lambda dv/v)/v, decided at lambda = 1.
 
-        The left side is computed in the cover algebra with no reference to
-        the connection formula; when n is invertible the same coordinates are
-        also matched against the classical form du/(n*u).
+        The left side v*d(lambda/v) is computed in the cover algebra with no
+        reference to the connection formula.  Given the product rule of d,
+        v*d(lambda/v) = dlambda + lambda*v*d(1/v), so the residual
+        R(lambda) = v*d(lambda/v) - (dlambda + lambda*omega) equals
+        lambda*R(1): it is A-linear, and R(1) = 0 in the ambient one-forms is
+        an exact certificate for every section.  R = 0 also shows the result
+        stays partial, since the formula side lies in the partial forms by
+        construction.  When n is invertible the coordinates are matched
+        against the classical form du/(n*u) by the A-linear identity of
+        ``_classical_identity``, decided once.
+
+        ``samples`` random sections guard the product rule the certificate
+        rests on, each costing one reduction of R(lambda); membership is
+        solved only to diagnose a failure.
         """
         rng = random.Random(seed)
         bundle = self.cover.bundle
-        p = bundle.scheme.field.p
-        coprime = math.gcd(bundle.n, p) == 1
+        coprime = math.gcd(bundle.n, bundle.scheme.field.p) == 1
+        eta = ClassicalConnection(bundle).eta if coprime else None
         charts = []
         for i, pfc in enumerate(self.charts):
-            ring, chart = pfc.ring, pfc.chart
-            eta = ring.dlog(bundle.u[i]) * pow(bundle.n % p, -1, p) if coprime else None
-            stays = matches = classical = True
-            for _ in range(samples):
-                lam = ring.random_element(rng, max_deg=3, max_den=1)
-                section = chart.v_inv().scale(lam)
-                dsec = d_function_times_v(chart, section)
-                vec = one_form_to_vec(dsec)
-                if pfc.sub1.contains(vec) is None:
-                    stays = False
+            ring = pfc.ring
+            v_inv = pfc.chart.v_inv()
+            omega = self.connection_coords(i)
+            sections = itertools.chain(
+                [ring.one],
+                (ring.random_element(rng, max_deg=3, max_den=1) for _ in range(samples)),
+            )
+            for lam in sections:
+                stays, matches = _leibniz_verdict(pfc, v_inv, omega, lam)
+                if not (stays and matches):
                     break
-                formula = pfc.lift1((ring.derive(lam), -lam))
-                if not pfc.omega1_ambient.elems_equal(vec, one_form_to_vec(formula)):
-                    matches = False
-                    break
-                if coprime and not pfc.presentation1.elems_equal(
-                    (ring.derive(lam), -lam),
-                    (ring.derive(lam) - lam * eta, ring.zero),
-                ):
-                    classical = False
-                    break
+            classical = _classical_identity(pfc, eta[i]) if coprime else None
             charts.append(
                 {
                     "chart": i,
                     "samples": samples,
                     "stays_partial": stays,
                     "matches_formula": matches,
-                    "matches_classical": classical if coprime else None,
-                    "passed": stays and matches and classical,
+                    "matches_classical": classical,
+                    "passed": stays and matches and classical is not False,
                 }
             )
         return {"charts": charts, "passed": all(c["passed"] for c in charts)}
@@ -160,6 +165,34 @@ def d_function_times_v(chart, elem) -> CoverOneForm:
     """v * d(elem), the cover differential rescaled back into the v-frame."""
     dsec = d_function(elem)
     return CoverOneForm(chart, dsec.ct * chart.v, dsec.cv * chart.v)
+
+
+def _leibniz_verdict(pfc: PartialFormsChart, v_inv, omega, lam) -> tuple[bool, bool]:
+    """(stays_partial, matches_formula) for the section lam/v.
+
+    One reduction of the residual v*d(lam/v) - (dlam + lam*omega) in the
+    ambient one-forms when it vanishes; a failure is diagnosed by solving
+    membership of v*d(lam/v) in the partial forms.
+    """
+    ring = pfc.ring
+    vec = one_form_to_vec(d_function_times_v(pfc.chart, v_inv.scale(lam)))
+    formula = pfc.sub1.ambient_vec(
+        (ring.derive(lam) + lam * omega[0], lam * omega[1])
+    )
+    if pfc.omega1_ambient.elems_equal(vec, formula):
+        return True, True
+    if pfc.sub1.contains(vec) is None:
+        return False, True
+    return True, False
+
+
+def _classical_identity(pfc: PartialFormsChart, eta: RingElem) -> bool:
+    """(lambda', -lambda) = (lambda' - lambda*eta, 0) in Omega1_L for every lambda.
+
+    The difference is lambda*(eta, -1), A-linear in lambda with no assumption
+    on the code, so lambda = 1 decides it.
+    """
+    return pfc.presentation1.is_zero_elem((eta, -pfc.ring.one))
 
 
 class ClassicalConnection:
@@ -220,17 +253,16 @@ def classical_connection(bundle: TorsionBundle) -> ClassicalConnection:
     return ClassicalConnection(bundle)
 
 
-def coprime_degeneration_check(cover: Cover, seed: int = 0, samples: int = 25) -> dict:
+def coprime_degeneration_check(cover: Cover) -> dict:
     """When n is invertible the partial theory collapses onto the classical one.
 
     Three exact comparisons per chart: the partial one-forms coincide with the
     pulled-back base forms (membership both ways), the root form dv/v equals
-    the pullback of du/(n*u), and the connection coordinates of random
-    sections agree across the two descriptions.
+    the pullback of du/(n*u), and the connection coordinates of every section
+    agree across the two descriptions (an A-linear identity, decided at 1).
     """
     bundle = cover.bundle
     classical = ClassicalConnection(bundle)  # raises NotCoprime when p | n
-    rng = random.Random(seed)
     charts = []
     for i, pfc in enumerate(cover.partial_forms):
         ring, chart = pfc.ring, pfc.chart
@@ -248,15 +280,7 @@ def coprime_degeneration_check(cover: Cover, seed: int = 0, samples: int = 25) -
             pfc.sub1.gens.col(1), eta_vec
         )
 
-        coords_agree = True
-        for _ in range(samples):
-            lam = ring.random_element(rng, max_deg=3, max_den=1)
-            if not pfc.presentation1.elems_equal(
-                (ring.derive(lam), -lam),
-                (ring.derive(lam) - lam * eta, ring.zero),
-            ):
-                coords_agree = False
-                break
+        coords_agree = _classical_identity(pfc, eta)
 
         charts.append(
             {

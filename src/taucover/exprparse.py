@@ -10,6 +10,14 @@ so the same parser evaluates into any of the three structures:
     atom   := INT | NAME | '(' expr ')'
 
 Multiplication must be explicit (write 2*t, not 2t).
+
+Two caps keep the cost of an expression bounded by its length, and a breach
+raises MalformedInput before any arithmetic runs:
+
+- nesting (parentheses and unary signs together) is at most MAX_DEPTH deep;
+- the degree bound of every subexpression is at most MAX_DEGREE, where a
+  name counts 1, an integer 0, a sum takes the larger bound, a product or
+  quotient adds the bounds, and x^k multiplies the bound of x by k.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ import re
 from typing import Any, Callable, Mapping
 
 from .errors import MalformedInput
+
+MAX_DEPTH = 100
+MAX_DEGREE = 1024
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))")
 
@@ -34,7 +45,10 @@ def tokenize(text: str) -> list[tuple[str, Any]]:
                 break
             raise MalformedInput(f"bad character {text[pos]!r} in {text!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # more digits than int() converts
+                raise MalformedInput(f"integer literal too long in {text!r}") from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
@@ -68,11 +82,14 @@ class ExprOps:
 
 
 class _Parser:
+    """Folds tokens through ExprOps; each rule returns (value, degree bound)."""
+
     def __init__(self, tokens: list[tuple[str, Any]], ops: ExprOps, text: str):
         self.tokens = tokens
         self.ops = ops
         self.text = text
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -87,60 +104,80 @@ class _Parser:
         if kind != "op" or val != symbol:
             raise MalformedInput(f"expected {symbol!r} in {self.text!r}")
 
+    def bounded(self, degree: int) -> int:
+        if degree > MAX_DEGREE:
+            raise MalformedInput(
+                f"degree bound {degree} exceeds {MAX_DEGREE} in {self.text!r}"
+            )
+        return degree
+
+    def nested(self, rule):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise MalformedInput(
+                f"expression nests deeper than {MAX_DEPTH} levels in {self.text!r}"
+            )
+        result = rule()
+        self.depth -= 1
+        return result
+
     def parse(self):
-        value = self.expr()
+        value, _ = self.expr()
         if self.i != len(self.tokens):
             raise MalformedInput(f"trailing input in {self.text!r}")
         return value
 
     def expr(self):
-        value = self.term()
+        value, degree = self.term()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, rdeg = self.term()
                 value = self.ops.add(value, rhs) if val == "+" else self.ops.sub(value, rhs)
+                degree = max(degree, rdeg)
             else:
-                return value
+                return value, degree
 
     def term(self):
-        value = self.factor()
+        value, degree = self.factor()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.factor()
+                rhs, rdeg = self.factor()
+                degree = self.bounded(degree + rdeg)
                 value = self.ops.mul(value, rhs) if val == "*" else self.ops.div(value, rhs)
             else:
-                return value
+                return value, degree
 
     def factor(self):
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-            inner = self.factor()
-            return inner if val == "+" else self.ops.neg(inner)
-        value = self.atom()
+            inner, degree = self.nested(self.factor)
+            return (inner if val == "+" else self.ops.neg(inner)), degree
+        value, degree = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.take()
             kind, exp = self.take()
             if kind != "int":
                 raise MalformedInput(f"exponent must be an integer in {self.text!r}")
+            degree = self.bounded(degree * exp)
             value = self.ops.pow_int(value, exp)
-        return value
+        return value, degree
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.ops.from_int(val)
+            return self.ops.from_int(val), 0
         if kind == "name":
             if val not in self.ops.atoms:
                 raise MalformedInput(f"unknown symbol {val!r} in {self.text!r}")
-            return self.ops.atoms[val]
+            return self.ops.atoms[val], 1
         if kind == "op" and val == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect_op(")")
             return value
         raise MalformedInput(f"cannot parse {self.text!r}")

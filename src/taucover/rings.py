@@ -334,13 +334,18 @@ class RingElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
+        if self.num.is_zero():
+            return other
+        if other.num.is_zero():
+            return self
         lift = [max(a, b) for a, b in zip(self.dens, other.dens)]
         num_a, num_b = self.num, other.num
-        for j, pi in enumerate(ring.inverted):
-            num_a = num_a * pi ** (lift[j] - self.dens[j])
-            num_b = num_b * pi ** (lift[j] - other.dens[j])
-        return ring.make(num_a + num_b, lift)
+        for pi, top, da, db in zip(self.ring.inverted, lift, self.dens, other.dens):
+            if top > da:
+                num_a = num_a * pi ** (top - da)
+            if top > db:
+                num_b = num_b * pi ** (top - db)
+        return self.ring.make(num_a + num_b, lift)
 
     __radd__ = __add__
 

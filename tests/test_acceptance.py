@@ -173,7 +173,7 @@ def test_criterion_6_leibniz_flatness_and_cocycle_conditions():
 
 def test_criterion_7_coprime_degeneration_and_classical_cocycle():
     for bundle in (FIXTURES["COPRIME"](), quartic_coprime_bundle()):
-        report = coprime_degeneration_check(Cover(bundle), seed=7)
+        report = coprime_degeneration_check(Cover(bundle))
         assert report["passed"]
         for chart in report["charts"]:
             assert chart["partial_equals_pullback"] is True
@@ -183,7 +183,7 @@ def test_criterion_7_coprime_degeneration_and_classical_cocycle():
     delta = classical_connection(two_chart).delta_condition_check()
     assert delta["passed"]
     assert delta["overlaps"][0]["identity"] == "dlog(g) = eta_j - eta_i"
-    degeneration = coprime_degeneration_check(Cover(two_chart), seed=7)
+    degeneration = coprime_degeneration_check(Cover(two_chart))
     assert degeneration["passed"]
     assert degeneration["delta_condition"]["passed"]
 

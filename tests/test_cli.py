@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON output, catalog handling."""
 
+import hashlib
 import json
 import shutil
 import time
@@ -355,6 +356,8 @@ TWO_CHARTS = {
         {**ONE_CHART, "field": {"p": 2, "e": True}},
         {**ONE_CHART, "field": {"p": 2, "e": "1"}},
         {**ONE_CHART, "field": {"p": 2, "e": 1.0}},
+        {**ONE_CHART, "u": ["t^100000000"]},
+        {**ONE_CHART, "u": ["(" * 5000 + "t" + ")" * 5000]},
     ],
     ids=[
         "duplicate-inverted",
@@ -368,14 +371,19 @@ TWO_CHARTS = {
         "boolean-e",
         "string-e",
         "float-e",
+        "huge-exponent",
+        "deep-nesting",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
     path = write_bundle(tmp_path, bundle)
+    start = time.perf_counter()
     code = main(["validate", "--json", path])
+    elapsed = time.perf_counter() - start
     out = json.loads(capsys.readouterr().out)  # raises unless exactly one document
     assert code == 2
     assert out["kind"] == "malformed-input"
+    assert elapsed < 1.0
 
 
 def test_large_field_bundle_validates_within_budget(capsys, tmp_path):
@@ -426,3 +434,14 @@ def test_output_is_byte_stable_across_runs(capsys):
     main(["class", "--fixture", "GM_P3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of `report --all` stdout; no reported value depends on the seed
+REPORT_ALL_SHA256 = "39dba4da681983a39dfe15fa8517c4a368892a643c77455bc312368ee02adb9a"
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_report_all_stdout_is_pinned(capsys, seed):
+    assert main(["report", "--all", "--seed", seed]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_ALL_SHA256

@@ -5,6 +5,7 @@ import random
 import pytest
 from fixtures import FIXTURES, coprime, twochart
 
+from taucover import forms
 from taucover.covers import ChartedScheme, Cover, TorsionBundle
 from taucover.connections import (
     ClassicalConnection,
@@ -17,6 +18,7 @@ from taucover.connections import (
 )
 from taucover.errors import NotCoprime
 from taucover.fields import FqField
+from taucover.partialforms import dga_check
 from taucover.rings import ChartRing
 
 
@@ -65,6 +67,55 @@ def test_leibniz_on_random_sections(name):
             assert chart_report["matches_classical"] is None
         else:
             assert chart_report["matches_classical"] is True
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_wrong_connection_form_fails_the_certificate_without_samples(name, monkeypatch):
+    def no_root_term(self, index):
+        ring = self.charts[index].ring
+        return (ring.zero, ring.zero)  # drops -dv/v, wrong at lambda = 1
+
+    monkeypatch.setattr(TauConnection, "connection_coords", no_root_term)
+    report = TauConnection(build(name)).leibniz_check(samples=0)
+    assert not report["passed"], name
+    for chart_report in report["charts"]:
+        assert chart_report["stays_partial"]
+        assert not chart_report["matches_formula"]
+
+
+def _break_product_rule_above_degree_one(monkeypatch):
+    """Make d add each coefficient whose numerator has degree 2 or more.
+
+    The mutant d is right on every generator the certificates use, so only a
+    sampled section of higher degree can expose its broken product rule.
+    """
+    partial_t, partial_v = forms._partial_t, forms._partial_v
+
+    def extra(x, shift):
+        ring = x.chart.ring
+        out = [ring.zero] * x.chart.n
+        for i, c in enumerate(x.coeffs):
+            if c.num.deg >= 2 and 0 <= i - shift:
+                out[i - shift] = c
+        return x.chart.from_coeffs(out)
+
+    monkeypatch.setattr(forms, "_partial_t", lambda x: partial_t(x) + extra(x, 0))
+    monkeypatch.setattr(forms, "_partial_v", lambda x: partial_v(x) + extra(x, 1))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_product_rule_mutant_of_d_fails_the_leibniz_sample_guard(name, monkeypatch):
+    _break_product_rule_above_degree_one(monkeypatch)
+    report = TauConnection(build(name)).leibniz_check()
+    assert not report["passed"], name
+    assert not all(c["matches_formula"] for c in report["charts"])
+
+
+@pytest.mark.parametrize("name", ["DEGENERATE", "ZEROTORSION"])
+def test_product_rule_mutant_of_d_fails_the_dga_sample_guard(name, monkeypatch):
+    # the other fixtures have u' a unit, so their two-forms are all zero
+    _break_product_rule_above_degree_one(monkeypatch)
+    assert not dga_check(build(name))["passed"], name
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

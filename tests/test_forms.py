@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from fixtures import FIXTURES, degenerate, twochart, zerotorsion
 
 from taucover.covers import Cover, CoverChart, ChartedScheme, TorsionBundle
@@ -273,6 +274,41 @@ def test_d_function_leibniz_random():
             lhs = d_function(f * g)
             rhs = d_function(f).scale(g) + d_function(g).scale(f)
             assert mod.is_zero_elem(one_form_to_vec(lhs - rhs)), name
+
+
+CATALOG_CHARTS = [
+    (name, chart)
+    for name in sorted(FIXTURES)
+    for chart in Cover(FIXTURES[name]()).charts
+]
+
+
+@st.composite
+def cover_elements(draw, chart):
+    """Elements of a cover chart with coefficients of degree <= 3 over pi^<=2."""
+    ring = chart.ring
+    coeffs = []
+    for _ in range(chart.n):
+        codes = draw(st.lists(st.integers(0, ring.field.q - 1), max_size=4))
+        dens = draw(st.lists(st.integers(0, 2), min_size=ring.s, max_size=ring.s))
+        coeffs.append(ring.make(Poly(ring.field, codes), dens))
+    return chart.from_coeffs(coeffs)
+
+
+@st.composite
+def chart_and_pair(draw):
+    name, chart = draw(st.sampled_from(CATALOG_CHARTS))
+    return name, chart, draw(cover_elements(chart)), draw(cover_elements(chart))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_and_pair())
+def test_d_function_product_rule_on_every_catalog_chart(case):
+    # the generator certificates of the connection and dga laws rest on this
+    name, chart, f, g = case
+    lhs = d_function(f * g)
+    rhs = d_function(f).scale(g) + d_function(g).scale(f)
+    assert one_forms_module(chart).is_zero_elem(one_form_to_vec(lhs - rhs)), name
 
 
 def test_d_squared_is_zero_on_representatives():

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taucover.errors import NotAUnit, NotIrreducible
+from taucover import exprparse
+from taucover.errors import MalformedInput, NotAUnit, NotIrreducible
 from taucover.fields import FqField
 from taucover.polys import Poly
 from taucover.rings import ChartRing
@@ -124,6 +125,28 @@ def test_ring_arithmetic_roundtrip(A5):
         assert (x - y) + y == x
 
 
+def test_adding_equal_denominators_raises_no_prime_to_a_power(A5, monkeypatch):
+    x = A5.parse("(t^2 + 1)/(t*(t+4))")
+    y = A5.parse("(3*t + 1)/(t*(t+4))")
+    expected = A5.parse("(t^2 + 3*t + 2)/(t*(t+4))")
+    calls = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda f, k: calls.append(k) or power(f, k))
+    assert x + y == expected
+    assert x + A5.zero is x and A5.zero + y is y
+    assert calls == []
+
+
+def test_adding_unequal_denominators_lifts_only_the_lower_one(A5, monkeypatch):
+    x = A5.parse("1/t^2")
+    y = A5.parse("1/(t*(t+4))")
+    calls = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda f, k: calls.append(k) or power(f, k))
+    assert x + y == A5.parse("(t + t + 4)/(t^2*(t+4))")
+    assert sorted(calls) == [1, 1]
+
+
 def test_unit_log_examples(A5):
     u = A5.parse("(3*t^2+3*t)/(t+4)")  # 3 t (t+1) / (t-1): not a unit (t+1 not inverted)
     with pytest.raises(NotAUnit):
@@ -209,6 +232,26 @@ def test_restrict_to_overlap():
     assert y == overlap.parse("(t+a)/(t+1)")
     assert overlap.is_unit(y)
     assert not chart_a.is_unit(x)
+
+
+def test_expression_caps_raise_malformed_input_before_any_arithmetic(A5):
+    depth, degree = exprparse.MAX_DEPTH, exprparse.MAX_DEGREE
+    assert A5.parse("(" * depth + "t" + ")" * depth) == A5.t
+    assert A5.parse("-" * depth + "t") == A5.t * (-1) ** depth
+    assert A5.parse(f"t^{degree}") == A5.t**degree
+    assert A5.parse(f"t^{degree // 2 - 1}*(t+1)^{degree // 2}/t") is not None
+    assert A5.parse("2^" + "9" * 40) == A5.from_int(pow(2, int("9" * 40), 5))
+    for text in [
+        "(" * (depth + 1) + "t" + ")" * (depth + 1),
+        "-" * (depth + 1) + "t",
+        f"t^{degree + 1}",
+        f"(t^{degree})*t",
+        f"(t^{degree})/t",
+        "(t^32)^33",
+        "3" * 5000,
+    ]:
+        with pytest.raises(MalformedInput):
+            A5.parse(text)
 
 
 def test_parse_str_roundtrip(A5):
