@@ -171,8 +171,9 @@ def _leibniz_verdict(pfc: PartialFormsChart, v_inv, omega, lam) -> tuple[bool, b
     """(stays_partial, matches_formula) for the section lam/v.
 
     One reduction of the residual v*d(lam/v) - (dlam + lam*omega) in the
-    ambient one-forms when it vanishes; a failure is diagnosed by solving
-    membership of v*d(lam/v) in the partial forms.
+    ambient one-forms decides the formula.  When the two sides differ,
+    membership of v*d(lam/v) in the partial forms is solved to say whether
+    it stays partial.
     """
     ring = pfc.ring
     vec = one_form_to_vec(d_function_times_v(pfc.chart, v_inv.scale(lam)))
@@ -181,9 +182,7 @@ def _leibniz_verdict(pfc: PartialFormsChart, v_inv, omega, lam) -> tuple[bool, b
     )
     if pfc.omega1_ambient.elems_equal(vec, formula):
         return True, True
-    if pfc.sub1.contains(vec) is None:
-        return False, True
-    return True, False
+    return pfc.sub1.contains(vec) is not None, False
 
 
 def _classical_identity(pfc: PartialFormsChart, eta: RingElem) -> bool:

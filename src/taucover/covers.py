@@ -172,13 +172,6 @@ class CoverElem:
         c = self.chart.ring.coerce(c)
         return CoverElem(self.chart, tuple(a * c for a in self.coeffs))
 
-    def ring_part(self) -> RingElem:
-        """Coefficient of 1; the whole element if it lies in the base ring."""
-        return self.coeffs[0]
-
-    def is_in_base_ring(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs[1:])
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
 

@@ -34,6 +34,11 @@ class InvalidCocycle(TauCoverError):
     """Transition data violates the cocycle or n-th power identities."""
 
 
+class CertificateFailure(TauCoverError):
+    """An exact certificate failed its check: an SNF identity, or the grading
+    that lets a matrix be reduced one weight block at a time."""
+
+
 class IllDefinedMap(TauCoverError):
     """A module map's well-definedness certificate failed."""
 

@@ -10,13 +10,19 @@ with the v-power basis: the single relation d(v^n - u) = n v^{n-1} dv - u' dt,
 multiplied through by v^j, gives the relation columns.  The exterior
 derivative and wedge product act on explicit representatives; equality of
 classes is delegated to the presented modules.
+
+B is graded by Z/n with wt v = 1 and wt A = 0, so wt dt = 0 and wt dv = 1;
+this is the eigensheaf splitting pi_* O_Y = sum L^(-i) of the cyclic cover,
+and it holds when p | n too.  d is homogeneous of weight 0, and each relation
+column is homogeneous, so the presented modules are built directly as their
+weight blocks: n blocks of at most two generators, each reduced on its own.
 """
 
 from __future__ import annotations
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
 from .errors import DegreeOverflow, GluingFailure, MalformedInput, RingMismatch
-from .pidmod import FpmModule, PolyMatrix
+from .pidmod import FpmModule, GradedMatrix, PolyMatrix
 from .polys import Poly
 from .rings import ChartRing
 
@@ -290,34 +296,33 @@ def _v_power_names(n: int, suffix: str = "") -> list[str]:
 
 
 def functions_module(chart: CoverChart) -> FpmModule:
-    """O_Y on one chart: free over A on the v-power basis."""
-    return FpmModule.free(chart.ring, chart.n, _v_power_names(chart.n))
+    """O_Y on one chart: free over A on the v-power basis, v^j of weight j."""
+    ring, n = chart.ring, chart.n
+    return FpmModule(ring, n, GradedMatrix(ring, range(n), (), {}), _v_power_names(n))
 
 
 def one_forms_module(chart: CoverChart) -> FpmModule:
     """Kähler one-forms of the cover chart, presented on v^j dt, v^j dv.
 
-    Relation column j is v^j * (n v^{n-1} dv - u' dt), reduced by v^n = u.
+    Relation column j is v^j * (n v^{n-1} dv - u' dt), reduced by v^n = u:
+    it touches only v^j dt and v^{j-1} dv.  With wt v^j dt = j and
+    wt v^j dv = j + 1 (mod n), column j has weight j, and the block of
+    weight w is the single column (-u', n u) on (v^w dt, v^{w-1} dv), with n
+    in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.
     """
     ring = chart.ring
     n = chart.n
     du = ring.derive(chart.u)
     n_scalar = ring.from_int(n)
-    cols = []
-    for j in range(n):
-        col = [ring.zero] * (2 * n)
-        col[j] = -du
-        if j == 0:
-            col[n + (n - 1)] = n_scalar
-        else:
-            col[n + (j - 1)] = n_scalar * chart.u
-        cols.append(col)
+    nu = n_scalar * chart.u
+    blocks = {
+        w: PolyMatrix(ring, [[-du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1)
+        for w in range(n)
+    }
+    weights = list(range(n)) + [(j + 1) % n for j in range(n)]
     names = _v_power_names(n, "dt") + _v_power_names(n, "dv")
     return FpmModule(
-        ring,
-        2 * n,
-        PolyMatrix.from_columns(ring, cols, 2 * n),
-        names,
+        ring, 2 * n, GradedMatrix(ring, weights, range(n), blocks), names
     )
 
 
@@ -325,28 +330,25 @@ def two_forms_module(chart: CoverChart) -> FpmModule:
     """Kähler two-forms of the cover chart, presented on v^j dt^dv.
 
     Wedging the one-form relation with dv and dt gives the columns
-    u' v^j and n v^{n+j-1} respectively.
+    u' v^j and n v^{n+j-1} respectively.  With wt v^j dt^dv = j + 1 (mod n)
+    the first family has weight j + 1 and the second weight j, so the block
+    of weight w is the row (u', n u) on v^{w-1} dt^dv, with n in place of
+    n u at w = 0.
     """
     ring = chart.ring
     n = chart.n
     du = ring.derive(chart.u)
     n_scalar = ring.from_int(n)
-    cols = []
-    for j in range(n):
-        col = [ring.zero] * n
-        col[j] = du
-        cols.append(col)
-    for j in range(n):
-        col = [ring.zero] * n
-        if j == 0:
-            col[n - 1] = n_scalar
-        else:
-            col[j - 1] = n_scalar * chart.u
-        cols.append(col)
+    nu = n_scalar * chart.u
+    blocks = {
+        w: PolyMatrix(ring, [[du, n_scalar if w == 0 else nu]], nrows=1, ncols=2)
+        for w in range(n)
+    }
+    weights = [(j + 1) % n for j in range(n)]
     return FpmModule(
         ring,
         n,
-        PolyMatrix.from_columns(ring, cols, n),
+        GradedMatrix(ring, weights, weights + list(range(n)), blocks),
         _v_power_names(n, "dt^dv"),
     )
 

@@ -5,24 +5,35 @@ Euclidean domain once elements are measured by the degree of their unit-free
 core.  That gives the classical algorithms:
 
   * smith_normal_form(M): U * M * V = D with U, V invertible and D a diagonal
-    divisibility chain of monic cores.  The identity U*M*V = D and both
-    inverse certificates are re-verified by multiplication on every call.
+    divisibility chain of monic cores.  The identity U*M*V = D, both inverse
+    certificates and the shape of D are re-verified on every call; a failure
+    raises CertificateFailure naming the certificate, the shape and the ring.
   * solve / syzygy_matrix: linear algebra over A.
-  * FpmModule: generators + relation columns, with invariants (torsion-free
-    rank, torsion chain) read off the SNF and a canonical coset representative
-    for element comparisons.
-  * Submodule: the span of generator columns inside an FpmModule.  One SNF of
-    the stacked matrix [gens | ambient relations] gives both its syzygy
-    presentation and its membership test.
+  * GradedMatrix: a matrix whose rows and columns carry weights, kept as its
+    weight blocks.  Cutting a full matrix checks exactly that no nonzero
+    entry joins two weights.  Each block is reduced by its own SNF, on first
+    use, so a question about one weight touches one small block.
+  * FpmModule: generators + relation columns, graded (a plain matrix is the
+    one-weight case).  Rank, the torsion chain, a canonical coset
+    representative and the zero test are read off the block SNFs; the torsion
+    chains of the blocks merge by diag(a, b) ~ diag(gcd, lcm).
+  * Submodule: the span of generator columns inside an FpmModule.  The SNFs
+    of the blocks of [gens | ambient relations] give both its syzygy
+    presentation and its membership test; a block holding no generator is
+    the ambient block and keeps the ambient module's SNF.
   * ModuleMap: matrix on generators carrying a well-definedness certificate.
     Its image is the Submodule spanned by the matrix, and its kernel is
     generated by the relations of that image's presentation, so the kernel of
-    any map is read off the same SNF as the image.
+    any map is read off the same SNFs as the image.
   * is_exact: junction-by-junction kernel = image by double membership, with
     explicit witnesses on failure.  Failures are report content, not errors.
 
-Every derived object (SNF, presentation, image, kernel, certificate) is a
-cached property of the object it belongs to, computed once on first use.
+On a cover chart B = A[v]/(v^n - u) the grading is by Z/n, wt v = 1 and
+wt A = 0 (the mu_n eigensheaf splitting of the cyclic cover), so the chart
+modules of ``forms`` split into n blocks of at most two rows.
+
+Every derived object (SNF, presentation, image, kernel, certificate) is
+computed once on first use and kept by the object it belongs to.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -33,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import RingMismatch
+from .errors import CertificateFailure, RingMismatch
 from .polys import Poly
 from .rings import ChartRing, RingElem
 
@@ -351,23 +362,29 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
 
 def _verify_snf(r: SNFResult) -> None:
     ring = r.matrix.ring
-    if (r.U @ r.matrix) @ r.V != r.D:
-        raise AssertionError("SNF postcondition U*M*V = D failed")
-    if r.U @ r.U_inv != PolyMatrix.identity(ring, r.U.nrows):
-        raise AssertionError("SNF transform U is not invertible")
-    if r.V @ r.V_inv != PolyMatrix.identity(ring, r.V.nrows):
-        raise AssertionError("SNF transform V is not invertible")
     m, n = r.D.nrows, r.D.ncols
+
+    def fail(certificate: str) -> CertificateFailure:
+        return CertificateFailure(
+            f"SNF certificate failed: {certificate}, on a {m}x{n} matrix over {ring}"
+        )
+
+    if (r.U @ r.matrix) @ r.V != r.D:
+        raise fail("U*M*V = D")
+    if r.U @ r.U_inv != PolyMatrix.identity(ring, r.U.nrows):
+        raise fail("U*U^-1 = I")
+    if r.V @ r.V_inv != PolyMatrix.identity(ring, r.V.nrows):
+        raise fail("V*V^-1 = I")
     for i in range(m):
         for j in range(n):
             if i != j and not r.D.rows[i][j].is_zero():
-                raise AssertionError("SNF result is not diagonal")
+                raise fail("D is diagonal")
     for i in range(len(r.diag) - 1):
         a, b = r.diag[i], r.diag[i + 1]
         if a.is_zero() and not b.is_zero():
-            raise AssertionError("SNF zero entry precedes nonzero entry")
+            raise fail("zero diagonal entries come last")
         if not a.is_zero() and not b.is_zero() and not ring.divides(a, b):
-            raise AssertionError("SNF divisibility chain broken")
+            raise fail("each diagonal entry divides the next")
 
 
 def solve(M: PolyMatrix, b: Sequence[RingElem], snf: SNFResult | None = None):
@@ -416,23 +433,228 @@ def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
+def _positions(weights: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Indices of each weight, in index order."""
+    found: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        found.setdefault(w, []).append(i)
+    return {w: tuple(ix) for w, ix in found.items()}
+
+
+class GradedMatrix:
+    """A matrix whose rows and columns carry weights, kept as its weight blocks.
+
+    Block w holds the entries between the rows and the columns of weight w,
+    both in index order.  Every entry joining two different weights is zero,
+    so the matrix is the direct sum of its blocks.  Each block's SNF is
+    computed on first use and kept; a block taken over unchanged from
+    ``base`` reuses the SNF already kept there.
+    """
+
+    def __init__(
+        self,
+        ring: ChartRing,
+        row_weights: Sequence[int],
+        col_weights: Sequence[int],
+        blocks: dict[int, PolyMatrix],
+        base: "GradedMatrix | None" = None,
+    ):
+        self.ring = ring
+        self.row_weights = tuple(row_weights)
+        self.col_weights = tuple(col_weights)
+        self.rows_of = _positions(self.row_weights)
+        self.cols_of = _positions(self.col_weights)
+        self.blocks: dict[int, PolyMatrix] = {}
+        for w in sorted(self.rows_of.keys() | self.cols_of.keys()):
+            shape = (len(self.rows_of.get(w, ())), len(self.cols_of.get(w, ())))
+            block = blocks.get(w)
+            if block is None:
+                block = PolyMatrix.zeros(ring, *shape)
+            if (block.nrows, block.ncols) != shape:
+                raise ValueError(f"weight-{w} block is not {shape[0]}x{shape[1]}")
+            self.blocks[w] = block
+        self._base = base
+        self._snfs: dict[int, SNFResult] = {}
+
+    @classmethod
+    def cut(
+        cls, M: PolyMatrix, row_weights: Sequence[int], col_weights: Sequence[int]
+    ) -> "GradedMatrix":
+        """M split into its weight blocks; an entry joining two weights raises."""
+        if len(row_weights) != M.nrows or len(col_weights) != M.ncols:
+            raise ValueError("one weight per row and per column")
+        weights = set(row_weights) | set(col_weights)
+        if len(weights) <= 1:
+            return cls(M.ring, row_weights, col_weights, {w: M for w in weights})
+        for i, row in enumerate(M.rows):
+            for j, x in enumerate(row):
+                if row_weights[i] != col_weights[j] and not x.is_zero():
+                    raise CertificateFailure(
+                        f"grading certificate failed: entry ({i}, {j}) of a "
+                        f"{M.nrows}x{M.ncols} matrix over {M.ring} joins weight "
+                        f"{row_weights[i]} to weight {col_weights[j]}"
+                    )
+        cols_of = _positions(col_weights)
+        blocks = {}
+        for w, rows in _positions(row_weights).items():
+            cols = cols_of.get(w, ())
+            blocks[w] = PolyMatrix(
+                M.ring,
+                [[M.rows[i][j] for j in cols] for i in rows],
+                nrows=len(rows),
+                ncols=len(cols),
+            )
+        return cls(M.ring, row_weights, col_weights, blocks)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.row_weights)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.col_weights)
+
+    @cached_property
+    def full(self) -> PolyMatrix:
+        """The whole matrix, zero between different weights."""
+        if len(self.blocks) == 1:
+            return next(iter(self.blocks.values()))
+        rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
+        for w, block in self.blocks.items():
+            cols = self.cols_of.get(w, ())
+            for i, brow in zip(self.rows_of.get(w, ()), block.rows):
+                for j, x in zip(cols, brow):
+                    rows[i][j] = x
+        return PolyMatrix(self.ring, rows, nrows=self.nrows, ncols=self.ncols)
+
+    def hstack(self, other: "GradedMatrix") -> "GradedMatrix":
+        """[self | other], block by block; a block self adds no column to is other's."""
+        if self.row_weights != other.row_weights:
+            raise ValueError("hstack of differently graded rows")
+        if not self.ncols:
+            return other
+        blocks = {}
+        for w in self.blocks.keys() | other.blocks.keys():
+            mine, theirs = self.blocks.get(w), other.blocks.get(w)
+            if mine is None or not mine.ncols:
+                blocks[w] = theirs  # rows of weight w are rows of both
+            elif theirs is None or not theirs.ncols:
+                blocks[w] = mine
+            else:
+                blocks[w] = mine.hstack(theirs)
+        return GradedMatrix(
+            self.ring,
+            self.row_weights,
+            self.col_weights + other.col_weights,
+            blocks,
+            base=other,
+        )
+
+    def snf(self, w: int) -> SNFResult:
+        """SNF of the weight-w block, computed once."""
+        found = self._snfs.get(w)
+        if found is None:
+            block = self.blocks[w]
+            if self._base is not None and self._base.blocks.get(w) is block:
+                found = self._base.snf(w)
+            else:
+                try:
+                    found = smith_normal_form(block)
+                except CertificateFailure as exc:
+                    raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
+            self._snfs[w] = found
+        return found
+
+    def parts(self, vec: Sequence[RingElem]) -> list[tuple[int, Vec]]:
+        """(w, entries of vec on the rows of weight w) for each weight where vec is nonzero."""
+        live = {self.row_weights[i] for i, x in enumerate(vec) if not x.is_zero()}
+        return [(w, tuple(vec[i] for i in self.rows_of[w])) for w in sorted(live)]
+
+    def solve(self, b: Sequence[RingElem]) -> Vec | None:
+        """One x with self*x = b, solved block by block, or None."""
+        x = [self.ring.zero] * self.ncols
+        for w, part in self.parts(b):
+            sol = solve(self.blocks[w], part, self.snf(w))
+            if sol is None:
+                return None
+            for j, val in zip(self.cols_of.get(w, ()), sol):
+                x[j] = val
+        return tuple(x)
+
+
+def _push(runs: list[tuple[Poly, int]], c: Poly, m: int) -> None:
+    """Append m copies of c to the chain runs; a unit is no torsion."""
+    if c.is_one():
+        return
+    if runs and runs[-1][0] == c:
+        runs[-1] = (c, runs[-1][1] + m)
+    else:
+        runs.append((c, m))
+
+
+def _divisibility_chain(cores: Iterable[Poly]) -> list[Poly]:
+    """Invariant factors of diag(cores), the cores monic.
+
+    Each core x is merged into the chain by diag(a, x) ~ diag(gcd, lcm) down
+    the chain, which leaves every entry dividing the next.  The chain is kept
+    as runs (factor, count): in a run of c the first copy takes gcd(c, x)
+    and the lcm carries on, so the many equal factors of a cover's weight
+    blocks cost one gcd per run.  Units, a coprime pair's gcd among them,
+    carry no torsion and are dropped.
+    """
+    runs: list[tuple[Poly, int]] = []
+    for x in cores:
+        if x.is_one():
+            continue
+        merged: list[tuple[Poly, int]] = []
+        for c, m in runs:
+            if x is None:
+                _push(merged, c, m)
+            elif c == x:
+                _push(merged, c, m + 1)
+                x = None
+            else:
+                g = c.gcd(x)
+                if g == c:
+                    _push(merged, c, m)
+                    continue
+                _push(merged, g, 1)
+                if m > 1:
+                    _push(merged, c, m - 1)
+                x = (c * x).exact_div(g)
+        if x is not None:
+            _push(merged, x, 1)
+        runs = merged
+    return [c for c, m in runs for _ in range(m)]
+
+
 class FpmModule:
-    """A^n_gens modulo the column span of a relation matrix."""
+    """A^n_gens modulo the column span of a relation matrix.
+
+    The relations are a GradedMatrix: generators and relation columns carry
+    weights, and a plain PolyMatrix is the one-weight case.  Rank, torsion,
+    reduction and the zero test are answered one weight block at a time,
+    touching only the blocks where a vector is nonzero.
+    """
 
     def __init__(
         self,
         ring: ChartRing,
         n_gens: int,
-        relations: PolyMatrix | None = None,
+        relations: PolyMatrix | GradedMatrix | None = None,
         gen_names: Sequence[str] | None = None,
     ):
         self.ring = ring
         self.n_gens = n_gens
         if relations is None:
             relations = PolyMatrix.zeros(ring, n_gens, 0)
+        if isinstance(relations, PolyMatrix):
+            relations = GradedMatrix.cut(
+                relations, (0,) * relations.nrows, (0,) * relations.ncols
+            )
         if relations.nrows != n_gens:
             raise ValueError("relation matrix must have one row per generator")
-        self.relations = relations
+        self.graded = relations
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             f"e{i}" for i in range(n_gens)
         )
@@ -445,19 +667,28 @@ class FpmModule:
     def zero(cls, ring: ChartRing) -> "FpmModule":
         return cls(ring, 0, None, ())
 
-    @cached_property
-    def snf(self) -> SNFResult:
-        return smith_normal_form(self.relations)
+    @property
+    def relations(self) -> PolyMatrix:
+        return self.graded.full
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """The weight of each generator."""
+        return self.graded.row_weights
 
     @property
     def rank(self) -> int:
         """Rank of the torsion-free quotient."""
-        return self.n_gens - self.snf.rank
+        graded = self.graded
+        return self.n_gens - sum(graded.snf(w).rank for w in graded.blocks)
 
     @property
     def torsion(self) -> list[Poly]:
         """Nonunit torsion invariants, a divisibility chain of monic cores."""
-        return self.snf.nonunit_torsion()
+        graded = self.graded
+        return _divisibility_chain(
+            core for w in graded.blocks for core in graded.snf(w).nonunit_torsion()
+        )
 
     def is_zero_module(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -479,23 +710,41 @@ class FpmModule:
     def canonical_reduce(self, vec: Sequence) -> Vec:
         """Canonical coset representative of vec modulo the relation image."""
         vec = self.coerce_vec(vec)
-        if self.n_gens == 0:
-            return ()
-        snf = self.snf
-        y = list(snf.U.apply_vec(vec))
-        for i in range(len(snf.diag)):
-            d = snf.diag[i]
-            if d.is_zero():
-                continue
-            core = self.ring.core(d)
-            if core.is_one():
-                y[i] = self.ring.zero
-            else:
-                y[i] = _residue_mod_core(self.ring, y[i], core)
-        return snf.U_inv.apply_vec(y)
+        graded = self.graded
+        out = list(self.zero_vec())
+        for w, part in graded.parts(vec):
+            snf = graded.snf(w)
+            y = list(snf.U.apply_vec(part))
+            for i, d in enumerate(snf.diag):
+                if d.is_zero():
+                    continue
+                core = self.ring.core(d)
+                if core.is_one():
+                    y[i] = self.ring.zero
+                else:
+                    y[i] = _residue_mod_core(self.ring, y[i], core)
+            for i, x in zip(graded.rows_of[w], snf.U_inv.apply_vec(y)):
+                out[i] = x
+        return tuple(out)
 
     def is_zero_elem(self, vec: Sequence) -> bool:
-        return all(x.is_zero() for x in self.canonical_reduce(vec))
+        """vec lies in the relation span: per block, y = U*vec has d_i | y_i
+        on the nonzero diagonal and y_i = 0 past it.
+
+        The diagonal holds monic cores, prime to every inverted irreducible,
+        so d_i | y_i in A exactly when d_i divides the numerator of y_i.
+        """
+        vec = self.coerce_vec(vec)
+        graded = self.graded
+        for w, part in graded.parts(vec):
+            snf = graded.snf(w)
+            diag = snf.diag
+            for i, y in enumerate(snf.U.apply_vec(part)):
+                if y.is_zero():
+                    continue
+                if i >= len(diag) or diag[i].is_zero() or not diag[i].num.divides(y.num):
+                    return False
+        return True
 
     def elems_equal(self, v: Sequence, w: Sequence) -> bool:
         v, w = self.coerce_vec(v), self.coerce_vec(w)
@@ -518,7 +767,8 @@ class FpmModule:
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
-        rel = f", {self.relations.ncols} relations" if self.relations.ncols else ""
+        ncols = self.graded.ncols
+        rel = f", {ncols} relations" if ncols else ""
         return f"FpmModule({self.n_gens} gens{rel} over {self.ring})"
 
 
@@ -534,46 +784,63 @@ def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
 
 
 class Submodule:
-    """Span of generator columns inside an FpmModule, with a syzygy presentation."""
+    """Span of generator columns inside an FpmModule, with a syzygy presentation.
 
-    def __init__(self, ambient: FpmModule, gens: PolyMatrix, gen_names=None):
+    Each generator has a weight (0 unless given), and its column may be
+    nonzero only on ambient generators of that weight.
+    """
+
+    def __init__(
+        self,
+        ambient: FpmModule,
+        gens: PolyMatrix,
+        gen_names=None,
+        weights: Sequence[int] | None = None,
+    ):
         if gens.nrows != ambient.n_gens:
             raise ValueError("generator columns must live in the ambient module")
         self.ambient = ambient
         self.gens = gens
+        self.weights = tuple(weights) if weights is not None else (0,) * gens.ncols
         self._names = tuple(gen_names) if gen_names else tuple(
             f"g{i}" for i in range(gens.ncols)
         )
 
     @cached_property
-    def snf(self) -> SNFResult:
-        """SNF of [gens | ambient relations]; its matrix is that stacked matrix.
+    def graded(self) -> GradedMatrix:
+        """[gens | ambient relations], cut into weight blocks.
 
-        With no generators the stack is the relation matrix, whose SNF the
-        ambient module already holds.
+        A block holding no generator is the ambient block, and shares its
+        SNF with the ambient module; with no generators at all the stack is
+        the ambient relation matrix itself.
         """
-        if not self.gens.ncols:
-            return self.ambient.snf
-        return smith_normal_form(self.gens.hstack(self.ambient.relations))
+        gens = GradedMatrix.cut(self.gens, self.ambient.weights, self.weights)
+        return gens.hstack(self.ambient.graded)
 
     @cached_property
     def presentation(self) -> FpmModule:
-        """Generators modulo their syzygies: the gens block of ker [gens | relations]."""
-        syz = syzygy_matrix(self.snf.matrix, self.snf)
-        rel = PolyMatrix(
-            self.ambient.ring,
-            syz.rows[: self.gens.ncols],
-            nrows=self.gens.ncols,
-            ncols=syz.ncols,
-        )
-        return FpmModule(self.ambient.ring, self.gens.ncols, rel, self._names)
+        """Generators modulo their syzygies: the gens rows of ker [gens | relations].
+
+        A syzygy lies in one weight, so only the blocks holding a generator
+        have syzygies that touch one.
+        """
+        ring, graded = self.ambient.ring, self.graded
+        blocks, col_weights = {}, []
+        for w in sorted(set(self.weights)):
+            snf = graded.snf(w)
+            syz = syzygy_matrix(snf.matrix, snf)
+            k = self.weights.count(w)
+            blocks[w] = PolyMatrix(ring, syz.rows[:k], nrows=k, ncols=syz.ncols)
+            col_weights += [w] * syz.ncols
+        relations = GradedMatrix(ring, self.weights, col_weights, blocks)
+        return FpmModule(ring, self.gens.ncols, relations, self._names)
 
     def contains(self, vec: Sequence) -> Vec | None:
         """Coordinates of vec on the generators, or None when vec is outside."""
-        sol = solve(self.snf.matrix, self.ambient.coerce_vec(vec), self.snf)
+        sol = self.graded.solve(self.ambient.coerce_vec(vec))
         if sol is None:
             return None
-        return tuple(sol[: self.gens.ncols])
+        return sol[: self.gens.ncols]
 
     def ambient_vec(self, coords: Sequence) -> Vec:
         coords = [self.ambient.ring.coerce(x) for x in coords]
@@ -658,7 +925,7 @@ class ModuleMap:
     @cached_property
     def image(self) -> Submodule:
         """Image as a submodule of the target."""
-        return Submodule(self.target, self.matrix)
+        return Submodule(self.target, self.matrix, weights=self.source.weights)
 
     @cached_property
     def kernel(self) -> Submodule:
@@ -668,7 +935,10 @@ class ModuleMap:
         iff x is the source block of a syzygy of [matrix | relations]: the
         relations of the image's presentation generate the kernel.
         """
-        return Submodule(self.source, self.image.presentation.relations)
+        presentation = self.image.presentation
+        return Submodule(
+            self.source, presentation.relations, weights=presentation.graded.col_weights
+        )
 
     def __repr__(self):
         label = self.name or "map"

@@ -416,6 +416,28 @@ def test_missing_subcommand_exits_two(capsys):
     assert info.value.code == 2
 
 
+def test_failed_snf_certificate_exits_one_with_one_json_document(capsys, monkeypatch):
+    from taucover import pidmod
+
+    class Corrupted(pidmod.SNFResult):
+        __slots__ = ()
+
+        def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
+            wrong = pidmod.PolyMatrix.zeros(matrix.ring, U_inv.nrows, U_inv.ncols)
+            super().__init__(matrix, U, wrong, D, V, V_inv, diag)
+
+    monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
+    code, out = run_cli(capsys, "class", "--fixture", "GM_P2")
+    assert code == 1
+    assert out["kind"] == "failed-verification"
+    # the first reduction of `class` is the weight-0 block of the two-forms
+    # and their generator dv/v^dt
+    assert out["error"] == (
+        "SNF certificate failed: U*U^-1 = I, on a 1x3 matrix over "
+        "F_2[t] loc(t), in the block of weight 0"
+    )
+
+
 # -- output handling
 
 

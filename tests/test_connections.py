@@ -5,7 +5,7 @@ import random
 import pytest
 from fixtures import FIXTURES, coprime, twochart
 
-from taucover import forms
+from taucover import connections, forms, pidmod
 from taucover.covers import ChartedScheme, Cover, TorsionBundle
 from taucover.connections import (
     ClassicalConnection,
@@ -116,6 +116,23 @@ def test_product_rule_mutant_of_d_fails_the_dga_sample_guard(name, monkeypatch):
     # the other fixtures have u' a unit, so their two-forms are all zero
     _break_product_rule_above_degree_one(monkeypatch)
     assert not dga_check(build(name))["passed"], name
+
+
+def test_leibniz_side_that_leaves_the_partial_forms_fails_the_formula(monkeypatch):
+    # t*dv is not partial on GM_P2, so v*d(lambda/v) leaves the partial
+    # forms, while the formula side lies in them: the two cannot match
+    exact = connections.d_function_times_v
+
+    def plus_t_dv(chart, elem):
+        form = exact(chart, elem)
+        return forms.CoverOneForm(chart, form.ct, form.cv + chart.from_ring(chart.ring.t))
+
+    monkeypatch.setattr(connections, "d_function_times_v", plus_t_dv)
+    report = TauConnection(build("GM_P2")).leibniz_check()
+    assert not report["passed"]
+    (chart_report,) = report["charts"]
+    assert chart_report["stays_partial"] is False
+    assert chart_report["matches_formula"] is False
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -334,3 +351,43 @@ def test_reports_are_json_serializable():
         coprime_degeneration_check(Cover(coprime())),
     ):
         json.dumps(payload, sort_keys=True)
+
+
+# -- cost that does not grow with the order
+
+
+def one_chart_f2_bundle(n):
+    field = FqField(2)
+    ring = ChartRing(field, ["t", "t^2+t+1"])
+    return TorsionBundle(
+        ChartedScheme(field, [ring]), n, {}, [ring.parse(f"t*(t^2+t+1)^{n}")]
+    )
+
+
+def test_class_decisions_reduce_blocks_whose_size_does_not_grow_with_n(monkeypatch):
+    # Each Smith normal form is one weight block of a chart module, so the
+    # largest matrix reduced is the same at n = 8 and n = 32.  No clock.
+    largest = {}
+    reduce_block = pidmod.smith_normal_form
+    for n in (8, 32):
+        dims = []
+
+        def recording(matrix):
+            dims.append(max(matrix.nrows, matrix.ncols))
+            return reduce_block(matrix)
+
+        monkeypatch.setattr(pidmod, "smith_normal_form", recording)
+        monkeypatch.setattr(connections, "smith_normal_form", recording)
+        cover = Cover(one_chart_f2_bundle(n))
+        canonical = is_trivial_class(cover)
+        assert canonical["trivial"] is False
+        assert canonical["obstruction"] == "s-functional"
+        assert canonical["details"]["s_value"] == "1"
+        ring = cover.bundle.scheme.charts[0]
+        coboundary = is_trivial_class(
+            cover, coboundary_class(cover, [ring.parse("t^2/(t^2+t+1)")])
+        )
+        assert coboundary["trivial"] is True
+        assert coboundary["witness_verified"] is True
+        largest[n] = max(dims)
+    assert largest[8] == largest[32]

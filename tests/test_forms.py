@@ -30,6 +30,7 @@ from taucover.forms import (
     vec_to_one_form,
     wedge_one_one,
 )
+from taucover.pidmod import GradedMatrix, PolyMatrix
 from taucover.polys import Poly
 from taucover.rings import ChartRing
 
@@ -174,6 +175,53 @@ def test_cartier_fixes_omega_l_on_fixtures():
 
 
 # -- cover form modules: pinned presentations
+
+
+def dense_one_form_relations(chart):
+    """Column j is v^j * (n v^{n-1} dv - u' dt), reduced by v^n = u."""
+    ring, n = chart.ring, chart.n
+    du, nn = ring.derive(chart.u), ring.from_int(n)
+    cols = []
+    for j in range(n):
+        col = [ring.zero] * (2 * n)
+        col[j] = -du
+        col[n + (j - 1) % n] = nn if j == 0 else nn * chart.u
+        cols.append(col)
+    return PolyMatrix.from_columns(ring, cols, 2 * n)
+
+
+def dense_two_form_relations(chart):
+    """Columns u' v^j dt^dv, then n v^{n+j-1} dt^dv reduced by v^n = u."""
+    ring, n = chart.ring, chart.n
+    du, nn = ring.derive(chart.u), ring.from_int(n)
+    cols = []
+    for j in range(n):
+        col = [ring.zero] * n
+        col[j] = du
+        cols.append(col)
+    for j in range(n):
+        col = [ring.zero] * n
+        col[(j - 1) % n] = nn if j == 0 else nn * chart.u
+        cols.append(col)
+    return PolyMatrix.from_columns(ring, cols, n)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_form_modules_are_the_weight_blocks_of_the_dense_presentation(name):
+    for chart in Cover(FIXTURES[name]()).charts:
+        n = chart.n
+        for module, dense, weights in (
+            (one_forms_module(chart), dense_one_form_relations(chart),
+             [j for j in range(n)] + [(j + 1) % n for j in range(n)]),
+            (two_forms_module(chart), dense_two_form_relations(chart),
+             [(j + 1) % n for j in range(n)]),
+        ):
+            assert module.weights == tuple(weights)
+            assert module.relations == dense
+            # the dense matrix is block diagonal for these weights: cutting
+            # it raises on any entry joining two weights
+            cut = GradedMatrix.cut(dense, module.weights, module.graded.col_weights)
+            assert cut.blocks == module.graded.blocks
 
 
 def test_one_forms_module_gm_p2():
@@ -382,6 +430,7 @@ def test_functions_module_is_free():
     assert mod.rank == 6
     assert mod.torsion == []
     assert mod.gen_names[0] == "1"
+    assert mod.weights == tuple(range(6))
 
 
 def test_vec_round_trip():

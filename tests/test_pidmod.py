@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from fixtures import FIXTURES
 from oracle import frac_of_ring_elem, fraction_field_rank
 
 from taucover import pidmod
+from taucover.covers import Cover
+from taucover.errors import CertificateFailure
 from taucover.fields import FqField
 from taucover.pidmod import (
     FpmModule,
+    GradedMatrix,
     ModuleMap,
     PolyMatrix,
     Submodule,
@@ -272,10 +276,10 @@ def test_presentation_and_membership_share_one_snf(monkeypatch):
 
 def test_submodule_without_generators_reuses_the_ambient_snf(monkeypatch):
     amb = FpmModule(A5, 2, mat(A5, [["(t+2)^2", "0"], ["0", "t+2"]], ncols=2))
-    amb_snf = amb.snf
+    amb_snf = amb.graded.snf(0)
     shapes = count_snfs(monkeypatch)
     sub = Submodule(amb, PolyMatrix(A5, [[], []], nrows=2, ncols=0))
-    assert sub.snf is amb_snf
+    assert sub.graded.snf(0) is amb_snf
     assert sub.presentation.n_gens == 0
     assert sub.contains(amb.zero_vec()) == ()
     assert sub.contains([A5.one, A5.zero]) is None
@@ -430,3 +434,140 @@ def test_rank_matches_fraction_field_elimination(ring):
             for i in range(nrows)
         ]
         assert snf_rank == fraction_field_rank(frac_rows)
+
+
+# -- graded modules: one SNF per weight block
+
+
+def graded_matrix(ring, rng, row_weights, col_weights, max_deg=2):
+    """A random matrix, zero wherever a row and a column differ in weight."""
+    return PolyMatrix(
+        ring,
+        [
+            [
+                ring.random_element(rng, max_deg=max_deg, max_den=1) if rw == cw else ring.zero
+                for cw in col_weights
+            ]
+            for rw in row_weights
+        ],
+        nrows=len(row_weights),
+        ncols=len(col_weights),
+    )
+
+
+def random_weights(rng, count, n_weights):
+    return [rng.randrange(n_weights) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ring", [A2, A5], ids=["F2-loc-t", "F5-loc-t-t4"])
+def test_graded_module_agrees_with_its_ungraded_matrix(ring):
+    """Block-by-block rank, torsion chain, zero test and membership match one
+    SNF of the whole matrix."""
+    rng = random.Random(61)
+    torsion_seen = 0
+    for trial in range(60):
+        m, k = rng.randrange(1, 7), rng.randrange(0, 7)
+        row_w = random_weights(rng, m, 3)
+        col_w = random_weights(rng, k, 3)
+        if trial % 2:  # diagonal: every entry a block of its own
+            k, row_w = m, list(range(m))
+            col_w = row_w
+        rel = graded_matrix(ring, rng, row_w, col_w)
+        graded = FpmModule(ring, m, GradedMatrix.cut(rel, row_w, col_w))
+        whole = FpmModule(ring, m, rel)
+        assert graded.relations == rel
+        assert graded.rank == whole.rank
+        assert [str(c) for c in graded.torsion] == [str(c) for c in whole.torsion]
+        torsion_seen += len(whole.torsion) > 1
+        g = rng.randrange(0, 3)
+        gen_w = random_weights(rng, g, 3)
+        gens = graded_matrix(ring, rng, row_w, gen_w)
+        sub_graded = Submodule(graded, gens, weights=gen_w)
+        sub_whole = Submodule(whole, gens)
+        assert sub_graded.presentation.rank == sub_whole.presentation.rank
+        assert [str(c) for c in sub_graded.presentation.torsion] == [
+            str(c) for c in sub_whole.presentation.torsion
+        ]
+        for _ in range(4):
+            coeffs = [ring.random_element(rng, max_deg=1, max_den=1) for _ in range(k)]
+            vec = list(rel.apply_vec(coeffs))
+            if rng.random() < 0.5:
+                vec[rng.randrange(m)] += ring.random_element(rng, max_deg=1, max_den=1)
+            assert graded.is_zero_elem(vec) == whole.is_zero_elem(vec)
+            assert (sub_graded.contains(vec) is None) == (sub_whole.contains(vec) is None)
+    assert torsion_seen  # the gcd/lcm merge met chains longer than one
+
+
+def test_torsion_chain_merges_blocks_by_gcd_and_lcm():
+    # (t+2)(t+3) = t^2 + 1 over F_5; t is a unit of A5
+    rel = mat(A5, [["(t+2)*(t+3)", "0", "0"], ["0", "t+2", "0"], ["0", "0", "t"]])
+    module = FpmModule(A5, 3, GradedMatrix.cut(rel, [0, 1, 2], [0, 1, 2]))
+    assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
+    # coprime blocks merge into one factor: diag(t+3, t+2) ~ diag(1, t^2 + 1)
+    rel = mat(A5, [["t+3", "0"], ["0", "t+2"]])
+    module = FpmModule(A5, 2, GradedMatrix.cut(rel, [0, 1], [0, 1]))
+    assert [str(c) for c in module.torsion] == ["t^2 + 1"]
+
+
+def test_entry_joining_two_weights_raises():
+    rel = mat(A5, [["t+2", "1"], ["0", "t"]])
+    with pytest.raises(CertificateFailure, match="joins weight 0 to weight 1"):
+        GradedMatrix.cut(rel, [0, 1], [0, 1])
+    amb = FpmModule(A5, 2, GradedMatrix.cut(mat(A5, [["t"], ["0"]]), [0, 1], [0]))
+    gens = mat(A5, [["0"], ["1"]], ncols=1)
+    assert Submodule(amb, gens, weights=[1]).contains([A5.zero, A5.parse("t")])
+    with pytest.raises(CertificateFailure, match="grading certificate"):
+        Submodule(amb, gens).contains([A5.zero, A5.one])
+
+
+def test_questions_about_one_weight_reduce_only_its_block(monkeypatch):
+    row_w, col_w = [0, 1, 2, 0], [0, 1, 2]
+    rel = mat(A5, [["t+2", "0", "0"], ["0", "t", "0"], ["0", "0", "t+1"], ["1", "0", "0"]])
+    amb = FpmModule(A5, 4, GradedMatrix.cut(rel, row_w, col_w))
+    sub = Submodule(amb, mat(A5, [["1"], ["0"], ["0"], ["0"]], ncols=1))
+    shapes = count_snfs(monkeypatch)
+    assert sub.presentation.n_gens == 1
+    assert sub.contains([A5.parse("t"), A5.zero, A5.zero, A5.zero]) is not None
+    assert amb.is_zero_elem([A5.zero, A5.one, A5.zero, A5.zero])
+    assert shapes == [(2, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_zero_test_agrees_with_canonical_reduce_on_catalog_charts(name):
+    rng = random.Random(43)
+    outcomes = set()
+    for pfc in Cover(FIXTURES[name]()).partial_forms:
+        ring = pfc.ring
+        modules = (pfc.omega1_ambient, pfc.omega2_ambient, pfc.presentation1, pfc.presentation2)
+        for module in modules:
+            if not module.n_gens:
+                continue
+            rel = module.relations
+            for _ in range(25):
+                coeffs = [ring.random_element(rng, max_deg=2, max_den=1) for _ in range(rel.ncols)]
+                vec = list(rel.apply_vec(coeffs))
+                if rng.random() < 0.5:
+                    vec[rng.randrange(module.n_gens)] += ring.random_element(rng, max_deg=2, max_den=1)
+                expected = all(x.is_zero() for x in module.canonical_reduce(vec))
+                assert module.is_zero_elem(vec) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_corrupted_snf_raises_a_certificate_failure_naming_the_block(monkeypatch):
+    class Corrupted(pidmod.SNFResult):
+        __slots__ = ()
+
+        def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
+            wrong = PolyMatrix.zeros(matrix.ring, U_inv.nrows, U_inv.ncols)
+            super().__init__(matrix, U, wrong, D, V, V_inv, diag)
+
+    monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
+    rel = mat(A5, [["t+2", "0"], ["0", "t"]])
+    module = FpmModule(A5, 2, GradedMatrix.cut(rel, [0, 3], [0, 3]))
+    with pytest.raises(CertificateFailure) as info:
+        module.is_zero_elem([A5.zero, A5.one])
+    message = str(info.value)
+    assert "U*U^-1 = I" in message
+    assert "1x1 matrix" in message
+    assert "block of weight 3" in message
