@@ -19,7 +19,12 @@ hypercohomology of the two-term complex [units --dlog--> partial one-forms].
 ``is_trivial_class`` decides coboundary-ness with an exact certificate in
 both directions: a nontrivial verdict carries a functional or lattice
 obstruction, and a trivial verdict carries unit witnesses that are re-checked
-against both defining identities before being reported.
+against both defining identities before being reported.  A coboundary's
+chart coordinates (dlog lambda, 0) are pullbacks of dlog(lambda) dt, so both
+chart-level questions are asked of the pullback map sigma each cover already
+builds: s o sigma = 0 certifies that s kills every coboundary, and a root
+component is absorbed exactly when the cochain lies in sigma's image, its dt
+coefficient unique modulo the ideal I of that image's presentation A/I.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .forms import (
     wedge_one_one,
 )
 from .partialforms import PartialFormsChart, atiyah_cocycle_check
-from .pidmod import PolyMatrix, Submodule, smith_normal_form, solve, syzygy_matrix
+from .pidmod import PolyMatrix, Submodule
 from .polys import Poly
 from .rings import ChartRing, RingElem, UnitLog
 
@@ -343,8 +348,9 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     partial-form classes and lambda_j / lambda_i equal to each transition.
 
     Nontrivial verdicts carry one of four exact obstructions: a nonzero value
-    of the root-reading functional s (which provably kills every coboundary),
-    a root component that no presentation relation can absorb, a dt
+    of the root-reading functional s (which kills every coboundary when
+    s o sigma = 0, reported as ``s_kills_coboundaries``), a chart cochain
+    outside the image of the pullback sigma, a dt
     coefficient outside the mod-p lattice spanned by dlog of the inverted
     primes, or transition exponents that no integer assignment satisfies.
     Trivial verdicts re-verify the witness against both identities.
@@ -365,50 +371,39 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             for pfc, (a, b) in zip(pfcs, cochain["chart_coords"])
         ]
 
-    # The functional shortcut: s reads the dv/v coordinate and kills every
-    # coboundary, so a nonzero value is a complete nontriviality certificate.
     s_kills = None
+
+    def nontrivial(obstruction: str, details: dict) -> dict:
+        return {
+            "trivial": False,
+            "obstruction": obstruction,
+            "details": details,
+            "witness": None,
+            "s_kills_coboundaries": s_kills,
+        }
+
+    # The functional shortcut: when s o sigma = 0, s kills every coboundary,
+    # so a nonzero value of s is a complete nontriviality certificate.
     for i, pfc in enumerate(pfcs):
         s_map = pfc.s1_map
         if not s_map.is_well_defined:
             continue
-        if s_kills is None:
-            s_kills = True
-        for pi in pfc.ring.inverted:
-            gen_form = pullback_one_form(
-                pfc.chart, ChartForm(pfc.ring, 1, pfc.ring.dlog(pfc.ring.make(pi)))
-            )
-            found = pfc.sub1.contains(one_form_to_vec(gen_form))
-            if found is None or not s_map.apply(found)[0].is_zero():
-                s_kills = False
+        s_kills = s_kills is not False and s_map.after(pfc.sigma1_map).matrix.is_zero()
         s_value = s_map.apply(coords[i])[0]
         if not s_value.is_zero():
-            return {
-                "trivial": False,
-                "obstruction": "s-functional",
-                "details": {"chart": i, "s_value": str(s_value)},
-                "witness": None,
-                "s_kills_coboundaries": s_kills,
-            }
+            return nontrivial("s-functional", {"chart": i, "s_value": str(s_value)})
 
-    # Classical branch: absorb the root component through the presentation
-    # relations, then solve for unit exponents in the mod-p dlog lattice.
+    # Classical branch: absorb the root component through the pullback's
+    # image, then solve for unit exponents in the mod-p dlog lattice.
     unknowns = []
     equations = []
     chart_primes = []
     for i, pfc in enumerate(pfcs):
         reduction = _absorb_root_component(pfc, coords[i])
         if reduction is None:
-            return {
-                "trivial": False,
-                "obstruction": "root-component",
-                "details": {
-                    "chart": i,
-                    "root_coefficient": str(coords[i][1]),
-                },
-                "witness": None,
-                "s_kills_coboundaries": s_kills,
-            }
+            return nontrivial(
+                "root-component", {"chart": i, "root_coefficient": str(coords[i][1])}
+            )
         target, modulus = reduction
         names = [str(pi) for pi in pfc.ring.inverted]
         chart_primes.append(names)
@@ -416,17 +411,14 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             unknowns.append((i, name))
         chart_rows = _lattice_rows(pfc.ring, i, target, modulus)
         if _fp_solve(scheme.field.p, chart_rows, [(i, nm) for nm in names]) is None:
-            return {
-                "trivial": False,
-                "obstruction": "dlog-image",
-                "details": {
+            return nontrivial(
+                "dlog-image",
+                {
                     "chart": i,
                     "target": str(target),
                     "modulus": str(modulus) if modulus is not None else None,
                 },
-                "witness": None,
-                "s_kills_coboundaries": s_kills,
-            }
+            )
         equations.extend(chart_rows)
 
     overlap_exponents = {}
@@ -446,43 +438,31 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
                 row[(i, name)] = row.get((i, name), 0) - 1
             if not row:
                 if e != 0:
-                    return {
-                        "trivial": False,
-                        "obstruction": "transitions",
-                        "details": {
+                    return nontrivial(
+                        "transitions",
+                        {
                             "overlap": list(pair),
                             "prime": name,
                             "reason": "transition carries a prime inverted "
                             "on neither chart",
                         },
-                        "witness": None,
-                        "s_kills_coboundaries": s_kills,
-                    }
+                    )
                 continue
             equations.append((row, e))
 
     solution = _fp_solve(scheme.field.p, equations, unknowns)
     if solution is None:
-        return {
-            "trivial": False,
-            "obstruction": "transitions",
-            "details": {"reason": "chart lattices are individually solvable "
-                        "but no joint exponent assignment exists"},
-            "witness": None,
-            "s_kills_coboundaries": s_kills,
-        }
+        return nontrivial(
+            "transitions",
+            {"reason": "chart lattices are individually solvable "
+             "but no joint exponent assignment exists"},
+        )
 
     exponents = _assemble_exponents(
         n_charts, chart_primes, solution, overlap_exponents, scheme.field.p
     )
     if isinstance(exponents, dict) and exponents.get("obstructed"):
-        return {
-            "trivial": False,
-            "obstruction": "transitions",
-            "details": exponents["details"],
-            "witness": None,
-            "s_kills_coboundaries": s_kills,
-        }
+        return nontrivial("transitions", exponents["details"])
     constants = _assemble_constants(scheme, overlap_constants)
 
     units = []
@@ -515,38 +495,21 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
 def _absorb_root_component(pfc: PartialFormsChart, coords) -> tuple | None:
     """Rewrite (a, b) as (c, 0) modulo relations; None when impossible.
 
-    Returns (c, modulus) where the rewriting is unique modulo the ideal
-    generated by modulus (a monic core polynomial, or None for the zero
-    ideal, or 1 when every dt coefficient is absorbable).
+    (a, b) is absorbed exactly when it lies in the image of the pullback
+    sigma, and c is its coordinate there, unique modulo the ideal I of the
+    image's presentation A/I.  Returns (c, modulus) with modulus the monic
+    generator of I: None for I = 0, and 1 when every dt coefficient is
+    absorbed.
     """
-    ring = pfc.ring
-    a, b = ring.coerce(coords[0]), ring.coerce(coords[1])
-    rels = pfc.presentation1.relations
-    if rels.ncols == 0:
-        if not b.is_zero():
-            return None
-        return a, None
-    row2 = PolyMatrix(ring, [list(rels.rows[1])], nrows=1, ncols=rels.ncols)
-    row2_snf = smith_normal_form(row2)
-    z = solve(row2, [b], row2_snf)
-    if z is None:
+    image = pfc.sigma1_map.image
+    found = image.contains(coords)
+    if found is None:
         return None
-    absorbed = ring.zero
-    for j in range(rels.ncols):
-        absorbed = absorbed + rels.rows[0][j] * z[j]
-    c = a - absorbed
-    kernel = syzygy_matrix(row2, row2_snf)
-    ideal_gens = []
-    for k in range(kernel.ncols):
-        g = ring.zero
-        for j in range(rels.ncols):
-            g = g + rels.rows[0][j] * kernel.rows[j][k]
-        if not g.is_zero():
-            ideal_gens.append(g)
-    if not ideal_gens:
-        return c, None
-    snf = smith_normal_form(PolyMatrix(ring, [ideal_gens], nrows=1))
-    return c, ring.core(snf.diag[0])
+    quotient = image.presentation
+    if quotient.rank:
+        return found[0], None
+    torsion = quotient.torsion
+    return found[0], torsion[0] if torsion else Poly.one(pfc.ring.field)
 
 
 def _lattice_rows(

@@ -1,7 +1,10 @@
 """Tiny recursive-descent parser for algebraic expressions.
 
 One grammar serves field elements ("a+1"), polynomials ("t^2 + 2*t + 1") and
-localized ring elements ("(t+a)/(t+1)").  The caller supplies the arithmetic,
+localized ring elements ("(t+a)/(t+1)").  The caller supplies the integer
+constants and the named atoms; the parser folds them with the values' own
+``+ - * **`` and unary minus, and divides with ``div`` (true division unless
+the caller passes another, as polynomials do to allow only exact quotients),
 so the same parser evaluates into any of the three structures:
 
     expr   := term (('+' | '-') term)*
@@ -22,6 +25,7 @@ raises MalformedInput before any arithmetic runs:
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Mapping
 
@@ -57,36 +61,21 @@ def tokenize(text: str) -> list[tuple[str, Any]]:
     return tokens
 
 
-class ExprOps:
-    """Arithmetic callbacks the parser evaluates with."""
+class _Parser:
+    """Folds tokens into values; each rule returns (value, degree bound)."""
 
     def __init__(
         self,
+        tokens: list[tuple[str, Any]],
         from_int: Callable[[int], Any],
-        add: Callable[[Any, Any], Any],
-        sub: Callable[[Any, Any], Any],
-        mul: Callable[[Any, Any], Any],
-        div: Callable[[Any, Any], Any],
-        neg: Callable[[Any], Any],
-        pow_int: Callable[[Any, int], Any],
         atoms: Mapping[str, Any],
+        div: Callable[[Any, Any], Any],
+        text: str,
     ):
-        self.from_int = from_int
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.div = div
-        self.neg = neg
-        self.pow_int = pow_int
-        self.atoms = dict(atoms)
-
-
-class _Parser:
-    """Folds tokens through ExprOps; each rule returns (value, degree bound)."""
-
-    def __init__(self, tokens: list[tuple[str, Any]], ops: ExprOps, text: str):
         self.tokens = tokens
-        self.ops = ops
+        self.from_int = from_int
+        self.atoms = atoms
+        self.div = div
         self.text = text
         self.i = 0
         self.depth = 0
@@ -134,7 +123,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs, rdeg = self.term()
-                value = self.ops.add(value, rhs) if val == "+" else self.ops.sub(value, rhs)
+                value = value + rhs if val == "+" else value - rhs
                 degree = max(degree, rdeg)
             else:
                 return value, degree
@@ -147,7 +136,7 @@ class _Parser:
                 self.take()
                 rhs, rdeg = self.factor()
                 degree = self.bounded(degree + rdeg)
-                value = self.ops.mul(value, rhs) if val == "*" else self.ops.div(value, rhs)
+                value = value * rhs if val == "*" else self.div(value, rhs)
             else:
                 return value, degree
 
@@ -156,7 +145,7 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.take()
             inner, degree = self.nested(self.factor)
-            return (inner if val == "+" else self.ops.neg(inner)), degree
+            return (inner if val == "+" else -inner), degree
         value, degree = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -165,17 +154,17 @@ class _Parser:
             if kind != "int":
                 raise MalformedInput(f"exponent must be an integer in {self.text!r}")
             degree = self.bounded(degree * exp)
-            value = self.ops.pow_int(value, exp)
+            value = value**exp
         return value, degree
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.ops.from_int(val), 0
+            return self.from_int(val), 0
         if kind == "name":
-            if val not in self.ops.atoms:
+            if val not in self.atoms:
                 raise MalformedInput(f"unknown symbol {val!r} in {self.text!r}")
-            return self.ops.atoms[val], 1
+            return self.atoms[val], 1
         if kind == "op" and val == "(":
             value = self.nested(self.expr)
             self.expect_op(")")
@@ -183,9 +172,14 @@ class _Parser:
         raise MalformedInput(f"cannot parse {self.text!r}")
 
 
-def evaluate(text: str, ops: ExprOps):
-    """Parse `text` and fold it through the supplied arithmetic."""
+def evaluate(
+    text: str,
+    from_int: Callable[[int], Any],
+    atoms: Mapping[str, Any],
+    div: Callable[[Any, Any], Any] = operator.truediv,
+):
+    """Parse `text` into a value built from `from_int` constants and `atoms`."""
     tokens = tokenize(text)
     if not tokens:
         raise MalformedInput("empty expression")
-    return _Parser(tokens, ops, text).parse()
+    return _Parser(tokens, from_int, atoms, div, text).parse()

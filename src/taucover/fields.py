@@ -30,7 +30,7 @@ import functools
 from typing import Iterator
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
-from .exprparse import ExprOps, evaluate
+from .exprparse import evaluate
 
 _MAX_Q = 256
 _MAX_P = 97
@@ -231,17 +231,7 @@ class _FqField:
         atoms = {}
         if self.e > 1:
             atoms["a"] = self.gen
-        ops = ExprOps(
-            from_int=self.elem,
-            add=lambda x, y: x + y,
-            sub=lambda x, y: x - y,
-            mul=lambda x, y: x * y,
-            div=lambda x, y: x / y,
-            neg=lambda x: -x,
-            pow_int=lambda x, k: x**k,
-            atoms=atoms,
-        )
-        value = evaluate(text, ops)
+        value = evaluate(text, self.elem, atoms)
         if not isinstance(value, FqElem):
             raise MalformedInput(f"{text!r} is not a field element")
         return value

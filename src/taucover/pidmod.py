@@ -144,12 +144,13 @@ class PolyMatrix:
             raise ValueError("vector length mismatch")
         zero = self.ring.zero
         out = []
-        for i in range(self.nrows):
+        live = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+        for row in self.rows:
             acc = zero
-            for k, x in enumerate(vec):
-                if x.is_zero():
-                    continue
-                acc = acc + self.rows[i][k] * x
+            for k, x in live:
+                a = row[k]
+                if not a.is_zero():
+                    acc = acc + a * x
             out.append(acc)
         return tuple(out)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
-from .exprparse import ExprOps, evaluate
+from .exprparse import evaluate
 from .fields import FqElem, _FqField
 
 
@@ -162,17 +162,7 @@ class Poly:
         atoms = {"t": cls.x(field)}
         if field.e > 1:
             atoms["a"] = cls.const(field.gen)
-        ops = ExprOps(
-            from_int=lambda n: cls.const(field.elem(n)),
-            add=lambda x, y: x + y,
-            sub=lambda x, y: x - y,
-            mul=lambda x, y: x * y,
-            div=div,
-            neg=lambda x: -x,
-            pow_int=lambda x, k: x**k,
-            atoms=atoms,
-        )
-        return evaluate(text, ops)
+        return evaluate(text, lambda n: cls.const(field.elem(n)), atoms, div)
 
     # -- structure
 

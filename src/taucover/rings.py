@@ -23,9 +23,15 @@ from .errors import (
     NotIrreducible,
     RingMismatch,
 )
-from .exprparse import ExprOps, evaluate
+from .exprparse import evaluate
 from .fields import FqElem, _FqField
 from .polys import Poly
+
+
+# Rabin's test costs grow quickly with the degree, so an inverted prime above
+# this degree is rejected before the test runs (the parser's own degree cap
+# bounds parsing only).
+MAX_PRIME_DEGREE = 64
 
 
 class ChartRing:
@@ -39,6 +45,10 @@ class ChartRing:
                 pi = Poly.parse(field, pi)
             if pi.field is not field:
                 raise RingMismatch("inverted polynomial over the wrong field")
+            if pi.deg > MAX_PRIME_DEGREE:
+                raise MalformedInput(
+                    f"inverted prime {pi} has degree {pi.deg} > {MAX_PRIME_DEGREE}"
+                )
             if not pi.is_monic():
                 raise NotIrreducible(f"{pi} is not monic")
             if not pi.is_irreducible():
@@ -104,17 +114,7 @@ class ChartRing:
         atoms = {"t": self.t}
         if self.field.e > 1:
             atoms["a"] = self.from_field(self.field.gen)
-        ops = ExprOps(
-            from_int=self.from_int,
-            add=lambda x, y: x + y,
-            sub=lambda x, y: x - y,
-            mul=lambda x, y: x * y,
-            div=lambda x, y: x / y,
-            neg=lambda x: -x,
-            pow_int=_ring_pow,
-            atoms=atoms,
-        )
-        value = evaluate(text, ops)
+        value = evaluate(text, self.from_int, atoms)
         if not isinstance(value, RingElem):
             raise MalformedInput(f"{text!r} is not a ring element")
         return value
@@ -277,12 +277,6 @@ class ChartRing:
         if not isinstance(inverted, list) or not all(isinstance(s, str) for s in inverted):
             raise MalformedInput("chart JSON must be an object with an 'inverted' string list")
         return cls(field, inverted)
-
-
-def _ring_pow(x: "RingElem", k: int) -> "RingElem":
-    if k < 0:
-        return x.inv() ** (-k)
-    return x**k
 
 
 class UnitLog:

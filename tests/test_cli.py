@@ -358,6 +358,8 @@ TWO_CHARTS = {
         {**ONE_CHART, "field": {"p": 2, "e": 1.0}},
         {**ONE_CHART, "u": ["t^100000000"]},
         {**ONE_CHART, "u": ["(" * 5000 + "t" + ")" * 5000]},
+        {**ONE_CHART, "charts": [{"inverted": ["t^1021 + t^5 + 1"]}], "u": ["t^1021 + t^5 + 1"]},
+        {**ONE_CHART, "charts": [{"inverted": ["t^65 + t^18 + 1"]}], "u": ["t^65 + t^18 + 1"]},
     ],
     ids=[
         "duplicate-inverted",
@@ -373,6 +375,8 @@ TWO_CHARTS = {
         "float-e",
         "huge-exponent",
         "deep-nesting",
+        "high-degree-inverted",
+        "inverted-above-degree-cap",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
@@ -394,6 +398,19 @@ def test_large_field_bundle_validates_within_budget(capsys, tmp_path):
         "charts": [{"inverted": ["t^7 + t + 1"]}],
         "u": ["t^7 + t + 1"],
     }
+    path = write_bundle(tmp_path, bundle)
+    start = time.perf_counter()
+    code = main(["validate", "--json", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert elapsed < 2.0
+
+
+def test_inverted_prime_at_degree_cap_validates(capsys, tmp_path):
+    # t^64 + t^4 + t^3 + t + 1 is irreducible over F_2 and sits at the cap.
+    prime = "t^64 + t^4 + t^3 + t + 1"
+    bundle = {**ONE_CHART, "charts": [{"inverted": [prime]}], "u": [prime]}
     path = write_bundle(tmp_path, bundle)
     start = time.perf_counter()
     code = main(["validate", "--json", path])

@@ -338,6 +338,97 @@ def test_zero_cochain_is_trivial():
     assert verdict["trivial"]
 
 
+# -- root absorption against its closed form
+
+ABSORPTION_PRIMES = {
+    (2, 1): ["t + 1", "t^2 + t + 1", "t^3 + t + 1"],
+    (2, 2): ["t + 1", "t + a", "t^3 + t + 1"],
+    (3, 1): ["t + 1", "t + 2", "t^2 + 1"],
+    (5, 1): ["t + 1", "t + 3", "t^2 + 2"],
+}
+
+
+def absorption_charts():
+    """(chart, u, n) over the catalog and generated one-chart covers.
+
+    Generated units are c*t*h^n, the benchmark's shape, with p | n and
+    without, and c*t^i*pi1^j*pi2^k with small exponents, whose u' can have a
+    nonunit core.
+    """
+    rng = random.Random(11)
+    covers = [build(name) for name in sorted(FIXTURES)]
+    for (p, e), pool in sorted(ABSORPTION_PRIMES.items()):
+        field = FqField(p, e)
+        for n in (p, 2 * p, p + 1):
+            for root_shape in (True, False):
+                for _ in range(3):
+                    primes = rng.sample(pool, 2)
+                    if root_shape:
+                        exps = [1] + [n * rng.randint(0, 2) for _ in primes]
+                    else:
+                        exps = [rng.randint(1, 3) for _ in range(3)]
+                    ring = ChartRing(field, ["t", *primes])
+                    factors = "*".join(
+                        f"({pi})^{k}" for pi, k in zip(["t", *primes], exps)
+                    )
+                    u = ring.parse(f"{rng.randrange(1, p)}*{factors}")
+                    scheme = ChartedScheme(field, [ring])
+                    covers.append(Cover(TorsionBundle(scheme, n, {}, [u])))
+    for cover in covers:
+        for pfc in cover.partial_forms:
+            yield pfc, cover.bundle.u[pfc.index], cover.bundle.n
+
+
+def test_root_absorption_matches_the_closed_form():
+    # The partial one-forms are A*dt + A*dv/v modulo the one relation
+    # (u', -n*u), since n*u*dv/v = n*v^(n-1)*dv = u'*dt.  So (a, b) becomes
+    # (c, 0) iff p does not divide n or b = 0, with c = a + b*u'/(n*u) when
+    # p does not divide n, and c is unique modulo I = (u') when p | n and
+    # u' != 0, modulo I = 0 otherwise.
+    rng = random.Random(12)
+    cases = 0
+    for pfc, u, n in absorption_charts():
+        ring = pfc.ring
+        divisible = n % ring.field.p == 0
+        du = ring.derive(u)
+        expected_modulus = ring.core(du) if divisible and not du.is_zero() else None
+        a = ring.random_element(rng, max_deg=3, max_den=1)
+        b = ring.random_element(rng, max_deg=2, max_den=1)
+        for coords in [(a, ring.zero), (a, b), (ring.zero, ring.one), (b, a)]:
+            cases += 1
+            reduction = connections._absorb_root_component(pfc, coords)
+            x, y = coords
+            if divisible and not y.is_zero():
+                assert reduction is None, (ring, str(u), n, coords)
+                continue
+            c, modulus = reduction
+            assert modulus == expected_modulus, (ring, str(u), n)
+            if not divisible:
+                assert c == x + y * du / (u * ring.from_int(n)), (ring, str(u), n)
+            elif modulus is None:
+                assert c == x
+            else:
+                assert modulus.divides((c - x).num), (ring, str(u), n, str(c))
+    assert cases >= 300
+
+
+def test_nonzero_s_after_sigma_turns_s_kills_coboundaries_false():
+    cover = build("GM_P2")
+    assert is_trivial_class(cover)["s_kills_coboundaries"] is True
+    pfc = cover.partial_forms[0]
+    ring = pfc.ring
+    # a mutant pullback that also hits dv/v, so s o sigma = 1
+    pfc.sigma1_map = pidmod.ModuleMap(
+        pfc.base_one_forms,
+        pfc.presentation1,
+        pidmod.PolyMatrix(ring, [[ring.one], [ring.one]]),
+        "pullback",
+    )
+    verdict = is_trivial_class(cover)
+    assert verdict["obstruction"] == "s-functional"
+    assert verdict["s_kills_coboundaries"] is False
+
+
 def test_reports_are_json_serializable():
     import json
 
@@ -377,7 +468,6 @@ def test_class_decisions_reduce_blocks_whose_size_does_not_grow_with_n(monkeypat
             return reduce_block(matrix)
 
         monkeypatch.setattr(pidmod, "smith_normal_form", recording)
-        monkeypatch.setattr(connections, "smith_normal_form", recording)
         cover = Cover(one_chart_f2_bundle(n))
         canonical = is_trivial_class(cover)
         assert canonical["trivial"] is False
