@@ -54,6 +54,10 @@ SEQUENCE_IDS = {
     "2.11": (2, True),
 }
 
+# Each product-rule guard sample costs one module reduction; five times the
+# default bounds what `--samples` can ask for.
+MAX_SAMPLES = 1000
+
 _MALFORMED = (
     MalformedInput,
     NotAUnit,
@@ -372,6 +376,8 @@ def _cmd_report(args) -> tuple[dict, int]:
 
 
 def _dispatch(args) -> tuple[dict, int]:
+    if not 0 <= getattr(args, "samples", 0) <= MAX_SAMPLES:
+        raise MalformedInput(f"--samples must lie in [0, {MAX_SAMPLES}], got {args.samples}")
     if args.command == "catalog":
         return _cmd_catalog(args)
     if args.command == "report":

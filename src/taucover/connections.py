@@ -347,13 +347,15 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     coboundary means units lambda_alpha with eta_alpha = dlog(lambda) dt as
     partial-form classes and lambda_j / lambda_i equal to each transition.
 
-    Nontrivial verdicts carry one of four exact obstructions: a nonzero value
-    of the root-reading functional s (which kills every coboundary when
-    s o sigma = 0, reported as ``s_kills_coboundaries``), a chart cochain
-    outside the image of the pullback sigma, a dt
-    coefficient outside the mod-p lattice spanned by dlog of the inverted
-    primes, or transition exponents that no integer assignment satisfies.
-    Trivial verdicts re-verify the witness against both identities.
+    Nontrivial verdicts carry one of three exact obstructions: a nonzero
+    value of the root-reading functional s (which kills every coboundary when
+    s o sigma = 0, reported as ``s_kills_coboundaries``), a dt coefficient
+    outside the mod-p lattice spanned by dlog of the inverted primes, or
+    transition exponents that no integer assignment satisfies.  Every chart
+    cochain that passes s lies in the image of the pullback sigma: a chart's
+    only relation is (u', -n*u), so when p does not divide n every (a, b) is
+    absorbed, and when p | n any b != 0 has a nonzero value of s.  Trivial
+    verdicts re-verify the witness against both identities.
     """
     scheme = cover.bundle.scheme
     n_charts = len(scheme.charts)
@@ -401,8 +403,9 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     for i, pfc in enumerate(pfcs):
         reduction = _absorb_root_component(pfc, coords[i])
         if reduction is None:
-            return nontrivial(
-                "root-component", {"chart": i, "root_coefficient": str(coords[i][1])}
+            raise TauCoverError(
+                f"chart {i}: the cochain passed s but lies outside the image of "
+                "the pullback sigma"
             )
         target, modulus = reduction
         names = [str(pi) for pi in pfc.ring.inverted]
@@ -524,16 +527,13 @@ def _lattice_rows(
     if modulus is not None and modulus.is_one():
         return []
     primes = ring.inverted
-    e_clear = [d + 1 for d in target.dens]
-    cleared = target.num
-    for pi, extra, have in zip(primes, e_clear, target.dens):
-        cleared = cleared * pi ** (extra - have)
-    columns = []
-    for j, pi in enumerate(primes):
-        col = pi.derivative()
-        for k, (q, ex) in enumerate(zip(primes, e_clear)):
-            col = col * q ** (ex - 1 if k == j else ex)
-        columns.append(col)
+    num, den = target.fraction()
+    every = ring.one.core
+    for pi in primes:
+        every = every * pi
+    # times den * every: dlog(pi_j) = pi_j'/pi_j becomes pi_j' * den * every/pi_j
+    cleared = num * every
+    columns = [pi.derivative() * den * (every // pi) for pi in primes]
     if modulus is not None:
         cleared = cleared.divmod(modulus)[1]
         columns = [c.divmod(modulus)[1] for c in columns]

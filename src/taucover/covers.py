@@ -23,6 +23,11 @@ from .fields import FqField, _FqField
 from .polys import Poly
 from .rings import ChartRing, RingElem
 
+# Caps on a bundle read from JSON, checked before any chart is parsed; the
+# README gives the measured costs they bound.
+MAX_N = 1024
+MAX_CHARTS = 32
+
 
 class CoverChart:
     """B = A[v]/(v^n - u) for a unit u of a single chart ring A."""
@@ -380,13 +385,13 @@ class TorsionBundle:
             field = FqField(_json_int(fdata["p"], "p"), _json_int(fdata.get("e", 1), "e"))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad field description: {exc}") from None
-        if not isinstance(data["charts"], list) or not data["charts"]:
-            raise MalformedInput("charts must be a nonempty list")
+        n = _json_int(data["n"], "n")
+        if not 1 <= n <= MAX_N:
+            raise MalformedInput(f"n must be an integer in [1, {MAX_N}], got {n}")
+        if not isinstance(data["charts"], list) or not 1 <= len(data["charts"]) <= MAX_CHARTS:
+            raise MalformedInput(f"charts must be a nonempty list of at most {MAX_CHARTS}")
         charts = [ChartRing.from_json(field, c) for c in data["charts"]]
         scheme = ChartedScheme(field, charts)
-        n = _json_int(data["n"], "n")
-        if n < 1:
-            raise MalformedInput("n must be a positive integer")
         if not isinstance(data["u"], list) or len(data["u"]) != len(charts):
             raise MalformedInput("u must list one unit per chart")
         u = [charts[i].parse(s) for i, s in enumerate(data["u"])]

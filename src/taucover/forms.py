@@ -139,15 +139,13 @@ def cartier(form: ChartForm) -> ChartForm:
     x = form.coeff
     if x.is_zero():
         return ChartForm(ring, 1, ring.zero)
-    den = Poly.one(field)
-    for pi, mult in zip(ring.inverted, x.dens):
-        den = den * pi**mult
-    lifted = x.num * den ** (p - 1)
+    num, den = x.fraction()
+    lifted = num * den ** (p - 1)
     picked = [
         lifted[k].frobenius_inverse().code for k in range(p - 1, len(lifted.coeffs), p)
     ]
     result_num = Poly(field, picked)
-    return ChartForm(ring, 1, ring.from_poly(result_num) * ring.make(den).inv())
+    return ChartForm(ring, 1, ring.from_poly(result_num) / ring.from_poly(den))
 
 
 class OmegaL:

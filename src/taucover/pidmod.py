@@ -95,16 +95,8 @@ class PolyMatrix:
             ncols=len(cols),
         )
 
-    @classmethod
-    def column(cls, ring: ChartRing, vec: Sequence) -> "PolyMatrix":
-        vec = list(vec)
-        return cls(ring, [[x] for x in vec], nrows=len(vec), ncols=1)
-
     def col(self, j: int) -> Vec:
         return tuple(self.rows[i][j] for i in range(self.nrows))
-
-    def cols(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if other.nrows != self.nrows:
@@ -176,18 +168,6 @@ class PolyMatrix:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"[{body}]"
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, ring: ChartRing, rows: list[list[str]], ncols=None) -> "PolyMatrix":
-        return cls(
-            ring,
-            [[ring.parse(s) for s in row] for row in rows],
-            nrows=len(rows),
-            ncols=ncols,
-        )
-
 
 class SNFResult:
     """U * M * V = D, all four transforms kept with their inverses."""
@@ -221,12 +201,8 @@ class SNFResult:
 
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
     """q with size(a - q*b) < size(b), measuring by core degree."""
-    ua, ca = ring.unit_core_split(a)
-    ub, cb = ring.unit_core_split(b)
-    quo, _ = ca.divmod(cb)
-    if quo.is_zero():
-        return ring.zero
-    return ring.from_poly(quo) * ua * ub.inv()
+    ua, ub = ring.unit_core_split(a)[0], ring.unit_core_split(b)[0]
+    return ring.from_poly(a.core // b.core) * ua / ub
 
 
 def smith_normal_form(M: PolyMatrix) -> SNFResult:
@@ -240,7 +216,7 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
     Vinv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
     def size(x: RingElem) -> int:
-        return ring.core(x).deg
+        return x.core.deg
 
     def row_swap(i, j):
         if i == j:
@@ -732,8 +708,8 @@ class FpmModule:
         """vec lies in the relation span: per block, y = U*vec has d_i | y_i
         on the nonzero diagonal and y_i = 0 past it.
 
-        The diagonal holds monic cores, prime to every inverted irreducible,
-        so d_i | y_i in A exactly when d_i divides the numerator of y_i.
+        The diagonal holds monic cores, so d_i | y_i in A exactly when d_i
+        divides the core of y_i.
         """
         vec = self.coerce_vec(vec)
         graded = self.graded
@@ -743,7 +719,7 @@ class FpmModule:
             for i, y in enumerate(snf.U.apply_vec(part)):
                 if y.is_zero():
                     continue
-                if i >= len(diag) or diag[i].is_zero() or not diag[i].num.divides(y.num):
+                if i >= len(diag) or diag[i].is_zero() or not self.ring.divides(diag[i], y):
                     return False
         return True
 
@@ -775,12 +751,10 @@ class FpmModule:
 
 def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
     """Canonical representative of x in A/(core); core monic and S-free."""
-    den = Poly.one(ring.field)
-    for pi, mult in zip(ring.inverted, x.dens):
-        den = den * pi**mult
+    num, den = x.fraction()
     _g, s, _t = den.xgcd(core)
     # den * s = 1 mod core since core is coprime to every inverted irreducible
-    rep = (x.num * s) % core
+    rep = (num * s) % core
     return ring.from_poly(rep)
 
 

@@ -2,18 +2,21 @@
 monic irreducibles inverted.
 
 A = F_q[t][1/pi_1, ..., 1/pi_s] is a principal ideal domain whose unit group
-is F_q^x  x  Z^s.  Elements are kept in reduced normal form: a numerator
-polynomial together with one denominator exponent per inverted irreducible,
-with every pi_j of positive exponent coprime to the numerator.  The zero
-element has all exponents zero.
+is F_q^x  x  Z^s.  Every element is kept in unit-core form
+c * core * prod(pi_j^e_j): c a constant, core monic and prime to every pi_j
+(S-free), e in Z^s.  Only ``ChartRing.make`` divides inverted primes out of a
+polynomial; products, inverses, unit logs, cores, divisibility, exact division
+and restriction read the stored factors, since S-free times S-free is S-free.
+``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
 Beyond ring arithmetic the chart ring provides the three operations the
-geometry needs: unit factorization (`unit_log`), d/dt with the quotient rule
-(`derive`), and the logarithmic derivative (`dlog`).
+geometry needs: unit factorization (`unit_log`), d/dt (`derive`), and the
+logarithmic derivative (`dlog`).
 """
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -58,33 +61,26 @@ class ChartRing:
             raise MalformedInput("inverted irreducibles must be distinct")
         self.inverted: tuple[Poly, ...] = tuple(polys)
         self.s = len(self.inverted)
-        self.zero = self._build(Poly.zero(field), (0,) * self.s)
-        self.one = self._build(Poly.one(field), (0,) * self.s)
-        self.t = self._build(Poly.x(field), (0,) * self.s)
+        self.zero = RingElem(self, 0, Poly.zero(field), (0,) * self.s)
+        self.one = RingElem(self, 1, Poly.one(field), (0,) * self.s)
+        self.t = self.make(Poly.x(field))
 
     # -- element construction
 
-    def _build(self, num: Poly, dens: tuple[int, ...]) -> "RingElem":
-        return RingElem(self, num, dens)
-
     def make(self, num: Poly, dens: Iterable[int] = ()) -> "RingElem":
-        """Normalize num / prod(pi_j^dens_j) into reduced form."""
-        dens = list(dens) or [0] * self.s
-        if len(dens) != self.s:
+        """The element num / prod(pi_j^dens_j), dens in Z^s, in unit-core form.
+
+        The one place where inverted primes are divided out of a polynomial.
+        """
+        exps = [-d for d in dens] or [0] * self.s
+        if len(exps) != self.s:
             raise ValueError("denominator exponent vector has wrong length")
-        if any(d < 0 for d in dens):
-            raise ValueError("denominator exponents must be nonnegative")
         if num.is_zero():
-            return self._build(num, (0,) * self.s)
+            return self.zero
         for j, pi in enumerate(self.inverted):
-            if dens[j] == 0:
-                continue
-            mult, cofactor = num.multiplicity(pi)
-            cancel = min(mult, dens[j])
-            if cancel:
-                num = cofactor * pi ** (mult - cancel)
-                dens[j] -= cancel
-        return self._build(num, tuple(dens))
+            mult, num = num.multiplicity(pi)
+            exps[j] += mult
+        return RingElem(self, num.coeffs[-1], num.monic(), tuple(exps))
 
     def from_poly(self, num: Poly) -> "RingElem":
         return self.make(num)
@@ -93,7 +89,10 @@ class ChartRing:
         return self.from_field(self.field.elem(n))
 
     def from_field(self, c: FqElem) -> "RingElem":
-        return self.make(Poly.const(c))
+        """A constant is a unit or zero: no prime to divide out."""
+        if not c.code:
+            return self.zero
+        return RingElem(self, c.code, self.one.core, self.one.exps)
 
     def coerce(self, value) -> "RingElem":
         if isinstance(value, RingElem):
@@ -119,10 +118,10 @@ class ChartRing:
             raise MalformedInput(f"{text!r} is not a ring element")
         return value
 
-    # -- predicates and helpers
+    # -- units and cores, read off the stored factors
 
     def is_unit(self, a: "RingElem") -> bool:
-        return self.try_unit_log(a) is not None
+        return self.coerce(a).is_unit()
 
     def unit_log(self, a: "RingElem") -> "UnitLog":
         """Factor a unit as c * prod(pi_j^m_j); raises NotAUnit otherwise."""
@@ -133,85 +132,70 @@ class ChartRing:
 
     def try_unit_log(self, a: "RingElem") -> "UnitLog | None":
         a = self.coerce(a)
-        if a.num.is_zero():
+        if not a.is_unit():
             return None
-        num = a.num
-        exps = [-d for d in a.dens]
-        for j, pi in enumerate(self.inverted):
-            mult, num = num.multiplicity(pi)
-            exps[j] += mult
-        if not num.is_constant():
-            return None
-        return UnitLog(self, num[0], tuple(exps))
+        return UnitLog(self, FqElem(self.field, a.const), a.exps)
 
     def exp_unit(self, log: "UnitLog") -> "RingElem":
         """Inverse of unit_log."""
-        num = Poly.const(log.constant)
-        dens = [0] * self.s
-        for j, m in enumerate(log.exponents):
-            if m >= 0:
-                num = num * self.inverted[j] ** m
-            else:
-                dens[j] = -m
-        return self.make(num, dens)
+        return RingElem(self, log.constant.code, self.one.core, log.exponents)
 
     def unit_core_split(self, a: "RingElem") -> tuple["RingElem", Poly]:
         """Write a = unit * core with core monic and coprime to every pi_j.
 
-        The core of zero is the zero polynomial; the core of a unit is 1.
+        The core of zero is the zero polynomial, with unit 1; the core of a
+        unit is 1.
         """
         a = self.coerce(a)
-        if a.num.is_zero():
-            return self.one, Poly.zero(self.field)
-        num = a.num
-        exps = [-d for d in a.dens]
-        for j, pi in enumerate(self.inverted):
-            mult, num = num.multiplicity(pi)
-            exps[j] += mult
-        lead = num.lc()
-        core = num.monic()
-        unit = self.exp_unit(UnitLog(self, lead, tuple(exps)))
-        return unit, core
+        return RingElem(self, a.const or 1, self.one.core, a.exps), a.core
 
     def core(self, a: "RingElem") -> Poly:
-        return self.unit_core_split(a)[1]
+        return self.coerce(a).core
 
     def divides(self, a: "RingElem", b: "RingElem") -> bool:
-        """a | b in the localized ring."""
+        """a | b in the localized ring: one division of cores at most."""
         a, b = self.coerce(a), self.coerce(b)
-        if a.num.is_zero():
-            return b.num.is_zero()
-        return self.core(a).divides(self.core(b))
+        if a.is_zero():
+            return b.is_zero()
+        return a.is_unit() or a.core.divides(b.core)
 
     def exact_div(self, b: "RingElem", a: "RingElem") -> "RingElem":
         """b / a when a divides b."""
         a, b = self.coerce(a), self.coerce(b)
-        if a.num.is_zero():
+        if a.is_zero():
             raise DivisionByZero("exact division by zero")
-        ua, ca = self.unit_core_split(a)
-        ub, cb = self.unit_core_split(b)
-        if cb.is_zero():
+        if b.is_zero():
             return self.zero
-        return self.from_poly(cb.exact_div(ca)) * ub / ua
+        field = self.field
+        return RingElem(
+            self,
+            field._mul(b.const, field._inv(a.const)),
+            b.core.exact_div(a.core),
+            tuple(map(sub, b.exps, a.exps)),
+        )
 
     # -- calculus
 
     def derive(self, a: "RingElem") -> "RingElem":
-        """d/dt via the quotient rule on the reduced representation."""
+        """d/dt of c * core * prod(pi_j^e_j), one factor pi^e at a time:
+        (f * pi^e)' = (f' * pi + e * f * pi') * pi^(e-1)."""
         a = self.coerce(a)
-        if a.num.is_zero():
+        if a.is_zero():
             return self.zero
-        den = Poly.one(self.field)
-        for j, m in enumerate(a.dens):
-            den = den * self.inverted[j] ** m
-        num = a.num.derivative() * den - a.num * den.derivative()
-        dens = tuple(2 * m for m in a.dens)
-        return self.make(num, dens)
+        core = a.core
+        deriv, taken = core.derivative(), self.one.core
+        dens = []
+        for pi, e in zip(self.inverted, a.exps):
+            if e:
+                deriv = deriv * pi + core * taken * pi.derivative() * e
+                taken = taken * pi
+            dens.append(1 - e if e else 0)
+        return self.make(deriv.scale(FqElem(self.field, a.const)), dens)
 
     def dlog(self, u: "RingElem") -> "RingElem":
         """derive(u)/u for a unit u.  Additive on products; kills p-th powers."""
         u = self.coerce(u)
-        if not self.is_unit(u):
+        if not u.is_unit():
             raise NotAUnit(f"dlog of non-unit {u}")
         return self.derive(u) * u.inv()
 
@@ -225,15 +209,16 @@ class ChartRing:
         return mine <= theirs
 
     def restrict(self, a: "RingElem", target: "ChartRing") -> "RingElem":
-        """Image of a under A -> A' when A' inverts a superset."""
+        """Image of a under A -> A' when A' inverts a superset; only the
+        primes the target adds can divide the core."""
         a = self.coerce(a)
         if not self.is_sublocalization_of(target):
             raise RingMismatch("target ring does not invert a superset")
         index = {p.coeffs: j for j, p in enumerate(target.inverted)}
         dens = [0] * target.s
-        for j, m in enumerate(a.dens):
-            dens[index[self.inverted[j].coeffs]] = m
-        return target.make(a.num, dens)
+        for pi, e in zip(self.inverted, a.exps):
+            dens[index[pi.coeffs]] = -e
+        return target.make(a.core.scale(FqElem(self.field, a.const)), dens)
 
     # -- randomness for tests and probabilistic checks
 
@@ -304,14 +289,45 @@ class UnitLog:
 
 
 class RingElem:
-    """Reduced fraction num / prod(pi_j^dens_j) in a ChartRing."""
+    """const * core * prod(pi_j^exps_j) in a ChartRing, const a field code.
 
-    __slots__ = ("ring", "num", "dens")
+    Zero has const 0, the zero core and all exponents 0.
+    """
 
-    def __init__(self, ring: ChartRing, num: Poly, dens: tuple[int, ...]):
+    __slots__ = ("ring", "const", "core", "exps")
+
+    def __init__(self, ring: ChartRing, const: int, core: Poly, exps: tuple[int, ...]):
         self.ring = ring
-        self.num = num
-        self.dens = dens
+        self.const = const
+        self.core = core
+        self.exps = exps
+
+    # -- the reduced fraction, derived from the stored factors
+
+    def _poly(self, exps: Iterable[int]) -> Poly:
+        """const * core * prod(pi_j^k_j) as a polynomial, for k in N^s."""
+        out = self.core.scale(FqElem(self.ring.field, self.const))
+        for pi, k in zip(self.ring.inverted, exps):
+            if k:
+                out = out * pi**k
+        return out
+
+    @property
+    def num(self) -> Poly:
+        """Numerator of the reduced fraction (read-only view)."""
+        return self._poly(max(e, 0) for e in self.exps)
+
+    @property
+    def dens(self) -> tuple[int, ...]:
+        """Denominator exponent of each inverted prime (read-only view)."""
+        return tuple(max(-e, 0) for e in self.exps)
+
+    def fraction(self) -> tuple[Poly, Poly]:
+        """(numerator, denominator) of the reduced fraction; the denominator
+        is the monic product prod(pi_j^dens_j), prime to the numerator."""
+        return self.num, self.ring.one._poly(self.dens)
+
+    # -- arithmetic
 
     def _check(self, other) -> "RingElem":
         if isinstance(other, (int, Poly, FqElem)):
@@ -320,7 +336,7 @@ class RingElem:
             return NotImplemented
         if other.ring is not self.ring:
             if isinstance(other.ring, ChartRing) and other.ring.same_ring(self.ring):
-                return self.ring.make(other.num, other.dens)
+                return RingElem(self.ring, other.const, other.core, other.exps)
             raise RingMismatch("elements of different chart rings")
         return other
 
@@ -328,23 +344,18 @@ class RingElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero():
+        if not self.const:
             return other
-        if other.num.is_zero():
+        if not other.const:
             return self
-        lift = [max(a, b) for a, b in zip(self.dens, other.dens)]
-        num_a, num_b = self.num, other.num
-        for pi, top, da, db in zip(self.ring.inverted, lift, self.dens, other.dens):
-            if top > da:
-                num_a = num_a * pi ** (top - da)
-            if top > db:
-                num_b = num_b * pi ** (top - db)
-        return self.ring.make(num_a + num_b, lift)
+        low = tuple(map(min, self.exps, other.exps))
+        total = self._poly(map(sub, self.exps, low)) + other._poly(map(sub, other.exps, low))
+        return self.ring.make(total, [-m for m in low])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring._build(-self.num, self.dens)
+        return RingElem(self.ring, self.ring.field._neg(self.const), self.core, self.exps)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -359,9 +370,13 @@ class RingElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring.make(
-            self.num * other.num,
-            [a + b for a, b in zip(self.dens, other.dens)],
+        if not self.const or not other.const:
+            return self.ring.zero
+        return RingElem(
+            self.ring,
+            self.ring.field._mul(self.const, other.const),
+            self.core * other.core,
+            tuple(map(add, self.exps, other.exps)),
         )
 
     __rmul__ = __mul__
@@ -378,34 +393,27 @@ class RingElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        const = FqElem(self.ring.field, self.const) ** k
+        return RingElem(self.ring, const.code, self.core**k, tuple(e * k for e in self.exps))
 
     def inv(self) -> "RingElem":
         """Inverse of a unit; raises NotAUnit otherwise."""
-        log = self.ring.unit_log(self)
-        inverted = UnitLog(
-            self.ring, log.constant.inv(), tuple(-m for m in log.exponents)
-        )
-        return self.ring.exp_unit(inverted)
+        if not self.is_unit():
+            raise NotAUnit(f"{self} is not a unit of {self.ring}")
+        const = self.ring.field._inv(self.const)
+        return RingElem(self.ring, const, self.core, tuple(-e for e in self.exps))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.const
 
     def is_unit(self) -> bool:
-        return self.ring.is_unit(self)
+        return self.core.is_one()
 
     def derivative(self) -> "RingElem":
         return self.ring.derive(self)
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.const)
 
     def __eq__(self, other):
         if isinstance(other, (int, Poly, FqElem)):
@@ -413,13 +421,14 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         return (
-            self.ring.same_ring(other.ring)
-            and self.num.coeffs == other.num.coeffs
-            and self.dens == other.dens
+            (self.ring is other.ring or self.ring.same_ring(other.ring))
+            and self.const == other.const
+            and self.exps == other.exps
+            and self.core.coeffs == other.core.coeffs
         )
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.dens))
+        return hash((self.const, self.core.coeffs, self.exps))
 
     def __str__(self):
         num = str(self.num)

@@ -3,7 +3,10 @@
 The rank oracle is Gaussian elimination over the fraction field.  Entries are
 (numerator, denominator) polynomial pairs handled with plain fraction
 arithmetic.  It deliberately shares nothing with the module engine, so the two
-rank computations are genuinely separate routes.
+rank computations are genuinely separate routes.  The same fraction arithmetic
+is the reference for chart-ring elements: a ring element is read into a
+fraction from its stored unit-core factors, and every other step is plain
+polynomial arithmetic.
 
 The field references compute on power-basis coefficient vectors, not the
 field's tables, and the irreducibility reference is trial division.
@@ -17,13 +20,28 @@ Frac = tuple[Poly, Poly]
 
 
 def frac_of_ring_elem(x) -> Frac:
-    den = Poly.one(x.ring.field)
-    for pi, mult in zip(x.ring.inverted, x.dens):
-        den = den * pi**mult
-    return (x.num, den)
+    """const * core * prod(pi_j^e_j) as a reduced fraction, denominator monic."""
+    field = x.ring.field
+    num, den = Poly(field, (x.const,)) * x.core, Poly.one(field)
+    for pi, e in zip(x.ring.inverted, x.exps):
+        if e > 0:
+            num = num * pi**e
+        else:
+            den = den * pi ** (-e)
+    return reduce_frac((num, den))
 
 
-def _cancel(fr: Frac) -> Frac:
+def strip_primes(f: Poly, primes) -> Poly:
+    """Nonzero f with every factor among primes divided out, by trial division."""
+    for pi in primes:
+        q, r = f.divmod(pi)
+        while r.is_zero():
+            f = q
+            q, r = f.divmod(pi)
+    return f
+
+
+def reduce_frac(fr: Frac) -> Frac:
     num, den = fr
     if num.is_zero():
         return (num, Poly.one(den.field))
@@ -35,21 +53,31 @@ def _cancel(fr: Frac) -> Frac:
     return (num.scale(lc_inv), den.scale(lc_inv))
 
 
-def _sub(a: Frac, b: Frac) -> Frac:
-    return _cancel((a[0] * b[1] - b[0] * a[1], a[1] * b[1]))
+def frac_add(a: Frac, b: Frac) -> Frac:
+    return reduce_frac((a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
 
 
-def _mul(a: Frac, b: Frac) -> Frac:
-    return _cancel((a[0] * b[0], a[1] * b[1]))
+def frac_sub(a: Frac, b: Frac) -> Frac:
+    return reduce_frac((a[0] * b[1] - b[0] * a[1], a[1] * b[1]))
 
 
-def _div(a: Frac, b: Frac) -> Frac:
-    return _cancel((a[0] * b[1], a[1] * b[0]))
+def frac_mul(a: Frac, b: Frac) -> Frac:
+    return reduce_frac((a[0] * b[0], a[1] * b[1]))
+
+
+def frac_div(a: Frac, b: Frac) -> Frac:
+    return reduce_frac((a[0] * b[1], a[1] * b[0]))
+
+
+def frac_derive(a: Frac) -> Frac:
+    """The quotient rule."""
+    num, den = a
+    return reduce_frac((num.derivative() * den - num * den.derivative(), den * den))
 
 
 def fraction_field_rank(rows: list[list[Frac]]) -> int:
     """Row-echelon rank of a matrix of polynomial fractions."""
-    rows = [[_cancel(x) for x in row] for row in rows]
+    rows = [[reduce_frac(x) for x in row] for row in rows]
     if not rows or not rows[0]:
         return 0
     nrows, ncols = len(rows), len(rows[0])
@@ -70,9 +98,9 @@ def fraction_field_rank(rows: list[list[Frac]]) -> int:
             entry = rows[i][pivot_col]
             if entry[0].is_zero():
                 continue
-            factor = _div(entry, pivot)
+            factor = frac_div(entry, pivot)
             rows[i] = [
-                _sub(x, _mul(factor, p)) for x, p in zip(rows[i], rows[rank])
+                frac_sub(x, frac_mul(factor, p)) for x, p in zip(rows[i], rows[rank])
             ]
         rank += 1
         pivot_col += 1

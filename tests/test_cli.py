@@ -16,7 +16,7 @@ from taucover.catalog import (
 )
 from taucover import cli
 from taucover.cli import fixture_report, main, matches_expected, omega_l_report
-from taucover.covers import TorsionBundle
+from taucover.covers import MAX_CHARTS, MAX_N, TorsionBundle
 from taucover.errors import MalformedInput
 
 ALL_FIXTURES = [
@@ -418,6 +418,68 @@ def test_inverted_prime_at_degree_cap_validates(capsys, tmp_path):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("command", ["connection", "report"])
+@pytest.mark.parametrize("samples", ["-5", str(cli.MAX_SAMPLES + 1), "100000000"])
+def test_samples_outside_the_bound_exit_two_with_one_json_document(capsys, command, samples):
+    start = time.perf_counter()
+    code = main([command, "--fixture", "GM_P2", "--samples", samples])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)  # raises unless exactly one document
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert f"[0, {cli.MAX_SAMPLES}]" in out["error"]
+    assert elapsed < 1.0
+
+
+def test_samples_at_the_bound_run(capsys):
+    code, out = run_cli(capsys, "connection", "--fixture", "GM_P2", "--samples", "0")
+    assert code == 0 and out["leibniz"]["charts"][0]["samples"] == 0
+    code, out = run_cli(
+        capsys, "connection", "--fixture", "GM_P2", "--samples", str(cli.MAX_SAMPLES)
+    )
+    assert code == 0 and out["leibniz"]["charts"][0]["samples"] == cli.MAX_SAMPLES
+
+
+def many_charts(k: int) -> dict:
+    """k copies of one F_2 chart, glued by the identity."""
+    return {
+        "field": {"p": 2, "e": 1},
+        "n": 2,
+        "charts": [{"inverted": ["t"]}] * k,
+        "u": ["t"] * k,
+        "g": {f"({i},{j})": "1" for i in range(k) for j in range(i + 1, k)},
+    }
+
+
+def test_bundles_at_the_order_and_chart_caps_run(capsys, tmp_path):
+    at_order = {**ONE_CHART, "n": MAX_N}
+    code, out = run_cli(capsys, "class", "--json", write_bundle(tmp_path, at_order))
+    assert code == 0 and out["obstruction"] == "s-functional"
+    at_charts = many_charts(MAX_CHARTS)
+    code, out = run_cli(capsys, "validate", "--json", write_bundle(tmp_path, at_charts))
+    assert code == 0 and out["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "bundle, cap",
+    [
+        ({**ONE_CHART, "n": MAX_N + 1}, f"[1, {MAX_N}]"),
+        (many_charts(MAX_CHARTS + 1), f"at most {MAX_CHARTS}"),
+    ],
+    ids=["order-above-cap", "charts-above-cap"],
+)
+def test_bundles_above_a_cap_exit_two_before_any_chart_is_parsed(capsys, tmp_path, bundle, cap):
+    # t^2 + 1 = (t + 1)^2 over F_2: parsing any chart would fail differently
+    bundle = {**bundle, "charts": [{"inverted": ["t^2 + 1"]}] * len(bundle["charts"])}
+    start = time.perf_counter()
+    code = main(["validate", "--json", write_bundle(tmp_path, bundle)])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["kind"] == "malformed-input" and cap in out["error"]
+    assert elapsed < 1.0
 
 
 def test_bad_sequence_choice_exits_two(capsys):

@@ -16,7 +16,7 @@ from taucover.connections import (
     coprime_degeneration_check,
     is_trivial_class,
 )
-from taucover.errors import NotCoprime
+from taucover.errors import NotCoprime, TauCoverError
 from taucover.fields import FqField
 from taucover.partialforms import dga_check
 from taucover.rings import ChartRing
@@ -427,6 +427,17 @@ def test_nonzero_s_after_sigma_turns_s_kills_coboundaries_false():
     verdict = is_trivial_class(cover)
     assert verdict["obstruction"] == "s-functional"
     assert verdict["s_kills_coboundaries"] is False
+
+
+def test_cochain_that_passes_s_outside_the_pullback_image_raises(monkeypatch):
+    cover = build("GM_P2")
+    ring = cover.partial_forms[0].ring
+    cochain = coboundary_class(cover, [ring.t])
+    assert is_trivial_class(cover, cochain)["trivial"] is True
+    # the absorption cannot fail on a real chart, so break the helper
+    monkeypatch.setattr(connections, "_absorb_root_component", lambda pfc, coords: None)
+    with pytest.raises(TauCoverError, match="outside the image of the pullback sigma"):
+        is_trivial_class(cover, cochain)
 
 
 def test_reports_are_json_serializable():

@@ -1,9 +1,20 @@
 """Polynomials and localized chart rings: normal form, units, calculus."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import (
+    frac_add,
+    frac_derive,
+    frac_div,
+    frac_mul,
+    frac_of_ring_elem,
+    frac_sub,
+    reduce_frac,
+    strip_primes,
+)
 
 from taucover import exprparse
 from taucover.errors import MalformedInput, NotAUnit, NotIrreducible
@@ -15,6 +26,7 @@ F2 = FqField(2, 1)
 F3 = FqField(3, 1)
 F5 = FqField(5, 1)
 F4 = FqField(2, 2)
+F9 = FqField(3, 2)
 
 
 @pytest.fixture
@@ -140,10 +152,11 @@ def test_adding_equal_denominators_raises_no_prime_to_a_power(A5, monkeypatch):
 def test_adding_unequal_denominators_lifts_only_the_lower_one(A5, monkeypatch):
     x = A5.parse("1/t^2")
     y = A5.parse("1/(t*(t+4))")
+    expected = A5.parse("(t + t + 4)/(t^2*(t+4))")
     calls = []
     power = Poly.__pow__
     monkeypatch.setattr(Poly, "__pow__", lambda f, k: calls.append(k) or power(f, k))
-    assert x + y == A5.parse("(t + t + 4)/(t^2*(t+4))")
+    assert x + y == expected
     assert sorted(calls) == [1, 1]
 
 
@@ -271,3 +284,103 @@ def test_unit_group_structure(i, j, k):
     log = A.unit_log(u)
     assert log.exponents == (j - 2, k - 1)
     assert log.constant == c
+
+
+# -- the unit-core form against the fraction-field oracle
+
+# Three monic irreducibles per field; a ring inverts at most two of them, so
+# one is always left for a restriction target.
+ORACLE_PRIMES = {
+    F2: ("t", "t + 1", "t^2 + t + 1"),
+    F4: ("t", "t + a", "t^3 + t + 1"),
+    F5: ("t", "t + 4", "t^2 + 2"),
+    F9: ("t", "t + a", "t^3 + 2*t + 1"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_ring(field, chosen: tuple[int, ...]) -> ChartRing:
+    return ChartRing(field, [ORACLE_PRIMES[field][j] for j in chosen])
+
+
+@st.composite
+def oracle_elements(draw, ring, unit=False):
+    """A ring element from num / prod(pi_j^d_j), d in [-2, 2]^s, and its fraction."""
+    field = ring.field
+    if unit:
+        codes = [draw(st.integers(1, field.q - 1))]
+    else:
+        codes = draw(st.lists(st.integers(0, field.q - 1), max_size=5))
+    num = Poly(field, codes)
+    dens = draw(st.lists(st.integers(-2, 2), min_size=ring.s, max_size=ring.s))
+    top, bottom = num, Poly.one(field)
+    for pi, d in zip(ring.inverted, dens):
+        if d < 0:
+            top = top * pi ** (-d)
+        else:
+            bottom = bottom * pi**d
+    return ring.make(num, dens), reduce_frac((top, bottom))
+
+
+@st.composite
+def oracle_cases(draw):
+    field = draw(st.sampled_from(list(ORACLE_PRIMES)))
+    chosen = tuple(draw(st.lists(st.integers(0, 2), max_size=2, unique=True)))
+    extra = draw(st.sampled_from([j for j in range(3) if j not in chosen]))
+    ring = oracle_ring(field, chosen)
+    target = oracle_ring(field, chosen + (extra,))
+    x, y = draw(oracle_elements(ring)), draw(oracle_elements(ring))
+    return ring, target, x, y, draw(oracle_elements(ring, unit=True))
+
+
+def assert_unit_core_form(x, fx):
+    ring = x.ring
+    assert frac_of_ring_elem(x) == fx
+    assert x.fraction() == fx
+    assert x.is_zero() == fx[0].is_zero() == x.core.is_zero()
+    if not x.is_zero():
+        assert x.core.is_monic()
+        assert not any(pi.divides(x.core) for pi in ring.inverted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_unit_core_form_matches_the_fraction_field_oracle(case):
+    ring, target, (x, fx), (y, fy), (u, fu) = case
+    primes = ring.inverted
+    for elem, fr in [(x, fx), (y, fy), (u, fu)]:
+        assert_unit_core_form(elem, fr)
+        assert ring.parse(str(elem)) == elem
+    assert_unit_core_form(x + y, frac_add(fx, fy))
+    assert_unit_core_form(x - y, frac_sub(fx, fy))
+    assert_unit_core_form(x * y, frac_mul(fx, fy))
+    assert_unit_core_form(ring.derive(x), frac_derive(fx))
+    assert_unit_core_form(ring.restrict(x, target), fx)
+
+    one = (Poly.one(ring.field), Poly.one(ring.field))
+    assert_unit_core_form(u.inv(), frac_div(one, fu))
+    assert_unit_core_form(ring.dlog(u), frac_div(frac_derive(fu), fu))
+    log = ring.unit_log(u)
+    top, bottom = Poly.const(log.constant), Poly.one(ring.field)
+    for pi, m in zip(primes, log.exponents):
+        top, bottom = (top * pi**m, bottom) if m > 0 else (top, bottom * pi ** (-m))
+    assert reduce_frac((top, bottom)) == fu
+
+    # x is a unit exactly when its numerator is a constant times inverted primes
+    x_is_unit = not x.is_zero() and strip_primes(fx[0], primes).is_constant()
+    assert (ring.try_unit_log(x) is not None) == x_is_unit
+    if not x_is_unit:
+        with pytest.raises(NotAUnit):
+            x.inv()
+    core = strip_primes(fx[0], primes).monic() if not x.is_zero() else fx[0]
+    assert ring.core(x) == core
+
+    # y | x exactly when x/y has a denominator made of inverted primes only
+    if y.is_zero():
+        assert ring.divides(y, x) == x.is_zero()
+        return
+    quotient = frac_div(fx, fy)
+    divides = strip_primes(quotient[1], primes).is_one()
+    assert ring.divides(y, x) == divides
+    if divides:
+        assert_unit_core_form(ring.exact_div(x, y), quotient)
