@@ -37,7 +37,7 @@ def main():
     x = ring.parse("(t^2 + 4*t)/t")
     print(f"(t^2 + 4t)/t normalizes to {x}")
     u = ring.parse("3*t^2/(t + 4)")
-    print(f"u = {u} is a unit: {ring.is_unit(u)}")
+    print(f"u = {u} is a unit: {u.is_unit()}")
     log = ring.unit_log(u)
     print(f"unit decomposition: constant {log.constant}, exponents {log.exponents}")
     print(f"dlog(u) = {ring.dlog(u)}")

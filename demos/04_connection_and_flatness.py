@@ -8,9 +8,9 @@ to the classical connection with form (1/n) dlog(u).
 """
 
 from taucover import (
+    ClassicalConnection,
     Cover,
     TauConnection,
-    classical_connection,
     coprime_degeneration_check,
     load_fixture,
 )
@@ -41,7 +41,7 @@ def main():
     print()
     print("== Coprime order: the classical picture ==")
     bundle = load_fixture("COPRIME").bundle()
-    classical = classical_connection(bundle)
+    classical = ClassicalConnection(bundle)
     print(f"order {bundle.n} in characteristic {bundle.scheme.field.p}")
     print(f"classical form coefficient: {classical.eta[0]}")
     print(f"curvature vanishes: {classical.curvature_check()['passed']}")

@@ -69,11 +69,22 @@ def load_fixture(name: str) -> Fixture:
         raise MalformedInput(
             f"fixture file {path} names itself {data['name']!r}, expected {name!r}"
         )
+    bundle, expected = data["bundle"], data["expected"]
+    if not isinstance(bundle, dict) or not isinstance(expected, dict):
+        raise MalformedInput(f"fixture file {path}: bundle and expected must be objects")
+    # what the `catalog` listing reads
+    missing = [f"bundle.{k}" for k in ("field", "n", "charts") if k not in bundle]
+    if not isinstance(expected.get("validate"), dict) or "degenerate" not in expected["validate"]:
+        missing.append("expected.validate.degenerate")
+    if missing:
+        raise MalformedInput(f"fixture file {path} missing keys: {missing}")
+    if not isinstance(bundle["charts"], list):
+        raise MalformedInput(f"fixture file {path}: bundle.charts must be a list")
     return Fixture(
         name=data["name"],
         description=data["description"],
-        bundle_json=data["bundle"],
-        expected=data["expected"],
+        bundle_json=bundle,
+        expected=expected,
         provenance=data["provenance"],
     )
 

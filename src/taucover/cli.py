@@ -27,9 +27,9 @@ from pathlib import Path
 from . import catalog
 from .catalog import Fixture
 from .connections import (
+    ClassicalConnection,
     TauConnection,
     cech_class,
-    classical_connection,
     is_trivial_class,
 )
 from .covers import Cover, TorsionBundle, factor_cover
@@ -70,10 +70,6 @@ _MALFORMED = (
 
 
 # -- report builders
-
-
-def validate_report(bundle: TorsionBundle) -> dict:
-    return bundle.validate()
 
 
 def cover_report(bundle: TorsionBundle, cover: Cover | None = None) -> dict:
@@ -183,7 +179,7 @@ def connection_report(
     coprime = bundle.n % bundle.scheme.field.p != 0
     out = {"mode": "classical" if coprime else "partial", **tau}
     if coprime:
-        classical = classical_connection(bundle).report()
+        classical = ClassicalConnection(bundle).report()
         out["classical"] = classical
         out["passed"] = out["passed"] and classical["passed"]
     return out
@@ -209,7 +205,7 @@ def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
     bundle = fixture.bundle()
     cover = Cover(bundle)
     sections = {
-        "validate": validate_report(bundle),
+        "validate": bundle.validate(),
         "cover": cover_report(bundle, cover=cover),
         "omega_l": omega_l_report(bundle, 1, cover=cover),
         "sequences": sequence_reports(cover, SEQUENCE_IDS),
@@ -386,7 +382,7 @@ def _dispatch(args) -> tuple[dict, int]:
         return _cmd_verify(args)
     bundle, _ = _load_bundle(args)
     if args.command == "validate":
-        report = validate_report(bundle)
+        report = bundle.validate()
         return report, 0 if report["valid"] else 1
     if args.command == "cover":
         report = cover_report(bundle)
@@ -403,13 +399,6 @@ def _dispatch(args) -> tuple[dict, int]:
     raise MalformedInput(f"unknown command {args.command!r}")
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -418,7 +407,17 @@ def main(argv=None) -> int:
         payload, code = {"error": str(exc), "kind": "malformed-input"}, 2
     except TauCoverError as exc:
         payload, code = {"error": str(exc), "kind": "failed-verification"}, 1
-    _emit(payload, getattr(args, "out", None))
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    out_path = getattr(args, "out", None)
+    if out_path:
+        # Written before printing, so a failed write prints only its error.
+        try:
+            Path(out_path).write_text(text + "\n")
+        except OSError as exc:
+            error = {"error": f"cannot write {out_path}: {exc}", "kind": "malformed-input"}
+            print(json.dumps(error, indent=2, sort_keys=True))
+            return 2
+    print(text)
     return code
 
 

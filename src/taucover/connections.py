@@ -29,7 +29,6 @@ coefficient unique modulo the ideal I of that image's presentation A/I.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import deque
@@ -48,7 +47,7 @@ from .forms import (
     two_form_to_vec,
     wedge_one_one,
 )
-from .partialforms import PartialFormsChart, atiyah_cocycle_check
+from .partialforms import PartialFormsChart, _law, atiyah_cocycle_check
 from .pidmod import PolyMatrix, Submodule
 from .polys import Poly
 from .rings import ChartRing, RingElem, UnitLog
@@ -96,14 +95,18 @@ class TauConnection:
             ring = pfc.ring
             v_inv = pfc.chart.v_inv()
             omega = self.connection_coords(i)
-            sections = itertools.chain(
-                [ring.one],
-                (ring.random_element(rng, max_deg=3, max_den=1) for _ in range(samples)),
+
+            def residual(lam):
+                vec = one_form_to_vec(d_function_times_v(pfc.chart, v_inv.scale(lam)))
+                formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
+                return vec, pfc.sub1.ambient_vec(formula)
+
+            failing = _law(
+                pfc.omega1_ambient, residual, [(ring.one,)],
+                lambda: (ring.random_element(rng, max_deg=3, max_den=1),), samples,
             )
-            for lam in sections:
-                stays, matches = _leibniz_verdict(pfc, v_inv, omega, lam)
-                if not (stays and matches):
-                    break
+            matches = failing is None
+            stays = matches or pfc.sub1.contains(residual(*failing)[0]) is not None
             classical = _classical_identity(pfc, eta[i]) if coprime else None
             charts.append(
                 {
@@ -172,24 +175,6 @@ def d_function_times_v(chart, elem) -> CoverOneForm:
     return CoverOneForm(chart, dsec.ct * chart.v, dsec.cv * chart.v)
 
 
-def _leibniz_verdict(pfc: PartialFormsChart, v_inv, omega, lam) -> tuple[bool, bool]:
-    """(stays_partial, matches_formula) for the section lam/v.
-
-    One reduction of the residual v*d(lam/v) - (dlam + lam*omega) in the
-    ambient one-forms decides the formula.  When the two sides differ,
-    membership of v*d(lam/v) in the partial forms is solved to say whether
-    it stays partial.
-    """
-    ring = pfc.ring
-    vec = one_form_to_vec(d_function_times_v(pfc.chart, v_inv.scale(lam)))
-    formula = pfc.sub1.ambient_vec(
-        (ring.derive(lam) + lam * omega[0], lam * omega[1])
-    )
-    if pfc.omega1_ambient.elems_equal(vec, formula):
-        return True, True
-    return pfc.sub1.contains(vec) is not None, False
-
-
 def _classical_identity(pfc: PartialFormsChart, eta: RingElem) -> bool:
     """(lambda', -lambda) = (lambda' - lambda*eta, 0) in Omega1_L for every lambda.
 
@@ -251,10 +236,6 @@ class ClassicalConnection:
             "curvature": curvature,
             "passed": delta["passed"] and curvature["passed"],
         }
-
-
-def classical_connection(bundle: TorsionBundle) -> ClassicalConnection:
-    return ClassicalConnection(bundle)
 
 
 def coprime_degeneration_check(cover: Cover) -> dict:

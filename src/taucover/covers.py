@@ -36,7 +36,7 @@ class CoverChart:
         if n < 1:
             raise MalformedInput("cover degree must be a positive integer")
         u = ring.coerce(u)
-        if not ring.is_unit(u):
+        if not u.is_unit():
             raise NotAUnit(f"{u} must be a unit to take an n-th root cover")
         self.ring = ring
         self.n = n
@@ -50,19 +50,13 @@ class CoverChart:
     def one(self) -> "CoverElem":
         return self.from_ring(self.ring.one)
 
-    @property
+    @cached_property
     def v(self) -> "CoverElem":
-        if self.n == 1:
-            return self.from_ring(self.u)
-        coeffs = [self.ring.zero] * self.n
-        coeffs[1] = self.ring.one
-        return CoverElem(self, tuple(coeffs))
+        return self.gen_power(1)
 
     def v_inv(self) -> "CoverElem":
         """1/v = u^{-1} * v^{n-1}."""
-        coeffs = [self.ring.zero] * self.n
-        coeffs[-1] = self.u.inv()
-        return CoverElem(self, tuple(coeffs))
+        return self.gen_power(-1)
 
     def from_ring(self, a) -> "CoverElem":
         a = self.ring.coerce(a)
@@ -79,6 +73,20 @@ class CoverChart:
         q, r = divmod(j, self.n)
         coeffs = [self.ring.zero] * self.n
         coeffs[r] = self.u**q if q >= 0 else self.u.inv() ** (-q)
+        return CoverElem(self, tuple(coeffs))
+
+    def rescaled(self, x: "CoverElem", w) -> "CoverElem":
+        """x(w*v): the image of x under the change of root v_x -> w*v.
+
+        x lives on a cover chart whose ring restricts into this chart's ring,
+        so sum x_k v_x^k goes to sum x_k w^k v^k.  Glue on an overlap is the
+        case w = g^{-1}, rewriting chart i's v_i = g^{-1} v_j in chart j's root.
+        """
+        restrict = x.chart.ring.restrict
+        coeffs, wk = [], self.ring.one
+        for c in x.coeffs:
+            coeffs.append(restrict(c, self.ring) * wk)
+            wk = wk * w
         return CoverElem(self, tuple(coeffs))
 
     def coerce(self, value) -> "CoverElem":
@@ -288,7 +296,7 @@ class TorsionBundle:
             scheme.charts[i].coerce(x) for i, x in enumerate(u)
         )
         for i, x in enumerate(self.u):
-            if not scheme.charts[i].is_unit(x):
+            if not x.is_unit():
                 raise NotAUnit(f"chart {i} trivialization {x} is not a unit")
         want = set(scheme.pairs())
         got = set(g)
@@ -300,7 +308,7 @@ class TorsionBundle:
         for (i, j), val in g.items():
             ovl = scheme.overlap(i, j)
             val = ovl.coerce(val)
-            if not ovl.is_unit(val):
+            if not val.is_unit():
                 raise NotAUnit(f"transition unit on overlap {(i, j)} is not a unit")
             self.g[(i, j)] = val
 
@@ -403,6 +411,8 @@ class TorsionBundle:
             pair = _parse_pair(key)
             if pair not in scheme.pairs():
                 raise MalformedInput(f"transition key {key} is not a chart pair (i,j), i<j")
+            if pair in g:
+                raise MalformedInput(f"transition key {key} repeats the chart pair {pair}")
             g[pair] = scheme.overlap(*pair).parse(expr)
         return cls(scheme, n, g, u)
 
@@ -465,21 +475,9 @@ class Cover:
         return out
 
     def transport(self, i: int, j: int, elem: CoverElem) -> CoverElem:
-        """Rewrite an element of chart i's cover in chart j's coordinates.
-
-        Both sides land in the overlap cover algebra built on v_j, using
-        v_i = v_j / g_ij.
-        """
-        scheme = self.bundle.scheme
-        target = self.overlap_cover(i, j)
-        g = self.bundle.g_any(i, j)
-        acc = target.zero
-        for k, a in enumerate(elem.coeffs):
-            if a.is_zero():
-                continue
-            a_ovl = scheme.restrict(i, a, j)
-            acc = acc + target.gen_power(k).scale(a_ovl * g.inv() ** k)
-        return acc
+        """Rewrite an element of chart i's cover in chart j's coordinates,
+        in the overlap cover algebra built on v_j, by v_i = v_j / g_ij."""
+        return self.overlap_cover(i, j).rescaled(elem, self.bundle.g_any(i, j).inv())
 
     @cached_property
     def partial_forms(self) -> tuple:

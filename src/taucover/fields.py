@@ -332,10 +332,6 @@ class FqElem:
     def inv(self) -> "FqElem":
         return FqElem(self.field, self.field._inv(self.code))
 
-    def frobenius(self) -> "FqElem":
-        """The arithmetic Frobenius x -> x^p."""
-        return self ** self.field.p
-
     def frobenius_inverse(self) -> "FqElem":
         """The inverse automorphism: x^(p^(e-1)); its p-th power is x."""
         return self ** (self.field.p ** (self.field.e - 1))

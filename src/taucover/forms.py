@@ -144,8 +144,7 @@ def cartier(form: ChartForm) -> ChartForm:
     picked = [
         lifted[k].frobenius_inverse().code for k in range(p - 1, len(lifted.coeffs), p)
     ]
-    result_num = Poly(field, picked)
-    return ChartForm(ring, 1, ring.from_poly(result_num) / ring.from_poly(den))
+    return ChartForm(ring, 1, ring.make(Poly(field, picked), x.dens))
 
 
 class OmegaL:
@@ -293,12 +292,6 @@ def _v_power_names(n: int, suffix: str = "") -> list[str]:
     return names
 
 
-def functions_module(chart: CoverChart) -> FpmModule:
-    """O_Y on one chart: free over A on the v-power basis, v^j of weight j."""
-    ring, n = chart.ring, chart.n
-    return FpmModule(ring, n, GradedMatrix(ring, range(n), (), {}), _v_power_names(n))
-
-
 def one_forms_module(chart: CoverChart) -> FpmModule:
     """Kähler one-forms of the cover chart, presented on v^j dt, v^j dv.
 
@@ -401,11 +394,6 @@ def wedge_one_one(a: CoverOneForm, b: CoverOneForm) -> CoverTwoForm:
     return CoverTwoForm(a.chart, a.ct * b.cv - a.cv * b.ct)
 
 
-def pullback_function(chart: CoverChart, f) -> CoverElem:
-    """sigma^* on functions: the inclusion A -> B."""
-    return chart.from_ring(f)
-
-
 def pullback_one_form(chart: CoverChart, form: ChartForm) -> CoverOneForm:
     """sigma^* on base one-forms: f dt -> f dt with dv-part zero."""
     if form.degree != 1:
@@ -417,25 +405,23 @@ def pullback_one_form(chart: CoverChart, form: ChartForm) -> CoverOneForm:
 
 def dv_over_v(chart: CoverChart) -> CoverOneForm:
     """The logarithmic root form dv/v = u^{-1} v^{n-1} dv."""
-    coeffs = [chart.ring.zero] * chart.n
-    coeffs[chart.n - 1] = chart.u.inv()
-    return CoverOneForm(chart, chart.zero, chart.from_coeffs(coeffs))
+    return CoverOneForm(chart, chart.zero, chart.v_inv())
+
+
+def rescale_root(target: CoverChart, w, form: CoverOneForm) -> CoverOneForm:
+    """Image of a one-form under the change of root v_form -> w*v on ``target``.
+
+    Coefficients move by ``target.rescaled``, and d(w*v) = w' v dt + w dv
+    moves the dv part.
+    """
+    ct = target.rescaled(form.ct, w)
+    cv = target.rescaled(form.cv, w)
+    return CoverOneForm(
+        target, ct + cv * target.v.scale(target.ring.derive(w)), cv.scale(w)
+    )
 
 
 def transport_one_form(cover: Cover, i: int, j: int, form: CoverOneForm) -> CoverOneForm:
-    """Rewrite a one-form of chart i's cover in chart j's coordinates.
-
-    Uses v_i = g^{-1} v_j, hence dv_i = (g^{-1})' v_j dt + g^{-1} dv_j, with
-    every coefficient transported through the overlap cover algebra.
-    """
-    scheme = cover.bundle.scheme
-    ovl = scheme.overlap(i, j)
-    target = cover.overlap_cover(i, j)
-    g = cover.bundle.g_any(i, j)
-    ginv = g.inv()
-    ginv_prime = ovl.derive(ginv)
-    ct = cover.transport(i, j, form.ct)
-    cv = cover.transport(i, j, form.cv)
-    dt_part = ct + cv * target.v.scale(ginv_prime)
-    dv_part = cv.scale(ginv)
-    return CoverOneForm(target, dt_part, dv_part)
+    """Rewrite a one-form of chart i's cover in chart j's coordinates, by the
+    root change v_i = g^{-1} v_j on the overlap."""
+    return rescale_root(cover.overlap_cover(i, j), cover.bundle.g_any(i, j).inv(), form)

@@ -25,7 +25,7 @@ import random
 from functools import cached_property
 from typing import Sequence
 
-from .covers import Cover, CoverChart, CoverElem, TorsionBundle
+from .covers import Cover, TorsionBundle
 from .errors import StabilityFailure
 from .forms import (
     ChartForm,
@@ -37,6 +37,7 @@ from .forms import (
     one_form_to_vec,
     one_forms_module,
     pullback_one_form,
+    rescale_root,
     transport_one_form,
     two_form_to_vec,
     two_forms_module,
@@ -44,7 +45,6 @@ from .forms import (
     wedge_one_one,
 )
 from .pidmod import FpmModule, ModuleMap, PolyMatrix, Submodule, is_exact
-from .rings import RingElem
 
 
 class PartialFormsChart:
@@ -338,18 +338,18 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
         laws = {
             "pullback_intertwines_d": _law(
                 amb1, intertwines, [(ring.t,)], lambda: (base_element(),), samples
-            ),
+            ) is None,
             "d_squared_zero": _law(
                 amb2, d_squared_cover,
                 [(chart.gen_power(j),) for j in range(chart.n)],
                 lambda: (chart.random_element(rng, max_deg=2),), samples,
-            ) and _law(
+            ) is None and _law(
                 amb2, d_squared_base, [(ring.t,)], lambda: (base_element(),), samples
-            ),
+            ) is None,
             "leibniz": _law(
                 amb2, leibniz, [(ring.t, one, zero), (ring.t, zero, one)],
                 lambda: (base_element(), base_element(), base_element()), samples,
-            ),
+            ) is None,
         }
 
         s_defined = pfc.s1_map.is_well_defined
@@ -369,12 +369,12 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
 
             laws["s_anticommutes_representatives"] = _law(
                 amb2, anticommutes, [(one,)], lambda: (base_element(),), samples
-            )
+            ) is None
             laws["s_anticommutes_corrected"] = _law(
                 pfc.corrected_tail, anticommutes_corrected,
                 [(one, zero), (zero, one)],
                 lambda: (base_element(), base_element()), samples,
-            )
+            ) is None
         else:
             laws["s_anticommutes_representatives"] = None
             laws["s_anticommutes_corrected"] = None
@@ -390,19 +390,21 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
     return {"charts": charts, "passed": all(c["passed"] for c in charts)}
 
 
-def _law(module: FpmModule, sides, generators, draw, samples: int) -> bool:
-    """lhs = rhs in ``module`` for a law whose defect is A-linear.
+def _law(module: FpmModule, sides, generators, draw, samples: int) -> tuple | None:
+    """The first arguments at which lhs != rhs in ``module``, or None.
 
-    The generator arguments decide the law; ``samples`` arguments from
-    ``draw`` then guard the code properties the linearity rests on.  Each
-    argument costs one reduction, and a side that leaves the partial forms
-    fails the law.
+    For a law whose defect is A-linear the generator arguments decide it;
+    ``samples`` arguments from ``draw``, drawn lazily, then guard the code
+    properties the linearity rests on.  Each argument costs one reduction,
+    and a side that leaves the partial forms fails the law.
     """
-    args = itertools.chain(generators, (draw() for _ in range(samples)))
-    try:
-        return all(module.elems_equal(*sides(*a)) for a in args)
-    except StabilityFailure:
-        return False
+    for args in itertools.chain(generators, (draw() for _ in range(samples))):
+        try:
+            if not module.elems_equal(*sides(*args)):
+                return args
+        except StabilityFailure:
+            return args
+    return None
 
 
 def atiyah_cocycle_check(cover: Cover) -> dict:
@@ -427,25 +429,6 @@ def atiyah_cocycle_check(cover: Cover) -> dict:
             }
         )
     return {"overlaps": overlaps, "passed": all(o["passed"] for o in overlaps)}
-
-
-def _rescale_one_form(
-    old_chart: CoverChart, w: RingElem, form: CoverOneForm
-) -> CoverOneForm:
-    """Image of a one-form under v' -> w*v, so dv' -> w' v dt + w dv."""
-    ring = old_chart.ring
-
-    def phi(ce: CoverElem) -> CoverElem:
-        return old_chart.from_coeffs(
-            [c * w**k for k, c in enumerate(ce.coeffs)]
-        )
-
-    ct = phi(form.ct)
-    cv = phi(form.cv)
-    dw = ring.derive(w)
-    dt_part = ct + cv * old_chart.v.scale(dw)
-    dv_part = cv.scale(w)
-    return CoverOneForm(old_chart, dt_part, dv_part)
 
 
 def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dict:
@@ -475,7 +458,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
         s_match = True if s_defined else None
         for col, expected_s in [(0, old.ring.zero), (1, old.ring.one)]:
             form_new = vec_to_one_form(new.chart, new.sub1.gens.col(col))
-            mapped = _rescale_one_form(old.chart, w, form_new)
+            mapped = rescale_root(old.chart, w, form_new)
             coords = old.sub1.contains(one_form_to_vec(mapped))
             if coords is None:
                 forward_ok = False
@@ -489,7 +472,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
         winv = w.inv()
         for col in (0, 1):
             form_old = vec_to_one_form(old.chart, old.sub1.gens.col(col))
-            mapped = _rescale_one_form(new.chart, winv, form_old)
+            mapped = rescale_root(new.chart, winv, form_old)
             if new.sub1.contains(one_form_to_vec(mapped)) is None:
                 backward_ok = False
         charts.append(

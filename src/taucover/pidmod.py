@@ -188,21 +188,13 @@ class SNFResult:
         return sum(1 for d in self.diag if not d.is_zero())
 
     def nonunit_torsion(self) -> list[Poly]:
-        ring = self.matrix.ring
-        out = []
-        for d in self.diag:
-            if d.is_zero():
-                continue
-            core = ring.core(d)
-            if not core.is_one():
-                out.append(core)
-        return out
+        return [d.core for d in self.diag if not d.is_zero() and not d.core.is_one()]
 
 
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
     """q with size(a - q*b) < size(b), measuring by core degree."""
     ua, ub = ring.unit_core_split(a)[0], ring.unit_core_split(b)[0]
-    return ring.from_poly(a.core // b.core) * ua / ub
+    return ring.make(a.core // b.core) * ua / ub
 
 
 def smith_normal_form(M: PolyMatrix) -> SNFResult:
@@ -667,9 +659,6 @@ class FpmModule:
             core for w in graded.blocks for core in graded.snf(w).nonunit_torsion()
         )
 
-    def is_zero_module(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def zero_vec(self) -> Vec:
         return tuple(self.ring.zero for _ in range(self.n_gens))
 
@@ -695,11 +684,10 @@ class FpmModule:
             for i, d in enumerate(snf.diag):
                 if d.is_zero():
                     continue
-                core = self.ring.core(d)
-                if core.is_one():
+                if d.core.is_one():
                     y[i] = self.ring.zero
                 else:
-                    y[i] = _residue_mod_core(self.ring, y[i], core)
+                    y[i] = _residue_mod_core(self.ring, y[i], d.core)
             for i, x in zip(graded.rows_of[w], snf.U_inv.apply_vec(y)):
                 out[i] = x
         return tuple(out)
@@ -755,7 +743,7 @@ def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
     _g, s, _t = den.xgcd(core)
     # den * s = 1 mod core since core is coprime to every inverted irreducible
     rep = (num * s) % core
-    return ring.from_poly(rep)
+    return ring.make(rep)
 
 
 class Submodule:

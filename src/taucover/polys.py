@@ -177,9 +177,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def lc(self) -> FqElem:
         if not self.coeffs:
             raise DivisionByZero("leading coefficient of zero")
@@ -255,12 +252,6 @@ class Poly:
         exp, log = field.exp, field.log
         lc = log[c.code]
         return Poly(field, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         other = self._check(other)

@@ -82,9 +82,6 @@ class ChartRing:
             exps[j] += mult
         return RingElem(self, num.coeffs[-1], num.monic(), tuple(exps))
 
-    def from_poly(self, num: Poly) -> "RingElem":
-        return self.make(num)
-
     def from_int(self, n: int) -> "RingElem":
         return self.from_field(self.field.elem(n))
 
@@ -100,7 +97,7 @@ class ChartRing:
                 raise RingMismatch("element of a different chart ring")
             return value
         if isinstance(value, Poly):
-            return self.from_poly(value)
+            return self.make(value)
         if isinstance(value, FqElem):
             return self.from_field(value)
         if isinstance(value, int):
@@ -120,20 +117,11 @@ class ChartRing:
 
     # -- units and cores, read off the stored factors
 
-    def is_unit(self, a: "RingElem") -> bool:
-        return self.coerce(a).is_unit()
-
     def unit_log(self, a: "RingElem") -> "UnitLog":
         """Factor a unit as c * prod(pi_j^m_j); raises NotAUnit otherwise."""
-        log = self.try_unit_log(a)
-        if log is None:
-            raise NotAUnit(f"{a} is not a unit of {self}")
-        return log
-
-    def try_unit_log(self, a: "RingElem") -> "UnitLog | None":
         a = self.coerce(a)
         if not a.is_unit():
-            return None
+            raise NotAUnit(f"{a} is not a unit of {self}")
         return UnitLog(self, FqElem(self.field, a.const), a.exps)
 
     def exp_unit(self, log: "UnitLog") -> "RingElem":
@@ -148,9 +136,6 @@ class ChartRing:
         """
         a = self.coerce(a)
         return RingElem(self, a.const or 1, self.one.core, a.exps), a.core
-
-    def core(self, a: "RingElem") -> Poly:
-        return self.coerce(a).core
 
     def divides(self, a: "RingElem", b: "RingElem") -> bool:
         """a | b in the localized ring: one division of cores at most."""
@@ -408,9 +393,6 @@ class RingElem:
 
     def is_unit(self) -> bool:
         return self.core.is_one()
-
-    def derivative(self) -> "RingElem":
-        return self.ring.derive(self)
 
     def __bool__(self):
         return bool(self.const)

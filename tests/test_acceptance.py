@@ -17,8 +17,8 @@ from test_pidmod import random_matrix
 
 from taucover.cli import main
 from taucover.connections import (
+    ClassicalConnection,
     TauConnection,
-    classical_connection,
     coboundary_class,
     coprime_degeneration_check,
     is_trivial_class,
@@ -180,7 +180,7 @@ def test_criterion_7_coprime_degeneration_and_classical_cocycle():
             assert chart["root_form_equals_classical"] is True
             assert chart["connection_coords_agree"] is True
     two_chart = coprime_two_chart_bundle()
-    delta = classical_connection(two_chart).delta_condition_check()
+    delta = ClassicalConnection(two_chart).delta_condition_check()
     assert delta["passed"]
     assert delta["overlaps"][0]["identity"] == "dlog(g) = eta_j - eta_i"
     degeneration = coprime_degeneration_check(Cover(two_chart))
@@ -226,7 +226,7 @@ def test_criterion_9_normal_form_postcondition_and_rank_oracle():
                 seen_zero = True
                 continue
             assert not seen_zero, "zero entries must come last"
-            core = ring.core(d)
+            core = d.core
             if previous is not None:
                 _, remainder = core.divmod(previous)
                 assert remainder.is_zero(), "divisibility chain broken"

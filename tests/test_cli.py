@@ -83,6 +83,27 @@ def test_fixture_file_bad_json_raises(tmp_path, monkeypatch):
         load_fixture("BROKEN")
 
 
+@pytest.mark.parametrize(
+    "key, spoil, argv",
+    [
+        ("expected", lambda x: {k: v for k, v in x.items() if k != "validate"}, ["catalog"]),
+        ("expected", lambda x: [x], ["report", "--fixture", "GM_P2"]),
+        ("bundle", lambda x: {**x, "charts": 5}, ["catalog"]),
+    ],
+    ids=["expected-without-validate", "expected-as-list", "charts-not-a-list"],
+)
+def test_fixture_file_bad_blocks_exit_two(capsys, tmp_path, monkeypatch, key, spoil, argv):
+    data = json.loads((catalog_dir() / "GM_P2.json").read_text())
+    data[key] = spoil(data[key])
+    (tmp_path / "GM_P2.json").write_text(json.dumps(data))
+    monkeypatch.setenv(CATALOG_ENV, str(tmp_path))
+    with pytest.raises(MalformedInput):
+        load_fixture("GM_P2")
+    code, out = run_cli(capsys, *argv)  # raises unless exactly one document
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+
+
 # -- expected-block comparison
 
 
@@ -360,6 +381,7 @@ TWO_CHARTS = {
         {**ONE_CHART, "u": ["(" * 5000 + "t" + ")" * 5000]},
         {**ONE_CHART, "charts": [{"inverted": ["t^1021 + t^5 + 1"]}], "u": ["t^1021 + t^5 + 1"]},
         {**ONE_CHART, "charts": [{"inverted": ["t^65 + t^18 + 1"]}], "u": ["t^65 + t^18 + 1"]},
+        {**TWO_CHARTS, "g": {"(0,1)": "(t + 1)/t", "(0, 1)": "t"}},
     ],
     ids=[
         "duplicate-inverted",
@@ -377,6 +399,7 @@ TWO_CHARTS = {
         "deep-nesting",
         "high-degree-inverted",
         "inverted-above-degree-cap",
+        "repeated-pair",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
@@ -527,6 +550,16 @@ def test_out_option_writes_the_same_document(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(target.read_text()) == out
+
+
+def test_out_option_into_an_unwritable_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli(
+        capsys, "validate", "--fixture", "GM_P2", "--out", str(target)
+    )  # raises unless exactly one document
+    assert code == 2
+    assert out["kind"] == "malformed-input"
+    assert not target.exists()
 
 
 def test_output_is_byte_stable_across_runs(capsys):
