@@ -80,6 +80,8 @@ def load_fixture(name: str) -> Fixture:
         raise MalformedInput(f"fixture file {path} missing keys: {missing}")
     if not isinstance(bundle["charts"], list):
         raise MalformedInput(f"fixture file {path}: bundle.charts must be a list")
+    if not isinstance(expected.get("sequences", {}), dict):
+        raise MalformedInput(f"fixture file {path}: expected.sequences must be an object")
     return Fixture(
         name=data["name"],
         description=data["description"],

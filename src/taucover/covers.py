@@ -177,8 +177,9 @@ class CoverElem:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c) -> "CoverElem":

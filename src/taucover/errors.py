@@ -39,10 +39,6 @@ class CertificateFailure(TauCoverError):
     that lets a matrix be reduced one weight block at a time."""
 
 
-class IllDefinedMap(TauCoverError):
-    """A module map's well-definedness certificate failed."""
-
-
 class DegreeOverflow(TauCoverError):
     """Wedge product would exceed the top degree of the complex."""
 

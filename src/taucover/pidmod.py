@@ -10,27 +10,31 @@ core.  That gives the classical algorithms:
     raises CertificateFailure naming the certificate, the shape and the ring.
   * solve / syzygy_matrix: linear algebra over A.
   * GradedMatrix: a matrix whose rows and columns carry weights, kept as its
-    weight blocks.  Cutting a full matrix checks exactly that no nonzero
-    entry joins two weights.  Each block is reduced by its own SNF, on first
-    use, so a question about one weight touches one small block.
+    weight blocks.  Each block is reduced by its own SNF, on first use, so a
+    question about one weight touches one small block.
   * FpmModule: generators + relation columns, graded (a plain matrix is the
     one-weight case).  Rank, the torsion chain, a canonical coset
     representative and the zero test are read off the block SNFs; the torsion
     chains of the blocks merge by diag(a, b) ~ diag(gcd, lcm).
-  * Submodule: the span of generator columns inside an FpmModule.  The SNFs
-    of the blocks of [gens | ambient relations] give both its syzygy
-    presentation and its membership test; a block holding no generator is
-    the ambient block and keeps the ambient module's SNF.
-  * ModuleMap: matrix on generators carrying a well-definedness certificate.
-    Its image is the Submodule spanned by the matrix, and its kernel is
-    generated by the relations of that image's presentation, so the kernel of
-    any map is read off the same SNFs as the image.
+  * Submodule: the span of generator columns inside an FpmModule, all of
+    weight 0 (the grading certificate, checked at construction).  One SNF of
+    [gens | relations] on the weight-0 rows gives both its syzygy
+    presentation and its membership test; a vector's other weights take the
+    ambient module's own zero test.  With no generators the stack is the
+    ambient weight-0 block and keeps the ambient module's SNF.
+  * ModuleMap: matrix on generators carrying a well-definedness certificate,
+    between modules of one weight.  Its image is the Submodule spanned by the
+    matrix, and its kernel is generated by the relations of that image's
+    presentation, so the kernel of any map is read off the same SNF as the
+    image.
   * is_exact: junction-by-junction kernel = image by double membership, with
     explicit witnesses on failure.  Failures are report content, not errors.
 
 On a cover chart B = A[v]/(v^n - u) the grading is by Z/n, wt v = 1 and
 wt A = 0 (the mu_n eigensheaf splitting of the cyclic cover), so the chart
-modules of ``forms`` split into n blocks of at most two rows.
+modules of ``forms`` split into n blocks of at most two rows.  Only those
+ambient modules are graded: the partial forms dt, dv/v and dv/v^dt have
+weight 0, so every submodule, presentation and map lives in weight 0.
 
 Every derived object (SNF, presentation, image, kernel, certificate) is
 computed once on first use and kept by the object it belongs to.
@@ -416,8 +420,7 @@ class GradedMatrix:
     Block w holds the entries between the rows and the columns of weight w,
     both in index order.  Every entry joining two different weights is zero,
     so the matrix is the direct sum of its blocks.  Each block's SNF is
-    computed on first use and kept; a block taken over unchanged from
-    ``base`` reuses the SNF already kept there.
+    computed on first use and kept.
     """
 
     def __init__(
@@ -426,54 +429,22 @@ class GradedMatrix:
         row_weights: Sequence[int],
         col_weights: Sequence[int],
         blocks: dict[int, PolyMatrix],
-        base: "GradedMatrix | None" = None,
     ):
         self.ring = ring
         self.row_weights = tuple(row_weights)
         self.col_weights = tuple(col_weights)
         self.rows_of = _positions(self.row_weights)
-        self.cols_of = _positions(self.col_weights)
+        cols_of = _positions(self.col_weights)
         self.blocks: dict[int, PolyMatrix] = {}
-        for w in sorted(self.rows_of.keys() | self.cols_of.keys()):
-            shape = (len(self.rows_of.get(w, ())), len(self.cols_of.get(w, ())))
+        for w in sorted(self.rows_of.keys() | cols_of.keys()):
+            shape = (len(self.rows_of.get(w, ())), len(cols_of.get(w, ())))
             block = blocks.get(w)
             if block is None:
                 block = PolyMatrix.zeros(ring, *shape)
             if (block.nrows, block.ncols) != shape:
                 raise ValueError(f"weight-{w} block is not {shape[0]}x{shape[1]}")
             self.blocks[w] = block
-        self._base = base
         self._snfs: dict[int, SNFResult] = {}
-
-    @classmethod
-    def cut(
-        cls, M: PolyMatrix, row_weights: Sequence[int], col_weights: Sequence[int]
-    ) -> "GradedMatrix":
-        """M split into its weight blocks; an entry joining two weights raises."""
-        if len(row_weights) != M.nrows or len(col_weights) != M.ncols:
-            raise ValueError("one weight per row and per column")
-        weights = set(row_weights) | set(col_weights)
-        if len(weights) <= 1:
-            return cls(M.ring, row_weights, col_weights, {w: M for w in weights})
-        for i, row in enumerate(M.rows):
-            for j, x in enumerate(row):
-                if row_weights[i] != col_weights[j] and not x.is_zero():
-                    raise CertificateFailure(
-                        f"grading certificate failed: entry ({i}, {j}) of a "
-                        f"{M.nrows}x{M.ncols} matrix over {M.ring} joins weight "
-                        f"{row_weights[i]} to weight {col_weights[j]}"
-                    )
-        cols_of = _positions(col_weights)
-        blocks = {}
-        for w, rows in _positions(row_weights).items():
-            cols = cols_of.get(w, ())
-            blocks[w] = PolyMatrix(
-                M.ring,
-                [[M.rows[i][j] for j in cols] for i in rows],
-                nrows=len(rows),
-                ncols=len(cols),
-            )
-        return cls(M.ring, row_weights, col_weights, blocks)
 
     @property
     def nrows(self) -> int:
@@ -483,55 +454,11 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.col_weights)
 
-    @cached_property
-    def full(self) -> PolyMatrix:
-        """The whole matrix, zero between different weights."""
-        if len(self.blocks) == 1:
-            return next(iter(self.blocks.values()))
-        rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
-        for w, block in self.blocks.items():
-            cols = self.cols_of.get(w, ())
-            for i, brow in zip(self.rows_of.get(w, ()), block.rows):
-                for j, x in zip(cols, brow):
-                    rows[i][j] = x
-        return PolyMatrix(self.ring, rows, nrows=self.nrows, ncols=self.ncols)
-
-    def hstack(self, other: "GradedMatrix") -> "GradedMatrix":
-        """[self | other], block by block; a block self adds no column to is other's."""
-        if self.row_weights != other.row_weights:
-            raise ValueError("hstack of differently graded rows")
-        if not self.ncols:
-            return other
-        blocks = {}
-        for w in self.blocks.keys() | other.blocks.keys():
-            mine, theirs = self.blocks.get(w), other.blocks.get(w)
-            if mine is None or not mine.ncols:
-                blocks[w] = theirs  # rows of weight w are rows of both
-            elif theirs is None or not theirs.ncols:
-                blocks[w] = mine
-            else:
-                blocks[w] = mine.hstack(theirs)
-        return GradedMatrix(
-            self.ring,
-            self.row_weights,
-            self.col_weights + other.col_weights,
-            blocks,
-            base=other,
-        )
-
     def snf(self, w: int) -> SNFResult:
         """SNF of the weight-w block, computed once."""
         found = self._snfs.get(w)
         if found is None:
-            block = self.blocks[w]
-            if self._base is not None and self._base.blocks.get(w) is block:
-                found = self._base.snf(w)
-            else:
-                try:
-                    found = smith_normal_form(block)
-                except CertificateFailure as exc:
-                    raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
-            self._snfs[w] = found
+            found = self._snfs[w] = _block_snf(self.blocks[w], w)
         return found
 
     def parts(self, vec: Sequence[RingElem]) -> list[tuple[int, Vec]]:
@@ -539,16 +466,13 @@ class GradedMatrix:
         live = {self.row_weights[i] for i, x in enumerate(vec) if not x.is_zero()}
         return [(w, tuple(vec[i] for i in self.rows_of[w])) for w in sorted(live)]
 
-    def solve(self, b: Sequence[RingElem]) -> Vec | None:
-        """One x with self*x = b, solved block by block, or None."""
-        x = [self.ring.zero] * self.ncols
-        for w, part in self.parts(b):
-            sol = solve(self.blocks[w], part, self.snf(w))
-            if sol is None:
-                return None
-            for j, val in zip(self.cols_of.get(w, ()), sol):
-                x[j] = val
-        return tuple(x)
+
+def _block_snf(block: PolyMatrix, w: int) -> SNFResult:
+    """SNF of the block of weight w; a failed certificate names the block."""
+    try:
+        return smith_normal_form(block)
+    except CertificateFailure as exc:
+        raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
 
 
 def _push(runs: list[tuple[Poly, int]], c: Poly, m: int) -> None:
@@ -601,9 +525,9 @@ class FpmModule:
     """A^n_gens modulo the column span of a relation matrix.
 
     The relations are a GradedMatrix: generators and relation columns carry
-    weights, and a plain PolyMatrix is the one-weight case.  Rank, torsion,
-    reduction and the zero test are answered one weight block at a time,
-    touching only the blocks where a vector is nonzero.
+    weights, and a plain PolyMatrix is the one-weight case, weight 0.  Rank,
+    torsion, reduction and the zero test are answered one weight block at a
+    time, touching only the blocks where a vector is nonzero.
     """
 
     def __init__(
@@ -618,8 +542,8 @@ class FpmModule:
         if relations is None:
             relations = PolyMatrix.zeros(ring, n_gens, 0)
         if isinstance(relations, PolyMatrix):
-            relations = GradedMatrix.cut(
-                relations, (0,) * relations.nrows, (0,) * relations.ncols
+            relations = GradedMatrix(
+                ring, (0,) * relations.nrows, (0,) * relations.ncols, {0: relations}
             )
         if relations.nrows != n_gens:
             raise ValueError("relation matrix must have one row per generator")
@@ -636,9 +560,13 @@ class FpmModule:
     def zero(cls, ring: ChartRing) -> "FpmModule":
         return cls(ring, 0, None, ())
 
-    @property
+    @cached_property
     def relations(self) -> PolyMatrix:
-        return self.graded.full
+        """The relation matrix of a module of one weight, the only kind a map joins."""
+        blocks = self.graded.blocks
+        if len(blocks) > 1:
+            raise ValueError("a module of several weights is kept only as its blocks")
+        return next(iter(blocks.values()), PolyMatrix.zeros(self.ring, 0, 0))
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -700,15 +628,17 @@ class FpmModule:
         divides the core of y_i.
         """
         vec = self.coerce_vec(vec)
-        graded = self.graded
-        for w, part in graded.parts(vec):
-            snf = graded.snf(w)
-            diag = snf.diag
-            for i, y in enumerate(snf.U.apply_vec(part)):
-                if y.is_zero():
-                    continue
-                if i >= len(diag) or diag[i].is_zero() or not self.ring.divides(diag[i], y):
-                    return False
+        return all(self.is_zero_part(w, part) for w, part in self.graded.parts(vec))
+
+    def is_zero_part(self, w: int, part: Sequence[RingElem]) -> bool:
+        """The zero test on the block of weight w, part the entries of weight w."""
+        snf = self.graded.snf(w)
+        diag = snf.diag
+        for i, y in enumerate(snf.U.apply_vec(part)):
+            if y.is_zero():
+                continue
+            if i >= len(diag) or diag[i].is_zero() or not self.ring.divides(diag[i], y):
+                return False
         return True
 
     def elems_equal(self, v: Sequence, w: Sequence) -> bool:
@@ -749,61 +679,71 @@ def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
 class Submodule:
     """Span of generator columns inside an FpmModule, with a syzygy presentation.
 
-    Each generator has a weight (0 unless given), and its column may be
-    nonzero only on ambient generators of that weight.
+    The generators lie in weight 0: the grading certificate, checked at
+    construction, is that each column is zero on every ambient generator of
+    another weight.  So [gens | relations] is a weight-0 matrix, and one SNF
+    of it gives the presentation and the weight-0 part of membership.
     """
 
-    def __init__(
-        self,
-        ambient: FpmModule,
-        gens: PolyMatrix,
-        gen_names=None,
-        weights: Sequence[int] | None = None,
-    ):
+    def __init__(self, ambient: FpmModule, gens: PolyMatrix, gen_names=None):
         if gens.nrows != ambient.n_gens:
             raise ValueError("generator columns must live in the ambient module")
+        for i, (w, row) in enumerate(zip(ambient.weights, gens.rows)):
+            for j, x in enumerate(row if w else ()):
+                if not x.is_zero():
+                    raise CertificateFailure(
+                        f"grading certificate failed: entry ({i}, {j}) of a "
+                        f"{gens.nrows}x{gens.ncols} generator matrix over "
+                        f"{ambient.ring} lies in weight {w}, not 0"
+                    )
         self.ambient = ambient
         self.gens = gens
-        self.weights = tuple(weights) if weights is not None else (0,) * gens.ncols
         self._names = tuple(gen_names) if gen_names else tuple(
             f"g{i}" for i in range(gens.ncols)
         )
 
     @cached_property
-    def graded(self) -> GradedMatrix:
-        """[gens | ambient relations], cut into weight blocks.
+    def snf(self) -> SNFResult:
+        """SNF of [gens | relations] on the weight-0 rows, computed once.
 
-        A block holding no generator is the ambient block, and shares its
-        SNF with the ambient module; with no generators at all the stack is
-        the ambient relation matrix itself.
+        With no generators the stack is the ambient weight-0 block, and the
+        ambient module's SNF of that block is reused.
         """
-        gens = GradedMatrix.cut(self.gens, self.ambient.weights, self.weights)
-        return gens.hstack(self.ambient.graded)
+        graded, ring = self.ambient.graded, self.ambient.ring
+        if not self.gens.ncols and 0 in graded.blocks:
+            return graded.snf(0)
+        rows = graded.rows_of.get(0, ())
+        gens = PolyMatrix(
+            ring, [self.gens.rows[i] for i in rows], nrows=len(rows), ncols=self.gens.ncols
+        )
+        relations = graded.blocks.get(0, PolyMatrix.zeros(ring, 0, 0))
+        return _block_snf(gens.hstack(relations), 0)
 
     @cached_property
     def presentation(self) -> FpmModule:
-        """Generators modulo their syzygies: the gens rows of ker [gens | relations].
-
-        A syzygy lies in one weight, so only the blocks holding a generator
-        have syzygies that touch one.
-        """
-        ring, graded = self.ambient.ring, self.graded
-        blocks, col_weights = {}, []
-        for w in sorted(set(self.weights)):
-            snf = graded.snf(w)
-            syz = syzygy_matrix(snf.matrix, snf)
-            k = self.weights.count(w)
-            blocks[w] = PolyMatrix(ring, syz.rows[:k], nrows=k, ncols=syz.ncols)
-            col_weights += [w] * syz.ncols
-        relations = GradedMatrix(ring, self.weights, col_weights, blocks)
-        return FpmModule(ring, self.gens.ncols, relations, self._names)
+        """Generators modulo their syzygies: the gens rows of ker [gens | relations]."""
+        ring, snf, k = self.ambient.ring, self.snf, self.gens.ncols
+        syz = syzygy_matrix(snf.matrix, snf)
+        relations = PolyMatrix(ring, syz.rows[:k], nrows=k, ncols=syz.ncols)
+        return FpmModule(ring, k, relations, self._names)
 
     def contains(self, vec: Sequence) -> Vec | None:
-        """Coordinates of vec on the generators, or None when vec is outside."""
-        sol = self.graded.solve(self.ambient.coerce_vec(vec))
-        if sol is None:
-            return None
-        return sol[: self.gens.ncols]
+        """Coordinates of vec on the generators, or None when vec is outside.
+
+        The weight-0 part is solved against [gens | relations]; every other
+        part must be zero in the ambient module.
+        """
+        ambient = self.ambient
+        coords = (ambient.ring.zero,) * self.gens.ncols
+        for w, part in ambient.graded.parts(ambient.coerce_vec(vec)):
+            if w == 0:
+                sol = solve(self.snf.matrix, part, self.snf)
+                if sol is None:
+                    return None
+                coords = sol[: self.gens.ncols]
+            elif not ambient.is_zero_part(w, part):
+                return None
+        return coords
 
     def ambient_vec(self, coords: Sequence) -> Vec:
         coords = [self.ambient.ring.coerce(x) for x in coords]
@@ -888,7 +828,7 @@ class ModuleMap:
     @cached_property
     def image(self) -> Submodule:
         """Image as a submodule of the target."""
-        return Submodule(self.target, self.matrix, weights=self.source.weights)
+        return Submodule(self.target, self.matrix)
 
     @cached_property
     def kernel(self) -> Submodule:
@@ -898,10 +838,7 @@ class ModuleMap:
         iff x is the source block of a syzygy of [matrix | relations]: the
         relations of the image's presentation generate the kernel.
         """
-        presentation = self.image.presentation
-        return Submodule(
-            self.source, presentation.relations, weights=presentation.graded.col_weights
-        )
+        return Submodule(self.source, self.image.presentation.relations)
 
     def __repr__(self):
         label = self.name or "map"

@@ -241,8 +241,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c: FqElem) -> "Poly":

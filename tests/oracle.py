@@ -10,10 +10,14 @@ polynomial arithmetic.
 
 The field references compute on power-basis coefficient vectors, not the
 field's tables, and the irreducibility reference is trial division.
+
+The weight-block references move between a dense matrix and its weight blocks
+by index bookkeeping alone.
 """
 
 import itertools
 
+from taucover.pidmod import GradedMatrix, PolyMatrix
 from taucover.polys import Poly
 
 Frac = tuple[Poly, Poly]
@@ -157,3 +161,31 @@ def trial_division_is_irreducible(f: Poly) -> bool:
             if Poly(f.field, (*lower, 1)).divides(f):
                 return False
     return True
+
+
+def graded_cut(M: PolyMatrix, row_weights, col_weights) -> GradedMatrix:
+    """M kept as its weight blocks; asserts that no nonzero entry joins two weights."""
+    assert (M.nrows, M.ncols) == (len(row_weights), len(col_weights))
+    for i, row in enumerate(M.rows):
+        for j, x in enumerate(row):
+            assert row_weights[i] == col_weights[j] or x.is_zero(), f"entry ({i}, {j})"
+    blocks = {}
+    for w in set(row_weights) | set(col_weights):
+        rows = [i for i, rw in enumerate(row_weights) if rw == w]
+        cols = [j for j, cw in enumerate(col_weights) if cw == w]
+        blocks[w] = PolyMatrix(
+            M.ring, [[M.rows[i][j] for j in cols] for i in rows], nrows=len(rows), ncols=len(cols)
+        )
+    return GradedMatrix(M.ring, row_weights, col_weights, blocks)
+
+
+def dense(graded: GradedMatrix) -> PolyMatrix:
+    """The whole matrix of a GradedMatrix, zero between different weights."""
+    rows = [[graded.ring.zero] * graded.ncols for _ in range(graded.nrows)]
+    for w, block in graded.blocks.items():
+        row_ix = [i for i, rw in enumerate(graded.row_weights) if rw == w]
+        col_ix = [j for j, cw in enumerate(graded.col_weights) if cw == w]
+        for i, brow in zip(row_ix, block.rows):
+            for j, x in zip(col_ix, brow):
+                rows[i][j] = x
+    return PolyMatrix(graded.ring, rows, nrows=graded.nrows, ncols=graded.ncols)

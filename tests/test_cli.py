@@ -89,8 +89,13 @@ def test_fixture_file_bad_json_raises(tmp_path, monkeypatch):
         ("expected", lambda x: {k: v for k, v in x.items() if k != "validate"}, ["catalog"]),
         ("expected", lambda x: [x], ["report", "--fixture", "GM_P2"]),
         ("bundle", lambda x: {**x, "charts": 5}, ["catalog"]),
+        (
+            "expected",
+            lambda x: {**x, "sequences": [1]},
+            ["verify", "--fixture", "GM_P2", "--sequence", "2.7"],
+        ),
     ],
-    ids=["expected-without-validate", "expected-as-list", "charts-not-a-list"],
+    ids=["expected-without-validate", "expected-as-list", "charts-not-a-list", "sequences-as-list"],
 )
 def test_fixture_file_bad_blocks_exit_two(capsys, tmp_path, monkeypatch, key, spoil, argv):
     data = json.loads((catalog_dir() / "GM_P2.json").read_text())

@@ -9,6 +9,7 @@ from taucover.covers import (
     ChartedScheme,
     Cover,
     CoverChart,
+    CoverElem,
     TorsionBundle,
     factor_cover,
     is_etale,
@@ -31,6 +32,22 @@ def test_root_power_reduces_to_unit():
     chart = CoverChart(A3, 2, A3.t)
     assert chart.v**2 == chart.from_ring(A3.t)
     assert chart.v**5 == chart.gen_power(5)
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (8, 4), (13, 6)])
+def test_power_skips_the_squaring_after_the_top_bit(monkeypatch, k, products):
+    chart = CoverChart(A3, 4, A3.parse("2*t"))
+    x = chart.v + chart.one
+    calls = []
+    mul = CoverElem.__mul__
+    monkeypatch.setattr(CoverElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    power = x**k
+    monkeypatch.undo()
+    expected = chart.one
+    for _ in range(k):
+        expected = expected * x
+    assert power == expected
+    assert len(calls) == products
 
 
 def test_root_is_invertible():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from fixtures import FIXTURES
-from oracle import frac_of_ring_elem, fraction_field_rank
+from oracle import dense, frac_of_ring_elem, fraction_field_rank, graded_cut
 
 from taucover import pidmod
 from taucover.covers import Cover
@@ -12,7 +12,6 @@ from taucover.errors import CertificateFailure
 from taucover.fields import FqField
 from taucover.pidmod import (
     FpmModule,
-    GradedMatrix,
     ModuleMap,
     PolyMatrix,
     Submodule,
@@ -279,7 +278,7 @@ def test_submodule_without_generators_reuses_the_ambient_snf(monkeypatch):
     amb_snf = amb.graded.snf(0)
     shapes = count_snfs(monkeypatch)
     sub = Submodule(amb, PolyMatrix(A5, [[], []], nrows=2, ncols=0))
-    assert sub.graded.snf(0) is amb_snf
+    assert sub.snf is amb_snf
     assert sub.presentation.n_gens == 0
     assert sub.contains(amb.zero_vec()) == ()
     assert sub.contains([A5.one, A5.zero]) is None
@@ -462,7 +461,7 @@ def random_weights(rng, count, n_weights):
 @pytest.mark.parametrize("ring", [A2, A5], ids=["F2-loc-t", "F5-loc-t-t4"])
 def test_graded_module_agrees_with_its_ungraded_matrix(ring):
     """Block-by-block rank, torsion chain, zero test and membership match one
-    SNF of the whole matrix."""
+    SNF of the whole matrix; submodule generators lie in weight 0."""
     rng = random.Random(61)
     torsion_seen = 0
     for trial in range(60):
@@ -473,16 +472,17 @@ def test_graded_module_agrees_with_its_ungraded_matrix(ring):
             k, row_w = m, list(range(m))
             col_w = row_w
         rel = graded_matrix(ring, rng, row_w, col_w)
-        graded = FpmModule(ring, m, GradedMatrix.cut(rel, row_w, col_w))
+        graded = FpmModule(ring, m, graded_cut(rel, row_w, col_w))
         whole = FpmModule(ring, m, rel)
-        assert graded.relations == rel
+        if len(graded.graded.blocks) > 1:  # no map joins such a module
+            with pytest.raises(ValueError, match="several weights"):
+                graded.relations
         assert graded.rank == whole.rank
         assert [str(c) for c in graded.torsion] == [str(c) for c in whole.torsion]
         torsion_seen += len(whole.torsion) > 1
         g = rng.randrange(0, 3)
-        gen_w = random_weights(rng, g, 3)
-        gens = graded_matrix(ring, rng, row_w, gen_w)
-        sub_graded = Submodule(graded, gens, weights=gen_w)
+        gens = graded_matrix(ring, rng, row_w, [0] * g)
+        sub_graded = Submodule(graded, gens)
         sub_whole = Submodule(whole, gens)
         assert sub_graded.presentation.rank == sub_whole.presentation.rank
         assert [str(c) for c in sub_graded.presentation.torsion] == [
@@ -501,29 +501,36 @@ def test_graded_module_agrees_with_its_ungraded_matrix(ring):
 def test_torsion_chain_merges_blocks_by_gcd_and_lcm():
     # (t+2)(t+3) = t^2 + 1 over F_5; t is a unit of A5
     rel = mat(A5, [["(t+2)*(t+3)", "0", "0"], ["0", "t+2", "0"], ["0", "0", "t"]])
-    module = FpmModule(A5, 3, GradedMatrix.cut(rel, [0, 1, 2], [0, 1, 2]))
+    module = FpmModule(A5, 3, graded_cut(rel, [0, 1, 2], [0, 1, 2]))
     assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
     # coprime blocks merge into one factor: diag(t+3, t+2) ~ diag(1, t^2 + 1)
     rel = mat(A5, [["t+3", "0"], ["0", "t+2"]])
-    module = FpmModule(A5, 2, GradedMatrix.cut(rel, [0, 1], [0, 1]))
+    module = FpmModule(A5, 2, graded_cut(rel, [0, 1], [0, 1]))
     assert [str(c) for c in module.torsion] == ["t^2 + 1"]
 
 
 def test_entry_joining_two_weights_raises():
-    rel = mat(A5, [["t+2", "1"], ["0", "t"]])
-    with pytest.raises(CertificateFailure, match="joins weight 0 to weight 1"):
-        GradedMatrix.cut(rel, [0, 1], [0, 1])
-    amb = FpmModule(A5, 2, GradedMatrix.cut(mat(A5, [["t"], ["0"]]), [0, 1], [0]))
-    gens = mat(A5, [["0"], ["1"]], ncols=1)
-    assert Submodule(amb, gens, weights=[1]).contains([A5.zero, A5.parse("t")])
-    with pytest.raises(CertificateFailure, match="grading certificate"):
-        Submodule(amb, gens).contains([A5.zero, A5.one])
+    # a generator has weight 0, so an entry on the weight-1 generator e1 joins
+    # two weights; the grading certificate rejects it at construction
+    rel = mat(A5, [["(t+2)^2", "0"], ["0", "t+3"]])
+    amb = FpmModule(A5, 2, graded_cut(rel, [0, 1], [0, 1]))
+    with pytest.raises(
+        CertificateFailure,
+        match=r"grading certificate failed: entry \(1, 0\) .* lies in weight 1, not 0",
+    ):
+        Submodule(amb, mat(A5, [["1"], ["t"]], ncols=1))
+    sub = Submodule(amb, mat(A5, [["t+2"], ["0"]], ncols=1))
+    assert sub.contains([A5.parse("t+2"), A5.zero]) is not None
+    assert sub.contains([A5.one, A5.zero]) is None
+    # the weight-1 part takes the ambient zero test: t+3 dies there, 1 does not
+    assert sub.contains([A5.parse("t+2"), A5.parse("t+3")]) is not None
+    assert sub.contains([A5.parse("t+2"), A5.one]) is None
 
 
 def test_questions_about_one_weight_reduce_only_its_block(monkeypatch):
     row_w, col_w = [0, 1, 2, 0], [0, 1, 2]
     rel = mat(A5, [["t+2", "0", "0"], ["0", "t", "0"], ["0", "0", "t+1"], ["1", "0", "0"]])
-    amb = FpmModule(A5, 4, GradedMatrix.cut(rel, row_w, col_w))
+    amb = FpmModule(A5, 4, graded_cut(rel, row_w, col_w))
     sub = Submodule(amb, mat(A5, [["1"], ["0"], ["0"], ["0"]], ncols=1))
     shapes = count_snfs(monkeypatch)
     assert sub.presentation.n_gens == 1
@@ -542,7 +549,7 @@ def test_zero_test_agrees_with_canonical_reduce_on_catalog_charts(name):
         for module in modules:
             if not module.n_gens:
                 continue
-            rel = module.relations
+            rel = dense(module.graded)
             for _ in range(25):
                 coeffs = [ring.random_element(rng, max_deg=2, max_den=1) for _ in range(rel.ncols)]
                 vec = list(rel.apply_vec(coeffs))
@@ -564,7 +571,7 @@ def test_corrupted_snf_raises_a_certificate_failure_naming_the_block(monkeypatch
 
     monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
     rel = mat(A5, [["t+2", "0"], ["0", "t"]])
-    module = FpmModule(A5, 2, GradedMatrix.cut(rel, [0, 3], [0, 3]))
+    module = FpmModule(A5, 2, graded_cut(rel, [0, 3], [0, 3]))
     with pytest.raises(CertificateFailure) as info:
         module.is_zero_elem([A5.zero, A5.one])
     message = str(info.value)

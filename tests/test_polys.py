@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import trial_division_is_irreducible
 
@@ -91,3 +92,19 @@ def test_rabin_over_large_fields():
     # Artin-Schreier: t^3 - t - 1 is irreducible over F_(3^e) iff 3 does not divide e
     assert Poly.parse(F243, "t^3 - t - 1").is_irreducible()
     assert not Poly.parse(FqField(3, 3), "t^3 - t - 1").is_irreducible()
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (8, 4), (13, 6)])
+def test_power_skips_the_squaring_after_the_top_bit(monkeypatch, k, products):
+    field = FqField(5)
+    p = Poly(field, [1, 2, 1])
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    power = p**k
+    monkeypatch.undo()
+    expected = Poly.one(field)
+    for _ in range(k):
+        expected = expected * p
+    assert power == expected
+    assert len(calls) == products
