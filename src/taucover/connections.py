@@ -42,13 +42,10 @@ from .forms import (
     CoverOneForm,
     d_function,
     dv_over_v,
-    one_form_to_vec,
     pullback_one_form,
-    two_form_to_vec,
     wedge_one_one,
 )
 from .partialforms import PartialFormsChart, _law, atiyah_cocycle_check
-from .pidmod import PolyMatrix, Submodule
 from .polys import Poly
 from .rings import ChartRing, RingElem, UnitLog
 
@@ -97,16 +94,19 @@ class TauConnection:
             omega = self.connection_coords(i)
 
             def residual(lam):
-                vec = one_form_to_vec(d_function_times_v(pfc.chart, v_inv.scale(lam)))
+                lhs = d_function_times_v(pfc.chart, v_inv.scale(lam))
                 formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
-                return vec, pfc.sub1.ambient_vec(formula)
+                return lhs, pfc.lift1(formula)
 
             failing = _law(
-                pfc.omega1_ambient, residual, [(ring.one,)],
-                lambda: (ring.random_element(rng, max_deg=3, max_den=1),), samples,
+                lambda form: pfc.omega1_ambient.is_zero(form.parts()),
+                residual,
+                [(ring.one,)],
+                lambda: (ring.random_element(rng, max_deg=3, max_den=1),),
+                samples,
             )
             matches = failing is None
-            stays = matches or pfc.sub1.contains(residual(*failing)[0]) is not None
+            stays = matches or pfc.coords1(residual(*failing)[0]) is not None
             classical = _classical_identity(pfc, eta[i]) if coprime else None
             charts.append(
                 {
@@ -127,9 +127,7 @@ class TauConnection:
             ring = pfc.ring
             d_part = pfc.presentation2.is_zero_elem(pfc.d1(self.connection_coords(i)))
             form = self.connection_form(i)
-            wedge_part = pfc.omega2_ambient.is_zero_elem(
-                two_form_to_vec(wedge_one_one(form, form))
-            )
+            wedge_part = pfc.omega2_ambient.is_zero(wedge_one_one(form, form).parts())
             charts.append(
                 {
                     "chart": i,
@@ -253,16 +251,12 @@ def coprime_degeneration_check(cover: Cover) -> dict:
         ring, chart = pfc.ring, pfc.chart
         eta = classical.eta[i]
 
-        pullback_span = Submodule(
-            pfc.omega1_ambient,
-            PolyMatrix.from_columns(ring, [pfc.sub1.gens.col(0)], 2 * chart.n),
-            ["dt"],
-        )
+        pullback_span = pfc.omega1_ambient.span([pfc.generators1[0].parts()], ["dt"])
         same_module, mismatch = pfc.sub1.equals(pullback_span)
 
-        eta_vec = one_form_to_vec(pullback_one_form(chart, ChartForm(ring, 1, eta)))
-        root_identity = pfc.omega1_ambient.elems_equal(
-            pfc.sub1.gens.col(1), eta_vec
+        eta_form = pullback_one_form(chart, ChartForm(ring, 1, eta))
+        root_identity = pfc.omega1_ambient.is_zero(
+            (pfc.generators1[1] - eta_form).parts()
         )
 
         coords_agree = _classical_identity(pfc, eta)

@@ -83,7 +83,10 @@ class _FqField:
     def __init__(self, p: int, e: int):
         if not _is_prime(p) or not (2 <= p <= _MAX_P):
             raise ValueError(f"characteristic must be a prime in [2, {_MAX_P}], got {p}")
-        if e < 1 or p**e > _MAX_Q:
+        if e < 1:
+            raise ValueError(f"extension degree e must be at least 1, got {e}")
+        # p^e >= 2^e, so a large e is refused before p^e is computed
+        if e >= _MAX_Q.bit_length() or p**e > _MAX_Q:
             raise ValueError(f"field size p^e must be at most {_MAX_Q}, got {p}^{e}")
         self.p = p
         self.e = e

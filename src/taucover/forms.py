@@ -14,15 +14,19 @@ classes is delegated to the presented modules.
 B is graded by Z/n with wt v = 1 and wt A = 0, so wt dt = 0 and wt dv = 1;
 this is the eigensheaf splitting pi_* O_Y = sum L^(-i) of the cyclic cover,
 and it holds when p | n too.  d is homogeneous of weight 0, and each relation
-column is homogeneous, so the presented modules are built directly as their
-weight blocks: n blocks of at most two generators, each reduced on its own.
+column is homogeneous, so the presented modules are pidmod.DirectSums of n
+blocks of at most two generators, each reduced on its own.  This module is
+the only place that knows the layout: block w holds v^w dt and v^(w-1) dv
+of the one-forms and v^(w-1) dt^dv of the two-forms (v^(-1) = v^(n-1) at
+w = 0), and a form's ``parts()`` are its nonzero coefficient vectors on
+those blocks.
 """
 
 from __future__ import annotations
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
 from .errors import DegreeOverflow, GluingFailure, MalformedInput, RingMismatch
-from .pidmod import FpmModule, GradedMatrix, PolyMatrix
+from .pidmod import DirectSum, FpmModule, PolyMatrix
 from .polys import Poly
 from .rings import ChartRing
 
@@ -211,6 +215,25 @@ class CoverOneForm:
         c = self.chart.coerce(c)
         return CoverOneForm(self.chart, self.ct * c, self.cv * c)
 
+    def parts(self) -> dict[int, tuple]:
+        """Coefficients on (v^w dt, v^(w-1) dv), the block of weight w, for
+        each w where they are not both zero."""
+        ct, cv = self.ct.coeffs, self.cv.coeffs
+        return {
+            w: (ct[w], cv[w - 1])
+            for w in range(self.chart.n)
+            if not (ct[w].is_zero() and cv[w - 1].is_zero())
+        }
+
+    @classmethod
+    def from_parts(cls, chart: CoverChart, parts: dict) -> "CoverOneForm":
+        """The one-form with these parts; a missing weight is a zero part."""
+        ct = [chart.ring.zero] * chart.n
+        cv = list(ct)
+        for w, (a, b) in parts.items():
+            ct[w], cv[w - 1] = a, b
+        return cls(chart, chart.from_coeffs(ct), chart.from_coeffs(cv))
+
     def is_zero(self) -> bool:
         return self.ct.is_zero() and self.cv.is_zero()
 
@@ -262,6 +285,12 @@ class CoverTwoForm:
     def scale(self, c) -> "CoverTwoForm":
         return CoverTwoForm(self.chart, self.c2 * self.chart.coerce(c))
 
+    def parts(self) -> dict[int, tuple]:
+        """Coefficient on v^(w-1) dt^dv, the block of weight w, for each w
+        where it is not zero."""
+        c2 = self.c2.coeffs
+        return {w: (c2[w - 1],) for w in range(self.chart.n) if not c2[w - 1].is_zero()}
+
     def is_zero(self) -> bool:
         return self.c2.is_zero()
 
@@ -279,20 +308,12 @@ class CoverTwoForm:
     __repr__ = __str__
 
 
-def _v_power_names(n: int, suffix: str = "") -> list[str]:
-    names = []
-    for j in range(n):
-        head = "" if j == 0 else ("v" if j == 1 else f"v^{j}")
-        if head and suffix:
-            names.append(f"{head}*{suffix}")
-        elif head:
-            names.append(head)
-        else:
-            names.append(suffix if suffix else "1")
-    return names
+def _v_power_names(n: int, suffix: str) -> list[str]:
+    """The names of v^j * suffix for j = 0, ..., n-1."""
+    return [suffix, f"v*{suffix}", *(f"v^{j}*{suffix}" for j in range(2, n))][:n]
 
 
-def one_forms_module(chart: CoverChart) -> FpmModule:
+def one_forms_module(chart: CoverChart) -> DirectSum:
     """Kähler one-forms of the cover chart, presented on v^j dt, v^j dv.
 
     Relation column j is v^j * (n v^{n-1} dv - u' dt), reduced by v^n = u:
@@ -306,18 +327,20 @@ def one_forms_module(chart: CoverChart) -> FpmModule:
     du = ring.derive(chart.u)
     n_scalar = ring.from_int(n)
     nu = n_scalar * chart.u
-    blocks = {
-        w: PolyMatrix(ring, [[-du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1)
+    dt_names, dv_names = _v_power_names(n, "dt"), _v_power_names(n, "dv")
+    return DirectSum({
+        w: FpmModule(
+            ring,
+            2,
+            PolyMatrix(ring, [[-du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1),
+            [dt_names[w], dv_names[w - 1]],
+            w,
+        )
         for w in range(n)
-    }
-    weights = list(range(n)) + [(j + 1) % n for j in range(n)]
-    names = _v_power_names(n, "dt") + _v_power_names(n, "dv")
-    return FpmModule(
-        ring, 2 * n, GradedMatrix(ring, weights, range(n), blocks), names
-    )
+    })
 
 
-def two_forms_module(chart: CoverChart) -> FpmModule:
+def two_forms_module(chart: CoverChart) -> DirectSum:
     """Kähler two-forms of the cover chart, presented on v^j dt^dv.
 
     Wedging the one-form relation with dv and dt gives the columns
@@ -331,35 +354,17 @@ def two_forms_module(chart: CoverChart) -> FpmModule:
     du = ring.derive(chart.u)
     n_scalar = ring.from_int(n)
     nu = n_scalar * chart.u
-    blocks = {
-        w: PolyMatrix(ring, [[du, n_scalar if w == 0 else nu]], nrows=1, ncols=2)
+    names = _v_power_names(n, "dt^dv")
+    return DirectSum({
+        w: FpmModule(
+            ring,
+            1,
+            PolyMatrix(ring, [[du, n_scalar if w == 0 else nu]], nrows=1, ncols=2),
+            [names[w - 1]],
+            w,
+        )
         for w in range(n)
-    }
-    weights = [(j + 1) % n for j in range(n)]
-    return FpmModule(
-        ring,
-        n,
-        GradedMatrix(ring, weights, weights + list(range(n)), blocks),
-        _v_power_names(n, "dt^dv"),
-    )
-
-
-def one_form_to_vec(form: CoverOneForm) -> tuple:
-    return tuple(form.ct.coeffs) + tuple(form.cv.coeffs)
-
-
-def vec_to_one_form(chart: CoverChart, vec) -> CoverOneForm:
-    n = chart.n
-    vec = list(vec)
-    if len(vec) != 2 * n:
-        raise MalformedInput("one-form vector needs 2n coordinates")
-    return CoverOneForm(
-        chart, chart.from_coeffs(vec[:n]), chart.from_coeffs(vec[n:])
-    )
-
-
-def two_form_to_vec(form: CoverTwoForm) -> tuple:
-    return tuple(form.c2.coeffs)
+    })
 
 
 def d_function(f: CoverElem) -> CoverOneForm:

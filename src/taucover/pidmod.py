@@ -9,32 +9,30 @@ core.  That gives the classical algorithms:
     certificates and the shape of D are re-verified on every call; a failure
     raises CertificateFailure naming the certificate, the shape and the ring.
   * solve / syzygy_matrix: linear algebra over A.
-  * GradedMatrix: a matrix whose rows and columns carry weights, kept as its
-    weight blocks.  Each block is reduced by its own SNF, on first use, so a
-    question about one weight touches one small block.
-  * FpmModule: generators + relation columns, graded (a plain matrix is the
-    one-weight case).  Rank, the torsion chain, a canonical coset
-    representative and the zero test are read off the block SNFs; the torsion
-    chains of the blocks merge by diag(a, b) ~ diag(gcd, lcm).
-  * Submodule: the span of generator columns inside an FpmModule, all of
-    weight 0 (the grading certificate, checked at construction).  One SNF of
-    [gens | relations] on the weight-0 rows gives both its syzygy
-    presentation and its membership test; a vector's other weights take the
-    ambient module's own zero test.  With no generators the stack is the
-    ambient weight-0 block and keeps the ambient module's SNF.
-  * ModuleMap: matrix on generators carrying a well-definedness certificate,
-    between modules of one weight.  Its image is the Submodule spanned by the
-    matrix, and its kernel is generated by the relations of that image's
-    presentation, so the kernel of any map is read off the same SNF as the
-    image.
+  * FpmModule: generators + relation columns, in one weight.  Rank, the
+    torsion chain and the zero test are read off one SNF, computed once.
+  * DirectSum: one-weight FpmModules keyed by weight.  An element is given
+    by its parts, one vector per weight, and each part is tested in its own
+    block; the torsion chains of the blocks merge by diag(a, b) ~ diag(gcd,
+    lcm).  Its submodules are spans inside the weight-0 block, with the
+    grading certificate that every generator is zero outside weight 0.
+  * Submodule: the span of generator columns inside an FpmModule.  One SNF
+    of [gens | relations] gives both its syzygy presentation and its
+    membership test.  With no generators the stack is the ambient relation
+    matrix and keeps the ambient module's SNF.
+  * ModuleMap: matrix on generators carrying a well-definedness certificate.
+    Its image is the Submodule spanned by the matrix, and its kernel is
+    generated by the relations of that image's presentation, so the kernel
+    of any map is read off the same SNF as the image.
   * is_exact: junction-by-junction kernel = image by double membership, with
     explicit witnesses on failure.  Failures are report content, not errors.
 
 On a cover chart B = A[v]/(v^n - u) the grading is by Z/n, wt v = 1 and
 wt A = 0 (the mu_n eigensheaf splitting of the cyclic cover), so the chart
-modules of ``forms`` split into n blocks of at most two rows.  Only those
-ambient modules are graded: the partial forms dt, dv/v and dv/v^dt have
-weight 0, so every submodule, presentation and map lives in weight 0.
+modules of ``forms`` are DirectSums of n blocks of at most two generators.
+Only those ambient modules are graded: the partial forms dt, dv/v and
+dv/v^dt have weight 0, so every submodule, presentation and map lives in
+weight 0.
 
 Every derived object (SNF, presentation, image, kernel, certificate) is
 computed once on first use and kept by the object it belongs to.
@@ -406,67 +404,6 @@ def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
-def _positions(weights: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """Indices of each weight, in index order."""
-    found: dict[int, list[int]] = {}
-    for i, w in enumerate(weights):
-        found.setdefault(w, []).append(i)
-    return {w: tuple(ix) for w, ix in found.items()}
-
-
-class GradedMatrix:
-    """A matrix whose rows and columns carry weights, kept as its weight blocks.
-
-    Block w holds the entries between the rows and the columns of weight w,
-    both in index order.  Every entry joining two different weights is zero,
-    so the matrix is the direct sum of its blocks.  Each block's SNF is
-    computed on first use and kept.
-    """
-
-    def __init__(
-        self,
-        ring: ChartRing,
-        row_weights: Sequence[int],
-        col_weights: Sequence[int],
-        blocks: dict[int, PolyMatrix],
-    ):
-        self.ring = ring
-        self.row_weights = tuple(row_weights)
-        self.col_weights = tuple(col_weights)
-        self.rows_of = _positions(self.row_weights)
-        cols_of = _positions(self.col_weights)
-        self.blocks: dict[int, PolyMatrix] = {}
-        for w in sorted(self.rows_of.keys() | cols_of.keys()):
-            shape = (len(self.rows_of.get(w, ())), len(cols_of.get(w, ())))
-            block = blocks.get(w)
-            if block is None:
-                block = PolyMatrix.zeros(ring, *shape)
-            if (block.nrows, block.ncols) != shape:
-                raise ValueError(f"weight-{w} block is not {shape[0]}x{shape[1]}")
-            self.blocks[w] = block
-        self._snfs: dict[int, SNFResult] = {}
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_weights)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_weights)
-
-    def snf(self, w: int) -> SNFResult:
-        """SNF of the weight-w block, computed once."""
-        found = self._snfs.get(w)
-        if found is None:
-            found = self._snfs[w] = _block_snf(self.blocks[w], w)
-        return found
-
-    def parts(self, vec: Sequence[RingElem]) -> list[tuple[int, Vec]]:
-        """(w, entries of vec on the rows of weight w) for each weight where vec is nonzero."""
-        live = {self.row_weights[i] for i, x in enumerate(vec) if not x.is_zero()}
-        return [(w, tuple(vec[i] for i in self.rows_of[w])) for w in sorted(live)]
-
-
 def _block_snf(block: PolyMatrix, w: int) -> SNFResult:
     """SNF of the block of weight w; a failed certificate names the block."""
     try:
@@ -524,30 +461,27 @@ def _divisibility_chain(cores: Iterable[Poly]) -> list[Poly]:
 class FpmModule:
     """A^n_gens modulo the column span of a relation matrix.
 
-    The relations are a GradedMatrix: generators and relation columns carry
-    weights, and a plain PolyMatrix is the one-weight case, weight 0.  Rank,
-    torsion, reduction and the zero test are answered one weight block at a
-    time, touching only the blocks where a vector is nonzero.
+    The module lives in one weight, 0 unless a DirectSum builds it as its
+    block of another weight; a failed SNF certificate names that weight.
+    Rank, torsion and the zero test are read off one SNF, computed once.
     """
 
     def __init__(
         self,
         ring: ChartRing,
         n_gens: int,
-        relations: PolyMatrix | GradedMatrix | None = None,
+        relations: PolyMatrix | None = None,
         gen_names: Sequence[str] | None = None,
+        weight: int = 0,
     ):
         self.ring = ring
         self.n_gens = n_gens
         if relations is None:
             relations = PolyMatrix.zeros(ring, n_gens, 0)
-        if isinstance(relations, PolyMatrix):
-            relations = GradedMatrix(
-                ring, (0,) * relations.nrows, (0,) * relations.ncols, {0: relations}
-            )
         if relations.nrows != n_gens:
             raise ValueError("relation matrix must have one row per generator")
-        self.graded = relations
+        self.relations = relations
+        self.weight = weight
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             f"e{i}" for i in range(n_gens)
         )
@@ -561,39 +495,19 @@ class FpmModule:
         return cls(ring, 0, None, ())
 
     @cached_property
-    def relations(self) -> PolyMatrix:
-        """The relation matrix of a module of one weight, the only kind a map joins."""
-        blocks = self.graded.blocks
-        if len(blocks) > 1:
-            raise ValueError("a module of several weights is kept only as its blocks")
-        return next(iter(blocks.values()), PolyMatrix.zeros(self.ring, 0, 0))
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        """The weight of each generator."""
-        return self.graded.row_weights
+    def snf(self) -> SNFResult:
+        """SNF of the relation matrix, computed once."""
+        return _block_snf(self.relations, self.weight)
 
     @property
     def rank(self) -> int:
         """Rank of the torsion-free quotient."""
-        graded = self.graded
-        return self.n_gens - sum(graded.snf(w).rank for w in graded.blocks)
+        return self.n_gens - self.snf.rank
 
     @property
     def torsion(self) -> list[Poly]:
         """Nonunit torsion invariants, a divisibility chain of monic cores."""
-        graded = self.graded
-        return _divisibility_chain(
-            core for w in graded.blocks for core in graded.snf(w).nonunit_torsion()
-        )
-
-    def zero_vec(self) -> Vec:
-        return tuple(self.ring.zero for _ in range(self.n_gens))
-
-    def gen_vec(self, i: int) -> Vec:
-        return tuple(
-            self.ring.one if j == i else self.ring.zero for j in range(self.n_gens)
-        )
+        return self.snf.nonunit_torsion()
 
     def coerce_vec(self, vec: Sequence) -> Vec:
         vec = tuple(self.ring.coerce(x) for x in vec)
@@ -601,40 +515,19 @@ class FpmModule:
             raise ValueError("vector length does not match generator count")
         return vec
 
-    def canonical_reduce(self, vec: Sequence) -> Vec:
-        """Canonical coset representative of vec modulo the relation image."""
-        vec = self.coerce_vec(vec)
-        graded = self.graded
-        out = list(self.zero_vec())
-        for w, part in graded.parts(vec):
-            snf = graded.snf(w)
-            y = list(snf.U.apply_vec(part))
-            for i, d in enumerate(snf.diag):
-                if d.is_zero():
-                    continue
-                if d.core.is_one():
-                    y[i] = self.ring.zero
-                else:
-                    y[i] = _residue_mod_core(self.ring, y[i], d.core)
-            for i, x in zip(graded.rows_of[w], snf.U_inv.apply_vec(y)):
-                out[i] = x
-        return tuple(out)
-
     def is_zero_elem(self, vec: Sequence) -> bool:
-        """vec lies in the relation span: per block, y = U*vec has d_i | y_i
-        on the nonzero diagonal and y_i = 0 past it.
+        """vec lies in the relation span: y = U*vec has d_i | y_i on the
+        nonzero diagonal and y_i = 0 past it.
 
         The diagonal holds monic cores, so d_i | y_i in A exactly when d_i
-        divides the core of y_i.
+        divides the core of y_i.  The zero vector takes no SNF.
         """
         vec = self.coerce_vec(vec)
-        return all(self.is_zero_part(w, part) for w, part in self.graded.parts(vec))
-
-    def is_zero_part(self, w: int, part: Sequence[RingElem]) -> bool:
-        """The zero test on the block of weight w, part the entries of weight w."""
-        snf = self.graded.snf(w)
+        if all(x.is_zero() for x in vec):
+            return True
+        snf = self.snf
         diag = snf.diag
-        for i, y in enumerate(snf.U.apply_vec(part)):
+        for i, y in enumerate(snf.U.apply_vec(vec)):
             if y.is_zero():
                 continue
             if i >= len(diag) or diag[i].is_zero() or not self.ring.divides(diag[i], y):
@@ -662,40 +555,90 @@ class FpmModule:
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
-        ncols = self.graded.ncols
+        ncols = self.relations.ncols
         rel = f", {ncols} relations" if ncols else ""
         return f"FpmModule({self.n_gens} gens{rel} over {self.ring})"
 
 
-def _residue_mod_core(ring: ChartRing, x: RingElem, core: Poly):
-    """Canonical representative of x in A/(core); core monic and S-free."""
-    num, den = x.fraction()
-    _g, s, _t = den.xgcd(core)
-    # den * s = 1 mod core since core is coprime to every inverted irreducible
-    rep = (num * s) % core
-    return ring.make(rep)
+class DirectSum:
+    """A module kept as the direct sum of one-weight FpmModules, keyed by weight.
+
+    An element is given by its parts, a dict from weight to a vector of that
+    block; a missing weight is a zero part.  Each question is asked of the
+    blocks one at a time, in the order of the parts, and a zero part takes
+    no SNF.  Submodules live in the weight-0 block.
+    """
+
+    def __init__(self, blocks: dict[int, FpmModule]):
+        self.blocks = blocks
+
+    @property
+    def n_gens(self) -> int:
+        return sum(block.n_gens for block in self.blocks.values())
+
+    @property
+    def rank(self) -> int:
+        """Rank of the torsion-free quotient."""
+        return sum(block.rank for block in self.blocks.values())
+
+    @property
+    def torsion(self) -> list[Poly]:
+        """Nonunit torsion invariants: the block chains merged by
+        diag(a, b) ~ diag(gcd, lcm)."""
+        return _divisibility_chain(
+            core for block in self.blocks.values() for core in block.torsion
+        )
+
+    def is_zero(self, parts: dict[int, Sequence]) -> bool:
+        """Every part is zero in its block."""
+        return all(self.blocks[w].is_zero_elem(part) for w, part in parts.items())
+
+    def span(
+        self, generators: Sequence[dict[int, Sequence]], names: Sequence[str]
+    ) -> "Submodule":
+        """The submodule of the weight-0 block spanned by generators given by parts.
+
+        The grading certificate is that every part outside weight 0 is zero.
+        """
+        block = self.blocks[0]
+        zero = (block.ring.zero,) * block.n_gens
+        for name, parts in zip(names, generators, strict=True):
+            for w, part in parts.items():
+                if w and any(not x.is_zero() for x in part):
+                    raise CertificateFailure(
+                        f"grading certificate failed: generator {name} over "
+                        f"{block.ring} has a nonzero part in weight {w}, not 0"
+                    )
+        gens = PolyMatrix.from_columns(
+            block.ring, [parts.get(0, zero) for parts in generators], block.n_gens
+        )
+        return Submodule(block, gens, names)
+
+    def coords(self, sub: "Submodule", parts: dict[int, Sequence]) -> Vec | None:
+        """Coordinates on the generators of sub, a submodule of the weight-0
+        block, of the element with these parts, or None when it lies outside.
+
+        The weight-0 part is solved in sub first; every other part must then
+        be zero in its block.
+        """
+        rest = dict(parts)
+        zero = (sub.ambient.ring.zero,) * sub.ambient.n_gens
+        coords = sub.contains(rest.pop(0, zero))
+        if coords is None or not self.is_zero(rest):
+            return None
+        return coords
 
 
 class Submodule:
     """Span of generator columns inside an FpmModule, with a syzygy presentation.
 
-    The generators lie in weight 0: the grading certificate, checked at
-    construction, is that each column is zero on every ambient generator of
-    another weight.  So [gens | relations] is a weight-0 matrix, and one SNF
-    of it gives the presentation and the weight-0 part of membership.
+    One SNF of [gens | relations] gives both the presentation and the
+    membership test.
     """
 
     def __init__(self, ambient: FpmModule, gens: PolyMatrix, gen_names=None):
         if gens.nrows != ambient.n_gens:
             raise ValueError("generator columns must live in the ambient module")
-        for i, (w, row) in enumerate(zip(ambient.weights, gens.rows)):
-            for j, x in enumerate(row if w else ()):
-                if not x.is_zero():
-                    raise CertificateFailure(
-                        f"grading certificate failed: entry ({i}, {j}) of a "
-                        f"{gens.nrows}x{gens.ncols} generator matrix over "
-                        f"{ambient.ring} lies in weight {w}, not 0"
-                    )
         self.ambient = ambient
         self.gens = gens
         self._names = tuple(gen_names) if gen_names else tuple(
@@ -704,20 +647,15 @@ class Submodule:
 
     @cached_property
     def snf(self) -> SNFResult:
-        """SNF of [gens | relations] on the weight-0 rows, computed once.
+        """SNF of [gens | relations], computed once.
 
-        With no generators the stack is the ambient weight-0 block, and the
-        ambient module's SNF of that block is reused.
+        With no generators the stack is the ambient relation matrix, and the
+        ambient module's SNF is reused.
         """
-        graded, ring = self.ambient.graded, self.ambient.ring
-        if not self.gens.ncols and 0 in graded.blocks:
-            return graded.snf(0)
-        rows = graded.rows_of.get(0, ())
-        gens = PolyMatrix(
-            ring, [self.gens.rows[i] for i in rows], nrows=len(rows), ncols=self.gens.ncols
-        )
-        relations = graded.blocks.get(0, PolyMatrix.zeros(ring, 0, 0))
-        return _block_snf(gens.hstack(relations), 0)
+        ambient = self.ambient
+        if not self.gens.ncols:
+            return ambient.snf
+        return _block_snf(self.gens.hstack(ambient.relations), ambient.weight)
 
     @cached_property
     def presentation(self) -> FpmModule:
@@ -730,29 +668,13 @@ class Submodule:
     def contains(self, vec: Sequence) -> Vec | None:
         """Coordinates of vec on the generators, or None when vec is outside.
 
-        The weight-0 part is solved against [gens | relations]; every other
-        part must be zero in the ambient module.
+        The zero vector takes no SNF.
         """
-        ambient = self.ambient
-        coords = (ambient.ring.zero,) * self.gens.ncols
-        for w, part in ambient.graded.parts(ambient.coerce_vec(vec)):
-            if w == 0:
-                sol = solve(self.snf.matrix, part, self.snf)
-                if sol is None:
-                    return None
-                coords = sol[: self.gens.ncols]
-            elif not ambient.is_zero_part(w, part):
-                return None
-        return coords
-
-    def ambient_vec(self, coords: Sequence) -> Vec:
-        coords = [self.ambient.ring.coerce(x) for x in coords]
-        return self.gens.apply_vec(coords)
-
-    def is_zero(self) -> bool:
-        return all(
-            self.ambient.is_zero_elem(self.gens.col(j)) for j in range(self.gens.ncols)
-        )
+        vec = self.ambient.coerce_vec(vec)
+        if all(x.is_zero() for x in vec):
+            return (self.ambient.ring.zero,) * self.gens.ncols
+        sol = solve(self.snf.matrix, vec, self.snf)
+        return None if sol is None else sol[: self.gens.ncols]
 
     def contains_submodule(self, other: "Submodule") -> tuple[bool, Vec | None]:
         """(True, None) or (False, witness vector in the ambient module)."""

@@ -293,21 +293,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def xgcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
-        """(g, s, u) with g = s*self + u*other, g monic."""
-        a, b = self, self._check(other)
-        s0, s1 = Poly.one(self.field), Poly.zero(self.field)
-        t0, t1 = Poly.zero(self.field), Poly.one(self.field)
-        while not b.is_zero():
-            q, r = a.divmod(b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if a.is_zero():
-            return a, s0, t0
-        lead = a.lc().inv()
-        return a.scale(lead), s0.scale(lead), t0.scale(lead)
-
     def derivative(self) -> "Poly":
         field = self.field
         p, cs = field.p, self.coeffs

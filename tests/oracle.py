@@ -11,13 +11,16 @@ polynomial arithmetic.
 The field references compute on power-basis coefficient vectors, not the
 field's tables, and the irreducibility reference is trial division.
 
-The weight-block references move between a dense matrix and its weight blocks
-by index bookkeeping alone.
+The weight-block references move between a dense matrix and a DirectSum of
+its weight blocks by index bookkeeping alone.  The coset reference reduces a
+vector to a canonical representative of its class, through the module's SNF
+and the extended Euclidean algorithm; the module engine's zero test reads
+divisibility on the SNF diagonal instead.
 """
 
 import itertools
 
-from taucover.pidmod import GradedMatrix, PolyMatrix
+from taucover.pidmod import DirectSum, FpmModule, PolyMatrix
 from taucover.polys import Poly
 
 Frac = tuple[Poly, Poly]
@@ -163,29 +166,76 @@ def trial_division_is_irreducible(f: Poly) -> bool:
     return True
 
 
-def graded_cut(M: PolyMatrix, row_weights, col_weights) -> GradedMatrix:
-    """M kept as its weight blocks; asserts that no nonzero entry joins two weights."""
+def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(d, s, u) with d = s*f + u*g, d monic."""
+    a, b = f, g
+    s0, s1 = Poly.one(f.field), Poly.zero(f.field)
+    t0, t1 = Poly.zero(f.field), Poly.one(f.field)
+    while not b.is_zero():
+        q, r = a.divmod(b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a.is_zero():
+        return a, s0, t0
+    lead = a.lc().inv()
+    return a.scale(lead), s0.scale(lead), t0.scale(lead)
+
+
+def residue_mod_core(ring, x, core: Poly):
+    """Canonical representative of x in A/(core); core monic and S-free."""
+    num, den = x.fraction()
+    _d, s, _u = xgcd(den, core)
+    # den * s = 1 mod core since core is coprime to every inverted irreducible
+    return ring.make((num * s) % core)
+
+
+def canonical_reduce(module: FpmModule, vec) -> tuple:
+    """Canonical coset representative of vec modulo the relation image."""
+    vec = module.coerce_vec(vec)
+    ring, snf = module.ring, module.snf
+    y = list(snf.U.apply_vec(vec))
+    for i, d in enumerate(snf.diag):
+        if d.is_zero():
+            continue
+        y[i] = ring.zero if d.core.is_one() else residue_mod_core(ring, y[i], d.core)
+    return snf.U_inv.apply_vec(y)
+
+
+def graded_cut(M: PolyMatrix, row_weights, col_weights) -> DirectSum:
+    """M kept as the DirectSum of its weight blocks, weight 0 always among them;
+    asserts that no nonzero entry joins two weights."""
     assert (M.nrows, M.ncols) == (len(row_weights), len(col_weights))
     for i, row in enumerate(M.rows):
         for j, x in enumerate(row):
             assert row_weights[i] == col_weights[j] or x.is_zero(), f"entry ({i}, {j})"
     blocks = {}
-    for w in set(row_weights) | set(col_weights):
+    for w in sorted({0, *row_weights, *col_weights}):
         rows = [i for i, rw in enumerate(row_weights) if rw == w]
         cols = [j for j, cw in enumerate(col_weights) if cw == w]
-        blocks[w] = PolyMatrix(
+        block = PolyMatrix(
             M.ring, [[M.rows[i][j] for j in cols] for i in rows], nrows=len(rows), ncols=len(cols)
         )
-    return GradedMatrix(M.ring, row_weights, col_weights, blocks)
+        blocks[w] = FpmModule(M.ring, len(rows), block, weight=w)
+    return DirectSum(blocks)
 
 
-def dense(graded: GradedMatrix) -> PolyMatrix:
-    """The whole matrix of a GradedMatrix, zero between different weights."""
-    rows = [[graded.ring.zero] * graded.ncols for _ in range(graded.nrows)]
-    for w, block in graded.blocks.items():
-        row_ix = [i for i, rw in enumerate(graded.row_weights) if rw == w]
-        col_ix = [j for j, cw in enumerate(graded.col_weights) if cw == w]
-        for i, brow in zip(row_ix, block.rows):
-            for j, x in zip(col_ix, brow):
-                rows[i][j] = x
-    return PolyMatrix(graded.ring, rows, nrows=graded.nrows, ncols=graded.ncols)
+def cut(vec, row_weights, module: DirectSum) -> dict:
+    """The parts of a vector whose entries carry row_weights, one per block."""
+    return {
+        w: tuple(x for x, rw in zip(vec, row_weights) if rw == w) for w in module.blocks
+    }
+
+
+def dense(module: DirectSum) -> tuple[PolyMatrix, list[int]]:
+    """The block-diagonal relation matrix of a DirectSum, its blocks in weight
+    order, with the weight of each of its rows."""
+    ring = next(iter(module.blocks.values())).ring
+    row_weights = [w for w, b in module.blocks.items() for _ in range(b.n_gens)]
+    rows, col = [], 0
+    ncols = sum(b.relations.ncols for b in module.blocks.values())
+    for block in module.blocks.values():
+        for brow in block.relations.rows:
+            rows.append([ring.zero] * col + list(brow) + [ring.zero] * (ncols - col - len(brow)))
+        col += block.relations.ncols
+    return PolyMatrix(ring, rows, nrows=len(rows), ncols=ncols), row_weights

@@ -369,24 +369,32 @@ TWO_CHARTS = {
 
 
 @pytest.mark.parametrize(
-    "bundle",
+    "bundle, message",
     [
-        {**ONE_CHART, "charts": [{"inverted": ["t", "t"]}]},
-        {**ONE_CHART, "u": [5]},
-        {**TWO_CHARTS, "g": {"(0,1)": 7}},
-        {**ONE_CHART, "charts": [{"inverted": [3]}]},
-        {**ONE_CHART, "n": True},
-        {**ONE_CHART, "field": {"p": True}},
-        {**ONE_CHART, "field": {"p": "2"}},
-        {**ONE_CHART, "field": {"p": 2.9}},
-        {**ONE_CHART, "field": {"p": 2, "e": True}},
-        {**ONE_CHART, "field": {"p": 2, "e": "1"}},
-        {**ONE_CHART, "field": {"p": 2, "e": 1.0}},
-        {**ONE_CHART, "u": ["t^100000000"]},
-        {**ONE_CHART, "u": ["(" * 5000 + "t" + ")" * 5000]},
-        {**ONE_CHART, "charts": [{"inverted": ["t^1021 + t^5 + 1"]}], "u": ["t^1021 + t^5 + 1"]},
-        {**ONE_CHART, "charts": [{"inverted": ["t^65 + t^18 + 1"]}], "u": ["t^65 + t^18 + 1"]},
-        {**TWO_CHARTS, "g": {"(0,1)": "(t + 1)/t", "(0, 1)": "t"}},
+        *((bundle, None) for bundle in [
+            {**ONE_CHART, "charts": [{"inverted": ["t", "t"]}]},
+            {**ONE_CHART, "u": [5]},
+            {**TWO_CHARTS, "g": {"(0,1)": 7}},
+            {**ONE_CHART, "charts": [{"inverted": [3]}]},
+            {**ONE_CHART, "n": True},
+            {**ONE_CHART, "field": {"p": True}},
+            {**ONE_CHART, "field": {"p": "2"}},
+            {**ONE_CHART, "field": {"p": 2.9}},
+            {**ONE_CHART, "field": {"p": 2, "e": True}},
+            {**ONE_CHART, "field": {"p": 2, "e": "1"}},
+            {**ONE_CHART, "field": {"p": 2, "e": 1.0}},
+            {**ONE_CHART, "u": ["t^100000000"]},
+            {**ONE_CHART, "u": ["(" * 5000 + "t" + ")" * 5000]},
+            {**ONE_CHART, "charts": [{"inverted": ["t^1021 + t^5 + 1"]}], "u": ["t^1021 + t^5 + 1"]},
+            {**ONE_CHART, "charts": [{"inverted": ["t^65 + t^18 + 1"]}], "u": ["t^65 + t^18 + 1"]},
+            {**TWO_CHARTS, "g": {"(0,1)": "(t + 1)/t", "(0, 1)": "t"}},
+        ]),
+        ({**ONE_CHART, "field": {"p": 2, "e": 0}}, "extension degree e must be at least 1, got 0"),
+        ({**ONE_CHART, "field": {"p": 2, "e": -3}}, "extension degree e must be at least 1, got -3"),
+        (
+            {**ONE_CHART, "field": {"p": 3, "e": 10**9}},
+            "field size p^e must be at most 256, got 3^1000000000",
+        ),
     ],
     ids=[
         "duplicate-inverted",
@@ -405,9 +413,12 @@ TWO_CHARTS = {
         "high-degree-inverted",
         "inverted-above-degree-cap",
         "repeated-pair",
+        "zero-e",
+        "negative-e",
+        "huge-e",
     ],
 )
-def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle):
+def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle, message):
     path = write_bundle(tmp_path, bundle)
     start = time.perf_counter()
     code = main(["validate", "--json", path])
@@ -415,6 +426,8 @@ def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bun
     out = json.loads(capsys.readouterr().out)  # raises unless exactly one document
     assert code == 2
     assert out["kind"] == "malformed-input"
+    if message is not None:
+        assert out["error"] == f"bad field description: {message}"
     assert elapsed < 1.0
 
 

@@ -19,15 +19,13 @@ from taucover.forms import (
     chart_dlog,
     d_function,
     d_one_form,
+    CoverTwoForm,
     dv_over_v,
-    one_form_to_vec,
     one_forms_module,
     pullback_one_form,
     rescale_root,
     transport_one_form,
-    two_form_to_vec,
     two_forms_module,
-    vec_to_one_form,
     wedge_one_one,
 )
 from taucover.pidmod import PolyMatrix
@@ -206,34 +204,47 @@ def dense_two_form_relations(chart):
     return PolyMatrix.from_columns(ring, cols, n)
 
 
+def one_form(chart, vec):
+    """The one-form with coefficients vec on v^j dt, then on v^j dv."""
+    n = chart.n
+    return CoverOneForm(chart, chart.from_coeffs(vec[:n]), chart.from_coeffs(vec[n:]))
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_form_modules_are_the_weight_blocks_of_the_dense_presentation(name):
     for chart in Cover(FIXTURES[name]()).charts:
         n = chart.n
-        for module, dense, weights in (
+        shift = [(j + 1) % n for j in range(n)]
+        basis1 = [one_form(chart, [int(i == k) for i in range(2 * n)]) for k in range(2 * n)]
+        basis2 = [CoverTwoForm(chart, chart.gen_power(j)) for j in range(n)]
+        for module, dense, weights, col_weights, basis in (
             (one_forms_module(chart), dense_one_form_relations(chart),
-             [j for j in range(n)] + [(j + 1) % n for j in range(n)]),
+             list(range(n)) + shift, list(range(n)), basis1),
             (two_forms_module(chart), dense_two_form_relations(chart),
-             [(j + 1) % n for j in range(n)]),
+             shift, shift + list(range(n)), basis2),
         ):
-            assert module.weights == tuple(weights)
+            # each dense generator's parts lie in its weight alone
+            assert [list(form.parts()) for form in basis] == [[w] for w in weights]
             # the dense matrix is block diagonal for these weights (the cut
             # asserts that no entry joins two weights), with the module's blocks
-            cut = graded_cut(dense, module.weights, module.graded.col_weights)
-            assert cut.blocks == module.graded.blocks
+            cut = graded_cut(dense, weights, col_weights)
+            assert {w: b.relations for w, b in cut.blocks.items()} == {
+                w: b.relations for w, b in module.blocks.items()
+            }
 
 
 def test_one_forms_module_gm_p2():
     cover = Cover(FIXTURES["GM_P2"]())
-    mod = one_forms_module(cover.charts[0])
+    chart = cover.charts[0]
+    mod = one_forms_module(chart)
     assert mod.n_gens == 4
-    assert mod.gen_names == ("dt", "v*dt", "dv", "v*dv")
+    assert [b.gen_names for b in mod.blocks.values()] == [("dt", "v*dv"), ("v*dt", "dv")]
     assert mod.rank == 2
     assert mod.torsion == []
     # both dt generators die; the dv block is free
-    assert mod.is_zero_elem([1, 0, 0, 0])
-    assert mod.is_zero_elem([0, 1, 0, 0])
-    assert not mod.is_zero_elem([0, 0, 1, 0])
+    assert mod.is_zero(one_form(chart, [1, 0, 0, 0]).parts())
+    assert mod.is_zero(one_form(chart, [0, 1, 0, 0]).parts())
+    assert not mod.is_zero(one_form(chart, [0, 0, 1, 0]).parts())
 
 
 def test_one_forms_module_zerotorsion():
@@ -246,32 +257,37 @@ def test_one_forms_module_zerotorsion():
 
 def test_one_forms_module_coprime():
     cover = Cover(FIXTURES["COPRIME"]())
-    mod = one_forms_module(cover.charts[0])
+    chart = cover.charts[0]
+    mod = one_forms_module(chart)
     assert mod.rank == 2
     assert mod.torsion == []
-    ring = mod.ring
+    ring = chart.ring
     # relation columns: 2 e_{dv,1} - e_{dt,0} and 2t e_{dv,0} - e_{dt,1}
-    assert mod.is_zero_elem([ring.from_int(-1), ring.zero, ring.zero, ring.from_int(2)])
-    assert mod.is_zero_elem([ring.zero, ring.from_int(-1), ring.parse("2*t"), ring.zero])
+    vec = [ring.from_int(-1), ring.zero, ring.zero, ring.from_int(2)]
+    assert mod.is_zero(one_form(chart, vec).parts())
+    vec = [ring.zero, ring.from_int(-1), ring.parse("2*t"), ring.zero]
+    assert mod.is_zero(one_form(chart, vec).parts())
 
 
 def test_one_forms_module_mixed_kills_dt_block():
     cover = Cover(FIXTURES["MIXED"]())
-    mod = one_forms_module(cover.charts[0])
+    chart = cover.charts[0]
+    mod = one_forms_module(chart)
     assert mod.n_gens == 12
     assert mod.rank == 6
     for j in range(6):
-        vec = [mod.ring.zero] * 12
-        vec[j] = mod.ring.one
-        assert mod.is_zero_elem(vec)
+        vec = [chart.ring.zero] * 12
+        vec[j] = chart.ring.one
+        assert mod.is_zero(one_form(chart, vec).parts())
 
 
 def test_one_forms_module_degenerate_is_free():
     cover = Cover(degenerate())
-    mod = one_forms_module(cover.charts[0])
+    chart = cover.charts[0]
+    mod = one_forms_module(chart)
     assert mod.rank == 4
     assert mod.torsion == []
-    assert not mod.is_zero_elem([1, 0, 0, 0])
+    assert not mod.is_zero(one_form(chart, [1, 0, 0, 0]).parts())
 
 
 def test_two_forms_module_vanishes_for_gm_p2_and_coprime():
@@ -304,8 +320,7 @@ def test_d_of_relation_is_consistent():
             chart.zero,
             chart.gen_power(chart.n - 1).scale(chart.ring.from_int(chart.n)),
         )
-        diff = one_form_to_vec(left - n_form)
-        assert mod.is_zero_elem(diff), name
+        assert mod.is_zero((left - n_form).parts()), name
 
 
 def test_d_function_leibniz_random():
@@ -320,7 +335,7 @@ def test_d_function_leibniz_random():
             g = chart.random_element(rng, max_deg=1)
             lhs = d_function(f * g)
             rhs = d_function(f).scale(g) + d_function(g).scale(f)
-            assert mod.is_zero_elem(one_form_to_vec(lhs - rhs)), name
+            assert mod.is_zero((lhs - rhs).parts()), name
 
 
 CATALOG_CHARTS = [
@@ -355,7 +370,7 @@ def test_d_function_product_rule_on_every_catalog_chart(case):
     name, chart, f, g = case
     lhs = d_function(f * g)
     rhs = d_function(f).scale(g) + d_function(g).scale(f)
-    assert one_forms_module(chart).is_zero_elem(one_form_to_vec(lhs - rhs)), name
+    assert one_forms_module(chart).is_zero((lhs - rhs).parts()), name
 
 
 def test_d_squared_is_zero_on_representatives():
@@ -373,12 +388,8 @@ def test_wedge_antisymmetry_random():
     cover = Cover(FIXTURES["GM_P3"]())
     chart = cover.charts[0]
     for _ in range(10):
-        a = vec_to_one_form(
-            chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)]
-        )
-        b = vec_to_one_form(
-            chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)]
-        )
+        a = one_form(chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)])
+        b = one_form(chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)])
         assert wedge_one_one(a, b) == -wedge_one_one(b, a)
         assert wedge_one_one(a, a).is_zero()
 
@@ -444,13 +455,14 @@ def test_rescale_root_commutes_with_d_and_inverts():
                 assert back == form, name
 
 
-def test_vec_round_trip():
+def test_parts_round_trip():
     cover = Cover(FIXTURES["GM_P3"]())
     chart = cover.charts[0]
     rng = random.Random(67)
-    form = vec_to_one_form(
-        chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)]
-    )
-    assert vec_to_one_form(chart, one_form_to_vec(form)) == form
+    form = one_form(chart, [chart.ring.random_element(rng, max_deg=1) for _ in range(6)])
+    assert CoverOneForm.from_parts(chart, form.parts()) == form
     two = wedge_one_one(form, dv_over_v(chart))
-    assert two_form_to_vec(two) == tuple(two.c2.coeffs)
+    parts = two.parts()
+    zero = (chart.ring.zero,)
+    coeffs = tuple(parts.get((j + 1) % chart.n, zero)[0] for j in range(chart.n))
+    assert coeffs == tuple(two.c2.coeffs)

@@ -14,9 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "taucover"
 
-# Kept with no caller in the package: the reference the zero-test tests
-# compare FpmModule.is_zero_elem against.
-ALLOWED = {"canonical_reduce"}
+# Names kept with no caller in the package.
+ALLOWED: set[str] = set()
 
 
 def _definitions():

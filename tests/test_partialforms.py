@@ -7,11 +7,12 @@ import weakref
 import pytest
 from fixtures import FIXTURES, coprime, degenerate, twochart, zerotorsion
 
+from taucover import partialforms
 from taucover.catalog import load_fixture
 from taucover.cli import fixture_report
 from taucover.covers import Cover, TorsionBundle
-from taucover.errors import StabilityFailure
-from taucover.forms import one_form_to_vec
+from taucover.errors import CertificateFailure, StabilityFailure
+from taucover.forms import CoverOneForm
 from taucover.partialforms import (
     PartialFormsChart,
     atiyah_cocycle_check,
@@ -138,16 +139,29 @@ def test_cover_with_built_charts_is_freed_without_the_cycle_collector():
 
 def test_gm_p2_pullback_dies_inside():
     pfc = PartialFormsChart(build("GM_P2"), 0)
-    dt_vec = pfc.sub1.gens.col(0)
-    assert pfc.omega1_ambient.is_zero_elem(dt_vec)
-    assert not pfc.omega1_ambient.is_zero_elem(pfc.sub1.gens.col(1))
+    dt, root_form = pfc.generators1
+    assert pfc.omega1_ambient.is_zero(dt.parts())
+    assert not pfc.omega1_ambient.is_zero(root_form.parts())
+
+
+def test_generator_outside_weight_zero_fails_the_grading_certificate(monkeypatch):
+    # dv has weight 1; put in place of dv/v it leaves the weight-0 block
+    def dv(chart):
+        return CoverOneForm(chart, chart.zero, chart.one)
+
+    monkeypatch.setattr(partialforms, "dv_over_v", dv)
+    with pytest.raises(
+        CertificateFailure,
+        match=r"grading certificate failed: generator dv/v over .* part in weight 1, not 0",
+    ):
+        PartialFormsChart(build("GM_P2"), 0)
 
 
 def test_coprime_partial_forms_equal_pullback_forms():
     pfc = PartialFormsChart(build("COPRIME"), 0)
     pullback_only = Submodule(
-        pfc.omega1_ambient,
-        PolyMatrix.from_columns(pfc.ring, [pfc.sub1.gens.col(0)], 2 * pfc.chart.n),
+        pfc.sub1.ambient,
+        PolyMatrix.from_columns(pfc.ring, [pfc.sub1.gens.col(0)], 2),
     )
     ok, witness = pfc.sub1.equals(pullback_only)
     assert ok, witness
@@ -277,9 +291,7 @@ def test_d1_is_stable_on_random_sections():
 
 def test_d1_raises_when_target_is_artificially_shrunk():
     pfc = PartialFormsChart(Cover(degenerate()), 0)
-    pfc.sub2 = Submodule(
-        pfc.omega2_ambient, PolyMatrix.zeros(pfc.ring, pfc.chart.n, 0)
-    )
+    pfc.sub2 = Submodule(pfc.sub2.ambient, PolyMatrix.zeros(pfc.ring, 1, 0))
     with pytest.raises(StabilityFailure):
         pfc.d1((pfc.ring.zero, pfc.ring.parse("t^3")))
 

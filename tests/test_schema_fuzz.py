@@ -1,6 +1,6 @@
 """Fuzz of the bundle schema through the CLI: small bundles, some with
-type-mangled fields, each answered by one JSON document and exit 0, 1 or 2
-within a bounded time."""
+type-mangled fields, each answered by every bundle command with one JSON
+document and exit 0, 1 or 2 within a bounded time."""
 
 import json
 import time
@@ -9,6 +9,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taucover.cli import main
 
+COMMANDS = [
+    ["validate"],
+    ["cover"],
+    ["class"],
+    ["connection", "--samples", "20"],
+    ["omega-l", "--degree", "1"],
+    ["omega-l", "--degree", "2"],
+    ["verify", "--sequence", "2.7"],
+    ["verify", "--sequence", "2.10"],
+    ["verify", "--sequence", "2.11"],
+]
 EXPRESSIONS = ["t", "t + 1", "t + 2", "2*t + 1", "t^2 + 1", "t^2 + t + 1", "t^3 + t + 1"]
 UNITS = ["1", "2", "t", "t^2", "t + 1", "(t + 1)^2", "t*(t + 1)", "1/t", "t^3", "-t"]
 MANGLED = st.one_of(
@@ -84,9 +95,9 @@ def bundles(draw):
 def test_any_bundle_gets_one_json_document_and_a_contract_exit_code(capsys, tmp_path, bundle):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
-    for command in ("validate", "cover", "class"):
+    for command in COMMANDS:
         start = time.perf_counter()
-        code = main([command, "--json", str(path)])
+        code = main([*command, "--json", str(path)])
         elapsed = time.perf_counter() - start
         json.loads(capsys.readouterr().out)  # raises unless exactly one document
         assert code in (0, 1, 2), (command, bundle)
