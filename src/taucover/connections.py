@@ -169,8 +169,7 @@ class TauConnection:
 
 def d_function_times_v(chart, elem) -> CoverOneForm:
     """v * d(elem), the cover differential rescaled back into the v-frame."""
-    dsec = d_function(elem)
-    return CoverOneForm(chart, dsec.ct * chart.v, dsec.cv * chart.v)
+    return d_function(elem).scale(chart.v)
 
 
 def _classical_identity(pfc: PartialFormsChart, eta: RingElem) -> bool:

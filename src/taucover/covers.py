@@ -3,8 +3,12 @@
 A torsion bundle packages, per chart, a trivializing unit u and, per overlap,
 a transition unit g, subject to g^n = u_other / u_self.  Its n-th root cover
 is the chart-by-chart algebra B = A[v]/(v^n - u), glued by v -> g * v.  The
-glue is certified, never assumed: build_cover recomputes (g * v)^n inside the
+glue is certified, never assumed: Cover recomputes (g * v)^n inside the
 overlap and compares it with the other chart's unit.
+
+B is graded by Z/n with wt v = 1, and a CoverElem is kept as its weight
+decomposition: the nonzero coefficients a_j of sum a_j v^j, keyed by j.  So
+the work of an operation follows the number of nonzero terms, not n.
 
 factor_cover splits the cover degree as n = m * p^r with m prime to the
 characteristic, yielding a separable stage A[w]/(w^m - u) (with w = v^{p^r})
@@ -44,7 +48,7 @@ class CoverChart:
 
     @property
     def zero(self) -> "CoverElem":
-        return CoverElem(self, (self.ring.zero,) * self.n)
+        return CoverElem(self, {})
 
     @property
     def one(self) -> "CoverElem":
@@ -59,21 +63,12 @@ class CoverChart:
         return self.gen_power(-1)
 
     def from_ring(self, a) -> "CoverElem":
-        a = self.ring.coerce(a)
-        return CoverElem(self, (a,) + (self.ring.zero,) * (self.n - 1))
-
-    def from_coeffs(self, coeffs: Sequence) -> "CoverElem":
-        coeffs = tuple(self.ring.coerce(c) for c in coeffs)
-        if len(coeffs) != self.n:
-            raise MalformedInput("cover element needs one coefficient per basis power")
-        return CoverElem(self, coeffs)
+        return CoverElem(self, {0: self.ring.coerce(a)})
 
     def gen_power(self, j: int) -> "CoverElem":
         """v^j for any integer j, reduced into the basis 1, v, ..., v^{n-1}."""
         q, r = divmod(j, self.n)
-        coeffs = [self.ring.zero] * self.n
-        coeffs[r] = self.u**q if q >= 0 else self.u.inv() ** (-q)
-        return CoverElem(self, tuple(coeffs))
+        return CoverElem(self, {r: self.u**q})
 
     def rescaled(self, x: "CoverElem", w) -> "CoverElem":
         """x(w*v): the image of x under the change of root v_x -> w*v.
@@ -83,11 +78,9 @@ class CoverChart:
         case w = g^{-1}, rewriting chart i's v_i = g^{-1} v_j in chart j's root.
         """
         restrict = x.chart.ring.restrict
-        coeffs, wk = [], self.ring.one
-        for c in x.coeffs:
-            coeffs.append(restrict(c, self.ring) * wk)
-            wk = wk * w
-        return CoverElem(self, tuple(coeffs))
+        return CoverElem(
+            self, {k: restrict(c, self.ring) * w**k for k, c in x.terms.items()}
+        )
 
     def coerce(self, value) -> "CoverElem":
         if isinstance(value, CoverElem):
@@ -97,13 +90,11 @@ class CoverChart:
         return self.from_ring(value)
 
     def random_element(self, rng, max_deg: int = 2) -> "CoverElem":
-        return CoverElem(
-            self,
-            tuple(
-                self.ring.random_element(rng, max_deg=max_deg, max_den=1)
-                for _ in range(self.n)
-            ),
-        )
+        """Every coefficient is drawn, in index order, zeros included, so the
+        draw does not depend on which terms an element stores."""
+        draw = self.ring.random_element
+        coeffs = [draw(rng, max_deg=max_deg, max_den=1) for _ in range(self.n)]
+        return CoverElem(self, dict(enumerate(coeffs)))
 
     def same_chart(self, other: "CoverChart") -> bool:
         return (
@@ -115,58 +106,51 @@ class CoverChart:
 
 
 class CoverElem:
-    """Element of a cover chart, as coefficients of 1, v, ..., v^{n-1}."""
+    """Element sum a_j v^j of a cover chart, kept as its weight decomposition.
 
-    __slots__ = ("chart", "coeffs")
+    ``terms`` maps each j in [0, n) with a_j nonzero to a_j; the term a_j v^j
+    has weight j.  The constructor is the one place that drops zero terms, so
+    equal elements have equal ``terms``.
+    """
 
-    def __init__(self, chart: CoverChart, coeffs: tuple):
+    __slots__ = ("chart", "terms")
+
+    def __init__(self, chart: CoverChart, terms: dict):
         self.chart = chart
-        self.coeffs = coeffs
+        self.terms = {j: a for j, a in terms.items() if not a.is_zero()}
 
     def _check(self, other) -> "CoverElem":
         return self.chart.coerce(other)
 
     def __add__(self, other):
-        other = self._check(other)
-        return CoverElem(
-            self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        terms = dict(self.terms)
+        for j, b in self._check(other).terms.items():
+            terms[j] = terms[j] + b if j in terms else b
+        return CoverElem(self.chart, terms)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return CoverElem(
-            self.chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -self._check(other)
 
     def __neg__(self):
-        return CoverElem(self.chart, tuple(-a for a in self.coeffs))
+        return CoverElem(self.chart, {j: -a for j, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, Poly, int)):
-            c = self.chart.ring.coerce(other)
-            return CoverElem(self.chart, tuple(a * c for a in self.coeffs))
+            return self.scale(other)
         other = self._check(other)
-        n = self.chart.n
-        ring = self.chart.ring
-        u = self.chart.u
-        out = [ring.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                k = i + j
-                term = a * b
+        n, u = self.chart.n, self.chart.u
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                k, term = i + j, a * b
                 if k >= n:
-                    k -= n
-                    term = term * u
-                out[k] = out[k] + term
-        return CoverElem(self.chart, tuple(out))
+                    k, term = k - n, term * u
+                out[k] = out[k] + term if k in out else term
+        return CoverElem(self.chart, out)
 
     def __rmul__(self, other):
         if isinstance(other, (RingElem, Poly, int)):
-            return self.__mul__(other)
+            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -184,10 +168,10 @@ class CoverElem:
 
     def scale(self, c) -> "CoverElem":
         c = self.chart.ring.coerce(c)
-        return CoverElem(self.chart, tuple(a * c for a in self.coeffs))
+        return CoverElem(self.chart, {j: a * c for j, a in self.terms.items()})
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
+        return not self.terms
 
     def __bool__(self):
         return not self.is_zero()
@@ -199,16 +183,14 @@ class CoverElem:
             return NotImplemented
         if not self.chart.same_chart(other.chart):
             return False
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         terms = []
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
+        for j, a in sorted(self.terms.items()):
             power = "" if j == 0 else ("v" if j == 1 else f"v^{j}")
             astr = str(a)
             if not power:

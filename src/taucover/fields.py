@@ -81,7 +81,8 @@ class _FqField:
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p) or not (2 <= p <= _MAX_P):
+        # the range check comes first: trial division of a huge p never ends
+        if not (2 <= p <= _MAX_P) or not _is_prime(p):
             raise ValueError(f"characteristic must be a prime in [2, {_MAX_P}], got {p}")
         if e < 1:
             raise ValueError(f"extension degree e must be at least 1, got {e}")

@@ -19,7 +19,8 @@ blocks of at most two generators, each reduced on its own.  This module is
 the only place that knows the layout: block w holds v^w dt and v^(w-1) dv
 of the one-forms and v^(w-1) dt^dv of the two-forms (v^(-1) = v^(n-1) at
 w = 0), and a form's ``parts()`` are its nonzero coefficient vectors on
-those blocks.
+those blocks, read off its coefficients' ``terms``: a term a v^j has weight
+j in the dt coefficient and weight j + 1 (mod n) in the dv and dt^dv ones.
 """
 
 from __future__ import annotations
@@ -217,22 +218,18 @@ class CoverOneForm:
 
     def parts(self) -> dict[int, tuple]:
         """Coefficients on (v^w dt, v^(w-1) dv), the block of weight w, for
-        each w where they are not both zero."""
-        ct, cv = self.ct.coeffs, self.cv.coeffs
-        return {
-            w: (ct[w], cv[w - 1])
-            for w in range(self.chart.n)
-            if not (ct[w].is_zero() and cv[w - 1].is_zero())
-        }
+        each w where they are not both zero, in ascending weight."""
+        n, zero = self.chart.n, self.chart.ring.zero
+        ct, cv = self.ct.terms, self.cv.terms
+        weights = sorted({*ct, *((j + 1) % n for j in cv)})
+        return {w: (ct.get(w, zero), cv.get((w - 1) % n, zero)) for w in weights}
 
     @classmethod
     def from_parts(cls, chart: CoverChart, parts: dict) -> "CoverOneForm":
         """The one-form with these parts; a missing weight is a zero part."""
-        ct = [chart.ring.zero] * chart.n
-        cv = list(ct)
-        for w, (a, b) in parts.items():
-            ct[w], cv[w - 1] = a, b
-        return cls(chart, chart.from_coeffs(ct), chart.from_coeffs(cv))
+        ct = {w: a for w, (a, _) in parts.items()}
+        cv = {(w - 1) % chart.n: b for w, (_, b) in parts.items()}
+        return cls(chart, CoverElem(chart, ct), CoverElem(chart, cv))
 
     def is_zero(self) -> bool:
         return self.ct.is_zero() and self.cv.is_zero()
@@ -287,9 +284,9 @@ class CoverTwoForm:
 
     def parts(self) -> dict[int, tuple]:
         """Coefficient on v^(w-1) dt^dv, the block of weight w, for each w
-        where it is not zero."""
-        c2 = self.c2.coeffs
-        return {w: (c2[w - 1],) for w in range(self.chart.n) if not c2[w - 1].is_zero()}
+        where it is not zero, in ascending weight."""
+        n, c2 = self.chart.n, self.c2.terms
+        return {w: (c2[(w - 1) % n],) for w in sorted((j + 1) % n for j in c2)}
 
     def is_zero(self) -> bool:
         return self.c2.is_zero()
@@ -324,7 +321,7 @@ def one_forms_module(chart: CoverChart) -> DirectSum:
     """
     ring = chart.ring
     n = chart.n
-    du = ring.derive(chart.u)
+    minus_du = -ring.derive(chart.u)
     n_scalar = ring.from_int(n)
     nu = n_scalar * chart.u
     dt_names, dv_names = _v_power_names(n, "dt"), _v_power_names(n, "dv")
@@ -332,7 +329,7 @@ def one_forms_module(chart: CoverChart) -> DirectSum:
         w: FpmModule(
             ring,
             2,
-            PolyMatrix(ring, [[-du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1),
+            PolyMatrix(ring, [[minus_du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1),
             [dt_names[w], dv_names[w - 1]],
             w,
         )
@@ -374,16 +371,15 @@ def d_function(f: CoverElem) -> CoverOneForm:
 
 def _partial_t(x: CoverElem) -> CoverElem:
     ring = x.chart.ring
-    return x.chart.from_coeffs([ring.derive(c) for c in x.coeffs])
+    return CoverElem(x.chart, {j: ring.derive(c) for j, c in x.terms.items()})
 
 
 def _partial_v(x: CoverElem) -> CoverElem:
-    chart = x.chart
-    ring = chart.ring
-    out = [ring.zero] * chart.n
-    for i in range(1, chart.n):
-        out[i - 1] = ring.from_int(i) * x.coeffs[i]
-    return chart.from_coeffs(out)
+    """d(a v^j)/dv = j a v^(j-1); the term vanishes when p | j."""
+    ring = x.chart.ring
+    return CoverElem(
+        x.chart, {j - 1: ring.from_int(j) * c for j, c in x.terms.items() if j}
+    )
 
 
 def d_one_form(form: CoverOneForm) -> CoverTwoForm:

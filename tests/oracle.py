@@ -11,6 +11,9 @@ polynomial arithmetic.
 The field references compute on power-basis coefficient vectors, not the
 field's tables, and the irreducibility reference is trial division.
 
+The dense cover-element references move between a CoverElem and one
+coefficient per basis power v^j.
+
 The weight-block references move between a dense matrix and a DirectSum of
 its weight blocks by index bookkeeping alone.  The coset reference reduces a
 vector to a canonical representative of its class, through the module's SNF
@@ -239,3 +242,22 @@ def dense(module: DirectSum) -> tuple[PolyMatrix, list[int]]:
             rows.append([ring.zero] * col + list(brow) + [ring.zero] * (ncols - col - len(brow)))
         col += block.relations.ncols
     return PolyMatrix(ring, rows, nrows=len(rows), ncols=ncols), row_weights
+
+
+# -- dense cover-element references
+
+
+def cover_elem(chart, coeffs):
+    """sum c_j v^j from one coefficient per basis power, built by the ring
+    operations on the basis elements v^j alone."""
+    assert len(coeffs) == chart.n
+    out = chart.zero
+    for j, c in enumerate(coeffs):
+        out = out + chart.gen_power(j).scale(c)
+    return out
+
+
+def dense_coeffs(elem) -> tuple:
+    """The coefficients of 1, v, ..., v^(n-1), zeros included."""
+    zero = elem.chart.ring.zero
+    return tuple(elem.terms.get(j, zero) for j in range(elem.chart.n))

@@ -395,6 +395,10 @@ TWO_CHARTS = {
             {**ONE_CHART, "field": {"p": 3, "e": 10**9}},
             "field size p^e must be at most 256, got 3^1000000000",
         ),
+        (
+            {**ONE_CHART, "field": {"p": 2**61 - 1}},
+            "characteristic must be a prime in [2, 97], got 2305843009213693951",
+        ),
     ],
     ids=[
         "duplicate-inverted",
@@ -416,6 +420,7 @@ TWO_CHARTS = {
         "zero-e",
         "negative-e",
         "huge-e",
+        "huge-p",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle, message):

@@ -6,7 +6,7 @@ import pytest
 from fixtures import FIXTURES, coprime, twochart
 
 from taucover import connections, forms, pidmod
-from taucover.covers import ChartedScheme, Cover, TorsionBundle
+from taucover.covers import ChartedScheme, Cover, CoverElem, TorsionBundle
 from taucover.connections import (
     ClassicalConnection,
     TauConnection,
@@ -91,12 +91,10 @@ def _break_product_rule_above_degree_one(monkeypatch):
     partial_t, partial_v = forms._partial_t, forms._partial_v
 
     def extra(x, shift):
-        ring = x.chart.ring
-        out = [ring.zero] * x.chart.n
-        for i, c in enumerate(x.coeffs):
-            if c.num.deg >= 2 and 0 <= i - shift:
-                out[i - shift] = c
-        return x.chart.from_coeffs(out)
+        return CoverElem(
+            x.chart,
+            {j - shift: c for j, c in x.terms.items() if c.num.deg >= 2 and j >= shift},
+        )
 
     monkeypatch.setattr(forms, "_partial_t", lambda x: partial_t(x) + extra(x, 0))
     monkeypatch.setattr(forms, "_partial_v", lambda x: partial_v(x) + extra(x, 1))

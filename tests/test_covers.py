@@ -4,6 +4,7 @@ import random
 
 import pytest
 from fixtures import FIXTURES, twochart
+from oracle import cover_elem
 
 from taucover.covers import (
     ChartedScheme,
@@ -17,6 +18,7 @@ from taucover.covers import (
 )
 from taucover.errors import InvalidCocycle, MalformedInput, NotAUnit
 from taucover.fields import FqField
+from taucover.forms import CoverOneForm, _partial_v
 from taucover.rings import ChartRing
 
 F2 = FqField(2)
@@ -84,8 +86,42 @@ def test_nonreduced_cover_keeps_root_invertible():
 
 def test_cover_element_str():
     chart = CoverChart(A3, 3, A3.t)
-    elem = chart.from_coeffs(["1", "t", "2"])
+    elem = cover_elem(chart, ["1", "t", "2"])
     assert str(elem) == "1 + t*v + 2*v^2"
+
+
+# -- canonical form: an element stores only its nonzero terms
+
+
+def test_cover_elements_store_no_zero_term():
+    chart = CoverChart(A3, 4, A3.parse("2*t"))
+    v = chart.v
+    assert (v - v).terms == {}
+    # d(v^3)/dv = 3 v^2 vanishes in characteristic 3
+    assert _partial_v(chart.gen_power(3)).terms == {}
+    assert _partial_v(chart.gen_power(3) + v).terms == {0: A3.one}
+    assert chart.random_element(random.Random(5)).scale(A3.zero).terms == {}
+    zero = A3.zero
+    form = CoverOneForm.from_parts(chart, {0: (zero, zero), 2: (A3.t, zero)})
+    assert form.ct.terms == {2: A3.t}
+    assert form.cv.terms == {}
+    non_reduced = CoverChart(A2, 2, A2.one)
+    nilpotent = non_reduced.v - non_reduced.one
+    assert (nilpotent * nilpotent).terms == {}
+
+
+def test_equal_cover_elements_built_different_ways_hash_equal():
+    chart = CoverChart(A3, 4, A3.parse("2*t"))
+    pairs = [
+        (chart.gen_power(4), chart.from_ring(chart.u)),
+        (chart.v * chart.v_inv(), chart.one),
+        (chart.v + chart.v + chart.v, chart.zero),
+        (cover_elem(chart, ["0", "t", "0", "0"]), chart.v.scale(A3.t)),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x.terms == y.terms
 
 
 def test_non_unit_root_target_rejected():
@@ -173,11 +209,11 @@ def test_transport_round_trip_fixes_elements():
         back = ovl01.zero
         g = cover.bundle.g_any(1, 0)
         # undo v0 = g10^{-1} v1 coefficientwise on the overlap
-        for k, a in enumerate(moved.coeffs):
+        for k, a in moved.terms.items():
             back = back + ovl01.gen_power(k).scale(a)
         assert moved == back  # transport output already lives on the overlap
         direct = ovl01.zero
-        for k, a in enumerate(x.coeffs):
+        for k, a in x.terms.items():
             a_ovl = cover.bundle.scheme.restrict(0, a, 1)
             direct = direct + ovl01.gen_power(k).scale(
                 a_ovl * cover.bundle.g[(0, 1)].inv() ** k
