@@ -317,22 +317,22 @@ def one_forms_module(chart: CoverChart) -> DirectSum:
     it touches only v^j dt and v^{j-1} dv.  With wt v^j dt = j and
     wt v^j dv = j + 1 (mod n), column j has weight j, and the block of
     weight w is the single column (-u', n u) on (v^w dt, v^{w-1} dv), with n
-    in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.
+    in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.  Each distinct
+    block matrix is built, and reduced, once.
     """
     ring = chart.ring
     n = chart.n
     minus_du = -ring.derive(chart.u)
     n_scalar = ring.from_int(n)
     nu = n_scalar * chart.u
+    rel0, rel = (
+        PolyMatrix(ring, [[minus_du], [x]], nrows=2, ncols=1) for x in (n_scalar, nu)
+    )
+    if n_scalar == nu:
+        rel0 = rel
     dt_names, dv_names = _v_power_names(n, "dt"), _v_power_names(n, "dv")
     return DirectSum({
-        w: FpmModule(
-            ring,
-            2,
-            PolyMatrix(ring, [[minus_du], [n_scalar if w == 0 else nu]], nrows=2, ncols=1),
-            [dt_names[w], dv_names[w - 1]],
-            w,
-        )
+        w: FpmModule(ring, 2, rel if w else rel0, [dt_names[w], dv_names[w - 1]], w)
         for w in range(n)
     })
 
@@ -344,22 +344,19 @@ def two_forms_module(chart: CoverChart) -> DirectSum:
     u' v^j and n v^{n+j-1} respectively.  With wt v^j dt^dv = j + 1 (mod n)
     the first family has weight j + 1 and the second weight j, so the block
     of weight w is the row (u', n u) on v^{w-1} dt^dv, with n in place of
-    n u at w = 0.
+    n u at w = 0.  Each distinct block matrix is built, and reduced, once.
     """
     ring = chart.ring
     n = chart.n
     du = ring.derive(chart.u)
     n_scalar = ring.from_int(n)
     nu = n_scalar * chart.u
+    rel0, rel = (PolyMatrix(ring, [[du, x]], nrows=1, ncols=2) for x in (n_scalar, nu))
+    if n_scalar == nu:
+        rel0 = rel
     names = _v_power_names(n, "dt^dv")
     return DirectSum({
-        w: FpmModule(
-            ring,
-            1,
-            PolyMatrix(ring, [[du, n_scalar if w == 0 else nu]], nrows=1, ncols=2),
-            [names[w - 1]],
-            w,
-        )
+        w: FpmModule(ring, 1, rel if w else rel0, [names[w - 1]], w)
         for w in range(n)
     })
 

@@ -14,7 +14,8 @@ core.  That gives the classical algorithms:
   * DirectSum: one-weight FpmModules keyed by weight.  An element is given
     by its parts, one vector per weight, and each part is tested in its own
     block; the torsion chains of the blocks merge by diag(a, b) ~ diag(gcd,
-    lcm).  Its submodules are spans inside the weight-0 block, with the
+    lcm).  Blocks that share one relation matrix share its SNF, which the
+    matrix keeps.  Its submodules are spans inside the weight-0 block, with the
     grading certificate that every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
@@ -54,12 +55,17 @@ Vec = tuple[RingElem, ...]
 
 
 class PolyMatrix:
-    """Immutable matrix of RingElems over a fixed ChartRing."""
+    """Immutable matrix of RingElems over a fixed ChartRing.
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    A matrix reduced as a module block keeps its SNF, so modules that share
+    one relation matrix share its reduction.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_snf")
 
     def __init__(self, ring: ChartRing, rows: Iterable[Iterable], nrows=None, ncols=None):
         frozen = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
+        self._snf = None
         self.ring = ring
         self.rows = frozen
         self.nrows = len(frozen) if nrows is None else nrows
@@ -405,11 +411,14 @@ def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
 
 
 def _block_snf(block: PolyMatrix, w: int) -> SNFResult:
-    """SNF of the block of weight w; a failed certificate names the block."""
-    try:
-        return smith_normal_form(block)
-    except CertificateFailure as exc:
-        raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
+    """SNF of the block of weight w, reduced once per matrix; a failed
+    certificate names the block that asked."""
+    if block._snf is None:
+        try:
+            block._snf = smith_normal_form(block)
+        except CertificateFailure as exc:
+            raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
+    return block._snf
 
 
 def _push(runs: list[tuple[Poly, int]], c: Poly, m: int) -> None:
@@ -463,7 +472,8 @@ class FpmModule:
 
     The module lives in one weight, 0 unless a DirectSum builds it as its
     block of another weight; a failed SNF certificate names that weight.
-    Rank, torsion and the zero test are read off one SNF, computed once.
+    Rank, torsion and the zero test are read off one SNF, computed once per
+    relation matrix.
     """
 
     def __init__(
@@ -494,9 +504,9 @@ class FpmModule:
     def zero(cls, ring: ChartRing) -> "FpmModule":
         return cls(ring, 0, None, ())
 
-    @cached_property
+    @property
     def snf(self) -> SNFResult:
-        """SNF of the relation matrix, computed once."""
+        """SNF of the relation matrix, which the matrix keeps."""
         return _block_snf(self.relations, self.weight)
 
     @property

@@ -6,10 +6,11 @@ empty tuple is the zero polynomial.  The coefficient field makes F_q[t]
 Euclidean, so division with remainder, gcd and exact division are all
 available.
 
-Every operation works on the codes and builds one `Poly` per result.  The
-hot loops, products and division with remainder, take one branch per field:
-over a prime field they use integer arithmetic and reduce mod p once per
-output coefficient; over other fields they multiply through the field's log
+Every operation works on the codes and builds one `Poly` per result; a
+product with the unit polynomial 1 returns the other factor.  The hot loops,
+products and division with remainder, take one branch per field: over a
+prime field they use integer arithmetic and reduce mod p once per output
+coefficient; over other fields they multiply through the field's log
 and antilog tables and add by XOR when p = 2, or through the field's `_add`
 (Zech logarithms) otherwise.  Sums, negation, scaling and derivatives use the
 field's code methods and tables directly.  Coefficients are handed out as
@@ -119,6 +120,14 @@ def _prime_divisors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _trimmed(field: _FqField, codes: list[int]) -> "Poly":
+    """A polynomial from codes already free of trailing zeros."""
+    out = object.__new__(Poly)
+    out.field = field
+    out.coeffs = tuple(codes)
+    return out
+
+
 class Poly:
     __slots__ = ("field", "coeffs")
 
@@ -226,10 +235,20 @@ class Poly:
         return Poly(self.field, map(self.field._neg, self.coeffs))
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Poly(self.field, _mul_codes(self.field, self.coeffs, other.coeffs))
+        if type(other) is not Poly:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        elif other.field is not self.field:
+            raise FieldMismatch("polynomials over different fields")
+        a, b = self.coeffs, other.coeffs
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
+        # Over a field the product of two trimmed polynomials has a nonzero
+        # leading code.
+        return _trimmed(self.field, _mul_codes(self.field, a, b))
 
     __rmul__ = __mul__
 
@@ -252,7 +271,7 @@ class Poly:
             return Poly(field)
         exp, log = field.exp, field.log
         lc = log[c.code]
-        return Poly(field, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
+        return _trimmed(field, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         other = self._check(other)
@@ -307,17 +326,21 @@ class Poly:
         )
 
     def multiplicity(self, pi: "Poly") -> tuple[int, "Poly"]:
-        """Largest k with pi^k dividing self, and the cofactor self / pi^k."""
+        """Largest k with pi^k dividing self, and the cofactor self / pi^k.
+
+        A cofactor of lower degree than pi ends the search without a division.
+        """
         if self.is_zero():
             raise ValueError("multiplicity in the zero polynomial")
         k = 0
         cur = self
-        while True:
+        while len(cur.coeffs) >= len(pi.coeffs):
             q, r = cur.divmod(pi)
             if not r.is_zero():
-                return k, cur
+                break
             k += 1
             cur = q
+        return k, cur
 
     def is_irreducible(self) -> bool:
         """Rabin's test (SIAM J. Comput. 9, 1980).

@@ -5,8 +5,20 @@ A = F_q[t][1/pi_1, ..., 1/pi_s] is a principal ideal domain whose unit group
 is F_q^x  x  Z^s.  Every element is kept in unit-core form
 c * core * prod(pi_j^e_j): c a constant, core monic and prime to every pi_j
 (S-free), e in Z^s.  Only ``ChartRing.make`` divides inverted primes out of a
-polynomial; products, inverses, unit logs, cores, divisibility, exact division
-and restriction read the stored factors, since S-free times S-free is S-free.
+polynomial; products, inverses, unit logs, cores, divisibility and exact
+division read the stored factors, since S-free times S-free is S-free.
+
+Sums, derivatives and restrictions do go through ``make``, and it tests only
+the primes the stored factors leave open:
+
+  * a sum, at pi_j where the summands' exponents differ: after pi^low is
+    factored out, pi_j divides exactly one side (the other side's core is
+    S-free and its constant nonzero), so it does not divide the sum;
+  * a derivative (f * prod(pi_j^e_j))' with f S-free, at pi_j with e_j prime
+    to p: the computed numerator is e_j * f * pi_j' * (other primes) modulo
+    pi_j, prime to pi_j since pi_j is separable and deg pi_j' < deg pi_j;
+  * a restriction, at the primes the source already inverts.
+
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
 Beyond ring arithmetic the chart ring provides the three operations the
@@ -60,6 +72,7 @@ class ChartRing:
         if len({p.coeffs for p in polys}) != len(polys):
             raise MalformedInput("inverted irreducibles must be distinct")
         self.inverted: tuple[Poly, ...] = tuple(polys)
+        self._derivatives = tuple(pi.derivative() for pi in polys)
         self.s = len(self.inverted)
         self.zero = RingElem(self, 0, Poly.zero(field), (0,) * self.s)
         self.one = RingElem(self, 1, Poly.one(field), (0,) * self.s)
@@ -67,18 +80,24 @@ class ChartRing:
 
     # -- element construction
 
-    def make(self, num: Poly, dens: Iterable[int] = ()) -> "RingElem":
+    def make(
+        self, num: Poly, dens: Iterable[int] = (), *, open_primes: Iterable[int] | None = None
+    ) -> "RingElem":
         """The element num / prod(pi_j^dens_j), dens in Z^s, in unit-core form.
 
         The one place where inverted primes are divided out of a polynomial.
+        Only the primes indexed by open_primes are tested, every prime by
+        default; a caller passes fewer only when the others cannot divide num
+        (see the module docstring).
         """
         exps = [-d for d in dens] or [0] * self.s
         if len(exps) != self.s:
             raise ValueError("denominator exponent vector has wrong length")
         if num.is_zero():
             return self.zero
-        for j, pi in enumerate(self.inverted):
-            mult, num = num.multiplicity(pi)
+        inverted = self.inverted
+        for j in range(self.s) if open_primes is None else open_primes:
+            mult, num = num.multiplicity(inverted[j])
             exps[j] += mult
         return RingElem(self, num.coeffs[-1], num.monic(), tuple(exps))
 
@@ -163,19 +182,29 @@ class ChartRing:
 
     def derive(self, a: "RingElem") -> "RingElem":
         """d/dt of c * core * prod(pi_j^e_j), one factor pi^e at a time:
-        (f * pi^e)' = (f' * pi + e * f * pi') * pi^(e-1)."""
+        (f * pi^e)' = (f' * pi + e * f * pi') * pi^(e-1).
+
+        A factor with p | e is a p-th power, whose derivative is 0, so it is
+        carried as it is and its prime is left open; every other prime
+        divides the numerator not at all (see the module docstring).
+        """
         a = self.coerce(a)
         if a.is_zero():
             return self.zero
-        core = a.core
-        deriv, taken = core.derivative(), self.one.core
-        dens = []
-        for pi, e in zip(self.inverted, a.exps):
-            if e:
-                deriv = deriv * pi + core * taken * pi.derivative() * e
+        field, p = self.field, self.field.p
+        deriv, taken = a.core.derivative(), a.core
+        dens, open_primes = [], []
+        for j, (pi, dpi, e) in enumerate(zip(self.inverted, self._derivatives, a.exps)):
+            if e % p:
+                deriv = deriv * pi + (taken * dpi).scale(FqElem(field, e % p))
                 taken = taken * pi
-            dens.append(1 - e if e else 0)
-        return self.make(deriv.scale(FqElem(self.field, a.const)), dens)
+                dens.append(1 - e)
+            else:
+                dens.append(-e)
+                open_primes.append(j)
+        return self.make(
+            deriv.scale(FqElem(field, a.const)), dens, open_primes=open_primes
+        )
 
     def dlog(self, u: "RingElem") -> "RingElem":
         """derive(u)/u for a unit u.  Additive on products; kills p-th powers."""
@@ -202,8 +231,10 @@ class ChartRing:
         index = {p.coeffs: j for j, p in enumerate(target.inverted)}
         dens = [0] * target.s
         for pi, e in zip(self.inverted, a.exps):
-            dens[index[pi.coeffs]] = -e
-        return target.make(a.core.scale(FqElem(self.field, a.const)), dens)
+            dens[index.pop(pi.coeffs)] = -e
+        return target.make(
+            a.core.scale(FqElem(self.field, a.const)), dens, open_primes=index.values()
+        )
 
     # -- randomness for tests and probabilistic checks
 
@@ -315,6 +346,8 @@ class RingElem:
     # -- arithmetic
 
     def _check(self, other) -> "RingElem":
+        if type(other) is RingElem and other.ring is self.ring:
+            return other
         if isinstance(other, (int, Poly, FqElem)):
             return self.ring.coerce(other)
         if not isinstance(other, RingElem):
@@ -335,7 +368,9 @@ class RingElem:
             return self
         low = tuple(map(min, self.exps, other.exps))
         total = self._poly(map(sub, self.exps, low)) + other._poly(map(sub, other.exps, low))
-        return self.ring.make(total, [-m for m in low])
+        # Only a prime where the exponents agree can divide the sum.
+        tied = [j for j, (e, f) in enumerate(zip(self.exps, other.exps)) if e == f]
+        return self.ring.make(total, [-m for m in low], open_primes=tied)
 
     __radd__ = __add__
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fixtures import FIXTURES, degenerate, twochart, zerotorsion
 from oracle import cover_elem, dense_coeffs, graded_cut
 
+from taucover import pidmod
 from taucover.covers import Cover, CoverChart, ChartedScheme, TorsionBundle
 from taucover.errors import DegreeOverflow, GluingFailure, MalformedInput
 from taucover.fields import FqField
@@ -231,6 +232,22 @@ def test_form_modules_are_the_weight_blocks_of_the_dense_presentation(name):
             assert {w: b.relations for w, b in cut.blocks.items()} == {
                 w: b.relations for w, b in module.blocks.items()
             }
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_form_modules_reduce_each_distinct_block_matrix_once(name, monkeypatch):
+    calls = []
+    snf = pidmod.smith_normal_form
+    monkeypatch.setattr(pidmod, "smith_normal_form", lambda M: calls.append(1) or snf(M))
+    for chart in Cover(FIXTURES[name]()).charts:
+        for module in (one_forms_module(chart), two_forms_module(chart)):
+            calls.clear()
+            assert module.rank <= module.n_gens
+            assert all(c.is_monic() for c in module.torsion)
+            for w, block in module.blocks.items():
+                module.is_zero({w: (chart.ring.one,) * block.n_gens})
+            distinct = {b.relations.rows for b in module.blocks.values()}
+            assert len(calls) == len(distinct) <= 2
 
 
 def test_one_forms_module_gm_p2():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import trial_division_is_irreducible
 
+from taucover import polys as polys_module
 from taucover.fields import FqField
 from taucover.polys import Poly
 
@@ -108,3 +109,32 @@ def test_power_skips_the_squaring_after_the_top_bit(monkeypatch, k, products):
         expected = expected * p
     assert power == expected
     assert len(calls) == products
+
+
+def test_product_with_one_returns_the_other_factor(monkeypatch):
+    field = FqField(5)
+    f, one = Poly(field, [1, 2, 1]), Poly.one(field)
+    calls = []
+    mul_codes = polys_module._mul_codes
+    monkeypatch.setattr(
+        polys_module, "_mul_codes", lambda *args: calls.append(1) or mul_codes(*args)
+    )
+    assert f * one is f
+    assert one * f is f
+    assert calls == []
+    assert f * f == Poly(field, [1, 4, 1, 4, 1])
+    assert calls == [1]
+
+
+def test_multiplicity_below_the_degree_of_pi_divides_nothing(monkeypatch):
+    field = FqField(5)
+    pi = Poly.parse(field, "t^2 + 2")
+    f = Poly.parse(field, "t + 1")
+    calls = []
+    divmod_ = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda a, b: calls.append(1) or divmod_(a, b))
+    assert f.multiplicity(pi) == (0, f)
+    assert calls == []
+    # one division finds pi; the cofactor t + 1 is then too small to test
+    assert (f * pi).multiplicity(pi) == (1, f)
+    assert calls == [1]

@@ -161,6 +161,36 @@ def test_adding_unequal_denominators_lifts_only_the_lower_one(A5, monkeypatch):
     assert sorted(calls) == [1, 1]
 
 
+def test_adding_unequal_exponents_at_every_prime_tests_no_multiplicity(A5, monkeypatch):
+    x = A5.parse("1/t^2")
+    y = A5.parse("1/(t*(t+4))")
+    expected = A5.parse("(t + t + 4)/(t^2*(t+4))")
+    calls = []
+    multiplicity = Poly.multiplicity
+    monkeypatch.setattr(
+        Poly, "multiplicity", lambda f, pi: calls.append(pi) or multiplicity(f, pi)
+    )
+    assert x + y == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "primes, text", [(["t"], "1/t"), (["t", "t+4"], "(t^2 + 1)/(t^3*(t+4))")]
+)
+def test_deriving_exponents_prime_to_p_tests_no_multiplicity(primes, text, monkeypatch):
+    ring = ChartRing(F5, primes)
+    x = ring.parse(text)
+    calls = []
+    multiplicity = Poly.multiplicity
+    monkeypatch.setattr(
+        Poly, "multiplicity", lambda f, pi: calls.append(pi) or multiplicity(f, pi)
+    )
+    dx = ring.derive(x)
+    monkeypatch.undo()
+    assert calls == []
+    assert frac_of_ring_elem(dx) == frac_derive(frac_of_ring_elem(x))
+
+
 def test_unit_log_examples(A5):
     u = A5.parse("(3*t^2+3*t)/(t+4)")  # 3 t (t+1) / (t-1): not a unit (t+1 not inverted)
     with pytest.raises(NotAUnit):
@@ -306,14 +336,18 @@ def oracle_ring(field, chosen: tuple[int, ...]) -> ChartRing:
 
 @st.composite
 def oracle_elements(draw, ring, unit=False):
-    """A ring element from num / prod(pi_j^d_j), d in [-2, 2]^s, and its fraction."""
+    """A ring element from num / prod(pi_j^d_j), d in [-6, 6]^s, and its fraction.
+
+    The range holds nonzero multiples of p for p = 2, 3 and 5, where d/dt
+    leaves the prime open.
+    """
     field = ring.field
     if unit:
         codes = [draw(st.integers(1, field.q - 1))]
     else:
         codes = draw(st.lists(st.integers(0, field.q - 1), max_size=5))
     num = Poly(field, codes)
-    dens = draw(st.lists(st.integers(-2, 2), min_size=ring.s, max_size=ring.s))
+    dens = draw(st.lists(st.integers(-6, 6), min_size=ring.s, max_size=ring.s))
     top, bottom = num, Poly.one(field)
     for pi, d in zip(ring.inverted, dens):
         if d < 0:
@@ -387,3 +421,14 @@ def test_unit_core_form_matches_the_fraction_field_oracle(case):
     assert ring.divides(y, x) == divides
     if divides:
         assert_unit_core_form(ring.exact_div(x, y), quotient)
+
+
+@pytest.mark.parametrize("e", [-6, -3, -1, 0, 1, 3])
+def test_derive_finds_the_inverted_prime_in_the_core_derivative(e):
+    """F_3 loc(t), core t^4 + 1: its derivative t^3 is divisible by t, which
+    derive must divide out when 3 | e and cannot meet otherwise."""
+    ring = ChartRing(F3, ["t"])
+    core = Poly.parse(F3, "t^4 + 1")
+    x = ring.make(core, [-e])
+    assert x.core == core and x.exps == (e,)
+    assert_unit_core_form(ring.derive(x), frac_derive(frac_of_ring_elem(x)))
