@@ -26,15 +26,9 @@ from pathlib import Path
 
 from . import catalog
 from .catalog import Fixture
-from .connections import (
-    ClassicalConnection,
-    TauConnection,
-    cech_class,
-    is_trivial_class,
-)
+from .connections import TauConnection, cech_class, is_trivial_class
 from .covers import Cover, TorsionBundle, factor_cover
 from .errors import (
-    DegreeOverflow,
     DivisionByZero,
     FieldMismatch,
     MalformedInput,
@@ -43,7 +37,7 @@ from .errors import (
     RingMismatch,
     TauCoverError,
 )
-from .forms import OmegaL, cartier
+from .forms import OmegaL, cartier, one_form_str
 from .partialforms import dga_check, rank_torsion_report, verify_sequence
 
 # Sequence ids are opaque labels for the shipped exactness claims:
@@ -65,39 +59,35 @@ _MALFORMED = (
     FieldMismatch,
     RingMismatch,
     DivisionByZero,
-    DegreeOverflow,
 )
 
 
 # -- report builders
 
 
-def cover_report(bundle: TorsionBundle, cover: Cover | None = None) -> dict:
-    cover = cover if cover is not None else Cover(bundle)
+def cover_report(cover: Cover) -> dict:
+    bundle = cover.bundle
     factor = dict(factor_cover(bundle))
     factor["etale_stage"] = factor["etale_stage"].to_json()
     omega = OmegaL(bundle)
-    cartier_fixed = all(cartier(f) == f for f in omega.chart_forms)
+    cartier_fixed = all(cartier(x) == x for x in omega.chart_forms)
     glue_passed = all(c["passed"] for c in cover.glue_certificates)
     return {
         "summary": cover.summary(),
         "glue_passed": glue_passed,
         "factor": factor,
         "omega_l": {
-            "forms": [str(f) for f in omega.chart_forms],
-            "degenerate": omega.degenerate,
+            "forms": [one_form_str(x) for x in omega.chart_forms],
+            "degenerate": bundle.is_degenerate(),
             "cartier_fixed": cartier_fixed,
         },
         "passed": glue_passed and factor["passed"] and cartier_fixed,
     }
 
 
-def omega_l_report(
-    bundle: TorsionBundle, degree: int, cover: Cover | None = None
-) -> dict:
+def omega_l_report(cover: Cover, degree: int) -> dict:
     if degree not in (1, 2):
         raise MalformedInput("only form degrees 1 and 2 are supported")
-    cover = cover if cover is not None else Cover(bundle)
     invariants = rank_torsion_report(cover)
     if degree == 1:
         return {
@@ -168,25 +158,20 @@ def sequence_reports(cover: Cover, sequence_ids) -> dict:
     return reports
 
 
-def connection_report(
-    bundle: TorsionBundle,
-    seed: int = 0,
-    samples: int = 200,
-    cover: Cover | None = None,
-) -> dict:
-    cover = cover if cover is not None else Cover(bundle)
-    tau = TauConnection(cover).report(seed=seed, samples=samples)
-    coprime = bundle.n % bundle.scheme.field.p != 0
-    out = {"mode": "classical" if coprime else "partial", **tau}
-    if coprime:
-        classical = ClassicalConnection(bundle).report()
+def connection_report(cover: Cover, seed: int = 0, samples: int = 200) -> dict:
+    tau = TauConnection(cover)
+    out = {
+        "mode": "classical" if tau.classical else "partial",
+        **tau.report(seed=seed, samples=samples),
+    }
+    if tau.classical:
+        classical = tau.classical.report()
         out["classical"] = classical
         out["passed"] = out["passed"] and classical["passed"]
     return out
 
 
-def class_report(bundle: TorsionBundle, cover: Cover | None = None) -> dict:
-    cover = cover if cover is not None else Cover(bundle)
+def class_report(cover: Cover) -> dict:
     cocycle = cech_class(cover)
     decision = is_trivial_class(cover)
     return {
@@ -206,12 +191,12 @@ def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
     cover = Cover(bundle)
     sections = {
         "validate": bundle.validate(),
-        "cover": cover_report(bundle, cover=cover),
-        "omega_l": omega_l_report(bundle, 1, cover=cover),
+        "cover": cover_report(cover),
+        "omega_l": omega_l_report(cover, 1),
         "sequences": sequence_reports(cover, SEQUENCE_IDS),
         "dga": dga_check(cover, seed=seed),
-        "connection": connection_report(bundle, seed=seed, samples=samples, cover=cover),
-        "class": class_report(bundle, cover=cover),
+        "connection": connection_report(cover, seed=seed, samples=samples),
+        "class": class_report(cover),
     }
     mismatches = [
         key
@@ -384,17 +369,18 @@ def _dispatch(args) -> tuple[dict, int]:
     if args.command == "validate":
         report = bundle.validate()
         return report, 0 if report["valid"] else 1
+    cover = Cover(bundle)
     if args.command == "cover":
-        report = cover_report(bundle)
+        report = cover_report(cover)
         return report, 0 if report["passed"] else 1
     if args.command == "omega-l":
-        report = omega_l_report(bundle, args.degree)
+        report = omega_l_report(cover, args.degree)
         return report, 0 if report["passed"] else 1
     if args.command == "connection":
-        report = connection_report(bundle, seed=args.seed, samples=args.samples)
+        report = connection_report(cover, seed=args.seed, samples=args.samples)
         return report, 0 if report["passed"] else 1
     if args.command == "class":
-        report = class_report(bundle)
+        report = class_report(cover)
         return report, 0 if report["passed"] else 1
     raise MalformedInput(f"unknown command {args.command!r}")
 

@@ -303,6 +303,10 @@ class TorsionBundle:
             return self.g[(i, j)]
         return self.g[(j, i)].inv()
 
+    def is_coprime(self) -> bool:
+        """True when the order n is invertible in the field, gcd(n, p) = 1."""
+        return self.n % self.scheme.field.p != 0
+
     def is_degenerate(self) -> bool:
         """True when some trivializing unit has vanishing logarithmic derivative."""
         return any(

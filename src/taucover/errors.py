@@ -39,10 +39,6 @@ class CertificateFailure(TauCoverError):
     that lets a matrix be reduced one weight block at a time."""
 
 
-class DegreeOverflow(TauCoverError):
-    """Wedge product would exceed the top degree of the complex."""
-
-
 class StabilityFailure(TauCoverError):
     """Derivative of a submodule element left the submodule."""
 

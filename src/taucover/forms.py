@@ -1,8 +1,13 @@
 """Differential forms on a chart and on its cyclic cover.
 
-On the base chart A everything is t-based: one-forms are f*dt, two-forms
-vanish, and the Cartier operator acts on f*dt through the coefficients of
-t^(p-1) inside p-th power blocks.
+On the base chart A, Omega^1 is free of rank one on dt, so a base one-form
+f*dt is its dt coefficient f, a plain RingElem: ``ChartRing.derive`` is d,
+``ChartRing.dlog`` is du/u, and ``cartier`` and ``pullback_one_form`` take
+and give coefficients.  Two-forms on a curve vanish, so there is no base
+two-form to carry.  The Cartier operator acts on f*dt through the
+coefficients of t^(p-1) inside p-th power blocks.  Whether a bundle is
+degenerate (some du/u vanishes) or coprime (p does not divide n) is decided
+by ``TorsionBundle.is_degenerate`` and ``TorsionBundle.is_coprime`` only.
 
 On a cover chart B = A[v]/(v^n - u), forms are carried in the coordinates
 (dt, dv).  The B-modules of one- and two-forms are finitely presented over A
@@ -26,107 +31,27 @@ j in the dt coefficient and weight j + 1 (mod n) in the dv and dt^dv ones.
 from __future__ import annotations
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
-from .errors import DegreeOverflow, GluingFailure, MalformedInput, RingMismatch
+from .errors import GluingFailure, RingMismatch
 from .pidmod import DirectSum, FpmModule, PolyMatrix
 from .polys import Poly
-from .rings import ChartRing
+from .rings import RingElem
 
 
-class ChartForm:
-    """Differential form on the base chart: degree 0, 1 (f*dt), or 2 (zero)."""
-
-    __slots__ = ("ring", "degree", "coeff")
-
-    def __init__(self, ring: ChartRing, degree: int, coeff):
-        if degree not in (0, 1, 2):
-            raise DegreeOverflow("base-chart forms live in degrees 0, 1, 2")
-        coeff = ring.coerce(coeff)
-        if degree == 2 and not coeff.is_zero():
-            raise MalformedInput("every two-form on a one-dimensional chart is zero")
-        self.ring = ring
-        self.degree = degree
-        self.coeff = coeff
-
-    def _check(self, other: "ChartForm") -> "ChartForm":
-        if not isinstance(other, ChartForm):
-            raise TypeError("expected a chart form")
-        if other.ring is not self.ring or other.degree != self.degree:
-            raise RingMismatch("forms of different charts or degrees")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return ChartForm(self.ring, self.degree, self.coeff + other.coeff)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return ChartForm(self.ring, self.degree, self.coeff - other.coeff)
-
-    def __neg__(self):
-        return ChartForm(self.ring, self.degree, -self.coeff)
-
-    def scale(self, c) -> "ChartForm":
-        return ChartForm(self.ring, self.degree, self.coeff * self.ring.coerce(c))
-
-    def d(self) -> "ChartForm":
-        if self.degree == 0:
-            return ChartForm(self.ring, 1, self.ring.derive(self.coeff))
-        if self.degree == 1:
-            return ChartForm(self.ring, 2, self.ring.zero)
-        raise DegreeOverflow("no derivative above the top degree")
-
-    def wedge(self, other: "ChartForm") -> "ChartForm":
-        if not isinstance(other, ChartForm) or other.ring is not self.ring:
-            raise RingMismatch("wedge of forms on different charts")
-        total = self.degree + other.degree
-        if total > 2:
-            raise DegreeOverflow("wedge degree exceeds the chart dimension bound")
-        if total == 2 and self.degree != 0 and other.degree != 0:
-            return ChartForm(self.ring, 2, self.ring.zero)
-        return ChartForm(self.ring, total, self.coeff * other.coeff)
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, ChartForm):
-            return NotImplemented
-        return (
-            self.ring.same_ring(other.ring)
-            and self.degree == other.degree
-            and self.coeff == other.coeff
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeff))
-
-    def __str__(self):
-        if self.degree == 0:
-            return str(self.coeff)
-        if self.degree == 2 or self.coeff.is_zero():
-            return "0"
-        cs = str(self.coeff)
-        if cs == "1":
-            return "dt"
-        if " " in cs or "+" in cs or "/" in cs:
-            cs = f"({cs})"
-        return f"{cs}*dt"
-
-    __repr__ = __str__
+def one_form_str(x: RingElem) -> str:
+    """Text of the base one-form x*dt: ``0``, ``dt``, ``t*dt``, ``(1/t)*dt``."""
+    if x.is_zero():
+        return "0"
+    cs = str(x)
+    if cs == "1":
+        return "dt"
+    if " " in cs or "+" in cs or "/" in cs:
+        cs = f"({cs})"
+    return f"{cs}*dt"
 
 
-def chart_d(ring: ChartRing, f) -> ChartForm:
-    """df for a function on the base chart."""
-    return ChartForm(ring, 0, f).d()
-
-
-def chart_dlog(ring: ChartRing, u) -> ChartForm:
-    """du/u for a unit of the base chart."""
-    return ChartForm(ring, 1, ring.dlog(u))
-
-
-def cartier(form: ChartForm) -> ChartForm:
-    """Cartier operator on one-forms of the base chart.
+def cartier(x: RingElem) -> RingElem:
+    """Cartier operator on the base one-form x*dt, given and returned as its
+    dt coefficient.
 
     For f = N/D with denominator D a product of inverted irreducibles,
     f*dt = (N * D^(p-1)) / D^p * dt, and the operator extracts the t^(p-1)
@@ -136,45 +61,41 @@ def cartier(form: ChartForm) -> ChartForm:
 
     Semilinearity C(h^p w) = h C(w) then handles the 1/D factor.
     """
-    if form.degree != 1:
-        raise MalformedInput("the Cartier operator acts on one-forms")
-    ring = form.ring
+    ring = x.ring
     field = ring.field
     p = field.p
-    x = form.coeff
     if x.is_zero():
-        return ChartForm(ring, 1, ring.zero)
+        return ring.zero
     num, den = x.fraction()
     lifted = num * den ** (p - 1)
     picked = [
         lifted[k].frobenius_inverse().code for k in range(p - 1, len(lifted.coeffs), p)
     ]
-    return ChartForm(ring, 1, ring.make(Poly(field, picked), x.dens))
+    return ring.make(Poly(field, picked), x.dens)
 
 
 class OmegaL:
-    """Per-chart logarithmic forms du/u of a bundle's trivializing units.
+    """Per-chart logarithmic forms du/u of a bundle's trivializing units, each
+    held as its dt coefficient.
 
     On overlaps the restrictions must agree; a mismatch raises GluingFailure.
-    The degenerate flag records charts where the form vanishes identically.
     """
 
     def __init__(self, bundle: TorsionBundle):
         scheme = bundle.scheme
         self.bundle = bundle
         self.chart_forms = tuple(
-            chart_dlog(ring, u) for ring, u in zip(scheme.charts, bundle.u)
+            ring.dlog(u) for ring, u in zip(scheme.charts, bundle.u)
         )
         for (i, j) in scheme.pairs():
-            left = scheme.restrict(i, self.chart_forms[i].coeff, j)
-            right = scheme.restrict(j, self.chart_forms[j].coeff, i)
+            left = scheme.restrict(i, self.chart_forms[i], j)
+            right = scheme.restrict(j, self.chart_forms[j], i)
             if left != right:
                 raise GluingFailure(
                     f"du/u does not glue on overlap {(i, j)}: {left} vs {right}"
                 )
-        self.degenerate = any(f.is_zero() for f in self.chart_forms)
 
-    def __getitem__(self, i: int) -> ChartForm:
+    def __getitem__(self, i: int) -> RingElem:
         return self.chart_forms[i]
 
     def __len__(self) -> int:
@@ -392,13 +313,10 @@ def wedge_one_one(a: CoverOneForm, b: CoverOneForm) -> CoverTwoForm:
     return CoverTwoForm(a.chart, a.ct * b.cv - a.cv * b.ct)
 
 
-def pullback_one_form(chart: CoverChart, form: ChartForm) -> CoverOneForm:
-    """sigma^* on base one-forms: f dt -> f dt with dv-part zero."""
-    if form.degree != 1:
-        raise MalformedInput("pullback_one_form expects a one-form")
-    if form.ring is not chart.ring:
-        raise RingMismatch("form does not live on the cover's base chart")
-    return CoverOneForm(chart, chart.from_ring(form.coeff), chart.zero)
+def pullback_one_form(chart: CoverChart, f: RingElem) -> CoverOneForm:
+    """sigma^* on base one-forms: f dt -> f dt with dv-part zero.  A
+    coefficient f of another chart ring raises RingMismatch."""
+    return CoverOneForm(chart, chart.from_ring(f), chart.zero)
 
 
 def dv_over_v(chart: CoverChart) -> CoverOneForm:

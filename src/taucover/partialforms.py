@@ -28,11 +28,9 @@ from typing import Sequence
 from .covers import Cover, TorsionBundle
 from .errors import StabilityFailure
 from .forms import (
-    ChartForm,
     CoverOneForm,
     CoverTwoForm,
     _v_power_names,
-    chart_d,
     d_function,
     d_one_form,
     dv_over_v,
@@ -65,7 +63,7 @@ class PartialFormsChart:
         self.omega1_ambient = one_forms_module(chart)
         self.omega2_ambient = two_forms_module(chart)
 
-        dt = pullback_one_form(chart, ChartForm(ring, 1, ring.one))
+        dt = pullback_one_form(chart, ring.one)
         root_form = dv_over_v(chart)
         self.generators1 = (dt, root_form)
         self.sub1 = self.omega1_ambient.span(
@@ -322,7 +320,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
             return amb2.is_zero(form.parts())
 
         def intertwines(f):
-            lhs = pullback_one_form(chart, chart_d(ring, f))
+            lhs = pullback_one_form(chart, ring.derive(f))
             return lhs, pfc.lift1(pfc.d0(f))
 
         def d_squared_cover(g):
@@ -335,7 +333,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
             x = pfc.lift1((a, b))
             lhs = d_one_form(pfc.lift1((f * a, f * b)))
             rhs = wedge_one_one(
-                pullback_one_form(chart, chart_d(ring, f)), x
+                pullback_one_form(chart, ring.derive(f)), x
             ) + d_one_form(x).scale(f)
             return lhs, rhs
 
@@ -363,7 +361,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
                 lhs = d_one_form(pfc.lift1((zero, b)))
                 rhs = wedge_one_one(
                     dv_over_v(chart),
-                    pullback_one_form(chart, -chart_d(ring, b)),
+                    pullback_one_form(chart, -ring.derive(b)),
                 )
                 return lhs, rhs
 

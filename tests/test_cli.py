@@ -14,9 +14,9 @@ from taucover.catalog import (
     load_all,
     load_fixture,
 )
-from taucover import cli
+from taucover import cli, connections
 from taucover.cli import fixture_report, main, matches_expected, omega_l_report
-from taucover.covers import MAX_CHARTS, MAX_N, TorsionBundle
+from taucover.covers import MAX_CHARTS, MAX_N, Cover, TorsionBundle
 from taucover.errors import MalformedInput
 
 ALL_FIXTURES = [
@@ -208,7 +208,7 @@ def test_omega_l_fixture_degree_two(capsys):
 
 def test_omega_l_rejects_other_degrees():
     with pytest.raises(MalformedInput):
-        omega_l_report(load_fixture("GM_P2").bundle(), 3)
+        omega_l_report(Cover(load_fixture("GM_P2").bundle()), 3)
 
 
 def test_connection_fixture(capsys):
@@ -258,6 +258,20 @@ def test_fixture_report_runs_each_sequence_once(monkeypatch):
     report = fixture_report(load_fixture("TWOCHART"), samples=5)
     assert report["matches_expected"], report["mismatches"]
     assert sorted(runs) == [(1, False), (2, False), (2, True)]
+
+
+def test_connection_report_builds_the_classical_connection_once(monkeypatch):
+    built = []
+    original = connections.ClassicalConnection.__init__
+
+    def counting(self, bundle):
+        built.append(bundle)
+        original(self, bundle)
+
+    monkeypatch.setattr(connections.ClassicalConnection, "__init__", counting)
+    report = cli.connection_report(Cover(load_fixture("COPRIME").bundle()), samples=5)
+    assert report["mode"] == "classical" and report["passed"]
+    assert len(built) == 1
 
 
 def test_report_requires_a_target(capsys):

@@ -3,7 +3,9 @@ definition: in the package, in a demo, or in the README.
 
 The scan is by name, so it is conservative: a name that also occurs as a
 word elsewhere (another method of the same name, a docstring) counts as used.
-Dunder methods are called by the interpreter and are not scanned.
+Dunder methods are called by the interpreter and are not scanned.  An
+exception class is held to more: some ``raise`` in the package must name it,
+since an ``except`` clause or an export alone catches nothing.
 """
 
 import ast
@@ -41,3 +43,22 @@ def test_every_definition_is_named_elsewhere():
         if name not in ALLOWED and words[name] <= defined[name]
     )
     assert not unused, "defined but never named:\n" + "\n".join(unused)
+
+
+def _raised_names() -> set[str]:
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    raised = _raised_names()
+    unraised = sorted(name for name in classes if name not in raised)
+    assert classes and not unraised, f"error classes never raised: {unraised}"
