@@ -38,8 +38,8 @@ def main():
     print(f"(t^2 + 4t)/t normalizes to {x}")
     u = ring.parse("3*t^2/(t + 4)")
     print(f"u = {u} is a unit: {u.is_unit()}")
-    log = ring.unit_log(u)
-    print(f"unit decomposition: constant {log.constant}, exponents {log.exponents}")
+    constant, exponents = ring.unit_log(u)
+    print(f"unit decomposition: constant {constant}, exponents {exponents}")
     print(f"dlog(u) = {ring.dlog(u)}")
 
     print()

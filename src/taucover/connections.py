@@ -34,18 +34,19 @@ from collections import deque
 from typing import Sequence
 
 from .covers import Cover, TorsionBundle
-from .errors import InvalidCocycle, NotCoprime, TauCoverError
+from .errors import InvalidCocycle, MalformedInput, NotCoprime, TauCoverError
 from .fields import FqElem
 from .forms import (
     CoverOneForm,
     d_function,
     dv_over_v,
     pullback_one_form,
+    two_form_parts,
     wedge_one_one,
 )
 from .partialforms import PartialFormsChart, _law, atiyah_cocycle_check
 from .polys import Poly
-from .rings import ChartRing, RingElem, UnitLog
+from .rings import ChartRing, RingElem
 
 
 class TauConnection:
@@ -129,7 +130,9 @@ class TauConnection:
             ring = pfc.ring
             d_part = pfc.presentation2.is_zero_elem(pfc.d1(self.connection_coords(i)))
             form = self.connection_form(i)
-            wedge_part = pfc.omega2_ambient.is_zero(wedge_one_one(form, form).parts())
+            wedge_part = pfc.omega2_ambient.is_zero(
+                two_form_parts(wedge_one_one(form, form))
+            )
             charts.append(
                 {
                     "chart": i,
@@ -301,11 +304,7 @@ def coboundary_class(cover: Cover, units: Sequence[RingElem]) -> dict:
     """The hypercochain (delta(units), dlog(units)) split by the given units."""
     scheme = cover.bundle.scheme
     units = [scheme.charts[i].coerce(u) for i, u in enumerate(units)]
-    transitions = {}
-    for i, j in scheme.pairs():
-        ui = scheme.restrict(i, units[i], j)
-        uj = scheme.restrict(j, units[j], i)
-        transitions[(i, j)] = uj * ui.inv()
+    transitions = scheme.coboundary(units)
     coords = [
         (scheme.charts[i].dlog(u), scheme.charts[i].zero)
         for i, u in enumerate(units)
@@ -340,13 +339,22 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
         transitions = {pair: cover.bundle.g[pair] for pair in scheme.pairs()}
         coords = [(pfc.ring.zero, pfc.ring.one) for pfc in pfcs]
     else:
+        given, given_coords = cochain["transitions"], cochain["chart_coords"]
+        if (
+            set(given) != set(scheme.pairs())
+            or len(given_coords) != n_charts
+            or any(len(c) != 2 for c in given_coords)
+        ):
+            raise MalformedInput(
+                f"a cochain needs one transition per chart pair {scheme.pairs()} "
+                f"and one coordinate pair per chart ({n_charts})"
+            )
         transitions = {
-            pair: scheme.overlap(*pair).coerce(t)
-            for pair, t in cochain["transitions"].items()
+            pair: scheme.overlap(*pair).coerce(t) for pair, t in given.items()
         }
         coords = [
             (pfc.ring.coerce(a), pfc.ring.coerce(b))
-            for pfc, (a, b) in zip(pfcs, cochain["chart_coords"])
+            for pfc, (a, b) in zip(pfcs, given_coords)
         ]
 
     s_kills = None
@@ -404,10 +412,10 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     overlap_constants = {}
     for pair, t in sorted(transitions.items()):
         ovl = scheme.overlap(*pair)
-        log = ovl.unit_log(t)
-        exps = {str(pi): e for pi, e in zip(ovl.inverted, log.exponents)}
+        constant, exponents = ovl.unit_log(t)
+        exps = {str(pi): e for pi, e in zip(ovl.inverted, exponents)}
         overlap_exponents[pair] = exps
-        overlap_constants[pair] = log.constant
+        overlap_constants[pair] = constant
         i, j = pair
         for name, e in exps.items():
             # the overlap inverts exactly the primes of charts i and j, so row
@@ -434,21 +442,18 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
         return nontrivial("transitions", exponents["details"])
     constants = _assemble_constants(scheme, overlap_constants)
 
-    units = []
-    for i, pfc in enumerate(pfcs):
-        ring = pfc.ring
-        exps = tuple(exponents.get((i, nm), 0) for nm in chart_primes[i])
-        units.append(ring.exp_unit(UnitLog(ring, constants[i], exps)))
+    units = [
+        pfc.ring.exp_unit(constants[i], [exponents.get((i, nm), 0) for nm in names])
+        for i, (pfc, names) in enumerate(zip(pfcs, chart_primes))
+    ]
 
     # Definitive re-verification of the witness against both identities.
     for i, pfc in enumerate(pfcs):
         stated = (pfc.ring.dlog(units[i]), pfc.ring.zero)
         if not pfc.presentation1.elems_equal(coords[i], stated):
             raise TauCoverError("witness failed the dlog identity re-check")
-    for (i, j), t in transitions.items():
-        li = scheme.restrict(i, units[i], j)
-        lj = scheme.restrict(j, units[j], i)
-        if not lj * li.inv() == t:
+    for pair, quotient in scheme.coboundary(units).items():
+        if quotient != transitions[pair]:
             raise TauCoverError("witness failed the transition identity re-check")
 
     return {

@@ -249,6 +249,14 @@ class ChartedScheme:
             for j in range(i + 1, self.n_charts)
         ]
 
+    def coboundary(self, values: Sequence[RingElem]) -> dict[tuple[int, int], RingElem]:
+        """Čech coboundary of a 0-cochain of units, one per chart:
+        x_j / x_i restricted to each overlap (i, j)."""
+        return {
+            (i, j): self.restrict(j, values[j], i) / self.restrict(i, values[i], j)
+            for i, j in self.pairs()
+        }
+
     def to_json(self) -> list[dict]:
         return [c.to_json() for c in self.charts]
 
@@ -317,12 +325,8 @@ class TorsionBundle:
         """Check the compatibility and cocycle identities, returning a report."""
         checks = []
         ok = True
-        for (i, j) in self.scheme.pairs():
-            ovl = self.scheme.overlap(i, j)
+        for (i, j), rhs in self.scheme.coboundary(self.u).items():
             lhs = self.g[(i, j)] ** self.n
-            rhs = self.scheme.restrict(j, self.u[j], i) * self.scheme.restrict(
-                i, self.u[i], j
-            ).inv()
             passed = lhs == rhs
             ok = ok and passed
             checks.append(

@@ -14,7 +14,9 @@ On a cover chart B = A[v]/(v^n - u), forms are carried in the coordinates
 with the v-power basis: the single relation d(v^n - u) = n v^{n-1} dv - u' dt,
 multiplied through by v^j, gives the relation columns.  The exterior
 derivative and wedge product act on explicit representatives; equality of
-classes is delegated to the presented modules.
+classes is delegated to the presented modules.  Two-forms are free of rank
+one over B on dt^dv, so a cover two-form c*dt^dv is its dt^dv coefficient c,
+a plain CoverElem, and ``two_form_parts`` gives its blocks.
 
 B is graded by Z/n with wt v = 1 and wt A = 0, so wt dt = 0 and wt dv = 1;
 this is the eigensheaf splitting pi_* O_Y = sum L^(-i) of the cyclic cover,
@@ -23,9 +25,10 @@ column is homogeneous, so the presented modules are pidmod.DirectSums of n
 blocks of at most two generators, each reduced on its own.  This module is
 the only place that knows the layout: block w holds v^w dt and v^(w-1) dv
 of the one-forms and v^(w-1) dt^dv of the two-forms (v^(-1) = v^(n-1) at
-w = 0), and a form's ``parts()`` are its nonzero coefficient vectors on
-those blocks, read off its coefficients' ``terms``: a term a v^j has weight
-j in the dt coefficient and weight j + 1 (mod n) in the dv and dt^dv ones.
+w = 0).  A one-form's ``parts()`` and ``two_form_parts`` of a two-form are
+the nonzero coefficient vectors on those blocks, read off the coefficients'
+``terms``: a term a v^j has weight j in the dt coefficient and weight
+j + 1 (mod n) in the dv and dt^dv ones.
 """
 
 from __future__ import annotations
@@ -178,52 +181,11 @@ class CoverOneForm:
     __repr__ = __str__
 
 
-class CoverTwoForm:
-    """c2 * dt^dv with a cover-algebra coefficient."""
-
-    __slots__ = ("chart", "c2")
-
-    def __init__(self, chart: CoverChart, c2):
-        self.chart = chart
-        self.c2 = chart.coerce(c2)
-
-    def __add__(self, other):
-        if not isinstance(other, CoverTwoForm) or other.chart is not self.chart:
-            raise RingMismatch("two-forms on different cover charts")
-        return CoverTwoForm(self.chart, self.c2 + other.c2)
-
-    def __sub__(self, other):
-        if not isinstance(other, CoverTwoForm) or other.chart is not self.chart:
-            raise RingMismatch("two-forms on different cover charts")
-        return CoverTwoForm(self.chart, self.c2 - other.c2)
-
-    def __neg__(self):
-        return CoverTwoForm(self.chart, -self.c2)
-
-    def scale(self, c) -> "CoverTwoForm":
-        return CoverTwoForm(self.chart, self.c2 * self.chart.coerce(c))
-
-    def parts(self) -> dict[int, tuple]:
-        """Coefficient on v^(w-1) dt^dv, the block of weight w, for each w
-        where it is not zero, in ascending weight."""
-        n, c2 = self.chart.n, self.c2.terms
-        return {w: (c2[(w - 1) % n],) for w in sorted((j + 1) % n for j in c2)}
-
-    def is_zero(self) -> bool:
-        return self.c2.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverTwoForm):
-            return NotImplemented
-        return self.chart.same_chart(other.chart) and self.c2 == other.c2
-
-    def __hash__(self):
-        return hash(self.c2)
-
-    def __str__(self):
-        return f"({self.c2})*dt^dv" if not self.c2.is_zero() else "0"
-
-    __repr__ = __str__
+def two_form_parts(c: CoverElem) -> dict[int, tuple]:
+    """Parts of the two-form c*dt^dv: the coefficient on v^(w-1) dt^dv, the
+    block of weight w, for each w where it is not zero, in ascending weight."""
+    n, terms = c.chart.n, c.terms
+    return {w: (terms[(w - 1) % n],) for w in sorted((j + 1) % n for j in terms)}
 
 
 def _v_power_names(n: int, suffix: str) -> list[str]:
@@ -300,17 +262,17 @@ def _partial_v(x: CoverElem) -> CoverElem:
     )
 
 
-def d_one_form(form: CoverOneForm) -> CoverTwoForm:
-    """d(ct dt + cv dv) = (d_t cv - d_v ct) dt^dv on representatives."""
-    return CoverTwoForm(
-        form.chart, _partial_t(form.cv) - _partial_v(form.ct)
-    )
+def d_one_form(form: CoverOneForm) -> CoverElem:
+    """d(ct dt + cv dv) = (d_t cv - d_v ct) dt^dv on representatives, given
+    as its dt^dv coefficient."""
+    return _partial_t(form.cv) - _partial_v(form.ct)
 
 
-def wedge_one_one(a: CoverOneForm, b: CoverOneForm) -> CoverTwoForm:
+def wedge_one_one(a: CoverOneForm, b: CoverOneForm) -> CoverElem:
+    """The dt^dv coefficient of a^b."""
     if a.chart is not b.chart:
         raise RingMismatch("wedge of one-forms on different cover charts")
-    return CoverTwoForm(a.chart, a.ct * b.cv - a.cv * b.ct)
+    return a.ct * b.cv - a.cv * b.ct
 
 
 def pullback_one_form(chart: CoverChart, f: RingElem) -> CoverOneForm:

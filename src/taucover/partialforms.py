@@ -29,7 +29,6 @@ from .covers import Cover, TorsionBundle
 from .errors import StabilityFailure
 from .forms import (
     CoverOneForm,
-    CoverTwoForm,
     _v_power_names,
     d_function,
     d_one_form,
@@ -38,6 +37,7 @@ from .forms import (
     pullback_one_form,
     rescale_root,
     transport_one_form,
+    two_form_parts,
     two_forms_module,
     wedge_one_one,
 )
@@ -70,7 +70,7 @@ class PartialFormsChart:
             [form.parts() for form in self.generators1], ["dt", "dv/v"]
         )
         self.sub2 = self.omega2_ambient.span(
-            [wedge_one_one(root_form, dt).parts()], ["dv/v^dt"]
+            [two_form_parts(wedge_one_one(root_form, dt))], ["dv/v^dt"]
         )
 
         self.omega_coeff = ring.dlog(cover.bundle.u[index])
@@ -178,11 +178,11 @@ class PartialFormsChart:
         membership of the result back in the degree-two submodule.
         """
         two = d_one_form(self.lift1(coords))
-        found = self.omega2_ambient.coords(self.sub2, two.parts())
+        found = self.omega2_ambient.coords(self.sub2, two_form_parts(two))
         if found is None:
             raise StabilityFailure(
                 f"d of {self.presentation1.format_vec(coords)} left the "
-                f"partial two-forms: {two}"
+                f"partial two-forms: ({two})*dt^dv"
             )
         return found
 
@@ -308,7 +308,6 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
         chart = pfc.chart
         amb1, amb2 = pfc.omega1_ambient, pfc.omega2_ambient
         zero, one = ring.zero, ring.one
-        no_two_form = CoverTwoForm(chart, chart.zero)
 
         def base_element():
             return ring.random_element(rng, max_deg=2, max_den=1)
@@ -316,18 +315,18 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
         def zero1(form):
             return amb1.is_zero(form.parts())
 
-        def zero2(form):
-            return amb2.is_zero(form.parts())
+        def zero2(c):
+            return amb2.is_zero(two_form_parts(c))
 
         def intertwines(f):
             lhs = pullback_one_form(chart, ring.derive(f))
             return lhs, pfc.lift1(pfc.d0(f))
 
         def d_squared_cover(g):
-            return d_one_form(d_function(g)), no_two_form
+            return d_one_form(d_function(g)), chart.zero
 
         def d_squared_base(f):
-            return d_one_form(pfc.lift1(pfc.d0(f))), no_two_form
+            return d_one_form(pfc.lift1(pfc.d0(f))), chart.zero
 
         def leibniz(f, a, b):
             x = pfc.lift1((a, b))
@@ -447,11 +446,8 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
     n = bundle.n
     ws = [scheme.charts[i].coerce(w) for i, w in enumerate(rescalings)]
     new_u = [u * w**n for u, w in zip(bundle.u, ws)]
-    new_g = {}
-    for (i, j), g in bundle.g.items():
-        wi = scheme.restrict(i, ws[i], j)
-        wj = scheme.restrict(j, ws[j], i)
-        new_g[(i, j)] = g * wj * wi.inv()
+    delta = scheme.coboundary(ws)
+    new_g = {pair: g * delta[pair] for pair, g in bundle.g.items()}
     new_bundle = TorsionBundle(scheme, n, new_g, new_u)
     old_charts = Cover(bundle).partial_forms
     new_charts = Cover(new_bundle).partial_forms

@@ -22,8 +22,9 @@ the primes the stored factors leave open:
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
 Beyond ring arithmetic the chart ring provides the three operations the
-geometry needs: unit factorization (`unit_log`), d/dt (`derive`), and the
-logarithmic derivative (`dlog`).
+geometry needs: unit factorization (`unit_log`, which returns the pair
+(c, m) of a unit c * prod(pi_j^m_j) read off its stored factors, undone by
+`exp_unit`), d/dt (`derive`), and the logarithmic derivative (`dlog`).
 """
 
 from __future__ import annotations
@@ -136,16 +137,19 @@ class ChartRing:
 
     # -- units and cores, read off the stored factors
 
-    def unit_log(self, a: "RingElem") -> "UnitLog":
-        """Factor a unit as c * prod(pi_j^m_j); raises NotAUnit otherwise."""
+    def unit_log(self, a: "RingElem") -> tuple[FqElem, tuple[int, ...]]:
+        """Factor a unit as c * prod(pi_j^m_j), returned as (c, m); raises
+        NotAUnit otherwise."""
         a = self.coerce(a)
         if not a.is_unit():
             raise NotAUnit(f"{a} is not a unit of {self}")
-        return UnitLog(self, FqElem(self.field, a.const), a.exps)
+        return FqElem(self.field, a.const), a.exps
 
-    def exp_unit(self, log: "UnitLog") -> "RingElem":
-        """Inverse of unit_log."""
-        return RingElem(self, log.constant.code, self.one.core, log.exponents)
+    def exp_unit(self, constant: FqElem, exponents: Iterable[int]) -> "RingElem":
+        """Inverse of unit_log: c * prod(pi_j^m_j) from (c, m)."""
+        if constant.is_zero():
+            raise NotAUnit("unit constant must be nonzero")
+        return RingElem(self, constant.code, self.one.core, tuple(exponents))
 
     def unit_core_split(self, a: "RingElem") -> tuple["RingElem", Poly]:
         """Write a = unit * core with core monic and coprime to every pi_j.
@@ -247,12 +251,10 @@ class ChartRing:
         return self.make(num, dens)
 
     def random_unit(self, rng, max_exp: int = 2) -> "RingElem":
-        log = UnitLog(
-            self,
+        return self.exp_unit(
             self.field.random_nonzero(rng),
-            tuple(rng.randrange(-max_exp, max_exp + 1) for _ in range(self.s)),
+            [rng.randrange(-max_exp, max_exp + 1) for _ in range(self.s)],
         )
-        return self.exp_unit(log)
 
     # -- identity
 
@@ -278,30 +280,6 @@ class ChartRing:
         if not isinstance(inverted, list) or not all(isinstance(s, str) for s in inverted):
             raise MalformedInput("chart JSON must be an object with an 'inverted' string list")
         return cls(field, inverted)
-
-
-class UnitLog:
-    """A unit written as constant * prod(pi_j^m_j), m_j in Z."""
-
-    __slots__ = ("ring", "constant", "exponents")
-
-    def __init__(self, ring: ChartRing, constant: FqElem, exponents: tuple[int, ...]):
-        if constant.is_zero():
-            raise NotAUnit("unit constant must be nonzero")
-        self.ring = ring
-        self.constant = constant
-        self.exponents = tuple(exponents)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnitLog)
-            and self.ring.same_ring(other.ring)
-            and self.constant == other.constant
-            and self.exponents == other.exponents
-        )
-
-    def __repr__(self):
-        return f"UnitLog({self.constant}, {list(self.exponents)})"
 
 
 class RingElem:

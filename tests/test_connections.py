@@ -15,7 +15,7 @@ from taucover.connections import (
     coprime_degeneration_check,
     is_trivial_class,
 )
-from taucover.errors import NotCoprime, TauCoverError
+from taucover.errors import MalformedInput, NotCoprime, TauCoverError
 from taucover.fields import FqField
 from taucover.partialforms import dga_check
 from taucover.rings import ChartRing
@@ -288,6 +288,23 @@ def test_round_trip_witness_satisfies_both_identities():
     assert lj * li.inv() == cochain["transitions"][(0, 1)]
     for i in (0, 1):
         assert scheme.charts[i].dlog(found[i]) == scheme.charts[i].dlog(units[i])
+
+
+@pytest.mark.parametrize(
+    "key, cut",
+    [("transitions", lambda t: {}), ("chart_coords", lambda coords: coords[:1])],
+    ids=["no-transitions", "one-chart-short"],
+)
+def test_cochain_of_the_wrong_shape_is_malformed(key, cut):
+    # a coboundary, so only the shape check can reject it
+    cover = Cover(twochart())
+    rng = random.Random(9)
+    cochain = coboundary_class(
+        cover, [chart.random_unit(rng) for chart in cover.bundle.scheme.charts]
+    )
+    cochain[key] = cut(cochain[key])
+    with pytest.raises(MalformedInput, match="one transition per chart pair"):
+        is_trivial_class(cover, cochain)
 
 
 def test_dlog_image_obstruction():

@@ -159,6 +159,18 @@ def test_perturbed_transition_fails_compatibility():
         Cover(bad)
 
 
+def test_coboundary_is_the_quotient_of_restrictions_on_each_overlap():
+    bundle = twochart()
+    scheme = bundle.scheme
+    delta = scheme.coboundary(bundle.u)
+    assert list(delta) == scheme.pairs() == [(0, 1)]
+    u0 = scheme.restrict(0, bundle.u[0], 1)
+    u1 = scheme.restrict(1, bundle.u[1], 0)
+    assert delta[(0, 1)] * u0 == u1
+    assert delta[(0, 1)] == bundle.g[(0, 1)] ** bundle.n
+    assert ChartedScheme(F3, [A3]).coboundary([A3.t]) == {}
+
+
 def test_non_unit_trivialization_rejected():
     with pytest.raises(NotAUnit):
         TorsionBundle(ChartedScheme(F3, [A3]), 2, {}, [A3.parse("t+1")])

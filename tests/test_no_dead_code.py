@@ -62,3 +62,22 @@ def test_every_error_class_is_raised():
     raised = _raised_names()
     unraised = sorted(name for name in classes if name not in raised)
     assert classes and not unraised, f"error classes never raised: {unraised}"
+
+
+def test_package_exports_are_sorted_complete_and_resolvable():
+    import inspect
+
+    import taucover
+
+    exported = taucover.__all__
+    assert exported == sorted(set(exported)), "__all__ is unsorted or repeats a name"
+    missing = [name for name in exported if not hasattr(taucover, name)]
+    assert not missing, f"__all__ names what the package does not bind: {missing}"
+    public = sorted(
+        name
+        for name, value in vars(taucover).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+    )
+    unlisted = [name for name in public if name not in exported]
+    assert not unlisted, f"bound at the package root but not in __all__: {unlisted}"
