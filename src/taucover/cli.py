@@ -21,6 +21,7 @@ verification, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from pathlib import Path
 
@@ -244,7 +245,10 @@ def _add_bundle_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="also write the report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    parsing keeps no state between calls."""
     parser = _Parser(prog="taucover", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -6,6 +6,11 @@ is the chart-by-chart algebra B = A[v]/(v^n - u), glued by v -> g * v.  The
 glue is certified, never assumed: Cover recomputes (g * v)^n inside the
 overlap and compares it with the other chart's unit.
 
+Each distinct inverted prime of a bundle read from JSON is certified once
+(``rings.certify_prime``, Rabin's test included), where it first appears in
+the chart list.  The overlap rings of pairs and triples invert unions of those
+primes and inherit their certificates, so they test no prime again.
+
 B is graded by Z/n with wt v = 1, and a CoverElem is kept as its weight
 decomposition: the nonzero coefficients a_j of sum a_j v^j, keyed by j.  So
 the work of an operation follows the number of nonzero terms, not n.
@@ -25,7 +30,7 @@ from typing import Sequence
 from .errors import InvalidCocycle, MalformedInput, NotAUnit, RingMismatch
 from .fields import FqField, _FqField
 from .polys import Poly
-from .rings import ChartRing, RingElem
+from .rings import ChartRing, RingElem, certify_prime
 
 # Caps on a bundle read from JSON, checked before any chart is parsed; the
 # README gives the measured costs they bound.
@@ -234,7 +239,7 @@ class ChartedScheme:
                 for pi in self.charts[i].inverted:
                     if all(pi.coeffs != q.coeffs for q in seen):
                         seen.append(pi)
-            self._overlaps[key] = ChartRing(self.field, seen)
+            self._overlaps[key] = ChartRing.of_certified(self.field, seen)
         return self._overlaps[key]
 
     def restrict(self, chart_index: int, a: RingElem, *indices: int) -> RingElem:
@@ -259,6 +264,27 @@ class ChartedScheme:
 
     def to_json(self) -> list[dict]:
         return [c.to_json() for c in self.charts]
+
+    @classmethod
+    def from_json(cls, field: _FqField, data: list) -> "ChartedScheme":
+        """The charts, each an object with an 'inverted' string list.  Each
+        distinct prime is certified once, where it first appears."""
+        certified: dict[tuple[int, ...], Poly] = {}
+        charts = []
+        for chart in data:
+            inverted = chart.get("inverted") if isinstance(chart, dict) else None
+            if not isinstance(inverted, list) or not all(isinstance(s, str) for s in inverted):
+                raise MalformedInput(
+                    "chart JSON must be an object with an 'inverted' string list"
+                )
+            primes = []
+            for text in inverted:
+                pi = Poly.parse(field, text)
+                if pi.coeffs not in certified:
+                    certified[pi.coeffs] = certify_prime(field, pi)
+                primes.append(certified[pi.coeffs])
+            charts.append(ChartRing.of_certified(field, primes))
+        return cls(field, charts)
 
 
 class TorsionBundle:
@@ -389,8 +415,8 @@ class TorsionBundle:
             raise MalformedInput(f"n must be an integer in [1, {MAX_N}], got {n}")
         if not isinstance(data["charts"], list) or not 1 <= len(data["charts"]) <= MAX_CHARTS:
             raise MalformedInput(f"charts must be a nonempty list of at most {MAX_CHARTS}")
-        charts = [ChartRing.from_json(field, c) for c in data["charts"]]
-        scheme = ChartedScheme(field, charts)
+        scheme = ChartedScheme.from_json(field, data["charts"])
+        charts = scheme.charts
         if not isinstance(data["u"], list) or len(data["u"]) != len(charts):
             raise MalformedInput("u must list one unit per chart")
         u = [charts[i].parse(s) for i, s in enumerate(data["u"])]

@@ -8,6 +8,13 @@ c * core * prod(pi_j^e_j): c a constant, core monic and prime to every pi_j
 polynomial; products, inverses, unit logs, cores, divisibility and exact
 division read the stored factors, since S-free times S-free is S-free.
 
+Each inverted prime is certified once, by ``certify_prime`` (the degree cap,
+monic, Rabin's test).  ``ChartRing(field, primes)`` certifies its own primes;
+a bundle read from JSON certifies each distinct prime where it first appears.
+A ring over primes already certified, such as an overlap ring inverting the
+union of its charts' primes, is built by ``ChartRing.of_certified`` and
+inherits their certificates without a second test.
+
 Sums, derivatives and restrictions do go through ``make``, and it tests only
 the primes the stored factors leave open:
 
@@ -50,28 +57,42 @@ from .polys import Poly
 MAX_PRIME_DEGREE = 64
 
 
+def certify_prime(field: _FqField, pi: Poly | str) -> Poly:
+    """Parse one prime to invert and certify it: over ``field``, of degree at
+    most MAX_PRIME_DEGREE, monic, and irreducible by Rabin's test."""
+    if isinstance(pi, str):
+        pi = Poly.parse(field, pi)
+    if pi.field is not field:
+        raise RingMismatch("inverted polynomial over the wrong field")
+    if pi.deg > MAX_PRIME_DEGREE:
+        raise MalformedInput(
+            f"inverted prime {pi} has degree {pi.deg} > {MAX_PRIME_DEGREE}"
+        )
+    if not pi.is_monic():
+        raise NotIrreducible(f"{pi} is not monic")
+    if not pi.is_irreducible():
+        raise NotIrreducible(f"{pi} is not irreducible over F_{field.q}")
+    return pi
+
+
 class ChartRing:
     """F_q[t] localized at a list of distinct monic irreducibles."""
 
     def __init__(self, field: _FqField, inverted: Sequence[Poly | str]):
-        self.field = field
-        polys = []
-        for pi in inverted:
-            if isinstance(pi, str):
-                pi = Poly.parse(field, pi)
-            if pi.field is not field:
-                raise RingMismatch("inverted polynomial over the wrong field")
-            if pi.deg > MAX_PRIME_DEGREE:
-                raise MalformedInput(
-                    f"inverted prime {pi} has degree {pi.deg} > {MAX_PRIME_DEGREE}"
-                )
-            if not pi.is_monic():
-                raise NotIrreducible(f"{pi} is not monic")
-            if not pi.is_irreducible():
-                raise NotIrreducible(f"{pi} is not irreducible over F_{field.q}")
-            polys.append(pi)
+        self._invert(field, [certify_prime(field, pi) for pi in inverted])
+
+    @classmethod
+    def of_certified(cls, field: _FqField, primes: Sequence[Poly]) -> "ChartRing":
+        """The ring inverting primes that certify_prime has passed; none is
+        tested again."""
+        ring = cls.__new__(cls)
+        ring._invert(field, primes)
+        return ring
+
+    def _invert(self, field: _FqField, polys: Sequence[Poly]) -> None:
         if len({p.coeffs for p in polys}) != len(polys):
             raise MalformedInput("inverted irreducibles must be distinct")
+        self.field = field
         self.inverted: tuple[Poly, ...] = tuple(polys)
         self._derivatives = tuple(pi.derivative() for pi in polys)
         self.s = len(self.inverted)
@@ -273,13 +294,6 @@ class ChartRing:
 
     def to_json(self) -> dict:
         return {"inverted": [str(p) for p in self.inverted]}
-
-    @classmethod
-    def from_json(cls, field: _FqField, data: dict) -> "ChartRing":
-        inverted = data.get("inverted") if isinstance(data, dict) else None
-        if not isinstance(inverted, list) or not all(isinstance(s, str) for s in inverted):
-            raise MalformedInput("chart JSON must be an object with an 'inverted' string list")
-        return cls(field, inverted)
 
 
 class RingElem:

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,10 @@ from taucover import cli, connections
 from taucover.cli import fixture_report, main, matches_expected, omega_l_report
 from taucover.covers import MAX_CHARTS, MAX_N, Cover, TorsionBundle
 from taucover.errors import MalformedInput
+from taucover.fields import FqField
+from taucover.polys import Poly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ALL_FIXTURES = [
     "COPRIME",
@@ -480,6 +488,107 @@ def test_inverted_prime_at_degree_cap_validates(capsys, tmp_path):
     assert elapsed < 2.0
 
 
+def count_rabin_tests(monkeypatch) -> list:
+    """Record each polynomial handed to Rabin's test from now on."""
+    tested = []
+    rabin = Poly.is_irreducible
+
+    def counted(f):
+        tested.append(str(f))
+        return rabin(f)
+
+    monkeypatch.setattr(Poly, "is_irreducible", counted)
+    return tested
+
+
+def chart_bundle(p: int, charts: list[list[str]]) -> dict:
+    return {
+        "field": {"p": p, "e": 1},
+        "n": 2,
+        "charts": [{"inverted": inverted} for inverted in charts],
+        "u": ["1"] * len(charts),
+    }
+
+
+@pytest.mark.parametrize(
+    "bundle, message, tested",
+    [
+        (
+            chart_bundle(2, [["t"], ["t + 1"], ["t^2 + 1"]]),
+            "t^2 + 1 is not irreducible over F_2",
+            ["t", "t + 1", "t^2 + 1"],
+        ),
+        (chart_bundle(5, [["2*t + 1"]]), "2*t + 1 is not monic", []),
+        # chart 2 would fail on its non-monic first prime: the reducible prime
+        # is refused where it first appears, in chart 1
+        (
+            chart_bundle(3, [["t"], ["t^2 + 2"], ["2*t", "t^2 + 2"]]),
+            "t^2 + 2 is not irreducible over F_3",
+            ["t", "t^2 + 2"],
+        ),
+        (
+            chart_bundle(3, [["t + 1"], ["t", "t + 1", "t"]]),
+            "inverted irreducibles must be distinct",
+            ["t + 1", "t"],
+        ),
+        (
+            chart_bundle(2, [["t^65 + t^18 + 1"]]),
+            "inverted prime t^65 + t^18 + 1 has degree 65 > 64",
+            [],
+        ),
+    ],
+    ids=[
+        "reducible-in-chart-2",
+        "non-monic",
+        "reducible-in-two-charts",
+        "repeated-in-one-chart",
+        "above-degree-cap",
+    ],
+)
+def test_bad_inverted_prime_exits_two_with_its_message(
+    capsys, tmp_path, monkeypatch, bundle, message, tested
+):
+    calls = count_rabin_tests(monkeypatch)
+    code, out = run_cli(capsys, "validate", "--json", write_bundle(tmp_path, bundle))
+    assert (code, out) == (2, {"error": message, "kind": "malformed-input"})
+    assert calls == tested
+
+
+# Sparse irreducibles of degree 60 over F_2.
+SPARSE_PRIMES = [
+    *(f"t^60 + t^{a} + 1" for a in (1, 9, 11, 15, 17, 23, 37, 43, 45, 49, 51, 59)),
+    *(f"t^60 + t^{b} + t^2 + t + 1" for b in (10, 22, 32, 44)),
+]
+
+
+@pytest.mark.parametrize("command, exit_code", [("validate", 0), ("cover", 1), ("class", 0)])
+def test_each_distinct_prime_is_certified_once(capsys, tmp_path, monkeypatch, command, exit_code):
+    # 16 charts, chart i inverting pi_i, with u_i = pi_i^3 and g_ij = pi_j/pi_i;
+    # the overlap rings of 120 pairs and 560 triples test no prime again
+    primes = SPARSE_PRIMES
+    bundle = {
+        "field": {"p": 2, "e": 1},
+        "n": 3,
+        "charts": [{"inverted": [pi]} for pi in primes],
+        "u": [f"({pi})^3" for pi in primes],
+        "g": {
+            f"({i},{j})": f"({primes[j]})/({primes[i]})"
+            for i in range(len(primes))
+            for j in range(i + 1, len(primes))
+        },
+    }
+    path = write_bundle(tmp_path, bundle)
+    calls = count_rabin_tests(monkeypatch)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, "--json", path)
+    elapsed = time.perf_counter() - start
+    assert code == exit_code
+    assert calls == [str(Poly.parse(FqField(2), pi)) for pi in primes]
+    if command == "validate":
+        assert out["valid"] is True
+        assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("command", ["connection", "report"])
 @pytest.mark.parametrize("samples", ["-5", str(cli.MAX_SAMPLES + 1), "100000000"])
 def test_samples_outside_the_bound_exit_two_with_one_json_document(capsys, command, samples):
@@ -605,6 +714,51 @@ def test_output_is_byte_stable_across_runs(capsys):
     main(["class", "--fixture", "GM_P3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def fresh_cli(*argv) -> tuple[int, str]:
+    """Exit code and stdout of the CLI in a new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "taucover.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    return result.returncode, result.stdout
+
+
+def same_process_cli(capsys, *argv) -> tuple[int, str]:
+    """Exit code and stdout of main() in this process, argument errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_successive_calls_without_carrying_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    first = ["connection", "--fixture", "GM_P2", "--seed", "5", "--samples", "3"]
+    second = ["connection", "--fixture", "GM_P2"]
+    target = tmp_path / "first.json"
+    assert same_process_cli(capsys, *first, "--out", str(target)) == fresh_cli(
+        *first, "--out", str(tmp_path / "fresh.json")
+    )
+    target.unlink()
+    code, out = same_process_cli(capsys, *second)
+    assert (code, out) == fresh_cli(*second)
+    assert json.loads(out)["leibniz"]["charts"][0]["samples"] == 200
+    assert not target.exists()
+    args = cli.build_parser().parse_args(second)
+    assert (args.seed, args.samples, args.out) == (0, 200, None)
+
+    bad = ["verify", "--fixture", "GM_P2", "--sequence", "9.9"]
+    code, out = same_process_cli(capsys, *bad)
+    assert (code, out) == fresh_cli(*bad)
+    assert code == 2 and json.loads(out)["kind"] == "malformed-input"
+    good = ["validate", "--fixture", "GM_P2"]
+    assert same_process_cli(capsys, *good) == fresh_cli(*good)
 
 
 # sha256 of `report --all` stdout; no reported value depends on the seed

@@ -1,11 +1,18 @@
-"""Work-growth contract: the work of every command grows at most linearly in n.
+"""Work-growth contracts: how the work of every command grows with the input.
 
-The bundle is one chart over F_2 with u = t, at n = 64 and at n = 256.  Work
-is counted two ways: RingElem arithmetic calls (+, -, *, negation, powers and
-inverses), and SNF cells, rows * cols of each matrix handed to
-pidmod.smith_normal_form.  Linear growth multiplies each count by 4; a ratio
-above 5 fails.  ``report`` reads the bundle as a catalog file through
-TAUCOVER_CATALOG_DIR, as a user catalog would.
+In n: the bundle is one chart over F_2 with u = t, at n = 64 and at n = 256.
+Work is counted three ways: RingElem arithmetic calls (+, -, *, negation,
+powers and inverses), SNF cells, rows * cols of each matrix handed to
+pidmod.smith_normal_form, and Rabin tests, calls of Poly.is_irreducible.
+Linear growth multiplies each count by 4; a ratio above 5 fails.
+
+In the chart count: the bundle is over F_37 with n = 37, and chart i inverts t
+and t - i, at 8 and at 16 charts.  Rabin tests may grow at most like the
+number of distinct primes, 9 and 17: the overlap rings of pairs and triples
+inherit their primes' certificates.
+
+``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
+a user catalog would.
 """
 
 import json
@@ -15,9 +22,11 @@ import pytest
 from taucover import pidmod
 from taucover.catalog import CATALOG_ENV
 from taucover.cli import main
+from taucover.polys import Poly
 from taucover.rings import RingElem
 
 SMALL, LARGE = 64, 256
+FEW_CHARTS, MORE_CHARTS = 8, 16
 MAX_RATIO = 5
 ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -37,12 +46,11 @@ COMMANDS = {
 }
 
 
-def write_catalog(directory, n):
+def write_catalog(directory, bundle, description):
     """The bundle as bundle.json and as the catalog fixture WIDE.json."""
-    bundle = {"field": {"p": 2}, "n": n, "charts": [{"inverted": ["t"]}], "u": ["t"]}
     fixture = {
         "name": "WIDE",
-        "description": f"one chart over F_2, u = t, n = {n}",
+        "description": description,
         "bundle": bundle,
         "expected": {"validate": {"degenerate": False}},
         "provenance": {"validate": "direct"},
@@ -52,13 +60,32 @@ def write_catalog(directory, n):
     (directory / "WIDE.json").write_text(json.dumps(fixture))
 
 
-def work(monkeypatch, capsys, directory, argv) -> dict:
-    """Arithmetic calls and SNF cells of one CLI run in ``directory``."""
-    counts = {"ring_ops": 0, "snf_cells": 0}
+def one_chart(n: int) -> dict:
+    return {"field": {"p": 2}, "n": n, "charts": [{"inverted": ["t"]}], "u": ["t"]}
 
-    def counted(method):
+
+def many_charts(m: int) -> dict:
+    """Chart i inverts t and t - i; u_i = t (t - i)^37 and g_ij = (t - j)/(t - i)."""
+    return {
+        "field": {"p": 37},
+        "n": 37,
+        "charts": [{"inverted": ["t", f"t - {i}"]} for i in range(1, m + 1)],
+        "u": [f"t*(t - {i})^37" for i in range(1, m + 1)],
+        "g": {
+            f"({i - 1},{j - 1})": f"(t - {j})/(t - {i})"
+            for i in range(1, m + 1)
+            for j in range(i + 1, m + 1)
+        },
+    }
+
+
+def work(monkeypatch, capsys, directory, argv) -> dict:
+    """Arithmetic calls, SNF cells and Rabin tests of one CLI run in ``directory``."""
+    counts = {"ring_ops": 0, "snf_cells": 0, "rabin_tests": 0}
+
+    def counted(method, metric="ring_ops"):
         def wrapper(*args):
-            counts["ring_ops"] += 1
+            counts[metric] += 1
             return method(*args)
 
         return wrapper
@@ -75,6 +102,7 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
         for name in ARITHMETIC:
             m.setattr(RingElem, name, counted(getattr(RingElem, name)))
         m.setattr(pidmod, "smith_normal_form", counted_snf)
+        m.setattr(Poly, "is_irreducible", counted(Poly.is_irreducible, "rabin_tests"))
         code = main(argv)
     json.loads(capsys.readouterr().out)  # exactly one document
     assert code in (0, 1), argv
@@ -85,8 +113,27 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
 def test_work_grows_at_most_linearly_in_n(command, tmp_path, monkeypatch, capsys):
     measured = {}
     for n in (SMALL, LARGE):
-        write_catalog(tmp_path / f"n{n}", n)
+        write_catalog(tmp_path / f"n{n}", one_chart(n), f"one chart over F_2, u = t, n = {n}")
         measured[n] = work(monkeypatch, capsys, tmp_path / f"n{n}", COMMANDS[command])
     for metric, small in measured[SMALL].items():
         large = measured[LARGE][metric]
         assert large <= MAX_RATIO * small, (command, metric, small, large)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_rabin_tests_grow_like_the_distinct_primes_in_the_chart_count(
+    command, tmp_path, monkeypatch, capsys
+):
+    argv = COMMANDS[command]
+    if command in ("connection", "report"):
+        argv = [*argv, "--samples", "0"]  # guard samples invert no prime
+    tests = {}
+    for m in (FEW_CHARTS, MORE_CHARTS):
+        directory = tmp_path / f"m{m}"
+        write_catalog(directory, many_charts(m), f"{m} charts over F_37, n = 37")
+        tests[m] = work(monkeypatch, capsys, directory, argv)["rabin_tests"]
+    # m charts invert m + 1 distinct primes
+    assert tests[MORE_CHARTS] * (FEW_CHARTS + 1) <= tests[FEW_CHARTS] * (MORE_CHARTS + 1), (
+        command,
+        tests,
+    )
