@@ -197,10 +197,7 @@ class ClassicalConnection:
             )
         self.bundle = bundle
         n_inv = pow(bundle.n % p, -1, p)
-        self.eta = tuple(
-            chart.dlog(u) * n_inv
-            for chart, u in zip(bundle.scheme.charts, bundle.u)
-        )
+        self.eta = tuple(w * n_inv for w in bundle.dlog_u)
 
     def delta_condition_check(self) -> dict:
         """dlog(g_ij) = eta_j - eta_i exactly on every overlap."""

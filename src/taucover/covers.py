@@ -341,11 +341,14 @@ class TorsionBundle:
         """True when the order n is invertible in the field, gcd(n, p) = 1."""
         return self.n % self.scheme.field.p != 0
 
+    @cached_property
+    def dlog_u(self) -> tuple[RingElem, ...]:
+        """du/u of each chart's trivializing unit, as its dt coefficient."""
+        return tuple(ring.dlog(x) for ring, x in zip(self.scheme.charts, self.u))
+
     def is_degenerate(self) -> bool:
         """True when some trivializing unit has vanishing logarithmic derivative."""
-        return any(
-            self.scheme.charts[i].dlog(x).is_zero() for i, x in enumerate(self.u)
-        )
+        return any(w.is_zero() for w in self.dlog_u)
 
     def validate(self) -> dict:
         """Check the compatibility and cocycle identities, returning a report."""

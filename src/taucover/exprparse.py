@@ -5,7 +5,11 @@ localized ring elements ("(t+a)/(t+1)").  The caller supplies the integer
 constants and the named atoms; the parser folds them with the values' own
 ``+ - * **`` and unary minus, and divides with ``div`` (true division unless
 the caller passes another, as polynomials do to allow only exact quotients),
-so the same parser evaluates into any of the three structures:
+so the same parser evaluates into any of the three structures.  The value of
+each parenthesised group passes through ``lift`` (the identity unless the
+caller passes another): a chart ring evaluates in F_q[t] and lifts each group
+into the ring, so that a power of a group is taken in unit-core form.  The
+grammar:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -34,35 +38,37 @@ from .errors import MalformedInput
 MAX_DEPTH = 100
 MAX_DEGREE = 1024
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))")
+# One scan: a token after optional whitespace; failing that, whitespace and
+# the character no token starts with, or the trailing whitespace.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))|(\s*\S|\s+)")
+_END = (None, None)
 
 
 def tokenize(text: str) -> list[tuple[str, Any]]:
     if not isinstance(text, str):
         raise MalformedInput(f"expected an expression string, got {text!r}")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise MalformedInput(f"bad character {text[pos]!r} in {text!r}")
-        if m.group(1) is not None:
+    for digits, name, op, rest in _TOKEN.findall(text):
+        if op:
+            tokens.append(("op", op))
+        elif name:
+            tokens.append(("name", name))
+        elif digits:
             try:
-                tokens.append(("int", int(m.group(1))))
+                tokens.append(("int", int(digits)))
             except ValueError:  # more digits than int() converts
                 raise MalformedInput(f"integer literal too long in {text!r}") from None
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
+        elif not rest.isspace():
+            raise MalformedInput(f"bad character {rest[0]!r} in {text!r}")
     return tokens
 
 
 class _Parser:
-    """Folds tokens into values; each rule returns (value, degree bound)."""
+    """Folds tokens into values; each rule returns (value, degree bound).
+
+    The token list ends with the sentinel _END, so a rule reads the current
+    token without a bounds check.
+    """
 
     def __init__(
         self,
@@ -70,28 +76,17 @@ class _Parser:
         from_int: Callable[[int], Any],
         atoms: Mapping[str, Any],
         div: Callable[[Any, Any], Any],
+        lift: Callable[[Any], Any],
         text: str,
     ):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.from_int = from_int
         self.atoms = atoms
         self.div = div
+        self.lift = lift
         self.text = text
         self.i = 0
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, val = self.take()
-        if kind != "op" or val != symbol:
-            raise MalformedInput(f"expected {symbol!r} in {self.text!r}")
 
     def bounded(self, degree: int) -> int:
         if degree > MAX_DEGREE:
@@ -112,45 +107,45 @@ class _Parser:
 
     def parse(self):
         value, _ = self.expr()
-        if self.i != len(self.tokens):
+        if self.tokens[self.i] is not _END:
             raise MalformedInput(f"trailing input in {self.text!r}")
         return value
 
     def expr(self):
         value, degree = self.term()
+        tokens = self.tokens
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs, rdeg = self.term()
-                value = value + rhs if val == "+" else value - rhs
-                degree = max(degree, rdeg)
-            else:
+            kind, val = tokens[self.i]
+            if kind != "op" or val not in "+-":
                 return value, degree
+            self.i += 1
+            rhs, rdeg = self.term()
+            value = value + rhs if val == "+" else value - rhs
+            if rdeg > degree:
+                degree = rdeg
 
     def term(self):
         value, degree = self.factor()
+        tokens = self.tokens
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs, rdeg = self.factor()
-                degree = self.bounded(degree + rdeg)
-                value = value * rhs if val == "*" else self.div(value, rhs)
-            else:
+            kind, val = tokens[self.i]
+            if kind != "op" or val not in "*/":
                 return value, degree
+            self.i += 1
+            rhs, rdeg = self.factor()
+            degree = self.bounded(degree + rdeg)
+            value = value * rhs if val == "*" else self.div(value, rhs)
 
     def factor(self):
-        kind, val = self.peek()
+        kind, val = self.tokens[self.i]
         if kind == "op" and val in "+-":
-            self.take()
+            self.i += 1
             inner, degree = self.nested(self.factor)
             return (inner if val == "+" else -inner), degree
         value, degree = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, exp = self.take()
+        if self.tokens[self.i] == ("op", "^"):
+            kind, exp = self.tokens[self.i + 1]
+            self.i += 2
             if kind != "int":
                 raise MalformedInput(f"exponent must be an integer in {self.text!r}")
             degree = self.bounded(degree * exp)
@@ -158,7 +153,8 @@ class _Parser:
         return value, degree
 
     def atom(self):
-        kind, val = self.take()
+        kind, val = self.tokens[self.i]
+        self.i += 1
         if kind == "int":
             return self.from_int(val), 0
         if kind == "name":
@@ -166,10 +162,16 @@ class _Parser:
                 raise MalformedInput(f"unknown symbol {val!r} in {self.text!r}")
             return self.atoms[val], 1
         if kind == "op" and val == "(":
-            value = self.nested(self.expr)
-            self.expect_op(")")
-            return value
+            value, degree = self.nested(self.expr)
+            if self.tokens[self.i] != ("op", ")"):
+                raise MalformedInput(f"expected ')' in {self.text!r}")
+            self.i += 1
+            return self.lift(value), degree
         raise MalformedInput(f"cannot parse {self.text!r}")
+
+
+def _identity(value):
+    return value
 
 
 def evaluate(
@@ -177,9 +179,11 @@ def evaluate(
     from_int: Callable[[int], Any],
     atoms: Mapping[str, Any],
     div: Callable[[Any, Any], Any] = operator.truediv,
+    lift: Callable[[Any], Any] = _identity,
 ):
-    """Parse `text` into a value built from `from_int` constants and `atoms`."""
+    """Parse `text` into a value built from `from_int` constants and `atoms`;
+    the value of each parenthesised group passes through `lift`."""
     tokens = tokenize(text)
     if not tokens:
         raise MalformedInput("empty expression")
-    return _Parser(tokens, from_int, atoms, div, text).parse()
+    return _Parser(tokens, from_int, atoms, div, lift, text).parse()

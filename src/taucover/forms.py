@@ -87,9 +87,7 @@ class OmegaL:
     def __init__(self, bundle: TorsionBundle):
         scheme = bundle.scheme
         self.bundle = bundle
-        self.chart_forms = tuple(
-            ring.dlog(u) for ring, u in zip(scheme.charts, bundle.u)
-        )
+        self.chart_forms = bundle.dlog_u
         for (i, j) in scheme.pairs():
             left = scheme.restrict(i, self.chart_forms[i], j)
             right = scheme.restrict(j, self.chart_forms[j], i)

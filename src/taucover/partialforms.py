@@ -73,7 +73,7 @@ class PartialFormsChart:
             [two_form_parts(wedge_one_one(root_form, dt))], ["dv/v^dt"]
         )
 
-        self.omega_coeff = ring.dlog(cover.bundle.u[index])
+        self.omega_coeff = cover.bundle.dlog_u[index]
         self.base_functions = FpmModule.free(ring, 1, ["1"])
         self.base_one_forms = FpmModule.free(ring, 1, ["dt"])
         self.base_two_forms = FpmModule.zero(ring)

@@ -328,10 +328,17 @@ class Poly:
     def multiplicity(self, pi: "Poly") -> tuple[int, "Poly"]:
         """Largest k with pi^k dividing self, and the cofactor self / pi^k.
 
-        A cofactor of lower degree than pi ends the search without a division.
+        A cofactor of lower degree than pi ends the search without a division,
+        and at pi = t the multiplicity is the number of low zero coefficients.
         """
         if self.is_zero():
             raise ValueError("multiplicity in the zero polynomial")
+        if pi.coeffs == (0, 1) and pi.field is self.field:
+            cs = self.coeffs
+            k = 0
+            while not cs[k]:
+                k += 1
+            return k, (_trimmed(self.field, cs[k:]) if k else self)
         k = 0
         cur = self
         while len(cur.coeffs) >= len(pi.coeffs):

@@ -26,6 +26,16 @@ the primes the stored factors leave open:
     pi_j, prime to pi_j since pi_j is separable and deg pi_j' < deg pi_j;
   * a restriction, at the primes the source already inverts.
 
+A num that is itself an inverted prime is found in a table of the primes, so
+``make`` turns pi_j into the unit pi_j with no division; at the prime t the
+multiplicity is counted off the low zero coefficients.
+
+``ChartRing.parse`` evaluates an expression in F_q[t]: sums, products and
+powers of t, a and integers stay polynomials.  Only each parenthesised
+group, each side of a division and the final value meet ``make``, through
+``coerce``, so a power of a group such as (t + 1)^1024 is taken in unit-core
+form and costs no division.
+
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
 Beyond ring arithmetic the chart ring provides the three operations the
@@ -90,7 +100,8 @@ class ChartRing:
         return ring
 
     def _invert(self, field: _FqField, polys: Sequence[Poly]) -> None:
-        if len({p.coeffs for p in polys}) != len(polys):
+        self._prime_index = {pi.coeffs: j for j, pi in enumerate(polys)}
+        if len(self._prime_index) != len(polys):
             raise MalformedInput("inverted irreducibles must be distinct")
         self.field = field
         self.inverted: tuple[Poly, ...] = tuple(polys)
@@ -110,13 +121,18 @@ class ChartRing:
         The one place where inverted primes are divided out of a polynomial.
         Only the primes indexed by open_primes are tested, every prime by
         default; a caller passes fewer only when the others cannot divide num
-        (see the module docstring).
+        (see the module docstring).  A num that is itself an inverted prime
+        is found by lookup, with no division.
         """
         exps = [-d for d in dens] or [0] * self.s
         if len(exps) != self.s:
             raise ValueError("denominator exponent vector has wrong length")
         if num.is_zero():
             return self.zero
+        j = self._prime_index.get(num.coeffs)
+        if j is not None:
+            exps[j] += 1
+            return RingElem(self, 1, self.one.core, tuple(exps))
         inverted = self.inverted
         for j in range(self.s) if open_primes is None else open_primes:
             mult, num = num.multiplicity(inverted[j])
@@ -148,13 +164,20 @@ class ChartRing:
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def parse(self, text: str) -> "RingElem":
-        atoms = {"t": self.t}
-        if self.field.e > 1:
-            atoms["a"] = self.from_field(self.field.gen)
-        value = evaluate(text, self.from_int, atoms)
-        if not isinstance(value, RingElem):
-            raise MalformedInput(f"{text!r} is not a ring element")
-        return value
+        """Evaluate text in F_q[t], lifting into the ring by coerce each
+        parenthesised group, both sides of each division and the result."""
+        field, coerce = self.field, self.coerce
+        atoms = {"t": Poly.x(field)}
+        if field.e > 1:
+            atoms["a"] = Poly.const(field.gen)
+        value = evaluate(
+            text,
+            lambda n: Poly.const(field.elem(n)),
+            atoms,
+            lambda x, y: coerce(x) / coerce(y),
+            coerce,
+        )
+        return coerce(value)
 
     # -- units and cores, read off the stored factors
 
@@ -243,9 +266,7 @@ class ChartRing:
     def is_sublocalization_of(self, other: "ChartRing") -> bool:
         if other.field is not self.field:
             return False
-        mine = {p.coeffs for p in self.inverted}
-        theirs = {p.coeffs for p in other.inverted}
-        return mine <= theirs
+        return self._prime_index.keys() <= other._prime_index.keys()
 
     def restrict(self, a: "RingElem", target: "ChartRing") -> "RingElem":
         """Image of a under A -> A' when A' inverts a superset; only the
@@ -253,7 +274,7 @@ class ChartRing:
         a = self.coerce(a)
         if not self.is_sublocalization_of(target):
             raise RingMismatch("target ring does not invert a superset")
-        index = {p.coeffs: j for j, p in enumerate(target.inverted)}
+        index = dict(target._prime_index)
         dens = [0] * target.s
         for pi, e in zip(self.inverted, a.exps):
             dens[index.pop(pi.coeffs)] = -e

@@ -24,6 +24,7 @@ from taucover.covers import MAX_CHARTS, MAX_N, Cover, TorsionBundle
 from taucover.errors import MalformedInput
 from taucover.fields import FqField
 from taucover.polys import Poly
+from taucover.rings import ChartRing
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -561,12 +562,10 @@ SPARSE_PRIMES = [
 ]
 
 
-@pytest.mark.parametrize("command, exit_code", [("validate", 0), ("cover", 1), ("class", 0)])
-def test_each_distinct_prime_is_certified_once(capsys, tmp_path, monkeypatch, command, exit_code):
-    # 16 charts, chart i inverting pi_i, with u_i = pi_i^3 and g_ij = pi_j/pi_i;
-    # the overlap rings of 120 pairs and 560 triples test no prime again
+def sparse_bundle() -> dict:
+    """16 charts, chart i inverting pi_i, with u_i = pi_i^3 and g_ij = pi_j/pi_i."""
     primes = SPARSE_PRIMES
-    bundle = {
+    return {
         "field": {"p": 2, "e": 1},
         "n": 3,
         "charts": [{"inverted": [pi]} for pi in primes],
@@ -577,16 +576,66 @@ def test_each_distinct_prime_is_certified_once(capsys, tmp_path, monkeypatch, co
             for j in range(i + 1, len(primes))
         },
     }
-    path = write_bundle(tmp_path, bundle)
+
+
+def count_calls(monkeypatch, cls, name) -> list:
+    """Record the arguments of each call of cls.name from now on."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, exit_code", [("validate", 0), ("cover", 1), ("class", 0)])
+def test_each_distinct_prime_is_certified_once(capsys, tmp_path, monkeypatch, command, exit_code):
+    # the overlap rings of 120 pairs and 560 triples test no prime again
+    path = write_bundle(tmp_path, sparse_bundle())
     calls = count_rabin_tests(monkeypatch)
     start = time.perf_counter()
     code, out = run_cli(capsys, command, "--json", path)
     elapsed = time.perf_counter() - start
     assert code == exit_code
-    assert calls == [str(Poly.parse(FqField(2), pi)) for pi in primes]
+    assert calls == [str(Poly.parse(FqField(2), pi)) for pi in SPARSE_PRIMES]
     if command == "validate":
         assert out["valid"] is True
         assert elapsed < 2.0
+
+
+def test_reading_a_bundle_of_inverted_primes_divides_no_polynomial(monkeypatch):
+    # each unit and transition unit is a power or quotient of parenthesised
+    # inverted primes: every group is found among the primes by lookup
+    calls = count_calls(monkeypatch, Poly, "divmod")
+    bundle = TorsionBundle.from_json(sparse_bundle())
+    assert bundle.scheme.n_charts == len(SPARSE_PRIMES)
+    assert calls == []
+
+
+@pytest.mark.parametrize("prime, text", [("t", "t^1024"), ("t + 1", "(t+1)^1024")])
+def test_a_power_of_an_inverted_prime_parses_with_at_most_one_division(
+    monkeypatch, prime, text
+):
+    ring = ChartRing(FqField(2), [prime])
+    calls = count_calls(monkeypatch, Poly, "divmod")
+    x = ring.parse(text)
+    assert (x.const, x.core.is_one(), x.exps) == (1, True, (1024,))
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("name, exit_code", [("TWOCHART", 0), ("sparse", 1)])
+def test_cover_takes_the_log_derivative_of_each_unit_once(
+    capsys, tmp_path, monkeypatch, name, exit_code
+):
+    # validation, OmegaL and each partial-forms chart read one du/u per chart
+    bundle = sparse_bundle() if name == "sparse" else load_fixture(name).bundle_json
+    calls = count_calls(monkeypatch, ChartRing, "dlog")
+    code, _ = run_cli(capsys, "cover", "--json", write_bundle(tmp_path, bundle))
+    assert code == exit_code
+    assert len(calls) == len(bundle["charts"])
 
 
 @pytest.mark.parametrize("command", ["connection", "report"])

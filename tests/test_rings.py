@@ -21,7 +21,7 @@ from taucover import exprparse
 from taucover.errors import MalformedInput, NotAUnit, NotIrreducible
 from taucover.fields import FqField
 from taucover.polys import Poly
-from taucover.rings import ChartRing
+from taucover.rings import ChartRing, RingElem
 
 F2 = FqField(2, 1)
 F3 = FqField(3, 1)
@@ -302,6 +302,31 @@ def test_expression_caps_raise_malformed_input_before_any_arithmetic(A5):
             A5.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t$", "bad character '$' in 't$'"),
+        ("t  $", "bad character ' ' in 't  $'"),
+        (" \t ", "empty expression"),
+        ("t + ", "cannot parse 't + '"),
+        ("(t + 1", "expected ')' in '(t + 1'"),
+        ("t^a", "exponent must be an integer in 't^a'"),
+        ("t^", "exponent must be an integer in 't^'"),
+        ("t t", "trailing input in 't t'"),
+        ("x + 1", "unknown symbol 'x' in 'x + 1'"),
+        ("t + " + "9" * 5000, f"integer literal too long in {'t + ' + '9' * 5000!r}"),
+    ],
+)
+def test_parse_errors_name_the_fault(A5, text, message):
+    with pytest.raises(MalformedInput) as err:
+        A5.parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_ignores_whitespace_around_tokens(A5):
+    assert A5.parse(" \n(t +\t1 ) ^ 2 \n ") == A5.parse("(t+1)^2")
+
+
 def test_parse_str_roundtrip(A5):
     rng = random.Random(23)
     for _ in range(60):
@@ -436,3 +461,87 @@ def test_derive_finds_the_inverted_prime_in_the_core_derivative(e):
     x = ring.make(core, [-e])
     assert x.core == core and x.exps == (e,)
     assert_unit_core_form(ring.derive(x), frac_derive(frac_of_ring_elem(x)))
+
+
+# -- parsing in F_q[t] against the RingElem fold
+
+
+def ring_elem_fold(ring, text):
+    """text folded with ring elements for atoms and constants, through the
+    public parser: every sum and product is RingElem arithmetic."""
+    atoms = {"t": ring.t}
+    if ring.field.e > 1:
+        atoms["a"] = ring.from_field(ring.field.gen)
+    return exprparse.evaluate(text, ring.from_int, atoms)
+
+
+def outcome(parse, ring, text):
+    """The parsed value in unit-core form, or the error class and message."""
+    try:
+        x = parse(ring, text)
+    except Exception as exc:  # the comparison covers every error class
+        return type(exc), str(exc)
+    assert type(x) is RingElem and x.ring is ring
+    return x.const, x.core.coeffs, x.exps
+
+
+def assert_parses_like_the_fold(ring, text):
+    assert outcome(ChartRing.parse, ring, text) == outcome(ring_elem_fold, ring, text)
+
+
+def expression_texts(field):
+    """Expressions in t (and a over F_q, q > p), the small integers and the
+    field's oracle primes in parentheses."""
+    names = ["t", "a"] if field.e > 1 else ["t"]
+    leaves = st.one_of(
+        st.sampled_from(names + [f"({pi})" for pi in ORACLE_PRIMES[field]]),
+        st.integers(0, 12).map(str),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(lambda x: f"({x})"),
+            inner.map(lambda x: f"-{x}"),
+            st.tuples(inner, st.integers(0, 5)).map(lambda xk: f"{xk[0]}^{xk[1]}"),
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        ),
+        max_leaves=12,
+    )
+
+
+PARSE_CASES = st.one_of(
+    [
+        st.tuples(
+            st.lists(st.integers(0, 2), max_size=2, unique=True).map(
+                lambda chosen, field=field: oracle_ring(field, tuple(chosen))
+            ),
+            expression_texts(field),
+        )
+        for field in ORACLE_PRIMES
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSE_CASES)
+def test_parse_in_polynomials_matches_the_ring_elem_fold(case):
+    assert_parses_like_the_fold(*case)
+
+
+@pytest.mark.parametrize("primes", [["t + 1"], ["t"], ["t", "t + 1"]])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(t+1)^1024",
+        "1/(t+1)^1024",
+        "t^1024 + 1",
+        "t^1024",
+        "0^0",
+        "(0)^0",
+        "1/0",
+        "t/(t-t)",
+        "2*t/(t+1)^3 - 1/t",
+    ],
+)
+def test_parse_matches_the_ring_elem_fold_on_pinned_cases(primes, text):
+    assert_parses_like_the_fold(ChartRing(F2, primes), text)
