@@ -24,7 +24,7 @@ def main():
     x = chart.v + chart.from_ring(bundle.scheme.charts[0].parse("t"))
     print(f"sample product (v + t)^2 = {x * x}")
 
-    factor = factor_cover(bundle)
+    factor = factor_cover(cover)
     print(f"order {factor['order']} = separable {factor['separable_degree']}"
           f" * inseparable {factor['inseparable_degree']}")
     for check in factor["checks"]:
@@ -53,7 +53,7 @@ def main():
     }
     bundle = TorsionBundle.from_json(data)
     print(f"valid: {bundle.validate()['valid']}")
-    print(f"factor: {factor_cover(bundle)['inseparable_degree']} inseparable")
+    print(f"factor: {factor_cover(Cover(bundle))['inseparable_degree']} inseparable")
 
 
 if __name__ == "__main__":

@@ -30,12 +30,10 @@ coefficient unique modulo the ideal I of that image's presentation A/I.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Sequence
 
 from .covers import Cover, TorsionBundle
-from .errors import InvalidCocycle, MalformedInput, NotCoprime, TauCoverError
-from .fields import FqElem
+from .errors import MalformedInput, NotCoprime, TauCoverError
 from .forms import (
     CoverOneForm,
     d_function,
@@ -323,14 +321,18 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     value of the root-reading functional s (which kills every coboundary when
     s o sigma = 0, reported as ``s_kills_coboundaries``), a dt coefficient
     outside the mod-p lattice spanned by dlog of the inverted primes, or
-    transition exponents that no integer assignment satisfies.  Every chart
+    ``"transitions"``: either the transitions are not a cocycle (the details
+    name an overlap (i, j) with g_ij != g_0j / g_0i, decided on unit logs) or
+    no integer exponent assignment satisfies them.  Every chart
     cochain that passes s lies in the image of the pullback sigma: a chart's
     only relation is (u', -n*u), so when p does not divide n every (a, b) is
     absorbed, and when p | n any b != 0 has a nonzero value of s.  Trivial
-    verdicts re-verify the witness against both identities.
+    verdicts re-verify the witness, built from chart 0 by
+    lambda_j = lambda_0 * g_0j, against both identities.
     """
     scheme = cover.bundle.scheme
     n_charts = len(scheme.charts)
+    p = scheme.field.p
     pfcs = cover.partial_forms
     if cochain is None:
         transitions = {pair: cover.bundle.g[pair] for pair in scheme.pairs()}
@@ -394,7 +396,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
         for name in names:
             unknowns.append((i, name))
         chart_rows = _lattice_rows(pfc.ring, i, target, modulus)
-        if _fp_solve(scheme.field.p, chart_rows, [(i, nm) for nm in names]) is None:
+        if _fp_solve(p, chart_rows, [(i, nm) for nm in names]) is None:
             return nontrivial(
                 "dlog-image",
                 {
@@ -405,14 +407,12 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             )
         equations.extend(chart_rows)
 
-    overlap_exponents = {}
-    overlap_constants = {}
+    logs = {}
     for pair, t in sorted(transitions.items()):
         ovl = scheme.overlap(*pair)
         constant, exponents = ovl.unit_log(t)
         exps = {str(pi): e for pi, e in zip(ovl.inverted, exponents)}
-        overlap_exponents[pair] = exps
-        overlap_constants[pair] = constant
+        logs[pair] = (constant, exps)
         i, j = pair
         for name, e in exps.items():
             # the overlap inverts exactly the primes of charts i and j, so row
@@ -424,7 +424,23 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
                 row[(i, name)] = row.get((i, name), 0) - 1
             equations.append((row, e))
 
-    solution = _fp_solve(scheme.field.p, equations, unknowns)
+    # Root every chart at chart 0: lambda_j = lambda_0 * g_0j, so chart j's
+    # unit log is chart 0's plus that of g_0j.  Unit logs are unique, so
+    # g_ij = g_0j / g_0i holds exactly when the logs match.
+    roots = [(scheme.field.one, {})] + [logs[(0, j)] for j in range(1, n_charts)]
+    for (i, j), (constant, exps) in logs.items():
+        (c_i, e_i), (c_j, e_j) = roots[i], roots[j]
+        if constant * c_i != c_j or any(
+            exps.get(nm, 0) != e_j.get(nm, 0) - e_i.get(nm, 0)
+            for nm in exps.keys() | e_i.keys() | e_j.keys()
+        ):
+            return nontrivial(
+                "transitions",
+                {"overlap": [i, j], "reason": "the transitions are not a cocycle: "
+                 "g_ij differs from g_0j / g_0i"},
+            )
+
+    solution = _fp_solve(p, equations, unknowns)
     if solution is None:
         return nontrivial(
             "transitions",
@@ -432,17 +448,21 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
              "but no joint exponent assignment exists"},
         )
 
-    exponents = _assemble_exponents(
-        n_charts, chart_primes, solution, overlap_exponents, scheme.field.p
-    )
-    if isinstance(exponents, dict) and exponents.get("obstructed"):
-        return nontrivial("transitions", exponents["details"])
-    constants = _assemble_constants(scheme, overlap_constants)
-
-    units = [
-        pfc.ring.exp_unit(constants[i], [exponents.get((i, nm), 0) for nm in names])
-        for i, (pfc, names) in enumerate(zip(pfcs, chart_primes))
-    ]
+    # A chart not inverting a prime pins its exponent at 0, hence chart 0's
+    # at minus the root offset; every such chart pins the same value, since
+    # the cocycle identity makes their offsets agree.  With no pin, chart 0
+    # takes the mod-p solution.
+    units = []
+    for j, (pfc, names) in enumerate(zip(pfcs, chart_primes)):
+        exponents = []
+        for name in names:
+            pinned = next((a for a in range(n_charts) if name not in chart_primes[a]), None)
+            base = solution[(0, name)] if pinned is None else -roots[pinned][1].get(name, 0)
+            m = base + roots[j][1].get(name, 0)
+            if (m - solution[(j, name)]) % p != 0:
+                raise TauCoverError("exponent assembly left the mod-p solution class")
+            exponents.append(m)
+        units.append(pfc.ring.exp_unit(roots[j][0], exponents))
 
     # Definitive re-verification of the witness against both identities.
     for i, pfc in enumerate(pfcs):
@@ -559,111 +579,3 @@ def _fp_solve(p: int, equations: list, unknowns: list) -> dict | None:
     for row_i, col in enumerate(pivots):
         sol[unknowns[col]] = rows[row_i][width]
     return sol
-
-
-def _assemble_exponents(
-    n_charts: int,
-    chart_primes: list,
-    solution: dict,
-    overlap_exponents: dict,
-    p: int,
-) -> dict:
-    """Integer exponents per (chart, prime) satisfying the exact constraints.
-
-    Per prime: overlap equations fix exponent differences exactly, a chart
-    not inverting the prime is pinned at zero, and charts inverting it must
-    stay congruent to the mod-p lattice solution.  Differences are resolved
-    over a spanning tree; cycle and pin conflicts are reported.
-    """
-    all_names = sorted({nm for names in chart_primes for nm in names})
-    values = {}
-    for name in all_names:
-        holders = {i for i in range(n_charts) if name in chart_primes[i]}
-        adjacency = {}
-        for (i, j), exps in overlap_exponents.items():
-            e = exps.get(name, 0)
-            if i not in holders and j not in holders:
-                continue
-            adjacency.setdefault(i, []).append((j, e))
-            adjacency.setdefault(j, []).append((i, -e))
-        nodes = set(adjacency) | holders
-        seen = {}
-        for start in sorted(nodes):
-            if start in seen:
-                continue
-            offsets = {start: 0}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb, delta in adjacency.get(cur, []):
-                    want = offsets[cur] + delta
-                    if nb in offsets:
-                        if offsets[nb] != want:
-                            raise InvalidCocycle(
-                                "transition exponents do not form a strict cocycle"
-                            )
-                        continue
-                    offsets[nb] = want
-                    queue.append(nb)
-            pinned = sorted(a for a in offsets if a not in holders)
-            bases = {-offsets[a] for a in pinned}
-            if len(bases) > 1:
-                return {
-                    "obstructed": True,
-                    "details": {
-                        "prime": name,
-                        "reason": "charts without this prime pin incompatible exponents",
-                    },
-                }
-            if bases:
-                base = bases.pop()
-            else:
-                anchor = min(a for a in offsets if a in holders)
-                base = solution[(anchor, name)] - offsets[anchor]
-            for a, off in offsets.items():
-                m = off + base
-                if a in holders:
-                    if (m - solution[(a, name)]) % p != 0:
-                        raise TauCoverError(
-                            "exponent assembly left the mod-p solution class"
-                        )
-                    values[(a, name)] = m
-                elif m != 0:
-                    return {
-                        "obstructed": True,
-                        "details": {
-                            "prime": name,
-                            "chart": a,
-                            "reason": "a chart that cannot invert this prime "
-                            "would need a nonzero exponent",
-                        },
-                    }
-            seen.update(offsets)
-    return values
-
-
-def _assemble_constants(scheme, overlap_constants: dict) -> list:
-    """Base-field constants per chart with fixed ratios across overlaps."""
-    field = scheme.field
-    consts: list[FqElem | None] = [None] * len(scheme.charts)
-    adjacency = {}
-    for (i, j), c in overlap_constants.items():
-        adjacency.setdefault(i, []).append((j, c))
-        adjacency.setdefault(j, []).append((i, c.inv()))
-    for start in range(len(scheme.charts)):
-        if consts[start] is not None:
-            continue
-        consts[start] = field.one
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb, ratio in adjacency.get(cur, []):
-                want = consts[cur] * ratio
-                if consts[nb] is None:
-                    consts[nb] = want
-                    queue.append(nb)
-                elif consts[nb] != want:
-                    raise InvalidCocycle(
-                        "transition constants do not form a strict cocycle"
-                    )
-    return consts

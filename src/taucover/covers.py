@@ -386,12 +386,6 @@ class TorsionBundle:
             "checks": checks,
         }
 
-    def require_valid(self) -> None:
-        report = self.validate()
-        if not report["valid"]:
-            failed = [c["check"] for c in report["checks"] if not c["passed"]]
-            raise InvalidCocycle(f"bundle data inconsistent: {failed}")
-
     def to_json(self) -> dict:
         return {
             "field": {"p": self.scheme.field.p, "e": self.scheme.field.e},
@@ -456,10 +450,17 @@ def _parse_pair(key: str) -> tuple[int, int]:
 
 
 class Cover:
-    """The n-th root cover of a bundle, with certified glue on each overlap."""
+    """The n-th root cover of a bundle, with certified glue on each overlap.
+
+    ``validation`` is the bundle's ``validate()`` report the cover was
+    certified on; a bundle that fails it raises InvalidCocycle.
+    """
 
     def __init__(self, bundle: TorsionBundle):
-        bundle.require_valid()
+        self.validation = bundle.validate()
+        if not self.validation["valid"]:
+            failed = [c["check"] for c in self.validation["checks"] if not c["passed"]]
+            raise InvalidCocycle(f"bundle data inconsistent: {failed}")
         self.bundle = bundle
         self.charts = tuple(
             CoverChart(ring, bundle.n, u)
@@ -552,14 +553,15 @@ def is_etale(ring: ChartRing, k: int, u: RingElem) -> bool:
     return derivative * candidate == chart.one
 
 
-def factor_cover(bundle: TorsionBundle) -> dict:
+def factor_cover(cover: Cover) -> dict:
     """Split the cover as a separable stage under a purely inseparable one.
 
     Writes n = m * p^r with gcd(m, p) = 1.  The separable stage is the m-th
     root bundle of the same units with transitions g^{p^r}, realized inside
     the full cover by w = v^{p^r}.  Every structural identity the splitting
-    relies on is recomputed in the full cover algebra.
+    relies on is recomputed in the cover's own chart algebras.
     """
+    bundle = cover.bundle
     p = bundle.scheme.field.p
     m, pr = split_order(bundle.n, p)
     stage_g = {
@@ -567,8 +569,8 @@ def factor_cover(bundle: TorsionBundle) -> dict:
     }
     etale_stage = TorsionBundle(bundle.scheme, m, stage_g, bundle.u)
     checks = []
-    for idx, (ring, u) in enumerate(zip(bundle.scheme.charts, bundle.u)):
-        full = CoverChart(ring, bundle.n, u)
+    for idx, full in enumerate(cover.charts):
+        ring, u = full.ring, full.u
         w = full.gen_power(pr)
         checks.append(
             {

@@ -20,7 +20,7 @@ from taucover.catalog import (
 )
 from taucover import cli, connections
 from taucover.cli import fixture_report, main, matches_expected, omega_l_report
-from taucover.covers import MAX_CHARTS, MAX_N, Cover, TorsionBundle
+from taucover.covers import MAX_CHARTS, MAX_N, Cover, CoverChart, TorsionBundle
 from taucover.errors import MalformedInput
 from taucover.fields import FqField
 from taucover.polys import Poly
@@ -583,9 +583,9 @@ def count_calls(monkeypatch, cls, name) -> list:
     calls = []
     method = getattr(cls, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return method(*args)
+        return method(*args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
     return calls
@@ -636,6 +636,35 @@ def test_cover_takes_the_log_derivative_of_each_unit_once(
     code, _ = run_cli(capsys, "cover", "--json", write_bundle(tmp_path, bundle))
     assert code == exit_code
     assert len(calls) == len(bundle["charts"])
+
+
+@pytest.mark.parametrize("name, built", [("TWOCHART", 5), ("GM_P2", 2), ("MIXED", 2)])
+def test_cover_builds_each_cover_chart_once(capsys, monkeypatch, name, built):
+    # the cover's charts, one per overlap for the glue certificate, and one per
+    # chart for the unramified stage's inverse; the factorization reuses the
+    # cover's charts
+    calls = count_calls(monkeypatch, CoverChart, "__init__")
+    code, _ = run_cli(capsys, "cover", "--fixture", name)
+    assert code == 0
+    assert len(calls) == built
+
+
+def test_report_validates_the_bundle_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, TorsionBundle, "validate")
+    code, out = run_cli(capsys, "report", "--fixture", "TWOCHART", "--samples", "0")
+    assert code == 0
+    assert out["fixtures"][0]["sections"]["validate"]["valid"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples, dga_draws", [(0, 0), (10, 1), (200, 20)])
+def test_report_samples_set_the_dga_guard_samples(capsys, monkeypatch, samples, dga_draws):
+    # only the DGA guard of d o d draws cover elements, one per sample on
+    # GM_P2's one chart
+    draws = count_calls(monkeypatch, CoverChart, "random_element")
+    code, out = run_cli(capsys, "report", "--fixture", "GM_P2", "--samples", str(samples))
+    assert code == 0 and out["passed"] is True
+    assert len(draws) == dga_draws
 
 
 @pytest.mark.parametrize("command", ["connection", "report"])

@@ -337,6 +337,26 @@ def test_transition_lattice_obstruction():
     assert verdict["obstruction"] == "transitions"
 
 
+@pytest.mark.parametrize(
+    "p, g01", [(2, "t"), (2, "t^2"), (3, "2")], ids=["F2-t", "F2-t^2", "F3-const"]
+)
+def test_non_cocycle_transitions_are_a_transitions_obstruction(p, g01):
+    # three charts inverting t with g_02 = g_12 = 1, so a cocycle needs g_01 = 1
+    field = FqField(p)
+    rings = [ChartRing(field, ["t"]) for _ in range(3)]
+    scheme = ChartedScheme(field, rings)
+    ones = {pair: scheme.overlap(*pair).one for pair in scheme.pairs()}
+    cover = Cover(TorsionBundle(scheme, p, ones, [ring.t for ring in rings]))
+    cochain = {
+        "transitions": {**ones, (0, 1): scheme.overlap(0, 1).parse(g01)},
+        "chart_coords": [(ring.zero, ring.zero) for ring in rings],
+    }
+    verdict = is_trivial_class(cover, cochain)
+    assert verdict["trivial"] is False
+    assert verdict["obstruction"] == "transitions"
+    assert verdict["details"]["overlap"] == [1, 2]
+
+
 def test_zero_cochain_is_trivial():
     cover = Cover(coprime_two_chart_bundle())
     scheme = cover.bundle.scheme

@@ -255,7 +255,7 @@ def test_etale_detection():
 
 
 def test_mixed_factorization():
-    report = factor_cover(FIXTURES["MIXED"]())
+    report = factor_cover(Cover(FIXTURES["MIXED"]()))
     assert report["passed"]
     assert report["separable_degree"] == 3
     assert report["inseparable_degree"] == 2
@@ -268,14 +268,14 @@ def test_mixed_factorization():
 
 
 def test_factorization_of_tame_cover_is_trivial_inseparable():
-    report = factor_cover(FIXTURES["COPRIME"]())
+    report = factor_cover(Cover(FIXTURES["COPRIME"]()))
     assert report["passed"]
     assert report["separable_degree"] == 2
     assert report["inseparable_degree"] == 1
 
 
 def test_factorization_of_wild_cover_is_trivial_separable():
-    report = factor_cover(FIXTURES["GM_P2"]())
+    report = factor_cover(Cover(FIXTURES["GM_P2"]()))
     assert report["passed"]
     assert report["separable_degree"] == 1
     assert report["inseparable_degree"] == 2
@@ -283,7 +283,7 @@ def test_factorization_of_wild_cover_is_trivial_separable():
 
 
 def test_two_chart_factorization_restricts_transitions():
-    report = factor_cover(twochart())
+    report = factor_cover(Cover(twochart()))
     assert report["passed"]
     stage = report["etale_stage"]
     assert stage.n == 1

@@ -5,7 +5,9 @@ The scan is by name, so it is conservative: a name that also occurs as a
 word elsewhere (another method of the same name, a docstring) counts as used.
 Dunder methods are called by the interpreter and are not scanned.  An
 exception class is held to more: some ``raise`` in the package must name it,
-since an ``except`` clause or an export alone catches nothing.
+since an ``except`` clause or an export alone catches nothing.  A module-level
+import must be named in its module's code; ``__future__`` imports and the
+re-exports of ``__init__.py`` are exempt.
 """
 
 import ast
@@ -43,6 +45,24 @@ def test_every_definition_is_named_elsewhere():
         if name not in ALLOWED and words[name] <= defined[name]
     )
     assert not unused, "defined but never named:\n" + "\n".join(unused)
+
+
+def test_every_module_level_import_is_named_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in named:
+                        unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert not unused, "imported but never named:\n" + "\n".join(unused)
 
 
 def _raised_names() -> set[str]:
