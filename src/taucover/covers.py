@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import add, sub
 from typing import Sequence
 
 from .errors import InvalidCocycle, MalformedInput, NotAUnit, RingMismatch
@@ -53,7 +54,7 @@ class CoverChart:
 
     @property
     def zero(self) -> "CoverElem":
-        return CoverElem(self, {})
+        return CoverElem._nonzero(self, {})
 
     @property
     def one(self) -> "CoverElem":
@@ -73,7 +74,7 @@ class CoverChart:
     def gen_power(self, j: int) -> "CoverElem":
         """v^j for any integer j, reduced into the basis 1, v, ..., v^{n-1}."""
         q, r = divmod(j, self.n)
-        return CoverElem(self, {r: self.u**q})
+        return CoverElem(self, {r: self.u**q if q else self.ring.one})
 
     def rescaled(self, x: "CoverElem", w) -> "CoverElem":
         """x(w*v): the image of x under the change of root v_x -> w*v.
@@ -88,6 +89,8 @@ class CoverChart:
         )
 
     def coerce(self, value) -> "CoverElem":
+        if type(value) is CoverElem and value.chart is self:
+            return value
         if isinstance(value, CoverElem):
             if value.chart is not self:
                 raise RingMismatch("element of a different cover chart")
@@ -114,35 +117,64 @@ class CoverElem:
     """Element sum a_j v^j of a cover chart, kept as its weight decomposition.
 
     ``terms`` maps each j in [0, n) with a_j nonzero to a_j; the term a_j v^j
-    has weight j.  The constructor is the one place that drops zero terms, so
-    equal elements have equal ``terms``.
+    has weight j.  No element keeps a zero term, so equal elements have equal
+    ``terms``.  The constructor drops zero terms.  An operation that knows
+    which of its terms can vanish builds its result by ``_nonzero``, without
+    that filter: a sum or difference drops a weight whose terms cancel as it
+    meets it, and negation, a product by a nonzero ring element and a
+    product by a one-term element have no zero term at all, since A is a
+    domain and a shift by v^i sends distinct weights to distinct weights.
     """
 
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: CoverChart, terms: dict):
         self.chart = chart
-        self.terms = {j: a for j, a in terms.items() if not a.is_zero()}
+        self.terms = {j: a for j, a in terms.items() if a.const}
+
+    @classmethod
+    def _nonzero(cls, chart: CoverChart, terms: dict) -> "CoverElem":
+        """The element with these terms, none of them zero."""
+        out = object.__new__(cls)
+        out.chart = chart
+        out.terms = terms
+        return out
 
     def _check(self, other) -> "CoverElem":
         return self.chart.coerce(other)
 
-    def __add__(self, other):
+    def _combine(self, other, op, negate: bool) -> "CoverElem":
+        """self op other for op add or sub, in one pass: a weight only other
+        has gets b or -b, and a weight whose terms cancel is dropped."""
         terms = dict(self.terms)
         for j, b in self._check(other).terms.items():
-            terms[j] = terms[j] + b if j in terms else b
-        return CoverElem(self.chart, terms)
+            if j in terms:
+                c = op(terms[j], b)
+                if c.const:
+                    terms[j] = c
+                else:
+                    del terms[j]
+            else:
+                terms[j] = -b if negate else b
+        return CoverElem._nonzero(self.chart, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add, False)
 
     def __sub__(self, other):
-        return self + -self._check(other)
+        return self._combine(other, sub, True)
 
     def __neg__(self):
-        return CoverElem(self.chart, {j: -a for j, a in self.terms.items()})
+        return CoverElem._nonzero(self.chart, {j: -a for j, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (RingElem, Poly, int)):
             return self.scale(other)
         other = self._check(other)
+        if len(other.terms) == 1:
+            return self._shifted(*other.terms.items())
+        if len(self.terms) == 1:
+            return other._shifted(*self.terms.items())
         n, u = self.chart.n, self.chart.u
         out = {}
         for i, a in self.terms.items():
@@ -171,9 +203,28 @@ class CoverElem:
                 base = base * base
         return result
 
+    def _shifted(self, term: tuple) -> "CoverElem":
+        """The product with the one term b v^i, given as (i, b)."""
+        i, b = term
+        chart = self.chart
+        n, u = chart.n, chart.u
+        one = b is chart.ring.one
+        out = {}
+        for j, a in self.terms.items():
+            if not one:
+                a = a * b
+            k = i + j
+            if k < n:
+                out[k] = a
+            else:
+                out[k - n] = a * u
+        return CoverElem._nonzero(chart, out)
+
     def scale(self, c) -> "CoverElem":
         c = self.chart.ring.coerce(c)
-        return CoverElem(self.chart, {j: a * c for j, a in self.terms.items()})
+        if not c.const:
+            return self.chart.zero
+        return CoverElem._nonzero(self.chart, {j: a * c for j, a in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -541,9 +592,13 @@ def is_etale(ring: ChartRing, k: int, u: RingElem) -> bool:
 
     The fiber derivative is k*v^{k-1}; when gcd(k, p) = 1 its inverse must be
     k^{-1} * u^{-1} * v, and the product is recomputed to equal 1.  When p
-    divides k the derivative is zero and no inverse exists.
+    divides k the derivative is zero and no inverse exists.  At k = 1 the
+    algebra A[v]/(v - u) is A itself and the derivative is 1, so no cover
+    chart is built.
     """
     u = ring.coerce(u)
+    if k == 1:
+        return True
     if k % ring.field.p == 0:
         return False
     chart = CoverChart(ring, k, u)

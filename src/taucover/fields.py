@@ -182,9 +182,19 @@ class _FqField:
             yield FqElem(self, code)
 
     def random_elem(self, rng) -> "FqElem":
-        # One draw per power-basis coefficient, lowest first: seeded reports depend on it.
+        return FqElem(self, self.random_code(rng))
+
+    def random_code(self, rng) -> int:
+        """The code of a random element.  One draw per power-basis
+        coefficient, lowest first: seeded reports depend on it."""
         p = self.p
-        return FqElem(self, sum(rng.randrange(p) * p**i for i in range(self.e)))
+        if self.e == 1:
+            return rng.randrange(p)
+        code, weight = 0, 1
+        for _ in range(self.e):
+            code += rng.randrange(p) * weight
+            weight *= p
+        return code
 
     def random_nonzero(self, rng) -> "FqElem":
         while True:

@@ -113,8 +113,8 @@ class CoverOneForm:
 
     def __init__(self, chart: CoverChart, ct, cv):
         self.chart = chart
-        self.ct = chart.coerce(ct)
-        self.cv = chart.coerce(cv)
+        self.ct = ct if type(ct) is CoverElem and ct.chart is chart else chart.coerce(ct)
+        self.cv = cv if type(cv) is CoverElem and cv.chart is chart else chart.coerce(cv)
 
     def _check(self, other: "CoverOneForm") -> "CoverOneForm":
         if not isinstance(other, CoverOneForm):

@@ -54,6 +54,11 @@ from .rings import ChartRing, RingElem
 Vec = tuple[RingElem, ...]
 
 
+def _coerced(ring: ChartRing, vec: Iterable) -> list[RingElem]:
+    """The entries of vec in ring; an element of ring is taken as it is."""
+    return [x if type(x) is RingElem and x.ring is ring else ring.coerce(x) for x in vec]
+
+
 class PolyMatrix:
     """Immutable matrix of RingElems over a fixed ChartRing.
 
@@ -64,7 +69,7 @@ class PolyMatrix:
     __slots__ = ("ring", "nrows", "ncols", "rows", "_snf")
 
     def __init__(self, ring: ChartRing, rows: Iterable[Iterable], nrows=None, ncols=None):
-        frozen = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
+        frozen = tuple(tuple(_coerced(ring, row)) for row in rows)
         self._snf = None
         self.ring = ring
         self.rows = frozen
@@ -139,19 +144,19 @@ class PolyMatrix:
         return self.apply_vec(other)
 
     def apply_vec(self, vec: Sequence) -> Vec:
-        vec = [self.ring.coerce(x) for x in vec]
+        vec = _coerced(self.ring, vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         zero = self.ring.zero
         out = []
-        live = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+        live = [(k, x) for k, x in enumerate(vec) if x.const]
         for row in self.rows:
-            acc = zero
+            acc = None
             for k, x in live:
                 a = row[k]
-                if not a.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
+                if a.const:
+                    acc = a * x if acc is None else acc + a * x
+            out.append(zero if acc is None else acc)
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -520,7 +525,7 @@ class FpmModule:
         return self.snf.nonunit_torsion()
 
     def coerce_vec(self, vec: Sequence) -> Vec:
-        vec = tuple(self.ring.coerce(x) for x in vec)
+        vec = tuple(_coerced(self.ring, vec))
         if len(vec) != self.n_gens:
             raise ValueError("vector length does not match generator count")
         return vec

@@ -6,13 +6,14 @@ empty tuple is the zero polynomial.  The coefficient field makes F_q[t]
 Euclidean, so division with remainder, gcd and exact division are all
 available.
 
-Every operation works on the codes and builds one `Poly` per result; a
-product with the unit polynomial 1 returns the other factor.  The hot loops,
-products and division with remainder, take one branch per field: over a
-prime field they use integer arithmetic and reduce mod p once per output
-coefficient; over other fields they multiply through the field's log
-and antilog tables and add by XOR when p = 2, or through the field's `_add`
-(Zech logarithms) otherwise.  Sums, negation, scaling and derivatives use the
+Every operation works on the codes and builds one `Poly` per result.  A
+product with the unit polynomial 1, a scaling by 1 and a sum with 0 return
+the other operand, and a product by t is a shift.  The hot loops, products,
+sums and division with remainder, take one branch per field: over a prime
+field they use integer arithmetic and reduce mod p once per output
+coefficient; over other fields they multiply through the field's log and
+antilog tables and add by XOR when p = 2, or through the field's `_add`
+(Zech logarithms) otherwise.  Negation, scaling and derivatives use the
 field's code methods and tables directly.  Coefficients are handed out as
 `FqElem` only by `lc()` and indexing.
 """
@@ -212,13 +213,29 @@ class Poly:
     # -- arithmetic
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        elif other.field is not self.field:
+            raise FieldMismatch("polynomials over different fields")
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly(self.field, (*map(self.field._add, a, b), *a[len(b):]))
+        if not b:
+            return self if a is self.coeffs else other
+        field = self.field
+        p = field.p
+        if p == 2:
+            out = [x ^ y for x, y in zip(a, b)]
+        elif field.e == 1:
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            out = list(map(field._add, a, b))
+        if len(a) > len(b):
+            # the longer summand's leading code survives
+            return _trimmed(field, out + list(a[len(b):]))
+        return _trimmed(field, _trim(out))
 
     __radd__ = __add__
 
@@ -246,6 +263,8 @@ class Poly:
             return other
         if b == (1,):
             return self
+        if b == (0, 1) and a:
+            return _trimmed(self.field, (0, *a))
         # Over a field the product of two trimmed polynomials has a nonzero
         # leading code.
         return _trimmed(self.field, _mul_codes(self.field, a, b))
@@ -265,12 +284,15 @@ class Poly:
                 base = base * base
         return result
 
-    def scale(self, c: FqElem) -> "Poly":
+    def scale(self, code: int) -> "Poly":
+        """The product with the constant of this field code; by 1 it is self."""
+        if code == 1:
+            return self
         field = self.field
-        if not c.code:
+        if not code:
             return Poly(field)
         exp, log = field.exp, field.log
-        lc = log[c.code]
+        lc = log[code]
         return _trimmed(field, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -301,9 +323,10 @@ class Poly:
         return (other % self).is_zero()
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
+        cs = self.coeffs
+        if not cs or cs[-1] == 1:
             return self
-        return self.scale(self.lc().inv())
+        return self.scale(self.field._inv(cs[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""

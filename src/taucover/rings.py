@@ -20,15 +20,18 @@ the primes the stored factors leave open:
 
   * a sum, at pi_j where the summands' exponents differ: after pi^low is
     factored out, pi_j divides exactly one side (the other side's core is
-    S-free and its constant nonzero), so it does not divide the sum;
+    S-free and its constant nonzero), so it does not divide the sum; when
+    the exponent vectors are equal the scaled cores are added directly;
   * a derivative (f * prod(pi_j^e_j))' with f S-free, at pi_j with e_j prime
     to p: the computed numerator is e_j * f * pi_j' * (other primes) modulo
     pi_j, prime to pi_j since pi_j is separable and deg pi_j' < deg pi_j;
+    a derivative that vanishes returns zero before ``make``;
   * a restriction, at the primes the source already inverts.
 
 A num that is itself an inverted prime is found in a table of the primes, so
-``make`` turns pi_j into the unit pi_j with no division; at the prime t the
-multiplicity is counted off the low zero coefficients.
+``make`` turns pi_j into the unit pi_j with no division; a constant num is a
+unit, which no prime divides; at the prime t the multiplicity is counted off
+the low zero coefficients.
 
 ``ChartRing.parse`` evaluates an expression in F_q[t]: sums, products and
 powers of t, a and integers stay polynomials.  Only each parenthesised
@@ -127,9 +130,11 @@ class ChartRing:
         exps = [-d for d in dens] or [0] * self.s
         if len(exps) != self.s:
             raise ValueError("denominator exponent vector has wrong length")
-        if num.is_zero():
-            return self.zero
-        j = self._prime_index.get(num.coeffs)
+        cs = num.coeffs
+        if len(cs) < 2:
+            # zero, or a constant, which no prime divides
+            return RingElem(self, cs[0], self.one.core, tuple(exps)) if cs else self.zero
+        j = self._prime_index.get(cs)
         if j is not None:
             exps[j] += 1
             return RingElem(self, 1, self.one.core, tuple(exps))
@@ -140,7 +145,9 @@ class ChartRing:
         return RingElem(self, num.coeffs[-1], num.monic(), tuple(exps))
 
     def from_int(self, n: int) -> "RingElem":
-        return self.from_field(self.field.elem(n))
+        # the code of the integer n is n mod p
+        code = n % self.field.p
+        return RingElem(self, code, self.one.core, self.one.exps) if code else self.zero
 
     def from_field(self, c: FqElem) -> "RingElem":
         """A constant is a unit or zero: no prime to divide out."""
@@ -149,6 +156,8 @@ class ChartRing:
         return RingElem(self, c.code, self.one.core, self.one.exps)
 
     def coerce(self, value) -> "RingElem":
+        if type(value) is RingElem and value.ring is self:
+            return value
         if isinstance(value, RingElem):
             if value.ring is not self:
                 raise RingMismatch("element of a different chart ring")
@@ -239,20 +248,23 @@ class ChartRing:
         a = self.coerce(a)
         if a.is_zero():
             return self.zero
-        field, p = self.field, self.field.p
+        p = self.field.p
         deriv, taken = a.core.derivative(), a.core
         dens, open_primes = [], []
+        last = self.s - 1
         for j, (pi, dpi, e) in enumerate(zip(self.inverted, self._derivatives, a.exps)):
             if e % p:
-                deriv = deriv * pi + (taken * dpi).scale(FqElem(field, e % p))
-                taken = taken * pi
+                # the code of the integer e is e mod p
+                deriv = deriv * pi + (taken * dpi).scale(e % p)
+                if j < last:
+                    taken = taken * pi
                 dens.append(1 - e)
             else:
                 dens.append(-e)
                 open_primes.append(j)
-        return self.make(
-            deriv.scale(FqElem(field, a.const)), dens, open_primes=open_primes
-        )
+        if deriv.is_zero():
+            return self.zero
+        return self.make(deriv.scale(a.const), dens, open_primes=open_primes)
 
     def dlog(self, u: "RingElem") -> "RingElem":
         """derive(u)/u for a unit u.  Additive on products; kills p-th powers."""
@@ -279,16 +291,15 @@ class ChartRing:
         for pi, e in zip(self.inverted, a.exps):
             dens[index.pop(pi.coeffs)] = -e
         return target.make(
-            a.core.scale(FqElem(self.field, a.const)), dens, open_primes=index.values()
+            a.core.scale(a.const), dens, open_primes=index.values()
         )
 
     # -- randomness for tests and probabilistic checks
 
     def random_element(self, rng, max_deg: int = 3, max_den: int = 1) -> "RingElem":
-        num = Poly(
-            self.field,
-            [self.field.random_elem(rng).code for _ in range(rng.randrange(max_deg + 2))],
-        )
+        field = self.field
+        draw = field.random_code
+        num = Poly(field, [draw(rng) for _ in range(rng.randrange(max_deg + 2))])
         dens = tuple(rng.randrange(max_den + 1) for _ in range(self.s))
         return self.make(num, dens)
 
@@ -333,9 +344,10 @@ class RingElem:
 
     # -- the reduced fraction, derived from the stored factors
 
-    def _poly(self, exps: Iterable[int]) -> Poly:
-        """const * core * prod(pi_j^k_j) as a polynomial, for k in N^s."""
-        out = self.core.scale(FqElem(self.ring.field, self.const))
+    def _poly(self, exps: Iterable[int], const: int | None = None) -> Poly:
+        """const * core * prod(pi_j^k_j) as a polynomial, for k in N^s; the
+        stored constant unless another is given."""
+        out = self.core.scale(self.const if const is None else const)
         for pi, k in zip(self.ring.inverted, exps):
             if k:
                 out = out * pi**k
@@ -372,18 +384,15 @@ class RingElem:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.const:
-            return other
+        if type(other) is not RingElem or other.ring is not self.ring:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.const:
             return self
-        low = tuple(map(min, self.exps, other.exps))
-        total = self._poly(map(sub, self.exps, low)) + other._poly(map(sub, other.exps, low))
-        # Only a prime where the exponents agree can divide the sum.
-        tied = [j for j, (e, f) in enumerate(zip(self.exps, other.exps)) if e == f]
-        return self.ring.make(total, [-m for m in low], open_primes=tied)
+        if not self.const:
+            return other
+        return self._plus(other, other.const)
 
     __radd__ = __add__
 
@@ -391,25 +400,47 @@ class RingElem:
         return RingElem(self.ring, self.ring.field._neg(self.const), self.core, self.exps)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RingElem or other.ring is not self.ring:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.const:
+            return self
+        return self._plus(other, self.ring.field._neg(other.const))
+
+    def _plus(self, other: "RingElem", const: int) -> "RingElem":
+        """self + other with other's constant replaced by the nonzero const."""
+        ring = self.ring
+        if not self.const:
+            return RingElem(ring, const, other.core, other.exps)
+        exps = self.exps
+        if exps == other.exps:
+            # every prime is tied, so every prime is open
+            total = self.core.scale(self.const) + other.core.scale(const)
+            return ring.make(total, [-e for e in exps])
+        low = tuple(map(min, exps, other.exps))
+        total = self._poly(map(sub, exps, low)) + other._poly(map(sub, other.exps, low), const)
+        # Only a prime where the exponents agree can divide the sum.
+        tied = [j for j, (e, f) in enumerate(zip(exps, other.exps)) if e == f]
+        return ring.make(total, [-m for m in low], open_primes=tied)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RingElem or other.ring is not self.ring:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
         if not self.const or not other.const:
-            return self.ring.zero
+            return ring.zero
+        a, b = self.exps, other.exps
         return RingElem(
-            self.ring,
-            self.ring.field._mul(self.const, other.const),
+            ring,
+            ring.field._mul(self.const, other.const),
             self.core * other.core,
-            tuple(map(add, self.exps, other.exps)),
+            a if not any(b) else b if not any(a) else tuple(map(add, a, b)),
         )
 
     __rmul__ = __mul__

@@ -14,6 +14,12 @@ field's tables, and the irreducibility reference is trial division.
 The dense cover-element references move between a CoverElem and one
 coefficient per basis power v^j.
 
+The generic-form references are the kernel's operations before their fast
+paths: a polynomial sum through the field's ``_add``, a chart-ring sum that
+lifts both summands to polynomials and divides every prime out with ``make``,
+and cover-element products and differences built term by term through the
+constructor that drops zero terms.
+
 The weight-block references move between a dense matrix and a DirectSum of
 its weight blocks by index bookkeeping alone.  The coset reference reduces a
 vector to a canonical representative of its class, through the module's SNF
@@ -23,6 +29,7 @@ divisibility on the SNF diagonal instead.
 
 import itertools
 
+from taucover.covers import CoverElem
 from taucover.pidmod import DirectSum, FpmModule, PolyMatrix
 from taucover.polys import Poly
 
@@ -60,7 +67,7 @@ def reduce_frac(fr: Frac) -> Frac:
         num = num.exact_div(g)
         den = den.exact_div(g)
     lc_inv = den.lc().inv()
-    return (num.scale(lc_inv), den.scale(lc_inv))
+    return (num.scale(lc_inv.code), den.scale(lc_inv.code))
 
 
 def frac_add(a: Frac, b: Frac) -> Frac:
@@ -181,7 +188,7 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if a.is_zero():
         return a, s0, t0
-    lead = a.lc().inv()
+    lead = a.lc().inv().code
     return a.scale(lead), s0.scale(lead), t0.scale(lead)
 
 
@@ -261,3 +268,56 @@ def dense_coeffs(elem) -> tuple:
     """The coefficients of 1, v, ..., v^(n-1), zeros included."""
     zero = elem.chart.ring.zero
     return tuple(elem.terms.get(j, zero) for j in range(elem.chart.n))
+
+
+# -- generic-form references for the kernel's fast paths
+
+
+def poly_add(f: Poly, g: Poly) -> Poly:
+    """f + g coefficient by coefficient through the field's ``_add``."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    return Poly(f.field, (*map(f.field._add, a, b), *a[len(b):]))
+
+
+def _lifted(x, low) -> Poly:
+    """const * core * prod(pi_j^(e_j - low_j)) as a polynomial."""
+    out = Poly(x.ring.field, (x.const,)) * x.core
+    for pi, e, m in zip(x.ring.inverted, x.exps, low):
+        out = out * pi ** (e - m)
+    return out
+
+
+def ring_sum(x, y):
+    """x + y lifted over the lowest exponents of the two, added by poly_add,
+    with every inverted prime divided out of the sum by ``make``."""
+    if x.is_zero():
+        return y
+    if y.is_zero():
+        return x
+    low = [min(e, f) for e, f in zip(x.exps, y.exps)]
+    return x.ring.make(poly_add(_lifted(x, low), _lifted(y, low)), [-m for m in low])
+
+
+def cover_product(x, y):
+    """x * y term by term, v^n reduced by u, every sum kept until the
+    constructor drops the zero terms."""
+    n, u = x.chart.n, x.chart.u
+    out = {}
+    for i, a in x.terms.items():
+        for j, b in y.terms.items():
+            k, term = i + j, a * b
+            if k >= n:
+                k, term = k - n, term * u
+            out[k] = out[k] + term if k in out else term
+    return CoverElem(x.chart, out)
+
+
+def cover_difference(x, y):
+    """x - y weight by weight, through the constructor that drops zero terms."""
+    zero = x.chart.ring.zero
+    weights = {*x.terms, *y.terms}
+    return CoverElem(
+        x.chart, {j: ring_sum(x.terms.get(j, zero), -y.terms.get(j, zero)) for j in weights}
+    )

@@ -638,11 +638,11 @@ def test_cover_takes_the_log_derivative_of_each_unit_once(
     assert len(calls) == len(bundle["charts"])
 
 
-@pytest.mark.parametrize("name, built", [("TWOCHART", 5), ("GM_P2", 2), ("MIXED", 2)])
+@pytest.mark.parametrize("name, built", [("TWOCHART", 3), ("GM_P2", 1), ("MIXED", 2)])
 def test_cover_builds_each_cover_chart_once(capsys, monkeypatch, name, built):
     # the cover's charts, one per overlap for the glue certificate, and one per
-    # chart for the unramified stage's inverse; the factorization reuses the
-    # cover's charts
+    # chart for the unramified stage's inverse when its degree exceeds 1; the
+    # factorization reuses the cover's charts
     calls = count_calls(monkeypatch, CoverChart, "__init__")
     code, _ = run_cli(capsys, "cover", "--fixture", name)
     assert code == 0
