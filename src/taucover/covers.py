@@ -74,6 +74,7 @@ class CoverChart:
     def gen_power(self, j: int) -> "CoverElem":
         """v^j for any integer j, reduced into the basis 1, v, ..., v^{n-1}."""
         q, r = divmod(j, self.n)
+        # the ring's own one, so that a product by v multiplies no coefficient
         return CoverElem(self, {r: self.u**q if q else self.ring.one})
 
     def rescaled(self, x: "CoverElem", w) -> "CoverElem":

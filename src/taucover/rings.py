@@ -256,7 +256,7 @@ class ChartRing:
             if e % p:
                 # the code of the integer e is e mod p
                 deriv = deriv * pi + (taken * dpi).scale(e % p)
-                if j < last:
+                if j < last:  # only the later primes read taken
                     taken = taken * pi
                 dens.append(1 - e)
             else:

@@ -72,7 +72,7 @@ def test_poly_sum_matches_the_generic_sum(pair):
     assert (f - g).coeffs == poly_add(f, -g).coeffs
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS).flatmap(lambda r: st.tuples(ring_elements(r), ring_elements(r))))
 def test_ring_sum_matches_the_generic_sum(pair):
     x, y = pair
@@ -94,7 +94,7 @@ def chart_and_elements(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(chart_and_elements())
 def test_cover_arithmetic_matches_the_generic_forms_and_keeps_no_zero_term(case):
     chart, x, y, term, c = case
