@@ -83,8 +83,10 @@ class TauConnection:
         ``_classical_identity``, decided once.
 
         ``samples`` random sections guard the product rule the certificate
-        rests on, each costing one reduction of R(lambda); membership is
-        solved only to diagnose a failure.
+        rests on.  All are drawn, and ``"samples"`` counts the draws, but
+        each distinct section costs one reduction of R(lambda): a repeat,
+        of lambda = 1 or of an earlier draw, is not evaluated again.
+        Membership is solved only to diagnose a failure.
         """
         rng = random.Random(seed)
         classical = self.classical

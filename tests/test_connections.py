@@ -5,7 +5,7 @@ import random
 import pytest
 from fixtures import FIXTURES, coprime, twochart
 
-from taucover import connections, forms, pidmod
+from taucover import connections, forms, partialforms, pidmod
 from taucover.covers import ChartedScheme, Cover, CoverElem, TorsionBundle
 from taucover.connections import (
     ClassicalConnection,
@@ -113,6 +113,38 @@ def test_product_rule_mutant_of_d_fails_the_dga_sample_guard(name, monkeypatch):
     # the other fixtures have u' a unit, so their two-forms are all zero
     _break_product_rule_above_degree_one(monkeypatch)
     assert not dga_check(build(name))["passed"], name
+
+
+def test_flipped_sign_in_d_of_one_forms_fails_the_dga_sample_guard(monkeypatch):
+    # right on the generators t and v, where d(dt) and d(dv) both vanish, so
+    # only a sampled section exposes d(ct dt + cv dv) = (d_t cv + d_v ct) dt^dv
+    def flipped(form):
+        return forms._partial_t(form.cv) + forms._partial_v(form.ct)
+
+    monkeypatch.setattr(partialforms, "d_one_form", flipped)
+    report = dga_check(build("ZEROTORSION"))
+    assert not report["passed"]
+    assert report["charts"][0]["laws"]["d_squared_zero"] is False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_leibniz_guard_evaluates_each_distinct_section_once(seed, monkeypatch):
+    # over F_2 inverting t, random_element(max_deg=3, max_den=1) returns
+    # num/t^d with deg num <= 3 and d <= 1: at most 32 sections, plus
+    # the generator lambda = 1
+    exact = connections.d_function_times_v
+    calls = []
+
+    def counting(chart, elem):
+        calls.append(elem)
+        return exact(chart, elem)
+
+    monkeypatch.setattr(connections, "d_function_times_v", counting)
+    report = TauConnection(build("GM_P2")).leibniz_check(seed=seed, samples=200)
+    assert report["passed"]
+    assert report["charts"][0]["samples"] == 200
+    assert len(calls) <= 33
+    assert len(set(calls)) == len(calls)
 
 
 def test_leibniz_side_that_leaves_the_partial_forms_fails_the_formula(monkeypatch):

@@ -320,6 +320,51 @@ def test_dga_laws(name):
             assert laws["s_anticommutes_corrected"] is None
 
 
+class _StubLaw:
+    """A law on integers that fails exactly at ``failing``, counting its
+    draws and recording each argument it evaluates."""
+
+    def __init__(self, draws, failing=()):
+        self.draws = iter(draws)
+        self.failing = set(failing)
+        self.drawn = 0
+        self.evaluated = []
+
+    def draw(self):
+        self.drawn += 1
+        return (next(self.draws),)
+
+    def sides(self, x):
+        self.evaluated.append(x)
+        return x, x + (x in self.failing)
+
+    def run(self, generators, samples):
+        return partialforms._law(
+            lambda defect: defect == 0, self.sides, generators, self.draw, samples
+        )
+
+
+def test_law_draws_every_sample_and_evaluates_each_distinct_argument_once():
+    law = _StubLaw([2, 3, 2, 2, 4, 3, 5])
+    assert law.run([(1,)], samples=7) is None
+    assert law.drawn == 7
+    assert law.evaluated == [1, 2, 3, 4, 5]
+
+
+def test_law_does_not_evaluate_a_drawn_generator_again():
+    law = _StubLaw([1, 0, 1, 0])
+    assert law.run([(0,), (1,)], samples=4) is None
+    assert law.drawn == 4
+    assert law.evaluated == [0, 1]
+
+
+def test_law_returns_the_first_failing_draw_after_a_passing_repeat():
+    law = _StubLaw([2, 3, 2, 5, 7, 5], failing={5, 7})
+    assert law.run([(1,)], samples=6) == (5,)
+    assert law.drawn == 4
+    assert law.evaluated == [1, 2, 3, 5]
+
+
 # -- gluing checks
 
 
