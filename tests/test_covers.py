@@ -159,6 +159,42 @@ def test_perturbed_transition_fails_compatibility():
         Cover(bad)
 
 
+def one_transitions(scheme, **given):
+    """g = 1 on every chart pair except the ones given, keyed like g01."""
+    return {
+        (i, j): scheme.overlap(i, j).parse(given.get(f"g{i}{j}", "1"))
+        for i, j in scheme.pairs()
+    }
+
+
+def test_failed_checks_and_their_witnesses_are_pinned():
+    # (a) every pair check passes and only the triple fails: 1 * 1 != 6
+    F7 = FqField(7)
+    rings = [ChartRing(F7, ["t"]) for _ in range(3)]
+    scheme = ChartedScheme(F7, rings)
+    a = TorsionBundle(scheme, 2, one_transitions(scheme, g02="6"), [r.t for r in rings])
+    # (b) the triple (1,2,3) witness is printed in its overlap's prime order,
+    # t before t + 1, though chart 0 lists t + 1 first
+    rings = [ChartRing(F3, ["t + 1"])] + [ChartRing(F3, ["t", "t + 1"]) for _ in range(3)]
+    scheme = ChartedScheme(F3, rings)
+    g = one_transitions(scheme, g12="1/t", g23="1/(t + 1)")
+    b = TorsionBundle(scheme, 3, g, [r.one for r in rings])
+    failed = {
+        name: [(c["check"], c["witness"]) for c in bundle.validate()["checks"] if not c["passed"]]
+        for name, bundle in (("a", a), ("b", b))
+    }
+    assert failed == {
+        "a": [("g(0,1)*g(1,2) = g(0,2)", "6")],
+        "b": [
+            ("g(1,2)^3 = u2/u1", "1/t^3"),
+            ("g(2,3)^3 = u3/u2", "1/(t + 1)^3"),
+            ("g(0,1)*g(1,2) = g(0,2)", "1/t"),
+            ("g(0,2)*g(2,3) = g(0,3)", "1/(t + 1)"),
+            ("g(1,2)*g(2,3) = g(1,3)", "1/(t*(t + 1))"),
+        ],
+    }
+
+
 def test_coboundary_is_the_quotient_of_restrictions_on_each_overlap():
     bundle = twochart()
     scheme = bundle.scheme
