@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .covers import Cover, TorsionBundle
 from .errors import MalformedInput, NotCoprime, TauCoverError
+from .fields import FqElem
 from .forms import (
     CoverOneForm,
     d_function,
@@ -300,13 +301,9 @@ def cech_class(cover: Cover) -> dict:
 def coboundary_class(cover: Cover, units: Sequence[RingElem]) -> dict:
     """The hypercochain (delta(units), dlog(units)) split by the given units."""
     scheme = cover.bundle.scheme
-    units = [scheme.charts[i].coerce(u) for i, u in enumerate(units)]
-    transitions = scheme.coboundary(units)
-    coords = [
-        (scheme.charts[i].dlog(u), scheme.charts[i].zero)
-        for i, u in enumerate(units)
-    ]
-    return {"transitions": transitions, "chart_coords": coords}
+    units = scheme.per_chart(units)
+    coords = [(u.ring.dlog(u), u.ring.zero) for u in units]
+    return {"transitions": scheme.coboundary(units), "chart_coords": coords}
 
 
 # -- the triviality decision
@@ -324,8 +321,9 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     s o sigma = 0, reported as ``s_kills_coboundaries``), a dt coefficient
     outside the mod-p lattice spanned by dlog of the inverted primes, or
     ``"transitions"``: either the transitions are not a cocycle (the details
-    name an overlap (i, j) with g_ij != g_0j / g_0i, decided on unit logs) or
-    no integer exponent assignment satisfies them.  Every chart
+    name an overlap (i, j) with g_ij != g_0j / g_0i, decided on the
+    transitions lifted into the scheme-wide ring) or no integer exponent
+    assignment satisfies them.  Every chart
     cochain that passes s lies in the image of the pullback sigma: a chart's
     only relation is (u', -n*u), so when p does not divide n every (a, b) is
     absorbed, and when p | n any b != 0 has a nonzero value of s.  Trivial
@@ -381,10 +379,14 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             return nontrivial("s-functional", {"chart": i, "s_value": str(s_value)})
 
     # Classical branch: absorb the root component through the pullback's
-    # image, then solve for unit exponents in the mod-p dlog lattice.
+    # image, then solve for unit exponents in the mod-p dlog lattice.  Each
+    # prime is named by its index in the scheme-wide ring, where the
+    # transitions are lifted.
+    whole = scheme.overlap(*range(n_charts))
+    index = {pi.coeffs: k for k, pi in enumerate(whole.inverted)}
+    primes = [[index[pi.coeffs] for pi in pfc.ring.inverted] for pfc in pfcs]
     unknowns = []
     equations = []
-    chart_primes = []
     for i, pfc in enumerate(pfcs):
         reduction = _absorb_root_component(pfc, coords[i])
         if reduction is None:
@@ -393,12 +395,10 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
                 "the pullback sigma"
             )
         target, modulus = reduction
-        names = [str(pi) for pi in pfc.ring.inverted]
-        chart_primes.append(names)
-        for name in names:
-            unknowns.append((i, name))
-        chart_rows = _lattice_rows(pfc.ring, i, target, modulus)
-        if _fp_solve(p, chart_rows, [(i, nm) for nm in names]) is None:
+        keys = [(i, k) for k in primes[i]]
+        unknowns.extend(keys)
+        chart_rows = _lattice_rows(pfc.ring, keys, target, modulus)
+        if _fp_solve(p, chart_rows, keys) is None:
             return nontrivial(
                 "dlog-image",
                 {
@@ -409,33 +409,19 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             )
         equations.extend(chart_rows)
 
-    logs = {}
-    for pair, t in sorted(transitions.items()):
-        ovl = scheme.overlap(*pair)
-        constant, exponents = ovl.unit_log(t)
-        exps = {str(pi): e for pi, e in zip(ovl.inverted, exponents)}
-        logs[pair] = (constant, exps)
-        i, j = pair
-        for name, e in exps.items():
-            # the overlap inverts exactly the primes of charts i and j, so row
-            # is never empty
-            row = {}
-            if name in chart_primes[j]:
-                row[(j, name)] = 1
-            if name in chart_primes[i]:
-                row[(i, name)] = row.get((i, name), 0) - 1
-            equations.append((row, e))
+    lifted = scheme.lift(transitions)
+    for (i, j), g in sorted(lifted.items()):
+        # one row per prime of the overlap (i, j), in its order; each of
+        # them is inverted by chart i or chart j, so no row is empty
+        for k in dict.fromkeys(primes[i] + primes[j]):
+            row = {(a, k): sign for a, sign in ((j, 1), (i, -1)) if k in primes[a]}
+            equations.append((row, g.exps[k]))
 
-    # Root every chart at chart 0: lambda_j = lambda_0 * g_0j, so chart j's
-    # unit log is chart 0's plus that of g_0j.  Unit logs are unique, so
-    # g_ij = g_0j / g_0i holds exactly when the logs match.
-    roots = [(scheme.field.one, {})] + [logs[(0, j)] for j in range(1, n_charts)]
-    for (i, j), (constant, exps) in logs.items():
-        (c_i, e_i), (c_j, e_j) = roots[i], roots[j]
-        if constant * c_i != c_j or any(
-            exps.get(nm, 0) != e_j.get(nm, 0) - e_i.get(nm, 0)
-            for nm in exps.keys() | e_i.keys() | e_j.keys()
-        ):
+    # Root every chart at chart 0: lambda_j = lambda_0 * g_0j.  Restriction
+    # is injective, so g_ij = g_0j / g_0i holds exactly when the lifts match.
+    roots = [whole.one] + [lifted[(0, j)] for j in range(1, n_charts)]
+    for (i, j), g in sorted(lifted.items()):
+        if g * roots[i] != roots[j]:
             return nontrivial(
                 "transitions",
                 {"overlap": [i, j], "reason": "the transitions are not a cocycle: "
@@ -455,16 +441,16 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     # the cocycle identity makes their offsets agree.  With no pin, chart 0
     # takes the mod-p solution.
     units = []
-    for j, (pfc, names) in enumerate(zip(pfcs, chart_primes)):
+    for j, pfc in enumerate(pfcs):
         exponents = []
-        for name in names:
-            pinned = next((a for a in range(n_charts) if name not in chart_primes[a]), None)
-            base = solution[(0, name)] if pinned is None else -roots[pinned][1].get(name, 0)
-            m = base + roots[j][1].get(name, 0)
-            if (m - solution[(j, name)]) % p != 0:
+        for k in primes[j]:
+            pinned = next((a for a in range(n_charts) if k not in primes[a]), None)
+            base = solution[(0, k)] if pinned is None else -roots[pinned].exps[k]
+            m = base + roots[j].exps[k]
+            if (m - solution[(j, k)]) % p != 0:
                 raise TauCoverError("exponent assembly left the mod-p solution class")
             exponents.append(m)
-        units.append(pfc.ring.exp_unit(roots[j][0], exponents))
+        units.append(pfc.ring.exp_unit(FqElem(scheme.field, roots[j].const), exponents))
 
     # Definitive re-verification of the witness against both identities.
     for i, pfc in enumerate(pfcs):
@@ -505,10 +491,9 @@ def _absorb_root_component(pfc: PartialFormsChart, coords) -> tuple | None:
     return found[0], torsion[0] if torsion else Poly.one(pfc.ring.field)
 
 
-def _lattice_rows(
-    ring: ChartRing, chart_key: int, target: RingElem, modulus: Poly | None
-) -> list:
-    """F_p equations for sum_j x_j dlog(pi_j) = target (mod modulus*A).
+def _lattice_rows(ring: ChartRing, keys: list, target: RingElem, modulus: Poly | None) -> list:
+    """F_p equations for sum_j x_j dlog(pi_j) = target (mod modulus*A), the
+    unknown x_j keyed by keys[j].
 
     Both sides are cleared to polynomials by a unit multiple, then matched
     coefficient by coefficient, each base-field coefficient split into its
@@ -541,7 +526,7 @@ def _lattice_rows(
             for j in range(len(primes)):
                 val = col_digits[j][comp]
                 if val:
-                    row[(chart_key, str(primes[j]))] = val
+                    row[keys[j]] = val
             rows.append((row, rhs))
     return rows
 

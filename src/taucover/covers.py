@@ -8,8 +8,9 @@ overlap and compares it with the other chart's unit.
 
 Each distinct inverted prime of a bundle read from JSON is certified once
 (``rings.certify_prime``, Rabin's test included), where it first appears in
-the chart list.  The overlap rings of pairs and triples invert unions of those
-primes and inherit their certificates, so they test no prime again.
+the chart list.  Overlap rings invert unions of those primes and inherit their
+certificates, so they test no prime again.  Every cocycle identity among
+transitions is decided in one of them, the ring of all charts' overlap.
 
 B is graded by Z/n with wt v = 1, and a CoverElem is kept as its weight
 decomposition: the nonzero coefficients a_j of sum a_j v^j, keyed by j.  So
@@ -286,13 +287,22 @@ class ChartedScheme:
         if len(key) == 1:
             return self.charts[key[0]]
         if key not in self._overlaps:
-            seen = []
-            for i in key:
-                for pi in self.charts[i].inverted:
-                    if all(pi.coeffs != q.coeffs for q in seen):
-                        seen.append(pi)
-            self._overlaps[key] = ChartRing.of_certified(self.field, seen)
+            primes = {pi.coeffs: pi for i in key for pi in self.charts[i].inverted}
+            self._overlaps[key] = ChartRing.of_certified(self.field, list(primes.values()))
         return self._overlaps[key]
+
+    def lift(self, units: dict[tuple[int, int], RingElem]) -> dict[tuple[int, int], RingElem]:
+        """Each pair's unit restricted from its overlap into the ring of every
+        chart's overlap, ``overlap(*range(m))``.  Restriction is injective and
+        multiplicative, so an identity among units holds on an overlap
+        exactly when it holds among their lifts."""
+        whole = self.overlap(*range(self.n_charts))
+        lifted = {}
+        for pair, unit in units.items():
+            if not unit.is_unit():
+                raise NotAUnit(f"transition unit on overlap {pair} is not a unit")
+            lifted[pair] = self.overlap(*pair).restrict(unit, whole)
+        return lifted
 
     def restrict(self, chart_index: int, a: RingElem, *indices: int) -> RingElem:
         """Image of a chart element in the overlap of the named charts."""
@@ -305,6 +315,15 @@ class ChartedScheme:
             for i in range(self.n_charts)
             for j in range(i + 1, self.n_charts)
         ]
+
+    def per_chart(self, values: Sequence) -> list[RingElem]:
+        """One value per chart, each coerced into its chart's ring."""
+        if len(values) != self.n_charts:
+            raise MalformedInput(
+                f"one unit per chart is required: {self.n_charts} charts, "
+                f"{len(values)} given"
+            )
+        return [chart.coerce(x) for chart, x in zip(self.charts, values)]
 
     def coboundary(self, values: Sequence[RingElem]) -> dict[tuple[int, int], RingElem]:
         """Čech coboundary of a 0-cochain of units, one per chart:
@@ -357,13 +376,9 @@ class TorsionBundle:
     ):
         if n < 1:
             raise MalformedInput("bundle order must be a positive integer")
-        if len(u) != scheme.n_charts:
-            raise MalformedInput("one trivializing unit per chart is required")
         self.scheme = scheme
         self.n = n
-        self.u = tuple(
-            scheme.charts[i].coerce(x) for i, x in enumerate(u)
-        )
+        self.u = tuple(scheme.per_chart(u))
         for i, x in enumerate(self.u):
             if not x.is_unit():
                 raise NotAUnit(f"chart {i} trivialization {x} is not a unit")
@@ -373,13 +388,8 @@ class TorsionBundle:
             raise MalformedInput(
                 f"transition units must cover exactly the chart pairs {sorted(want)}"
             )
-        self.g = {}
-        for (i, j), val in g.items():
-            ovl = scheme.overlap(i, j)
-            val = ovl.coerce(val)
-            if not val.is_unit():
-                raise NotAUnit(f"transition unit on overlap {(i, j)} is not a unit")
-            self.g[(i, j)] = val
+        self.g = {pair: scheme.overlap(*pair).coerce(val) for pair, val in g.items()}
+        self._lifted_g = scheme.lift(self.g)
 
     def g_any(self, i: int, j: int) -> RingElem:
         """Transition unit for any ordered pair, with g_ii = 1 and g_ji = 1/g_ij."""
@@ -417,18 +427,15 @@ class TorsionBundle:
                     "witness": None if passed else str(lhs * rhs.inv()),
                 }
             )
+        g = self._lifted_g
         for (i, j, k) in itertools.combinations(range(self.scheme.n_charts), 3):
-            triple = self.scheme.overlap(i, j, k)
-            gij = self.scheme.overlap(i, j).restrict(self.g[(i, j)], triple)
-            gjk = self.scheme.overlap(j, k).restrict(self.g[(j, k)], triple)
-            gik = self.scheme.overlap(i, k).restrict(self.g[(i, k)], triple)
-            passed = gij * gjk == gik
+            passed = g[(i, j)] * g[(j, k)] == g[(i, k)]
             ok = ok and passed
             checks.append(
                 {
                     "check": f"g({i},{j})*g({j},{k}) = g({i},{k})",
                     "passed": passed,
-                    "witness": None if passed else str(gij * gjk * gik.inv()),
+                    "witness": None if passed else self._triple_witness(i, j, k),
                 }
             )
         return {
@@ -437,6 +444,16 @@ class TorsionBundle:
             "order": self.n,
             "checks": checks,
         }
+
+    def _triple_witness(self, i: int, j: int, k: int) -> str:
+        """g_ij * g_jk / g_ik printed in the ring of the triple's overlap."""
+        scheme = self.scheme
+        triple = scheme.overlap(i, j, k)
+        gij, gjk, gik = (
+            scheme.overlap(*pair).restrict(self.g[pair], triple)
+            for pair in ((i, j), (j, k), (i, k))
+        )
+        return str(gij * gjk * gik.inv())
 
     def to_json(self) -> dict:
         return {
@@ -527,10 +544,8 @@ class Cover:
         scheme = self.bundle.scheme
         n = self.bundle.n
         for (i, j) in scheme.pairs():
-            ovl = scheme.overlap(i, j)
-            u_i = scheme.restrict(i, self.bundle.u[i], j)
+            overlap_cover = self.overlap_cover(j, i)
             u_j = scheme.restrict(j, self.bundle.u[j], i)
-            overlap_cover = CoverChart(ovl, n, u_i)
             image = overlap_cover.v.scale(self.bundle.g[(i, j)]) ** n
             expected = overlap_cover.from_ring(u_j)
             if image != expected:

@@ -457,7 +457,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
     """
     scheme = bundle.scheme
     n = bundle.n
-    ws = [scheme.charts[i].coerce(w) for i, w in enumerate(rescalings)]
+    ws = scheme.per_chart(rescalings)
     new_u = [u * w**n for u, w in zip(bundle.u, ws)]
     delta = scheme.coboundary(ws)
     new_g = {pair: g * delta[pair] for pair, g in bundle.g.items()}

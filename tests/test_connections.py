@@ -17,7 +17,7 @@ from taucover.connections import (
 )
 from taucover.errors import MalformedInput, NotCoprime, TauCoverError
 from taucover.fields import FqField
-from taucover.partialforms import dga_check
+from taucover.partialforms import basis_independence_check, dga_check
 from taucover.rings import ChartRing
 
 
@@ -337,6 +337,21 @@ def test_cochain_of_the_wrong_shape_is_malformed(key, cut):
     cochain[key] = cut(cochain[key])
     with pytest.raises(MalformedInput, match="one transition per chart pair"):
         is_trivial_class(cover, cochain)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda bundle, units: coboundary_class(Cover(bundle), units),
+        basis_independence_check,
+    ],
+    ids=["coboundary_class", "basis_independence_check"],
+)
+def test_a_wrong_number_of_units_is_malformed(check, count):
+    expected = f"one unit per chart is required: 2 charts, {count} given"
+    with pytest.raises(MalformedInput, match=expected):
+        check(twochart(), ["t"] * count)
 
 
 def test_dlog_image_obstruction():

@@ -8,8 +8,12 @@ Linear growth multiplies each count by 4; a ratio above 5 fails.
 
 In the chart count: the bundle is over F_37 with n = 37, and chart i inverts t
 and t - i, at 8 and at 16 charts.  Rabin tests may grow at most like the
-number of distinct primes, 9 and 17: the overlap rings of pairs and triples
-inherit their primes' certificates.
+number of distinct primes, 9 and 17: the overlap rings of pairs inherit their
+primes' certificates.  ChartRing builds may grow at most like the charts, the
+pairs and the one scheme-wide ring together, 37 and 137, and calls of
+ChartRing.restrict at most like the pairs, 28 and 120: every cocycle identity
+is decided in the scheme-wide ring, so no triple overlap gets a ring of its
+own unless its identity fails.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
@@ -23,7 +27,7 @@ from taucover import pidmod
 from taucover.catalog import CATALOG_ENV
 from taucover.cli import main
 from taucover.polys import Poly
-from taucover.rings import RingElem
+from taucover.rings import ChartRing, RingElem
 
 SMALL, LARGE = 64, 256
 FEW_CHARTS, MORE_CHARTS = 8, 16
@@ -80,8 +84,9 @@ def many_charts(m: int) -> dict:
 
 
 def work(monkeypatch, capsys, directory, argv) -> dict:
-    """Arithmetic calls, SNF cells and Rabin tests of one CLI run in ``directory``."""
-    counts = {"ring_ops": 0, "snf_cells": 0, "rabin_tests": 0}
+    """Arithmetic calls, SNF cells, Rabin tests, ChartRing builds and
+    restrictions of one CLI run in ``directory``."""
+    counts = {"ring_ops": 0, "snf_cells": 0, "rabin_tests": 0, "ring_builds": 0, "restricts": 0}
 
     def counted(method, metric="ring_ops"):
         def wrapper(*args):
@@ -103,6 +108,8 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
             m.setattr(RingElem, name, counted(getattr(RingElem, name)))
         m.setattr(pidmod, "smith_normal_form", counted_snf)
         m.setattr(Poly, "is_irreducible", counted(Poly.is_irreducible, "rabin_tests"))
+        m.setattr(ChartRing, "_invert", counted(ChartRing._invert, "ring_builds"))
+        m.setattr(ChartRing, "restrict", counted(ChartRing.restrict, "restricts"))
         code = main(argv)
     json.loads(capsys.readouterr().out)  # exactly one document
     assert code in (0, 1), argv
@@ -120,20 +127,49 @@ def test_work_grows_at_most_linearly_in_n(command, tmp_path, monkeypatch, capsys
         assert large <= MAX_RATIO * small, (command, metric, small, large)
 
 
+def chart_count_work(command, tmp_path, monkeypatch, capsys) -> dict:
+    """The work of one command at FEW_CHARTS and at MORE_CHARTS charts."""
+    argv = COMMANDS[command]
+    if command in ("connection", "report"):
+        argv = [*argv, "--samples", "0"]  # guard samples invert no prime
+    measured = {}
+    for m in (FEW_CHARTS, MORE_CHARTS):
+        directory = tmp_path / f"m{m}"
+        write_catalog(directory, many_charts(m), f"{m} charts over F_37, n = 37")
+        measured[m] = work(monkeypatch, capsys, directory, argv)
+    return measured
+
+
+def pairs(m: int) -> int:
+    return m * (m - 1) // 2
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_rabin_tests_grow_like_the_distinct_primes_in_the_chart_count(
     command, tmp_path, monkeypatch, capsys
 ):
-    argv = COMMANDS[command]
-    if command in ("connection", "report"):
-        argv = [*argv, "--samples", "0"]  # guard samples invert no prime
-    tests = {}
-    for m in (FEW_CHARTS, MORE_CHARTS):
-        directory = tmp_path / f"m{m}"
-        write_catalog(directory, many_charts(m), f"{m} charts over F_37, n = 37")
-        tests[m] = work(monkeypatch, capsys, directory, argv)["rabin_tests"]
+    measured = chart_count_work(command, tmp_path, monkeypatch, capsys)
+    tests = {m: counts["rabin_tests"] for m, counts in measured.items()}
     # m charts invert m + 1 distinct primes
     assert tests[MORE_CHARTS] * (FEW_CHARTS + 1) <= tests[FEW_CHARTS] * (MORE_CHARTS + 1), (
         command,
         tests,
     )
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_ring_builds_and_restrictions_grow_like_the_pairs_in_the_chart_count(
+    command, tmp_path, monkeypatch, capsys
+):
+    measured = chart_count_work(command, tmp_path, monkeypatch, capsys)
+    bounds = {
+        # the charts, their pairs' overlaps and the scheme-wide ring
+        "ring_builds": (
+            FEW_CHARTS + pairs(FEW_CHARTS) + 1,
+            MORE_CHARTS + pairs(MORE_CHARTS) + 1,
+        ),
+        "restricts": (pairs(FEW_CHARTS), pairs(MORE_CHARTS)),
+    }
+    for metric, (few, more) in bounds.items():
+        grown = measured[MORE_CHARTS][metric] * few <= measured[FEW_CHARTS][metric] * more
+        assert grown, (command, metric, measured)
