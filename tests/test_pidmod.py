@@ -1,5 +1,6 @@
 """Module-engine tests: Smith form, solving, presentations, exactness."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from oracle import (
 )
 
 from taucover import pidmod
+from taucover.cli import main
 from taucover.covers import Cover
 from taucover.errors import CertificateFailure
 from taucover.fields import FqField
@@ -108,6 +110,43 @@ def test_snf_postcondition_is_checked_on_every_call(monkeypatch):
     monkeypatch.setattr(pm, "_verify_snf", lambda r: called.append(1) or original(r))
     smith_normal_form(mat(A5, [["t"]]))
     assert called
+
+
+def snf_digest(results) -> str:
+    """sha256 of the ring, the input and U, U^-1, D, V, V^-1 of each SNF, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        parts = (r.matrix.ring, r.matrix, r.U, r.U_inv, r.D, r.V, r.V_inv)
+        h.update(("|".join(str(x) for x in parts) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_snf_outputs_on_the_catalog_report_are_pinned(monkeypatch, capsys):
+    # every SNF that `report --all` reaches passes through _verify_snf
+    results = []
+    original = pidmod._verify_snf
+    monkeypatch.setattr(pidmod, "_verify_snf", lambda r: original(r) or results.append(r))
+    assert main(["report", "--all"]) == 0
+    capsys.readouterr()
+    assert len(results) == 120
+    assert snf_digest(results) == (
+        "ddc58b4a4a78e6f42fac0e7d17a94cc9cd15e3f008c72f4f38f630e181d49b28"
+    )
+
+
+def test_snf_outputs_on_seeded_random_matrices_are_pinned():
+    rings = [A2, A5, ChartRing(FqField(2, 2), ["t", "t + 1"]), ChartRing(FqField(3), [])]
+    rng = random.Random(2022)
+    results = []
+    for ring in rings:
+        for nrows in (1, 2, 3):
+            for ncols in (1, 2, 3):
+                for max_deg, max_den in ((1, 0), (2, 1), (3, 2)):
+                    m = random_matrix(ring, rng, nrows, ncols, max_deg=max_deg, max_den=max_den)
+                    results.append(smith_normal_form(m))
+    assert snf_digest(results) == (
+        "b96adc34a42df12a32213cd6b48d66307999a87b31c75d54879c72c5bdd3ef1b"
+    )
 
 
 # -- solve and syzygies
