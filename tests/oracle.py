@@ -24,7 +24,8 @@ The weight-block references move between a dense matrix and a DirectSum of
 its weight blocks by index bookkeeping alone.  The coset reference reduces a
 vector to a canonical representative of its class, through the module's SNF
 and the extended Euclidean algorithm; the module engine's zero test reads
-divisibility on the SNF diagonal instead.
+divisibility on the SNF diagonal instead.  The certificate reference decides
+U*M*V = D by both products and each inverse against an identity matrix.
 """
 
 import itertools
@@ -198,6 +199,41 @@ def residue_mod_core(ring, x, core: Poly):
     _d, s, _u = xgcd(den, core)
     # den * s = 1 mod core since core is coprime to every inverted irreducible
     return ring.make((num * s) % core)
+
+
+def literal_snf_certificate(r) -> str | None:
+    """The first certificate the SNFResult r fails, or None when it passes.
+
+    U*M*V = D is decided by its two products, each inverse against an
+    identity matrix, then the shape of D and its divisibility chain, in the
+    order the module engine reports them.
+    """
+    ring = r.matrix.ring
+
+    def identity(n):
+        return PolyMatrix(
+            ring,
+            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
+            nrows=n,
+            ncols=n,
+        )
+
+    if (r.U @ r.matrix) @ r.V != r.D:
+        return "U*M*V = D"
+    if r.U @ r.U_inv != identity(r.U.nrows):
+        return "U*U^-1 = I"
+    if r.V @ r.V_inv != identity(r.V.nrows):
+        return "V*V^-1 = I"
+    if any(
+        i != j and not x.is_zero() for i, row in enumerate(r.D.rows) for j, x in enumerate(row)
+    ):
+        return "D is diagonal"
+    for a, b in zip(r.diag, r.diag[1:]):
+        if a.is_zero() and not b.is_zero():
+            return "zero diagonal entries come last"
+        if not a.is_zero() and not b.is_zero() and not ring.divides(a, b):
+            return "each diagonal entry divides the next"
+    return None
 
 
 def canonical_reduce(module: FpmModule, vec) -> tuple:

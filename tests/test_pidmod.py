@@ -12,6 +12,7 @@ from oracle import (
     frac_of_ring_elem,
     fraction_field_rank,
     graded_cut,
+    literal_snf_certificate,
 )
 
 from taucover import pidmod
@@ -640,3 +641,117 @@ def test_corrupted_snf_raises_a_certificate_failure_naming_the_block(monkeypatch
     assert "U*U^-1 = I" in message
     assert "1x1 matrix" in message
     assert "block of weight 3" in message
+
+
+def corrupt(part, matrix, U, U_inv, D, V, V_inv, diag):
+    """The SNF parts with one of them broken.  A zeroed matrix breaks the
+    product or an inverse; a reshaped D comes with the matrix that U and V
+    carry to it, so only the shape of D is wrong."""
+    ring = matrix.ring
+    if part in ("U", "U_inv", "D", "V", "V_inv"):
+        parts = {"U": U, "U_inv": U_inv, "D": D, "V": V, "V_inv": V_inv}
+        parts[part] = PolyMatrix.zeros(ring, parts[part].nrows, parts[part].ncols)
+        return (matrix, *parts.values(), diag)
+    rows = [list(row) for row in D.rows]
+    if part == "off_diagonal":
+        rows[0][1] = ring.one
+    elif part == "chain":
+        rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
+    else:  # "zero_first"
+        rows[0][0] = ring.zero
+    D = PolyMatrix(ring, rows, nrows=D.nrows, ncols=D.ncols)
+    matrix = (U_inv @ D) @ V_inv
+    return (matrix, U, U_inv, D, V, V_inv, tuple(rows[i][i] for i in range(len(diag))))
+
+
+@pytest.mark.parametrize(
+    "part, certificate",
+    [
+        ("U", "U*M*V = D"),
+        ("U_inv", "U*U^-1 = I"),
+        ("D", "U*M*V = D"),
+        ("V", "U*M*V = D"),
+        ("V_inv", "V*V^-1 = I"),
+        ("off_diagonal", "D is diagonal"),
+        ("chain", "each diagonal entry divides the next"),
+        ("zero_first", "zero diagonal entries come last"),
+    ],
+)
+def test_each_corrupted_snf_part_raises_its_certificate_message(part, certificate, monkeypatch):
+    class Corrupted(pidmod.SNFResult):
+        __slots__ = ()
+
+        def __init__(self, *parts):
+            super().__init__(*corrupt(part, *parts))
+
+    monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
+    # the block of weight 3 is diag(t + 1, (t + 1)^2)
+    rel = mat(A5, [["t+2", "0", "0"], ["0", "t+1", "0"], ["0", "0", "(t+1)^2"]])
+    module = graded_cut(rel, [0, 3, 3], [0, 3, 3])
+    with pytest.raises(CertificateFailure) as info:
+        module.is_zero(cut([A5.zero, A5.one, A5.zero], [0, 3, 3], module))
+    assert str(info.value) == (
+        f"SNF certificate failed: {certificate}, on a 2x2 matrix over {A5}, "
+        "in the block of weight 3"
+    )
+
+
+def test_snf_certificate_agrees_with_the_literal_three_product_certificate():
+    rng = random.Random(22)
+    parts = ("U", "U_inv", "D", "V", "V_inv", "diag")
+    verdicts = set()
+    for _ in range(300):
+        ring = rng.choice([A2, A5])
+        m = random_matrix(ring, rng, rng.randrange(1, 4), rng.randrange(1, 4))
+        r = smith_normal_form(m)
+        fields = dict(zip(("matrix", *parts), (r.matrix, r.U, r.U_inv, r.D, r.V, r.V_inv, r.diag)))
+        kind = rng.choice(("none", "entry", "reshape"))
+        if kind == "entry":
+            # one entry of one part moved by a random nonzero element
+            part = rng.choice(parts)
+            if part == "diag":
+                if not r.diag:
+                    continue
+                k = rng.randrange(len(r.diag))
+                diag = list(r.diag)
+                diag[k] = diag[k] + ring.random_unit(rng)
+                fields["diag"] = tuple(diag)
+            else:
+                old = fields[part]
+                i, j = rng.randrange(old.nrows), rng.randrange(old.ncols)
+                rows = [list(row) for row in old.rows]
+                rows[i][j] = rows[i][j] + ring.random_unit(rng)
+                fields[part] = PolyMatrix(ring, rows, nrows=old.nrows, ncols=old.ncols)
+        elif kind == "reshape":
+            # a random D that U and V carry the matrix to, diagonal or not
+            D = random_matrix(ring, rng, m.nrows, m.ncols)
+            if rng.random() < 0.5:
+                D = PolyMatrix(
+                    ring,
+                    [[x if i == j else ring.zero for j, x in enumerate(row)] for i, row in enumerate(D.rows)],
+                    nrows=m.nrows,
+                    ncols=m.ncols,
+                )
+            fields["D"] = D
+            fields["matrix"] = (r.U_inv @ D) @ r.V_inv
+            fields["diag"] = tuple(D.rows[i][i] for i in range(len(r.diag)))
+        candidate = pidmod.SNFResult(*fields.values())
+        expected = literal_snf_certificate(candidate)
+        verdicts.add(expected)
+        if expected is None:
+            pidmod._verify_snf(candidate)
+            continue
+        with pytest.raises(CertificateFailure) as info:
+            pidmod._verify_snf(candidate)
+        assert str(info.value) == (
+            f"SNF certificate failed: {expected}, on a {m.nrows}x{m.ncols} matrix over {ring}"
+        )
+    assert verdicts == {
+        None,
+        "U*M*V = D",
+        "U*U^-1 = I",
+        "V*V^-1 = I",
+        "D is diagonal",
+        "each diagonal entry divides the next",
+        "zero diagonal entries come last",
+    }
