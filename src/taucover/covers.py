@@ -489,10 +489,10 @@ class TorsionBundle:
         g_raw = data.get("g", {})
         if not isinstance(g_raw, dict):
             raise MalformedInput("g must map chart pairs to transition units")
-        g = {}
+        g, pairs = {}, set(scheme.pairs())
         for key, expr in g_raw.items():
             pair = _parse_pair(key)
-            if pair not in scheme.pairs():
+            if pair not in pairs:
                 raise MalformedInput(f"transition key {key} is not a chart pair (i,j), i<j")
             if pair in g:
                 raise MalformedInput(f"transition key {key} repeats the chart pair {pair}")

@@ -304,6 +304,10 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
     Every section is drawn, but each distinct section costs one reduction
     (a repeat is not evaluated again); in the corrected tail it is the
     membership solve that reads the s-coordinate of d.
+
+    A chart with a failed law also carries ``"failures"``: for each failed
+    law, the first arguments it failed at, and for d o d whether the cover
+    or the base one broke (``"on"``).
     """
     rng = random.Random(seed)
     charts = []
@@ -340,22 +344,28 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
             ) + d_one_form(x).scale(f)
             return lhs, rhs
 
-        laws = {
+        # the first failing arguments of each law, or None; d o d is decided
+        # on the cover, then, when that passes, on the base
+        failing = {
             "pullback_intertwines_d": _law(
                 zero1, intertwines, [(ring.t,)], lambda: (base_element(),), samples
-            ) is None,
-            "d_squared_zero": _law(
-                zero2, d_squared_cover,
-                [(chart.from_ring(ring.t),), (chart.v,)],
-                lambda: (chart.random_element(rng, max_deg=2),), samples,
-            ) is None and _law(
-                zero2, d_squared_base, [(ring.t,)], lambda: (base_element(),), samples
-            ) is None,
-            "leibniz": _law(
-                zero2, leibniz, [(ring.t, one, zero), (ring.t, zero, one)],
-                lambda: (base_element(), base_element(), base_element()), samples,
-            ) is None,
+            ),
         }
+        d_squared_on = "cover"
+        failing["d_squared_zero"] = _law(
+            zero2, d_squared_cover,
+            [(chart.from_ring(ring.t),), (chart.v,)],
+            lambda: (chart.random_element(rng, max_deg=2),), samples,
+        )
+        if failing["d_squared_zero"] is None:
+            d_squared_on = "base"
+            failing["d_squared_zero"] = _law(
+                zero2, d_squared_base, [(ring.t,)], lambda: (base_element(),), samples
+            )
+        failing["leibniz"] = _law(
+            zero2, leibniz, [(ring.t, one, zero), (ring.t, zero, one)],
+            lambda: (base_element(), base_element(), base_element()), samples,
+        )
 
         s_defined = pfc.s1_map.is_well_defined
         if s_defined:
@@ -372,27 +382,36 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
                 # s2 sends the generator dv/v^dt to dt
                 return pfc.d1((a, b))[0], -ring.derive(b)
 
-            laws["s_anticommutes_representatives"] = _law(
+            failing["s_anticommutes_representatives"] = _law(
                 zero2, anticommutes, [(one,)], lambda: (base_element(),), samples
-            ) is None
-            laws["s_anticommutes_corrected"] = _law(
+            )
+            failing["s_anticommutes_corrected"] = _law(
                 lambda x: pfc.corrected_tail.is_zero_elem((x,)),
                 anticommutes_corrected,
                 [(one, zero), (zero, one)],
                 lambda: (base_element(), base_element()), samples,
-            ) is None
-        else:
+            )
+        laws = {name: args is None for name, args in failing.items()}
+        if not s_defined:
             laws["s_anticommutes_representatives"] = None
             laws["s_anticommutes_corrected"] = None
 
-        charts.append(
-            {
-                "chart": i,
-                "laws": laws,
-                "s_well_defined": s_defined,
-                "passed": all(v for v in laws.values() if v is not None),
-            }
-        )
+        report = {
+            "chart": i,
+            "laws": laws,
+            "s_well_defined": s_defined,
+            "passed": all(v for v in laws.values() if v is not None),
+        }
+        failures = {
+            name: {"arguments": [str(x) for x in args]}
+            for name, args in failing.items()
+            if args is not None
+        }
+        if "d_squared_zero" in failures:
+            failures["d_squared_zero"]["on"] = d_squared_on
+        if failures:
+            report["failures"] = failures
+        charts.append(report)
     return {"charts": charts, "passed": all(c["passed"] for c in charts)}
 
 

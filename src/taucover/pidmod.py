@@ -6,8 +6,10 @@ core.  That gives the classical algorithms:
 
   * smith_normal_form(M): U * M * V = D with U, V invertible and D a diagonal
     divisibility chain of monic cores.  The identity U*M*V = D, both inverse
-    certificates and the shape of D are re-verified on every call; a failure
-    raises CertificateFailure naming the certificate, the shape and the ring.
+    certificates and the shape of D are re-verified on every call, with three
+    products: once V*V^-1 = I, U*M*V = D is decided as U*M = D*V^-1, a row
+    scaling.  A failure raises CertificateFailure naming the certificate, the
+    shape and the ring.
   * solve / syzygy_matrix: linear algebra over A.
   * FpmModule: generators + relation columns, in one weight.  Rank, the
     torsion chain and the zero test are read off one SNF, computed once.
@@ -45,6 +47,7 @@ by position, so reports are byte-stable across runs.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailure, RingMismatch
@@ -81,13 +84,17 @@ class PolyMatrix:
             self.nrows, self.ncols = 0, 0
 
     @classmethod
-    def identity(cls, ring: ChartRing, n: int) -> "PolyMatrix":
-        return cls(
-            ring,
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-            nrows=n,
-            ncols=n,
-        )
+    def _of_ring_rows(
+        cls, ring: ChartRing, rows: Iterable[Iterable[RingElem]], nrows: int, ncols: int
+    ) -> "PolyMatrix":
+        """The nrows x ncols matrix with these rows, whose entries are already
+        elements of ring: nothing is coerced or checked."""
+        matrix = cls.__new__(cls)
+        matrix._snf = None
+        matrix.ring = ring
+        matrix.rows = tuple(map(tuple, rows))
+        matrix.nrows, matrix.ncols = nrows, ncols
+        return matrix
 
     @classmethod
     def zeros(cls, ring: ChartRing, nrows: int, ncols: int) -> "PolyMatrix":
@@ -127,20 +134,23 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("matmul shape mismatch")
-            zero = self.ring.zero
+            zero, one = self.ring.zero, self.ring.one
             out = []
-            for i in range(self.nrows):
-                row = []
+            for row in self.rows:
+                # only the nonzero products of each row are formed, and a
+                # factor that is the ring's one (most entries of an SNF
+                # transform) multiplies nothing
+                live = [(a, other.rows[k]) for k, a in enumerate(row) if a.const]
+                sums = []
                 for j in range(other.ncols):
                     acc = zero
-                    for k in range(self.ncols):
-                        a = self.rows[i][k]
-                        if a.is_zero():
-                            continue
-                        acc = acc + a * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(self.ring, out, nrows=self.nrows, ncols=other.ncols)
+                    for a, brow in live:
+                        b = brow[j]
+                        if b.const:
+                            acc = acc + (b if a is one else a * b)
+                    sums.append(acc)
+                out.append(sums)
+            return PolyMatrix._of_ring_rows(self.ring, out, self.nrows, other.ncols)
         return self.apply_vec(other)
 
     def apply_vec(self, vec: Sequence) -> Vec:
@@ -205,9 +215,16 @@ class SNFResult:
 
 
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
-    """q with size(a - q*b) < size(b), measuring by core degree."""
-    ua, ub = ring.unit_core_split(a)[0], ring.unit_core_split(b)[0]
-    return ring.make(a.core // b.core) * ua / ub
+    """q with size(a - q*b) < size(b), measuring by core degree, for nonzero
+    a and b: the quotient of the cores times the unit part of a over that of b."""
+    field = ring.field
+    unit = RingElem(
+        ring,
+        field._mul(a.const, field._inv(b.const)),
+        ring.one.core,
+        tuple(map(sub, a.exps, b.exps)),
+    )
+    return ring.make(a.core // b.core) * unit
 
 
 def smith_normal_form(M: PolyMatrix) -> SNFResult:
@@ -259,9 +276,8 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
             V[r][j] = V[r][j] - q * V[r][k]
         Vinv[k] = [a + q * b for a, b in zip(Vinv[k], Vinv[j])]
 
-    def row_scale(i, w):
-        """row_i *= w, w a unit"""
-        winv = w.inv()
+    def row_scale(i, w, winv):
+        """row_i *= w, w a unit with inverse winv"""
         S[i] = [w * a for a in S[i]]
         U[i] = [w * a for a in U[i]]
         for r in range(m):
@@ -327,15 +343,17 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
         if S[i][i].is_zero():
             continue
         unit, _core = ring.unit_core_split(S[i][i])
-        row_scale(i, unit.inv())
+        if unit != ring.one:
+            row_scale(i, unit.inv(), unit)
 
+    built = PolyMatrix._of_ring_rows
     result = SNFResult(
         M,
-        PolyMatrix(ring, U, nrows=m, ncols=m),
-        PolyMatrix(ring, Uinv, nrows=m, ncols=m),
-        PolyMatrix(ring, S, nrows=m, ncols=n),
-        PolyMatrix(ring, V, nrows=n, ncols=n),
-        PolyMatrix(ring, Vinv, nrows=n, ncols=n),
+        built(ring, U, m, m),
+        built(ring, Uinv, m, m),
+        built(ring, S, m, n),
+        built(ring, V, n, n),
+        built(ring, Vinv, n, n),
         tuple(S[i][i] for i in range(min(m, n))),
     )
     _verify_snf(result)
@@ -351,22 +369,46 @@ def _verify_snf(r: SNFResult) -> None:
             f"SNF certificate failed: {certificate}, on a {m}x{n} matrix over {ring}"
         )
 
-    if (r.U @ r.matrix) @ r.V != r.D:
+    D = r.D.rows
+    diagonal = all(not x.const for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
+    v_inverse = _is_identity(r.V @ r.V_inv)
+    if diagonal and v_inverse:
+        # V and V^-1 are square over a commutative ring, so V*V^-1 = I gives
+        # V^-1*V = I, and U*M*V = D exactly when U*M = D*V^-1: a row scaling,
+        # D being diagonal
+        V_inv = r.V_inv.rows
+        holds = all(
+            all(x == D[i][i] * y for x, y in zip(row, V_inv[i]))
+            if i < n
+            else not any(x.const for x in row)
+            for i, row in enumerate((r.U @ r.matrix).rows)
+        )
+    else:
+        holds = (r.U @ r.matrix) @ r.V == r.D
+    if not holds:
         raise fail("U*M*V = D")
-    if r.U @ r.U_inv != PolyMatrix.identity(ring, r.U.nrows):
+    if not _is_identity(r.U @ r.U_inv):
         raise fail("U*U^-1 = I")
-    if r.V @ r.V_inv != PolyMatrix.identity(ring, r.V.nrows):
+    if not v_inverse:
         raise fail("V*V^-1 = I")
-    for i in range(m):
-        for j in range(n):
-            if i != j and not r.D.rows[i][j].is_zero():
-                raise fail("D is diagonal")
+    if not diagonal:
+        raise fail("D is diagonal")
     for i in range(len(r.diag) - 1):
         a, b = r.diag[i], r.diag[i + 1]
         if a.is_zero() and not b.is_zero():
             raise fail("zero diagonal entries come last")
         if not a.is_zero() and not b.is_zero() and not ring.divides(a, b):
             raise fail("each diagonal entry divides the next")
+
+
+def _is_identity(P: PolyMatrix) -> bool:
+    """P is an identity matrix, read entry by entry."""
+    one = P.ring.one
+    return all(
+        x == one if i == j else not x.const
+        for i, row in enumerate(P.rows)
+        for j, x in enumerate(row)
+    )
 
 
 def solve(M: PolyMatrix, b: Sequence[RingElem], snf: SNFResult | None = None):

@@ -125,6 +125,24 @@ def test_flipped_sign_in_d_of_one_forms_fails_the_dga_sample_guard(monkeypatch):
     report = dga_check(build("ZEROTORSION"))
     assert not report["passed"]
     assert report["charts"][0]["laws"]["d_squared_zero"] is False
+    # the failing report names the sampled section and the cover's d o d
+    assert report["charts"][0]["failures"] == {
+        "d_squared_zero": {"arguments": ["4/(t*(t + 4)) + (1/(t + 4))*v + 2/t*v^3"], "on": "cover"}
+    }
+
+
+def test_a_dga_failure_on_base_functions_names_the_base_d_squared(monkeypatch):
+    # only a passing report lacks the "failures" key
+    assert all("failures" not in c for c in dga_check(build("ZEROTORSION"))["charts"])
+    # d0 also gives a dv/v part f' dv/v, whose d is f'' dt^dv/v: zero at
+    # f = t, so the cover's d o d, which does not read d0, passes and a
+    # sampled base function breaks the base one
+    monkeypatch.setattr(
+        partialforms.PartialFormsChart, "d0", lambda self, f: (self.ring.derive(f),) * 2
+    )
+    failures = dga_check(build("ZEROTORSION"))["charts"][0]["failures"]
+    assert failures["d_squared_zero"] == {"arguments": ["1/(t + 4)"], "on": "base"}
+    assert failures["pullback_intertwines_d"] == {"arguments": ["t"]}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -726,12 +726,11 @@ def test_snf_certificate_agrees_with_the_literal_three_product_certificate():
             # a random D that U and V carry the matrix to, diagonal or not
             D = random_matrix(ring, rng, m.nrows, m.ncols)
             if rng.random() < 0.5:
-                D = PolyMatrix(
-                    ring,
-                    [[x if i == j else ring.zero for j, x in enumerate(row)] for i, row in enumerate(D.rows)],
-                    nrows=m.nrows,
-                    ncols=m.ncols,
-                )
+                rows = [
+                    [x if i == j else ring.zero for j, x in enumerate(row)]
+                    for i, row in enumerate(D.rows)
+                ]
+                D = PolyMatrix(ring, rows, nrows=m.nrows, ncols=m.ncols)
             fields["D"] = D
             fields["matrix"] = (r.U_inv @ D) @ r.V_inv
             fields["diag"] = tuple(D.rows[i][i] for i in range(len(r.diag)))

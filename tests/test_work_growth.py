@@ -13,7 +13,8 @@ primes' certificates.  ChartRing builds may grow at most like the charts, the
 pairs and the one scheme-wide ring together, 37 and 137, and calls of
 ChartRing.restrict at most like the pairs, 28 and 120: every cocycle identity
 is decided in the scheme-wide ring, so no triple overlap gets a ring of its
-own unless its identity fails.
+own unless its identity fails.  Reading the 32-chart bundle lists the chart
+pairs a fixed number of times, not once per transition key.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
@@ -26,6 +27,7 @@ import pytest
 from taucover import pidmod
 from taucover.catalog import CATALOG_ENV
 from taucover.cli import main
+from taucover.covers import ChartedScheme, TorsionBundle
 from taucover.polys import Poly
 from taucover.rings import ChartRing, RingElem
 
@@ -173,3 +175,13 @@ def test_ring_builds_and_restrictions_grow_like_the_pairs_in_the_chart_count(
     for metric, (few, more) in bounds.items():
         grown = measured[MORE_CHARTS][metric] * few <= measured[FEW_CHARTS][metric] * more
         assert grown, (command, metric, measured)
+
+
+def test_reading_a_bundle_lists_the_chart_pairs_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    listed = ChartedScheme.pairs
+    monkeypatch.setattr(ChartedScheme, "pairs", lambda self: calls.append(1) or listed(self))
+    bundle = TorsionBundle.from_json(many_charts(32))
+    assert len(bundle.g) == pairs(32)
+    # once for the transition keys, once for the constructor's pair check
+    assert len(calls) <= 2, len(calls)
