@@ -372,6 +372,7 @@ def _verify_snf(r: SNFResult) -> None:
     D = r.D.rows
     diagonal = all(not x.const for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
     v_inverse = _is_identity(r.V @ r.V_inv)
+    UM = r.U @ r.matrix
     if diagonal and v_inverse:
         # V and V^-1 are square over a commutative ring, so V*V^-1 = I gives
         # V^-1*V = I, and U*M*V = D exactly when U*M = D*V^-1: a row scaling,
@@ -381,10 +382,10 @@ def _verify_snf(r: SNFResult) -> None:
             all(x == D[i][i] * y for x, y in zip(row, V_inv[i]))
             if i < n
             else not any(x.const for x in row)
-            for i, row in enumerate((r.U @ r.matrix).rows)
+            for i, row in enumerate(UM.rows)
         )
     else:
-        holds = (r.U @ r.matrix) @ r.V == r.D
+        holds = UM @ r.V == r.D
     if not holds:
         raise fail("U*M*V = D")
     if not _is_identity(r.U @ r.U_inv):
