@@ -172,6 +172,39 @@ def test_solve_unsolvable():
     assert solve(m, [A5.parse("t+2")]) is not None
 
 
+def test_solve_and_membership_on_seeded_systems_are_pinned():
+    # str of every solve result and every Submodule.contains coordinate
+    # vector, None included, on seeded systems up to 3x3; the right-hand
+    # sides are in the image of the matrix, in the submodule it spans modulo
+    # random relations, at random, and zero
+    rings = [A2, A5, ChartRing(FqField(2, 2), ["t", "t + 1"]), ChartRing(FqField(3), [])]
+    rng = random.Random(2023)
+    h = hashlib.sha256()
+    for ring in rings:
+        for nrows in (1, 2, 3):
+            for ncols in (1, 2, 3):
+                for max_deg, max_den in ((1, 0), (2, 1), (3, 2)):
+
+                    def vec(k):
+                        return [
+                            ring.random_element(rng, max_deg=max_deg, max_den=max_den)
+                            for _ in range(k)
+                        ]
+
+                    m = random_matrix(ring, rng, nrows, ncols, max_deg=max_deg, max_den=max_den)
+                    rel = random_matrix(
+                        ring, rng, nrows, rng.randrange(3), max_deg=max_deg, max_den=max_den
+                    )
+                    sub = Submodule(FpmModule(ring, nrows, rel), m)
+                    image = m.apply_vec(vec(ncols))
+                    spanned = [a + b for a, b in zip(image, rel.apply_vec(vec(rel.ncols)))]
+                    for b in (image, spanned, vec(nrows), [ring.zero] * nrows):
+                        h.update(f"{solve(m, b)}|{sub.contains(b)}\n".encode())
+    assert h.hexdigest() == (
+        "8f54693b725eb18646bedd28376b4a1cb101091a174954a96528ceff4f8f8348"
+    )
+
+
 def test_syzygy_columns_are_kernel_vectors():
     rng = random.Random(13)
     for _ in range(25):
