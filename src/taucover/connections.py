@@ -87,7 +87,9 @@ class TauConnection:
         rests on.  All are drawn, and ``"samples"`` counts the draws, but
         each distinct section costs one reduction of R(lambda): a repeat,
         of lambda = 1 or of an earlier draw, is not evaluated again.
-        Membership is solved only to diagnose a failure.
+        Membership is solved only to diagnose a failure.  A chart whose
+        formula fails also carries ``"failures"``, the section it failed at,
+        as ``dga_check`` reports its laws.
         """
         rng = random.Random(seed)
         classical = self.classical
@@ -112,16 +114,17 @@ class TauConnection:
             matches = failing is None
             stays = matches or pfc.coords1(residual(*failing)[0]) is not None
             agrees = _classical_identity(pfc, classical.eta[i]) if classical else None
-            charts.append(
-                {
-                    "chart": i,
-                    "samples": samples,
-                    "stays_partial": stays,
-                    "matches_formula": matches,
-                    "matches_classical": agrees,
-                    "passed": stays and matches and agrees is not False,
-                }
-            )
+            report = {
+                "chart": i,
+                "samples": samples,
+                "stays_partial": stays,
+                "matches_formula": matches,
+                "matches_classical": agrees,
+                "passed": stays and matches and agrees is not False,
+            }
+            if failing is not None:
+                report["failures"] = {"matches_formula": {"arguments": [str(failing[0])]}}
+            charts.append(report)
         return {"charts": charts, "passed": all(c["passed"] for c in charts)}
 
     def flatness_check(self) -> dict:

@@ -191,6 +191,24 @@ def _v_power_names(n: int, suffix: str) -> list[str]:
     return [suffix, f"v*{suffix}", *(f"v^{j}*{suffix}" for j in range(2, n))][:n]
 
 
+def _weight_blocks(chart: CoverChart, relations, names) -> DirectSum:
+    """The DirectSum of the n weight blocks of a cover chart's forms.
+
+    Block w is presented on the generators names(w) by the matrix with rows
+    relations(x): x = n u at weights 1..n-1, which share that one matrix, and
+    x = n in place of n u at weight 0.  Each distinct block matrix is built,
+    and reduced, once.
+    """
+    ring = chart.ring
+    n_scalar = ring.from_int(chart.n)
+    nu = n_scalar * chart.u
+    rel = PolyMatrix(ring, relations(nu))
+    rel0 = rel if n_scalar == nu else PolyMatrix(ring, relations(n_scalar))
+    return DirectSum({
+        w: FpmModule(ring, rel.nrows, rel if w else rel0, names(w), w) for w in range(chart.n)
+    })
+
+
 def one_forms_module(chart: CoverChart) -> DirectSum:
     """Kähler one-forms of the cover chart, presented on v^j dt, v^j dv.
 
@@ -198,24 +216,11 @@ def one_forms_module(chart: CoverChart) -> DirectSum:
     it touches only v^j dt and v^{j-1} dv.  With wt v^j dt = j and
     wt v^j dv = j + 1 (mod n), column j has weight j, and the block of
     weight w is the single column (-u', n u) on (v^w dt, v^{w-1} dv), with n
-    in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.  Each distinct
-    block matrix is built, and reduced, once.
+    in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.
     """
-    ring = chart.ring
-    n = chart.n
-    minus_du = -ring.derive(chart.u)
-    n_scalar = ring.from_int(n)
-    nu = n_scalar * chart.u
-    rel0, rel = (
-        PolyMatrix(ring, [[minus_du], [x]], nrows=2, ncols=1) for x in (n_scalar, nu)
-    )
-    if n_scalar == nu:
-        rel0 = rel
-    dt_names, dv_names = _v_power_names(n, "dt"), _v_power_names(n, "dv")
-    return DirectSum({
-        w: FpmModule(ring, 2, rel if w else rel0, [dt_names[w], dv_names[w - 1]], w)
-        for w in range(n)
-    })
+    minus_du = -chart.ring.derive(chart.u)
+    dt, dv = _v_power_names(chart.n, "dt"), _v_power_names(chart.n, "dv")
+    return _weight_blocks(chart, lambda x: [[minus_du], [x]], lambda w: [dt[w], dv[w - 1]])
 
 
 def two_forms_module(chart: CoverChart) -> DirectSum:
@@ -225,21 +230,11 @@ def two_forms_module(chart: CoverChart) -> DirectSum:
     u' v^j and n v^{n+j-1} respectively.  With wt v^j dt^dv = j + 1 (mod n)
     the first family has weight j + 1 and the second weight j, so the block
     of weight w is the row (u', n u) on v^{w-1} dt^dv, with n in place of
-    n u at w = 0.  Each distinct block matrix is built, and reduced, once.
+    n u at w = 0.
     """
-    ring = chart.ring
-    n = chart.n
-    du = ring.derive(chart.u)
-    n_scalar = ring.from_int(n)
-    nu = n_scalar * chart.u
-    rel0, rel = (PolyMatrix(ring, [[du, x]], nrows=1, ncols=2) for x in (n_scalar, nu))
-    if n_scalar == nu:
-        rel0 = rel
-    names = _v_power_names(n, "dt^dv")
-    return DirectSum({
-        w: FpmModule(ring, 1, rel if w else rel0, [names[w - 1]], w)
-        for w in range(n)
-    })
+    du = chart.ring.derive(chart.u)
+    names = _v_power_names(chart.n, "dt^dv")
+    return _weight_blocks(chart, lambda x: [[du, x]], lambda w: [names[w - 1]])
 
 
 def d_function(f: CoverElem) -> CoverOneForm:

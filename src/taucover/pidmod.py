@@ -10,7 +10,8 @@ core.  That gives the classical algorithms:
     products: once V*V^-1 = I, U*M*V = D is decided as U*M = D*V^-1, a row
     scaling.  A failure raises CertificateFailure naming the certificate, the
     shape and the ring.
-  * solve / syzygy_matrix: linear algebra over A.
+  * solve / syzygy_matrix: linear algebra over A.  solve and the zero test
+    of FpmModule share one read-off of U*b against the diagonal of D.
   * FpmModule: generators + relation columns, in one weight.  Rank, the
     torsion chain and the zero test are read off one SNF, computed once.
   * DirectSum: one-weight FpmModules keyed by weight.  An element is given
@@ -37,8 +38,10 @@ Only those ambient modules are graded: the partial forms dt, dv/v and
 dv/v^dt have weight 0, so every submodule, presentation and map lives in
 weight 0.
 
-Every derived object (SNF, presentation, image, kernel, certificate) is
-computed once on first use and kept by the object it belongs to.
+Matrix entries and vectors are elements of the module's ring: nothing here
+coerces, and every matrix is built by the one PolyMatrix constructor.  Every
+derived object (SNF, presentation, image, kernel, certificate) is computed
+once on first use and kept by the object it belongs to.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -47,7 +50,7 @@ by position, so reports are byte-stable across runs.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailure, RingMismatch
@@ -57,63 +60,38 @@ from .rings import ChartRing, RingElem
 Vec = tuple[RingElem, ...]
 
 
-def _coerced(ring: ChartRing, vec: Iterable) -> list[RingElem]:
-    """The entries of vec in ring; an element of ring is taken as it is."""
-    return [x if type(x) is RingElem and x.ring is ring else ring.coerce(x) for x in vec]
-
-
 class PolyMatrix:
-    """Immutable matrix of RingElems over a fixed ChartRing.
+    """Immutable matrix over a fixed ChartRing, its entries elements of it.
 
-    A matrix reduced as a module block keeps its SNF, so modules that share
-    one relation matrix share its reduction.
+    Nothing is coerced: an entry of another ring meets ``RingElem._check``
+    at the first arithmetic that reads it.  A matrix reduced as a module
+    block keeps its SNF, so modules that share one relation matrix share its
+    reduction.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "rows", "_snf")
 
-    def __init__(self, ring: ChartRing, rows: Iterable[Iterable], nrows=None, ncols=None):
-        frozen = tuple(tuple(_coerced(ring, row)) for row in rows)
+    def __init__(
+        self, ring: ChartRing, rows: Iterable[Iterable[RingElem]], nrows=None, ncols=None
+    ):
+        frozen = tuple(map(tuple, rows))
         self._snf = None
         self.ring = ring
         self.rows = frozen
         self.nrows = len(frozen) if nrows is None else nrows
-        self.ncols = len(frozen[0]) if frozen else (ncols if ncols is not None else 0)
-        if frozen and any(len(r) != self.ncols for r in frozen):
+        self.ncols = len(frozen[0]) if frozen else ncols or 0
+        if any(len(row) != self.ncols for row in frozen):
             raise ValueError("ragged matrix")
-        if not frozen and ncols is None and nrows is None:
-            self.nrows, self.ncols = 0, 0
-
-    @classmethod
-    def _of_ring_rows(
-        cls, ring: ChartRing, rows: Iterable[Iterable[RingElem]], nrows: int, ncols: int
-    ) -> "PolyMatrix":
-        """The nrows x ncols matrix with these rows, whose entries are already
-        elements of ring: nothing is coerced or checked."""
-        matrix = cls.__new__(cls)
-        matrix._snf = None
-        matrix.ring = ring
-        matrix.rows = tuple(map(tuple, rows))
-        matrix.nrows, matrix.ncols = nrows, ncols
-        return matrix
 
     @classmethod
     def zeros(cls, ring: ChartRing, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(
-            ring,
-            [[ring.zero] * ncols for _ in range(nrows)],
-            nrows=nrows,
-            ncols=ncols,
-        )
+        return cls(ring, [(ring.zero,) * ncols] * nrows, nrows, ncols)
 
     @classmethod
-    def from_columns(cls, ring: ChartRing, cols: Sequence[Sequence], nrows: int) -> "PolyMatrix":
-        cols = [tuple(ring.coerce(x) for x in c) for c in cols]
-        return cls(
-            ring,
-            [[c[i] for c in cols] for i in range(nrows)],
-            nrows=nrows,
-            ncols=len(cols),
-        )
+    def from_columns(
+        cls, ring: ChartRing, cols: Sequence[Sequence[RingElem]], nrows: int
+    ) -> "PolyMatrix":
+        return cls(ring, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
 
     def col(self, j: int) -> Vec:
         return tuple(self.rows[i][j] for i in range(self.nrows))
@@ -122,39 +100,31 @@ class PolyMatrix:
         if other.nrows != self.nrows:
             raise ValueError("hstack with mismatched row counts")
         return PolyMatrix(
-            self.ring,
-            [list(a) + list(b) for a, b in zip(self.rows, other.rows)]
-            if self.nrows
-            else [],
-            nrows=self.nrows,
-            ncols=self.ncols + other.ncols,
+            self.ring, map(add, self.rows, other.rows), self.nrows, self.ncols + other.ncols
         )
 
-    def __matmul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("matmul shape mismatch")
-            zero, one = self.ring.zero, self.ring.one
-            out = []
-            for row in self.rows:
-                # only the nonzero products of each row are formed, and a
-                # factor that is the ring's one (most entries of an SNF
-                # transform) multiplies nothing
-                live = [(a, other.rows[k]) for k, a in enumerate(row) if a.const]
-                sums = []
-                for j in range(other.ncols):
-                    acc = zero
-                    for a, brow in live:
-                        b = brow[j]
-                        if b.const:
-                            acc = acc + (b if a is one else a * b)
-                    sums.append(acc)
-                out.append(sums)
-            return PolyMatrix._of_ring_rows(self.ring, out, self.nrows, other.ncols)
-        return self.apply_vec(other)
+    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError("matmul shape mismatch")
+        zero, one = self.ring.zero, self.ring.one
+        out = []
+        for row in self.rows:
+            # only the nonzero products of each row are formed, and a factor
+            # that is the ring's one (most entries of an SNF transform)
+            # multiplies nothing
+            live = [(a, other.rows[k]) for k, a in enumerate(row) if a.const]
+            sums = []
+            for j in range(other.ncols):
+                acc = zero
+                for a, brow in live:
+                    b = brow[j]
+                    if b.const:
+                        acc = acc + (b if a is one else a * b)
+                sums.append(acc)
+            out.append(sums)
+        return PolyMatrix(self.ring, out, self.nrows, other.ncols)
 
-    def apply_vec(self, vec: Sequence) -> Vec:
-        vec = _coerced(self.ring, vec)
+    def apply_vec(self, vec: Sequence[RingElem]) -> Vec:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         zero = self.ring.zero
@@ -175,15 +145,7 @@ class PolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.nrows)
-                for j in range(self.ncols)
-            )
-        )
+        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
 
     def __repr__(self):
         if not self.rows:
@@ -214,31 +176,30 @@ class SNFResult:
         return [d.core for d in self.diag if not d.is_zero() and not d.core.is_one()]
 
 
+def _unit_quotient(a: RingElem, b: RingElem, core: Poly) -> RingElem:
+    """core times the unit part of a over that of b, for nonzero a and b."""
+    ring = a.ring
+    field = ring.field
+    return RingElem(
+        ring, field._mul(a.const, field._inv(b.const)), core, tuple(map(sub, a.exps, b.exps))
+    )
+
+
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
     """q with size(a - q*b) < size(b), measuring by core degree, for nonzero
     a and b: the quotient of the cores times the unit part of a over that of b."""
-    field = ring.field
-    unit = RingElem(
-        ring,
-        field._mul(a.const, field._inv(b.const)),
-        ring.one.core,
-        tuple(map(sub, a.exps, b.exps)),
-    )
-    return ring.make(a.core // b.core) * unit
+    return ring.make(a.core // b.core) * _unit_quotient(a, b, ring.one.core)
 
 
 def smith_normal_form(M: PolyMatrix) -> SNFResult:
     """Deterministic SNF over the chart ring; postcondition always verified."""
     ring = M.ring
     m, n = M.nrows, M.ncols
-    S = [[x for x in row] for row in M.rows]
+    S = [list(row) for row in M.rows]
     U = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
     Uinv = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
     V = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
     Vinv = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-    def size(x: RingElem) -> int:
-        return x.core.deg
 
     def row_swap(i, j):
         if i == j:
@@ -290,7 +251,7 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
             for j in range(k, n):
                 if S[i][j].is_zero():
                     continue
-                key = (size(S[i][j]), i, j)
+                key = (S[i][j].core.deg, i, j)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (i, j)
@@ -346,14 +307,13 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
         if unit != ring.one:
             row_scale(i, unit.inv(), unit)
 
-    built = PolyMatrix._of_ring_rows
     result = SNFResult(
         M,
-        built(ring, U, m, m),
-        built(ring, Uinv, m, m),
-        built(ring, S, m, n),
-        built(ring, V, n, n),
-        built(ring, Vinv, n, n),
+        PolyMatrix(ring, U, m, m),
+        PolyMatrix(ring, Uinv, m, m),
+        PolyMatrix(ring, S, m, n),
+        PolyMatrix(ring, V, n, n),
+        PolyMatrix(ring, Vinv, n, n),
         tuple(S[i][i] for i in range(min(m, n))),
     )
     _verify_snf(result)
@@ -412,25 +372,37 @@ def _is_identity(P: PolyMatrix) -> bool:
     )
 
 
+def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] | None:
+    """z with D*z = U*b, zero off the nonzero diagonal, or None when there is
+    none: each y_i of y = U*b must be divisible by a nonzero d_i, and every
+    other y_i must be zero.
+
+    The quotient y_i / d_i is formed as ``ChartRing.exact_div`` forms it,
+    the unit parts divided and the cores by one division, so it is right for
+    any nonzero d_i; a d_i whose core is 1 takes no division.
+    """
+    ring, diag = snf.matrix.ring, snf.diag
+    z = [ring.zero] * snf.matrix.ncols
+    for i, y in enumerate(snf.U.apply_vec(b)):
+        if not y.const:
+            continue
+        d = diag[i] if i < len(diag) else ring.zero
+        if not d.const:
+            return None
+        core = y.core
+        if not d.core.is_one():
+            core, rest = core.divmod(d.core)
+            if not rest.is_zero():
+                return None
+        z[i] = _unit_quotient(y, d, core)
+    return z
+
+
 def solve(M: PolyMatrix, b: Sequence[RingElem], snf: SNFResult | None = None):
     """One solution x of M x = b over the chart ring, or None."""
-    ring = M.ring
     snf = snf or smith_normal_form(M)
-    y = snf.U.apply_vec(b)
-    m, n = M.nrows, M.ncols
-    coeffs = []
-    for i in range(n):
-        if i < len(snf.diag) and not snf.diag[i].is_zero():
-            if not ring.divides(snf.diag[i], y[i]):
-                return None
-            coeffs.append(ring.exact_div(y[i], snf.diag[i]))
-        else:
-            coeffs.append(ring.zero)
-    for i in range(m):
-        if i >= len(snf.diag) or snf.diag[i].is_zero():
-            if not y[i].is_zero():
-                return None
-    return snf.V.apply_vec(coeffs)
+    z = _diagonal_solution(snf, b)
+    return None if z is None else snf.V.apply_vec(z)
 
 
 def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
@@ -567,35 +539,23 @@ class FpmModule:
         """Nonunit torsion invariants, a divisibility chain of monic cores."""
         return self.snf.nonunit_torsion()
 
-    def coerce_vec(self, vec: Sequence) -> Vec:
-        vec = tuple(_coerced(self.ring, vec))
+    def coerce_vec(self, vec: Sequence[RingElem]) -> Vec:
+        """vec as a tuple, checked to have one entry per generator."""
+        vec = tuple(vec)
         if len(vec) != self.n_gens:
             raise ValueError("vector length does not match generator count")
         return vec
 
-    def is_zero_elem(self, vec: Sequence) -> bool:
-        """vec lies in the relation span: y = U*vec has d_i | y_i on the
-        nonzero diagonal and y_i = 0 past it.
-
-        The diagonal holds monic cores, so d_i | y_i in A exactly when d_i
-        divides the core of y_i.  The zero vector takes no SNF.
-        """
+    def is_zero_elem(self, vec: Sequence[RingElem]) -> bool:
+        """vec lies in the relation span: D*z = U*vec has a solution, read
+        off the diagonal.  The zero vector takes no SNF."""
         vec = self.coerce_vec(vec)
         if all(x.is_zero() for x in vec):
             return True
-        snf = self.snf
-        diag = snf.diag
-        for i, y in enumerate(snf.U.apply_vec(vec)):
-            if y.is_zero():
-                continue
-            if i >= len(diag) or diag[i].is_zero() or not self.ring.divides(diag[i], y):
-                return False
-        return True
+        return _diagonal_solution(self.snf, vec) is not None
 
     def elems_equal(self, v: Sequence, w: Sequence) -> bool:
-        v, w = self.coerce_vec(v), self.coerce_vec(w)
-        diff = tuple(a - b for a, b in zip(v, w))
-        return self.is_zero_elem(diff)
+        return self.is_zero_elem(tuple(map(sub, self.coerce_vec(v), self.coerce_vec(w))))
 
     def format_vec(self, vec: Sequence) -> str:
         vec = self.coerce_vec(vec)
@@ -720,7 +680,7 @@ class Submodule:
         """Generators modulo their syzygies: the gens rows of ker [gens | relations]."""
         ring, snf, k = self.ambient.ring, self.snf, self.gens.ncols
         syz = syzygy_matrix(snf.matrix, snf)
-        relations = PolyMatrix(ring, syz.rows[:k], nrows=k, ncols=syz.ncols)
+        relations = PolyMatrix(ring, syz.rows[:k], k, syz.ncols)
         return FpmModule(ring, k, relations, self._names)
 
     def contains(self, vec: Sequence) -> Vec | None:
@@ -793,7 +753,7 @@ class ModuleMap:
         return self.well_definedness[0]
 
     def apply(self, vec: Sequence) -> Vec:
-        return self.matrix.apply_vec(self.source.coerce_vec(vec))
+        return self.matrix.apply_vec(vec)
 
     def after(self, first: "ModuleMap") -> "ModuleMap":
         if first.target is not self.source:

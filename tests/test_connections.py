@@ -108,6 +108,18 @@ def test_product_rule_mutant_of_d_fails_the_leibniz_sample_guard(name, monkeypat
     assert not all(c["matches_formula"] for c in report["charts"])
 
 
+def test_a_failing_leibniz_chart_names_the_section_it_failed_at(monkeypatch):
+    # only a failing chart carries the "failures" key
+    passing = TauConnection(build("ZEROTORSION")).leibniz_check()
+    assert all("failures" not in c for c in passing["charts"])
+    _break_product_rule_above_degree_one(monkeypatch)
+    (chart_report,) = TauConnection(build("ZEROTORSION")).leibniz_check()["charts"]
+    assert chart_report["matches_formula"] is False
+    assert chart_report["failures"] == {
+        "matches_formula": {"arguments": ["(2*t^3 + 3*t^2 + 2*t)/(t + 4)"]}
+    }
+
+
 @pytest.mark.parametrize("name", ["DEGENERATE", "ZEROTORSION"])
 def test_product_rule_mutant_of_d_fails_the_dga_sample_guard(name, monkeypatch):
     # the other fixtures have u' a unit, so their two-forms are all zero

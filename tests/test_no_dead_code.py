@@ -3,6 +3,8 @@ definition: in the package, in a demo, or in the README.
 
 The scan is by name, so it is conservative: a name that also occurs as a
 word elsewhere (another method of the same name, a docstring) counts as used.
+A re-export in ``__init__.py`` does not count: a name only the package root
+exports must be documented in the README or called.
 Dunder methods are called by the interpreter and are not scanned.  An
 exception class is held to more: some ``raise`` in the package must name it,
 since an ``except`` clause or an export alone catches nothing.  A module-level
@@ -31,7 +33,8 @@ def _definitions():
 
 
 def _words() -> Counter:
-    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
+    package = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
+    files = [*package, *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
     return Counter(word for p in files for word in re.findall(r"\w+", p.read_text()))
 
 

@@ -18,7 +18,7 @@ from oracle import (
 from taucover import pidmod
 from taucover.cli import main
 from taucover.covers import Cover
-from taucover.errors import CertificateFailure
+from taucover.errors import CertificateFailure, RingMismatch
 from taucover.fields import FqField
 from taucover.pidmod import (
     FpmModule,
@@ -203,6 +203,78 @@ def test_solve_and_membership_on_seeded_systems_are_pinned():
     assert h.hexdigest() == (
         "8f54693b725eb18646bedd28376b4a1cb101091a174954a96528ceff4f8f8348"
     )
+
+
+def test_the_read_off_divides_each_nonzero_entry_once_and_never_by_a_unit(monkeypatch):
+    # no prime is inverted in F_5[t], so U*b and V*z divide nothing and every
+    # division counted is one of the read-off against the diagonal
+    ring = ChartRing(F5, [])
+    rng = random.Random(23)
+    original = Poly.divmod
+    divisors = []
+
+    def counting(self, other):
+        divisors.append(other)
+        return original(self, other)
+
+    outcomes = set()
+    for _ in range(80):
+        nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = random_matrix(ring, rng, nrows, ncols, max_deg=2, max_den=0)
+        module = FpmModule(ring, nrows, m)
+        snf = module.snf
+        nonunit = {i: d.core for i, d in enumerate(snf.diag) if d and not d.core.is_one()}
+        x = [ring.random_element(rng, max_deg=2, max_den=0) for _ in range(ncols)]
+        for b in (m.apply_vec(x), [ring.random_element(rng, max_deg=2) for _ in range(nrows)]):
+            y = snf.U.apply_vec(b)
+            budget = sum(1 for i in nonunit if not y[i].is_zero())
+            for read_off in (lambda: solve(m, b, snf), lambda: module.is_zero_elem(b)):
+                divisors.clear()
+                monkeypatch.setattr(Poly, "divmod", counting)
+                found = read_off()
+                monkeypatch.undo()
+                assert len(divisors) <= budget
+                assert all(any(p is core for core in nonunit.values()) for p in divisors)
+                if found is not None and found is not False:
+                    assert len(divisors) == budget
+                outcomes.add((budget > 0, found is None or found is False))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_solve_reads_a_diagonal_entry_that_is_not_a_monic_core():
+    # the certificate does not ask D to hold monic cores, so the read-off
+    # divides unit parts as well as cores
+    d1, d2 = A5.parse("3*(t+2)/t"), A5.parse("2/(t+4)")
+    D = mat(A5, [[d1, A5.zero], [A5.zero, d2]])
+    identity = mat(A5, [["1", "0"], ["0", "1"]])
+    snf = pidmod.SNFResult(D, identity, identity, D, identity, identity, (d1, d2))
+    for b in (["(t+2)^2", "t"], ["4*(t+2)/(t+4)", "0"], ["0", "1/t"]):
+        b = [A5.parse(s) for s in b]
+        assert D.apply_vec(solve(D, b, snf)) == tuple(b)
+    assert solve(D, [A5.parse("t"), A5.zero], snf) is None
+
+
+def test_a_nonzero_entry_of_another_ring_raises_ring_mismatch():
+    module = FpmModule(A5, 2, mat(A5, [["t+2"], ["0"]]))
+    sub = Submodule(module, mat(A5, [["1"], ["t"]]))
+    stranger = [A2.one, A5.zero]
+    with pytest.raises(RingMismatch):
+        module.is_zero_elem(stranger)
+    with pytest.raises(RingMismatch):
+        sub.contains(stranger)
+
+
+def test_ragged_rows_and_vectors_of_the_wrong_length_raise_value_error():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        PolyMatrix(A5, [[A5.one, A5.zero], [A5.one]])
+    m = mat(A5, [["1", "t"], ["0", "t+2"]])
+    module = FpmModule(A5, 2, m)
+    sub = Submodule(FpmModule.free(A5, 2), m)
+    checks = (m.apply_vec, module.is_zero_elem, sub.contains, lambda b: solve(m, b))
+    for check in checks:
+        for b in ([A5.one], [A5.zero], [A5.one] * 3):
+            with pytest.raises(ValueError):
+                check(b)
 
 
 def test_syzygy_columns_are_kernel_vectors():
