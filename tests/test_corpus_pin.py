@@ -1,0 +1,65 @@
+"""Byte pin of the CLI over the benchmark's generated bundles.
+
+Every bundle that ``perfbench/workloads.py`` generates for many-chart-glue
+(``glue_request``) and wide-cover-class (``wide_request``), seeds 1-3 and all
+11 shapes of each, is written to a file and run through ``validate``,
+``cover``, ``class`` and ``omega-l --degree 1``.  One sha256 covers every
+exit code and every stdout, in that order, so any change to a verdict, a
+message or a printed element fails it.  The workload file is imported by
+path and not edited.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from taucover.cli import main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SEEDS = (1, 2, 3)
+COMMANDS = (
+    ["validate"],
+    ["cover"],
+    ["class"],
+    ["omega-l", "--degree", "1"],
+)
+CORPUS_SHA256 = "417ceb3e46f704c6ef3ac68ecc066db57ea9bfffee0ea18e0faea10962a284a1"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("corpus_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def corpus(workloads) -> list[str]:
+    """Bundle JSON texts in a fixed order: glue then wide, by seed and shape."""
+    texts = []
+    for make, shapes in (
+        (workloads.glue_request, workloads.GLUE_SHAPES),
+        (workloads.wide_request, workloads.WIDE_SHAPES),
+    ):
+        for seed in SEEDS:
+            for index in range(len(shapes)):
+                texts.append(workloads.bundle_text(make(seed, index).bundle))
+    return texts
+
+
+def test_cli_output_on_the_benchmark_bundles_is_pinned(tmp_path, capsys):
+    texts = corpus(load_workloads())
+    assert len(texts) == 2 * len(SEEDS) * 11
+    digest = hashlib.sha256()
+    path = tmp_path / "bundle.json"
+    for text in texts:
+        path.write_text(text)
+        for command in COMMANDS:
+            code = main([*command, "--json", str(path)])
+            digest.update(f"{code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CORPUS_SHA256
