@@ -337,9 +337,10 @@ class ChartedScheme:
         return [c.to_json() for c in self.charts]
 
     @classmethod
-    def from_json(cls, field: _FqField, data: list) -> "ChartedScheme":
+    def from_json(cls, field: _FqField, data: list, memo: dict | None = None) -> "ChartedScheme":
         """The charts, each an object with an 'inverted' string list.  Each
-        distinct prime is certified once, where it first appears."""
+        distinct prime is certified once, where it first appears; ``memo``
+        is the parse memo of the bundle read (see ``exprparse``)."""
         certified: dict[tuple[int, ...], Poly] = {}
         charts = []
         for chart in data:
@@ -350,7 +351,7 @@ class ChartedScheme:
                 )
             primes = []
             for text in inverted:
-                pi = Poly.parse(field, text)
+                pi = Poly.parse(field, text, memo)
                 if pi.coeffs not in certified:
                     certified[pi.coeffs] = certify_prime(field, pi)
                 primes.append(certified[pi.coeffs])
@@ -466,6 +467,9 @@ class TorsionBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorsionBundle":
+        """The bundle a JSON object describes.  Its prime lists, units and
+        transitions share one parse memo, which lives only for this read, so
+        each distinct polynomial text or group is folded once."""
         if not isinstance(data, dict):
             raise MalformedInput("bundle JSON must be an object")
         missing = {"field", "n", "charts", "u"} - set(data)
@@ -481,11 +485,12 @@ class TorsionBundle:
             raise MalformedInput(f"n must be an integer in [1, {MAX_N}], got {n}")
         if not isinstance(data["charts"], list) or not 1 <= len(data["charts"]) <= MAX_CHARTS:
             raise MalformedInput(f"charts must be a nonempty list of at most {MAX_CHARTS}")
-        scheme = ChartedScheme.from_json(field, data["charts"])
+        memo: dict = {}
+        scheme = ChartedScheme.from_json(field, data["charts"], memo)
         charts = scheme.charts
         if not isinstance(data["u"], list) or len(data["u"]) != len(charts):
             raise MalformedInput("u must list one unit per chart")
-        u = [charts[i].parse(s) for i, s in enumerate(data["u"])]
+        u = [charts[i].parse(s, memo) for i, s in enumerate(data["u"])]
         g_raw = data.get("g", {})
         if not isinstance(g_raw, dict):
             raise MalformedInput("g must map chart pairs to transition units")
@@ -496,7 +501,7 @@ class TorsionBundle:
                 raise MalformedInput(f"transition key {key} is not a chart pair (i,j), i<j")
             if pair in g:
                 raise MalformedInput(f"transition key {key} repeats the chart pair {pair}")
-            g[pair] = scheme.overlap(*pair).parse(expr)
+            g[pair] = scheme.overlap(*pair).parse(expr, memo)
         return cls(scheme, n, g, u)
 
 

@@ -25,6 +25,17 @@ raises MalformedInput before any arithmetic runs:
 - the degree bound of every subexpression is at most MAX_DEGREE, where a
   name counts 1, an integer 0, a sum takes the larger bound, a product or
   quotient adds the bounds, and x^k multiplies the bound of x by k.
+
+A caller that reads many texts over the same constants and atoms may pass
+one ``memo`` dict to every ``evaluate`` call; a bundle read does, so that its
+polynomial texts are each folded once.  Its key is the token tuple of a whole
+text or of the inside of a parenthesised group, so the text "t + 1" and the
+group "(t + 1)" share an entry.  A span's value is stored only when it is of
+the constants' own type (a polynomial, for a chart ring: no group of it was
+lifted) and the span holds no '/' (a division means something else to each
+caller), and only once the span has parsed.  Each entry keeps the span's
+degree bound and how deep it nests, so a hit passes the caps exactly as
+evaluating it again would; a hit still passes through ``lift``.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ MAX_DEGREE = 1024
 # the character no token starts with, or the trailing whitespace.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))|(\s*\S|\s+)")
 _END = (None, None)
+_OPEN, _CLOSE = ("op", "("), ("op", ")")
 
 
 def tokenize(text: str) -> list[tuple[str, Any]]:
@@ -63,11 +75,24 @@ def tokenize(text: str) -> list[tuple[str, Any]]:
     return tokens
 
 
+def _closes(tokens: list[tuple[str, Any]]) -> dict[int, int]:
+    """Index of the matching ')' of each '(' that has one."""
+    closes, opened = {}, []
+    for i, token in enumerate(tokens):
+        if token == _OPEN:
+            opened.append(i)
+        elif token == _CLOSE and opened:
+            closes[opened.pop()] = i
+    return closes
+
+
 class _Parser:
     """Folds tokens into values; each rule returns (value, degree bound).
 
     The token list ends with the sentinel _END, so a rule reads the current
-    token without a bounds check.
+    token without a bounds check.  ``peak`` is the deepest nesting reached
+    and ``divisions`` the number of '/' folded so far, which tell a span's
+    memo entry its depth and whether it may be stored.
     """
 
     def __init__(
@@ -78,6 +103,7 @@ class _Parser:
         div: Callable[[Any, Any], Any],
         lift: Callable[[Any], Any],
         text: str,
+        memo: dict,
     ):
         self.tokens = [*tokens, _END]
         self.from_int = from_int
@@ -85,8 +111,13 @@ class _Parser:
         self.div = div
         self.lift = lift
         self.text = text
+        self.memo = memo
+        self.plain = type(from_int(0))
+        self.closes = _closes(tokens)
         self.i = 0
         self.depth = 0
+        self.peak = 0
+        self.divisions = 0
 
     def bounded(self, degree: int) -> int:
         if degree > MAX_DEGREE:
@@ -95,20 +126,36 @@ class _Parser:
             )
         return degree
 
-    def nested(self, rule):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
+    def reach(self, depth: int) -> None:
+        if depth > MAX_DEPTH:
             raise MalformedInput(
                 f"expression nests deeper than {MAX_DEPTH} levels in {self.text!r}"
             )
+        if depth > self.peak:
+            self.peak = depth
+
+    def nested(self, rule):
+        self.reach(self.depth + 1)
+        self.depth += 1
         result = rule()
         self.depth -= 1
         return result
 
+    def keep(self, key: tuple, value, degree: int, base: int, divisions: int) -> None:
+        """Store a parsed span evaluated at depth ``base`` when it may be
+        shared: of the constants' type, with no division in it."""
+        if divisions == self.divisions and type(value) is self.plain:
+            self.memo[key] = (value, degree, self.peak - base)
+
     def parse(self):
-        value, _ = self.expr()
+        key = tuple(self.tokens[:-1])
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        value, degree = self.expr()
         if self.tokens[self.i] is not _END:
             raise MalformedInput(f"trailing input in {self.text!r}")
+        self.keep(key, value, degree, 0, 0)
         return value
 
     def expr(self):
@@ -134,7 +181,11 @@ class _Parser:
             self.i += 1
             rhs, rdeg = self.factor()
             degree = self.bounded(degree + rdeg)
-            value = value * rhs if val == "*" else self.div(value, rhs)
+            if val == "*":
+                value = value * rhs
+            else:
+                self.divisions += 1
+                value = self.div(value, rhs)
 
     def factor(self):
         kind, val = self.tokens[self.i]
@@ -162,12 +213,29 @@ class _Parser:
                 raise MalformedInput(f"unknown symbol {val!r} in {self.text!r}")
             return self.atoms[val], 1
         if kind == "op" and val == "(":
-            value, degree = self.nested(self.expr)
-            if self.tokens[self.i] != ("op", ")"):
-                raise MalformedInput(f"expected ')' in {self.text!r}")
-            self.i += 1
-            return self.lift(value), degree
+            return self.group()
         raise MalformedInput(f"cannot parse {self.text!r}")
+
+    def group(self):
+        """The group whose '(' was just read, lifted; a stored one is skipped
+        over once its depth has passed the cap."""
+        close = self.closes.get(self.i - 1)
+        key = tuple(self.tokens[self.i : close]) if close else None
+        hit = self.memo.get(key)
+        if hit is not None:
+            value, degree, depth = hit
+            self.reach(self.depth + 1 + depth)
+            self.i = close + 1
+            return self.lift(value), degree
+        base, divisions, outer_peak = self.depth + 1, self.divisions, self.peak
+        self.peak = 0
+        value, degree = self.nested(self.expr)
+        if self.tokens[self.i] != _CLOSE:
+            raise MalformedInput(f"expected ')' in {self.text!r}")
+        self.i += 1
+        self.keep(key, value, degree, base, divisions)
+        self.peak = max(self.peak, outer_peak)
+        return self.lift(value), degree
 
 
 def _identity(value):
@@ -180,10 +248,12 @@ def evaluate(
     atoms: Mapping[str, Any],
     div: Callable[[Any, Any], Any] = operator.truediv,
     lift: Callable[[Any], Any] = _identity,
+    memo: dict | None = None,
 ):
     """Parse `text` into a value built from `from_int` constants and `atoms`;
-    the value of each parenthesised group passes through `lift`."""
+    the value of each parenthesised group passes through `lift`.  Spans
+    already in `memo` are not evaluated again (see the module docstring)."""
     tokens = tokenize(text)
     if not tokens:
         raise MalformedInput("empty expression")
-    return _Parser(tokens, from_int, atoms, div, lift, text).parse()
+    return _Parser(tokens, from_int, atoms, div, lift, text, {} if memo is None else memo).parse()

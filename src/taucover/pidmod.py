@@ -539,7 +539,7 @@ class FpmModule:
         """Nonunit torsion invariants, a divisibility chain of monic cores."""
         return self.snf.nonunit_torsion()
 
-    def coerce_vec(self, vec: Sequence[RingElem]) -> Vec:
+    def check_vec(self, vec: Sequence[RingElem]) -> Vec:
         """vec as a tuple, checked to have one entry per generator."""
         vec = tuple(vec)
         if len(vec) != self.n_gens:
@@ -549,16 +549,18 @@ class FpmModule:
     def is_zero_elem(self, vec: Sequence[RingElem]) -> bool:
         """vec lies in the relation span: D*z = U*vec has a solution, read
         off the diagonal.  The zero vector takes no SNF."""
-        vec = self.coerce_vec(vec)
+        return self._in_relation_span(self.check_vec(vec))
+
+    def _in_relation_span(self, vec: Vec) -> bool:
         if all(x.is_zero() for x in vec):
             return True
         return _diagonal_solution(self.snf, vec) is not None
 
     def elems_equal(self, v: Sequence, w: Sequence) -> bool:
-        return self.is_zero_elem(tuple(map(sub, self.coerce_vec(v), self.coerce_vec(w))))
+        return self._in_relation_span(tuple(map(sub, self.check_vec(v), self.check_vec(w))))
 
     def format_vec(self, vec: Sequence) -> str:
-        vec = self.coerce_vec(vec)
+        vec = self.check_vec(vec)
         terms = []
         for name, x in zip(self.gen_names, vec):
             if x.is_zero():
@@ -688,7 +690,7 @@ class Submodule:
 
         The zero vector takes no SNF.
         """
-        vec = self.ambient.coerce_vec(vec)
+        vec = self.ambient.check_vec(vec)
         if all(x.is_zero() for x in vec):
             return (self.ambient.ring.zero,) * self.gens.ncols
         sol = solve(self.snf.matrix, vec, self.snf)

@@ -160,8 +160,10 @@ class Poly:
         return cls(c.field, (c.code,))
 
     @classmethod
-    def parse(cls, field, text: str) -> "Poly":
-        """Parse "c_k*t^k + ... + c_0"; division is allowed only when exact."""
+    def parse(cls, field, text: str, memo: dict | None = None) -> "Poly":
+        """Parse "c_k*t^k + ... + c_0"; division is allowed only when exact.
+        A ``memo`` shared with other parses over the field folds each text
+        and group once (see ``exprparse``)."""
 
         def div(x: "Poly", y: "Poly") -> "Poly":
             q, r = x.divmod(y)
@@ -172,7 +174,7 @@ class Poly:
         atoms = {"t": cls.x(field)}
         if field.e > 1:
             atoms["a"] = cls.const(field.gen)
-        return evaluate(text, lambda n: cls.const(field.elem(n)), atoms, div)
+        return evaluate(text, lambda n: cls.const(field.elem(n)), atoms, div, memo=memo)
 
     # -- structure
 

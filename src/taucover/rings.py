@@ -35,9 +35,11 @@ the low zero coefficients.
 
 ``ChartRing.parse`` evaluates an expression in F_q[t]: sums, products and
 powers of t, a and integers stay polynomials.  Only each parenthesised
-group, each side of a division and the final value meet ``make``, through
-``coerce``, so a power of a group such as (t + 1)^1024 is taken in unit-core
-form and costs no division.
+group of degree >= 1, each side of a division and the final value meet
+``make``, so a power of a group such as (t + 1)^1024 is taken in unit-core
+form and costs no division, while a constant group such as (a + 1) stays a
+polynomial.  A bundle read shares one memo among its parses, so each
+distinct polynomial text or group is folded once per read.
 
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
@@ -172,19 +174,32 @@ class ChartRing:
             return self.parse(value)
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
-    def parse(self, text: str) -> "RingElem":
-        """Evaluate text in F_q[t], lifting into the ring by coerce each
-        parenthesised group, both sides of each division and the result."""
+    def parse(self, text: str, memo: dict | None = None) -> "RingElem":
+        """Evaluate text in F_q[t], lifting into the ring each parenthesised
+        group of degree >= 1, both sides of each division and the result.
+
+        A constant group stays a polynomial: no prime divides it, so lifting
+        it would change no value and only turn the polynomial sums around it
+        into ring sums.  A ``memo`` shared with the other parses of one
+        bundle read folds each polynomial text and group once (see
+        ``exprparse``); a group that a lift or a division made a ring
+        element is not stored.
+        """
         field, coerce = self.field, self.coerce
         atoms = {"t": Poly.x(field)}
         if field.e > 1:
             atoms["a"] = Poly.const(field.gen)
+
+        def lift(x):
+            return self.make(x) if type(x) is Poly and x.deg > 0 else x
+
         value = evaluate(
             text,
             lambda n: Poly.const(field.elem(n)),
             atoms,
             lambda x, y: coerce(x) / coerce(y),
-            coerce,
+            lift,
+            memo,
         )
         return coerce(value)
 
@@ -331,10 +346,12 @@ class ChartRing:
 class RingElem:
     """const * core * prod(pi_j^exps_j) in a ChartRing, const a field code.
 
-    Zero has const 0, the zero core and all exponents 0.
+    Zero has const 0, the zero core and all exponents 0.  An element is never
+    changed after it is built, so its printed form is kept in ``_text`` from
+    the first ``str`` on (the slot stays unset until then).
     """
 
-    __slots__ = ("ring", "const", "core", "exps")
+    __slots__ = ("ring", "const", "core", "exps", "_text")
 
     def __init__(self, ring: ChartRing, const: int, core: Poly, exps: tuple[int, ...]):
         self.ring = ring
@@ -492,6 +509,13 @@ class RingElem:
         return hash((self.const, self.core.coeffs, self.exps))
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            self._text = self._format()
+            return self._text
+
+    def _format(self) -> str:
         num = str(self.num)
         if not any(self.dens):
             return num

@@ -238,7 +238,7 @@ def literal_snf_certificate(r) -> str | None:
 
 def canonical_reduce(module: FpmModule, vec) -> tuple:
     """Canonical coset representative of vec modulo the relation image."""
-    vec = module.coerce_vec(vec)
+    vec = module.check_vec(vec)
     ring, snf = module.ring, module.snf
     y = list(snf.U.apply_vec(vec))
     for i, d in enumerate(snf.diag):

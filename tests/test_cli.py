@@ -649,6 +649,35 @@ def test_cover_builds_each_cover_chart_once(capsys, monkeypatch, name, built):
     assert len(calls) == built
 
 
+# Shape 10 of many-chart-glue in perfbench/workloads.py at seed 1: p = 5 does
+# not divide n = 4, so du/u does not glue.
+NON_GLUING = {
+    "field": {"p": 5, "e": 1},
+    "n": 4,
+    "charts": [
+        {"inverted": ["t", "t^2 + t + 1", "t + 2"]},
+        {"inverted": ["t", "t^2 + t + 1", "t + 1"]},
+    ],
+    "g": {"(0,1)": "(t + 1)*(t^2 + t + 1)^3/((t + 2)*(t^2 + t + 1)^3)"},
+    "u": ["(3)*t*(t + 2)^4*(t^2 + t + 1)^12", "(3)*t*(t + 1)^4*(t^2 + t + 1)^12"],
+}
+
+
+def test_cover_checks_the_gluing_of_du_u_before_factoring(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(NON_GLUING))
+    factorings = count_calls(monkeypatch, cli, "factor_cover")
+    code, out = run_cli(capsys, "cover", "--json", str(path))
+    assert code == 1
+    assert out == {
+        "error": "du/u does not glue on overlap (0, 1): "
+        "(4*t^3 + 2*t^2 + t + 2)/(t*(t^2 + t + 1)*(t + 2)) vs "
+        "(4*t^3 + 2*t^2 + 3*t + 1)/(t*(t^2 + t + 1)*(t + 1))",
+        "kind": "failed-verification",
+    }
+    assert factorings == []
+
+
 def test_report_validates_the_bundle_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, TorsionBundle, "validate")
     code, out = run_cli(capsys, "report", "--fixture", "TWOCHART", "--samples", "0")

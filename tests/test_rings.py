@@ -302,6 +302,68 @@ def test_expression_caps_raise_malformed_input_before_any_arithmetic(A5):
             A5.parse(text)
 
 
+# -- one parse memo shared by the parses of a bundle read
+
+
+def stored(memo, span):
+    """Whether the memo holds the tokens of span, a text or a group's inside."""
+    return tuple(exprparse.tokenize(span)) in memo
+
+
+def test_a_stored_group_met_too_deep_still_raises_the_depth_cap(A5):
+    depth = exprparse.MAX_DEPTH
+    memo = {}
+    A5.parse("(t + 1)", memo)  # stored at depth 1
+    assert stored(memo, "t + 1")
+    at_cap = "(" * (depth - 1) + "(t + 1)" + ")" * (depth - 1)
+    assert A5.parse(at_cap, memo) == A5.parse("t + 1")
+    text = "(" * depth + "(t + 1)" + ")" * depth
+    with pytest.raises(MalformedInput) as err:
+        A5.parse(text, memo)
+    assert str(err.value) == f"expression nests deeper than {depth} levels in {text!r}"
+
+
+def test_a_stored_group_raised_to_a_power_still_raises_the_degree_cap(A5):
+    memo = {}
+    assert A5.parse("(t^512)", memo) == A5.t**512
+    assert stored(memo, "t^512")
+    with pytest.raises(MalformedInput) as err:
+        A5.parse("(t^512)^3", memo)
+    assert str(err.value) == "degree bound 1536 exceeds 1024 in '(t^512)^3'"
+    assert not stored(memo, "(t^512)^3")
+
+
+def test_an_over_long_integer_raises_with_a_memo(A5):
+    memo = {}
+    A5.parse("t + 9", memo)
+    text = "t + " + "9" * 5000
+    with pytest.raises(MalformedInput) as err:
+        A5.parse(text, memo)
+    assert str(err.value) == f"integer literal too long in {text!r}"
+
+
+def test_a_division_is_not_shared_between_parses():
+    # exact in F_5[t], but t is not a unit of the ring
+    memo = {}
+    assert Poly.parse(F5, "(t^2/t)", memo) == Poly.parse(F5, "t")
+    assert not stored(memo, "t^2/t")
+    ring = ChartRing(F5, ["t+1"])
+    with pytest.raises(NotAUnit) as err:
+        ring.parse("(t^2/t)", memo)
+    assert str(err.value) == f"t is not a unit of {ring}"
+
+
+def test_a_constant_group_stays_a_polynomial(monkeypatch):
+    ring = ChartRing(F4, ["t + a + 1"])
+    folded = ring_elem_fold(ring, "t + (a + 1)")
+    sums = []
+    plus = RingElem._plus
+    monkeypatch.setattr(RingElem, "_plus", lambda *args: sums.append(1) or plus(*args))
+    value = ring.parse("t + (a + 1)")
+    assert value == folded and value.is_unit()
+    assert sums == []
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

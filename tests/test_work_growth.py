@@ -14,7 +14,10 @@ pairs and the one scheme-wide ring together, 37 and 137, and calls of
 ChartRing.restrict at most like the pairs, 28 and 120: every cocycle identity
 is decided in the scheme-wide ring, so no triple overlap gets a ring of its
 own unless its identity fails.  Reading the 32-chart bundle lists the chart
-pairs a fixed number of times, not once per transition key.
+pairs a fixed number of times, not once per transition key.  Reading the
+bundle makes Poly sums and differences that grow like the charts, 8 and 16,
+not like the pairs: its m + 1 distinct primes recur in every unit and
+transition text, and one read folds each distinct text or group once.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
@@ -185,3 +188,18 @@ def test_reading_a_bundle_lists_the_chart_pairs_a_fixed_number_of_times(monkeypa
     assert len(bundle.g) == pairs(32)
     # once for the transition keys, once for the constructor's pair check
     assert len(calls) <= 2, len(calls)
+
+
+def test_reading_a_bundle_folds_each_distinct_polynomial_once(monkeypatch):
+    sums = {}
+    for m in (FEW_CHARTS, MORE_CHARTS):
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+                method = getattr(Poly, name)
+                patch.setattr(
+                    Poly, name, lambda *args, method=method: calls.append(1) or method(*args)
+                )
+            TorsionBundle.from_json(many_charts(m))
+        sums[m] = len(calls)
+    assert sums[MORE_CHARTS] * FEW_CHARTS <= sums[FEW_CHARTS] * MORE_CHARTS, sums
