@@ -405,6 +405,11 @@ class TorsionBundle:
         return self.n % self.scheme.field.p != 0
 
     @cached_property
+    def u_text(self) -> tuple[str, ...]:
+        """Each chart's trivializing unit as printed, formatted once."""
+        return tuple(map(str, self.u))
+
+    @cached_property
     def dlog_u(self) -> tuple[RingElem, ...]:
         """du/u of each chart's trivializing unit, as its dt coefficient."""
         return tuple(ring.dlog(x) for ring, x in zip(self.scheme.charts, self.u))
@@ -462,7 +467,7 @@ class TorsionBundle:
             "n": self.n,
             "charts": self.scheme.to_json(),
             "g": {f"({i},{j})": str(val) for (i, j), val in sorted(self.g.items())},
-            "u": [str(x) for x in self.u],
+            "u": list(self.u_text),
         }
 
     @classmethod
@@ -592,8 +597,8 @@ class Cover:
         return {
             "order": self.bundle.n,
             "charts": [
-                {"relation": f"v^{c.n} = {c.u}", "ring": c.ring.to_json()}
-                for c in self.charts
+                {"relation": f"v^{c.n} = {u}", "ring": c.ring.to_json()}
+                for c, u in zip(self.charts, self.bundle.u_text)
             ],
             "glue": self.glue_certificates,
         }
@@ -644,6 +649,8 @@ def factor_cover(cover: Cover) -> dict:
         pair: val**pr for pair, val in bundle.g.items()
     }
     etale_stage = TorsionBundle(bundle.scheme, m, stage_g, bundle.u)
+    # the stage has the bundle's units, so it prints them as the bundle does
+    etale_stage.u_text = bundle.u_text
     checks = []
     for idx, full in enumerate(cover.charts):
         ring, u = full.ring, full.u

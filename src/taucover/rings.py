@@ -346,12 +346,10 @@ class ChartRing:
 class RingElem:
     """const * core * prod(pi_j^exps_j) in a ChartRing, const a field code.
 
-    Zero has const 0, the zero core and all exponents 0.  An element is never
-    changed after it is built, so its printed form is kept in ``_text`` from
-    the first ``str`` on (the slot stays unset until then).
+    Zero has const 0, the zero core and all exponents 0.
     """
 
-    __slots__ = ("ring", "const", "core", "exps", "_text")
+    __slots__ = ("ring", "const", "core", "exps")
 
     def __init__(self, ring: ChartRing, const: int, core: Poly, exps: tuple[int, ...]):
         self.ring = ring
@@ -509,13 +507,6 @@ class RingElem:
         return hash((self.const, self.core.coeffs, self.exps))
 
     def __str__(self):
-        try:
-            return self._text
-        except AttributeError:
-            self._text = self._format()
-            return self._text
-
-    def _format(self) -> str:
         num = str(self.num)
         if not any(self.dens):
             return num

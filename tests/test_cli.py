@@ -24,7 +24,7 @@ from taucover.covers import MAX_CHARTS, MAX_N, Cover, CoverChart, TorsionBundle
 from taucover.errors import MalformedInput
 from taucover.fields import FqField
 from taucover.polys import Poly
-from taucover.rings import ChartRing
+from taucover.rings import ChartRing, RingElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -676,6 +676,16 @@ def test_cover_checks_the_gluing_of_du_u_before_factoring(capsys, monkeypatch, t
         "kind": "failed-verification",
     }
     assert factorings == []
+
+
+@pytest.mark.parametrize("name", ["TWOCHART", "GM_P2", "MIXED"])
+def test_cover_prints_each_ring_element_once(capsys, monkeypatch, name):
+    # the summary and the etale stage print the same units
+    printed = count_calls(monkeypatch, RingElem, "__str__")
+    code, _ = run_cli(capsys, "cover", "--fixture", name)
+    assert code == 0
+    elements = [id(args[0]) for args in printed]
+    assert elements and len(elements) == len(set(elements))
 
 
 def test_report_validates_the_bundle_once(capsys, monkeypatch):
