@@ -53,15 +53,21 @@ MAX_DEGREE = 1024
 # the character no token starts with, or the trailing whitespace.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|([()+\-*/^]))|(\s*\S|\s+)")
 _END = (None, None)
-_OPEN, _CLOSE = ("op", "("), ("op", ")")
+_CLOSE = ("op", ")")
 
 
-def tokenize(text: str) -> list[tuple[str, Any]]:
+def tokenize(text: str) -> tuple[list[tuple[str, Any]], dict[int, int]]:
+    """The tokens of text, and the index of the matching ')' of each '('
+    that has one."""
     if not isinstance(text, str):
         raise MalformedInput(f"expected an expression string, got {text!r}")
-    tokens = []
+    tokens, closes, opened = [], {}, []
     for digits, name, op, rest in _TOKEN.findall(text):
         if op:
+            if op == "(":
+                opened.append(len(tokens))
+            elif op == ")" and opened:
+                closes[opened.pop()] = len(tokens)
             tokens.append(("op", op))
         elif name:
             tokens.append(("name", name))
@@ -72,18 +78,7 @@ def tokenize(text: str) -> list[tuple[str, Any]]:
                 raise MalformedInput(f"integer literal too long in {text!r}") from None
         elif not rest.isspace():
             raise MalformedInput(f"bad character {rest[0]!r} in {text!r}")
-    return tokens
-
-
-def _closes(tokens: list[tuple[str, Any]]) -> dict[int, int]:
-    """Index of the matching ')' of each '(' that has one."""
-    closes, opened = {}, []
-    for i, token in enumerate(tokens):
-        if token == _OPEN:
-            opened.append(i)
-        elif token == _CLOSE and opened:
-            closes[opened.pop()] = i
-    return closes
+    return tokens, closes
 
 
 class _Parser:
@@ -98,6 +93,7 @@ class _Parser:
     def __init__(
         self,
         tokens: list[tuple[str, Any]],
+        closes: dict[int, int],
         from_int: Callable[[int], Any],
         atoms: Mapping[str, Any],
         div: Callable[[Any, Any], Any],
@@ -113,7 +109,7 @@ class _Parser:
         self.text = text
         self.memo = memo
         self.plain = type(from_int(0))
-        self.closes = _closes(tokens)
+        self.closes = closes
         self.i = 0
         self.depth = 0
         self.peak = 0
@@ -253,7 +249,8 @@ def evaluate(
     """Parse `text` into a value built from `from_int` constants and `atoms`;
     the value of each parenthesised group passes through `lift`.  Spans
     already in `memo` are not evaluated again (see the module docstring)."""
-    tokens = tokenize(text)
+    tokens, closes = tokenize(text)
     if not tokens:
         raise MalformedInput("empty expression")
-    return _Parser(tokens, from_int, atoms, div, lift, text, {} if memo is None else memo).parse()
+    memo = {} if memo is None else memo
+    return _Parser(tokens, closes, from_int, atoms, div, lift, text, memo).parse()
