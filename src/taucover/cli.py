@@ -21,12 +21,8 @@ verification, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import marshal
-import os
-import threading
 from pathlib import Path
 
 from . import catalog
@@ -192,80 +188,18 @@ def class_report(cover: Cover) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _forked(fn):
-    """Run fn() in a forked child while the with-block runs here.
-
-    Yields a function that waits for the child and returns fn()'s result,
-    sent back through a pipe by marshal, which every interpreter has loaded
-    and which keeps key types and tuples exactly.  That function calls fn()
-    here instead when os.fork is missing or fails, when another thread runs
-    (the child would keep a copy of each lock that thread holds, never
-    released), or when the child does not exit cleanly; so an exception of
-    fn() is raised here as by a sequential call.  The child is reaped before
-    the block is left, and killed first if the block raises.
-    """
-    pid = None
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
-        yield fn
-        return
-    if pid == 0:
-        # os._exit leaves without flushing stdio buffers or running exit
-        # handlers that the parent owns too, whatever fn() did
-        code = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                marshal.dump(fn(), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    status = None
-
-    def result():
-        nonlocal status
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        return marshal.loads(data) if os.waitstatus_to_exitcode(status) == 0 else fn()
-
-    try:
-        yield result
-    finally:
-        pipe.close()
-        if status is None:
-            import signal  # only here: building its enums costs import time
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
-    """Run every pipeline on one fixture and compare to its expected block.
-
-    The connection guard runs in a forked child (see _forked), beside the
-    other sections.
-    """
+    """Run every pipeline on one fixture and compare to its expected block."""
     cover = Cover(fixture.bundle())
-    connection = functools.partial(connection_report, cover, seed=seed, samples=samples)
-    with _forked(connection) as connection_result:
-        sections = {
-            "validate": cover.validation,
-            "cover": cover_report(cover),
-            "omega_l": omega_l_report(cover, 1),
-            "sequences": sequence_reports(cover, SEQUENCE_IDS),
-            "dga": dga_check(cover, seed=seed, samples=samples // 10),
-            "class": class_report(cover),
-        }
-        sections["connection"] = connection_result()
+    sections = {
+        "validate": cover.validation,
+        "cover": cover_report(cover),
+        "omega_l": omega_l_report(cover, 1),
+        "sequences": sequence_reports(cover, SEQUENCE_IDS),
+        "dga": dga_check(cover, seed=seed, samples=samples // 10),
+        "connection": connection_report(cover, seed=seed, samples=samples),
+        "class": class_report(cover),
+    }
     mismatches = [
         key
         for key, expected in fixture.expected.items()

@@ -15,8 +15,8 @@ A ring over primes already certified, such as an overlap ring inverting the
 union of its charts' primes, is built by ``ChartRing.of_certified`` and
 inherits their certificates without a second test.
 
-Sums, derivatives, restrictions and random draws do go through ``make``, and
-it tests only the primes the stored factors leave open:
+Sums, derivatives and restrictions do go through ``make``, and it tests only
+the primes the stored factors leave open:
 
   * a sum, at pi_j where the summands' exponents differ: after pi^low is
     factored out, pi_j divides exactly one side (the other side's core is
@@ -26,8 +26,7 @@ it tests only the primes the stored factors leave open:
     to p: the computed numerator is e_j * f * pi_j' * (other primes) modulo
     pi_j, prime to pi_j since pi_j is separable and deg pi_j' < deg pi_j;
     a derivative that vanishes returns zero before ``make``;
-  * a restriction, at the primes the source already inverts;
-  * a random draw, at the primes of degree above its numerator's.
+  * a restriction, at the primes the source already inverts.
 
 A num that is itself an inverted prime is found in a table of the primes, so
 ``make`` turns pi_j into the unit pi_j with no division; a constant num is a
@@ -52,7 +51,6 @@ geometry needs: unit factorization (`unit_log`, which returns the pair
 
 from __future__ import annotations
 
-import functools
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -313,24 +311,11 @@ class ChartRing:
 
     # -- randomness for tests and probabilistic checks
 
-    @functools.cached_property
-    def _open_by_degree(self) -> list[list[int]]:
-        """Entry d lists the primes of degree at most d, for each d below the
-        largest degree; built on the first draw, so that a ring that draws
-        nothing pays nothing."""
-        top = max((pi.deg for pi in self.inverted), default=0)
-        return [[j for j, pi in enumerate(self.inverted) if pi.deg <= d] for d in range(top)]
-
     def random_element(self, rng, max_deg: int = 3, max_den: int = 1) -> "RingElem":
         field = self.field
         draw = field.random_code
         num = Poly(field, [draw(rng) for _ in range(rng.randrange(max_deg + 2))])
         dens = tuple(rng.randrange(max_den + 1) for _ in range(self.s))
-        low = self._open_by_degree
-        deg = len(num.coeffs) - 1
-        if 0 <= deg < len(low):
-            # no prime of larger degree than num divides it
-            return self.make(num, dens, open_primes=low[deg])
         return self.make(num, dens)
 
     def random_unit(self, rng, max_exp: int = 2) -> "RingElem":

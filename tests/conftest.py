@@ -9,8 +9,8 @@ import pytest
 def no_child_left():
     """Fail a test that leaves a child process running or unreaped.
 
-    ``report`` runs its connection guard in a forked child, which it must
-    reap on every path; ``subprocess.run`` reaps its own children.
+    The CLI tests start the program as a subprocess; ``subprocess.run`` reaps
+    its own children, and no test may leave one behind.
     """
     yield
     try:

@@ -4,10 +4,8 @@ import hashlib
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -23,7 +21,7 @@ from taucover.catalog import (
 from taucover import cli, connections
 from taucover.cli import fixture_report, main, matches_expected, omega_l_report
 from taucover.covers import MAX_CHARTS, MAX_N, Cover, CoverChart, TorsionBundle
-from taucover.errors import MalformedInput, TauCoverError
+from taucover.errors import MalformedInput
 from taucover.fields import FqField
 from taucover.polys import Poly
 from taucover.rings import ChartRing, RingElem
@@ -889,122 +887,3 @@ def test_report_all_stdout_is_pinned(capsys, seed):
     assert main(["report", "--all", "--seed", seed]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_ALL_SHA256
-
-
-# -- the connection guard of `report` runs in a forked child
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("target", [["--fixture", "GM_P2"], ["--all"]])
-def test_report_reaps_its_child(capsys, target):
-    code, out = run_cli(capsys, "report", *target)
-    assert code == 0 and out["passed"] is True
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("error", [TauCoverError, KeyboardInterrupt])
-def test_report_kills_and_reaps_its_child_when_the_parent_raises(
-    capsys, monkeypatch, error
-):
-    parent = os.getpid()
-
-    def slow_in_the_child(*args, **kwargs):
-        assert os.getpid() != parent
-        time.sleep(30)
-
-    def failing(*args, **kwargs):
-        raise error("dga failed")
-
-    monkeypatch.setattr(cli, "connection_report", slow_in_the_child)
-    monkeypatch.setattr(cli, "dga_check", failing)
-    start = time.perf_counter()
-    if error is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            main(["report", "--fixture", "GM_P2"])
-    else:
-        code, out = run_cli(capsys, "report", "--fixture", "GM_P2")
-        assert (code, out) == (1, {"error": "dga failed", "kind": "failed-verification"})
-    assert time.perf_counter() - start < 10
-    assert_no_child_left()
-
-
-def failing_fork():
-    raise OSError("fork failed")
-
-
-@pytest.mark.parametrize("fork", [None, failing_fork], ids=["missing", "failing"])
-def test_report_all_without_a_child_is_pinned(capsys, monkeypatch, fork):
-    if fork is None:
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", fork)
-    assert main(["report", "--all"]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_ALL_SHA256
-
-
-@pytest.mark.parametrize("error", [MalformedInput, TauCoverError])
-def test_a_failing_connection_guard_prints_the_same_with_and_without_a_child(
-    capsys, monkeypatch, error
-):
-    def failing(cover, seed=0, samples=200):
-        raise error(f"connection failed on {len(cover.charts)} chart(s)")
-
-    monkeypatch.setattr(cli, "connection_report", failing)
-    forked = main(["report", "--fixture", "TWOCHART"]), capsys.readouterr().out
-    monkeypatch.delattr(os, "fork")
-    sequential = main(["report", "--fixture", "TWOCHART"]), capsys.readouterr().out
-    assert forked == sequential
-    assert forked[0] == (2 if error is MalformedInput else 1)
-    assert "connection failed on 2 chart(s)" in forked[1]
-
-
-def test_a_killed_child_leaves_the_connection_guard_to_the_parent(capsys, monkeypatch):
-    parent, calls = os.getpid(), []
-    original = cli.connection_report
-
-    def killed_in_the_child(*args, **kwargs):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "connection_report", killed_in_the_child)
-    assert main(["report", "--all"]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_ALL_SHA256
-    assert len(calls) == len(ALL_FIXTURES)
-
-
-def test_report_runs_the_connection_guard_in_the_child_where_fork_exists(
-    capsys, monkeypatch
-):
-    calls = count_calls(monkeypatch, cli, "connection_report")
-    assert main(["report", "--fixture", "MIXED"]) == 0
-    forked = capsys.readouterr().out
-    assert len(calls) == 0
-    monkeypatch.delattr(os, "fork")
-    assert main(["report", "--fixture", "MIXED"]) == 0
-    assert capsys.readouterr().out == forked
-    assert len(calls) == 1
-
-
-def test_report_runs_the_connection_guard_here_while_another_thread_runs(
-    capsys, monkeypatch
-):
-    calls = count_calls(monkeypatch, cli, "connection_report")
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert main(["report", "--fixture", "MIXED"]) == 0
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(calls) == 1
-    capsys.readouterr()

@@ -174,22 +174,6 @@ def test_adding_unequal_exponents_at_every_prime_tests_no_multiplicity(A5, monke
     assert calls == []
 
 
-@pytest.mark.parametrize("max_deg", [2, 3])
-def test_a_guard_draw_tests_no_prime_of_higher_degree(max_deg, monkeypatch):
-    ring = ChartRing(F2, ["t^60 + t + 1", "t"])
-    big, t = ring.inverted
-    calls = []
-    multiplicity = Poly.multiplicity
-    monkeypatch.setattr(
-        Poly, "multiplicity", lambda f, pi: calls.append(pi) or multiplicity(f, pi)
-    )
-    rng = random.Random(0)
-    draws = [ring.random_element(rng, max_deg=max_deg, max_den=1) for _ in range(200)]
-    assert t in calls and big not in calls
-    # the prime's exponent is the drawn denominator's alone
-    assert {x.exps[0] for x in draws if not x.is_zero()} == {0, -1}
-
-
 @pytest.mark.parametrize(
     "primes, text", [(["t"], "1/t"), (["t", "t+4"], "(t^2 + 1)/(t^3*(t+4))")]
 )

@@ -20,12 +20,10 @@ not like the pairs: its m + 1 distinct primes recur in every unit and
 transition text, and one read folds each distinct text or group once.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
-a user catalog would.  Every command runs with os.fork removed, so that
-``report`` runs its connection guard in this process, where the work is counted.
+a user catalog would.
 """
 
 import json
-import os
 
 import pytest
 
@@ -111,7 +109,6 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
     with monkeypatch.context() as m:
         m.chdir(directory)
         m.setenv(CATALOG_ENV, str(directory))
-        m.delattr(os, "fork")
         for name in ARITHMETIC:
             m.setattr(RingElem, name, counted(getattr(RingElem, name)))
         m.setattr(pidmod, "smith_normal_form", counted_snf)
