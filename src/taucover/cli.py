@@ -196,10 +196,11 @@ def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
         "cover": cover_report(cover),
         "omega_l": omega_l_report(cover, 1),
         "sequences": sequence_reports(cover, SEQUENCE_IDS),
-        "dga": dga_check(cover, seed=seed, samples=samples // 10),
-        "connection": connection_report(cover, seed=seed, samples=samples),
-        "class": class_report(cover),
     }
+    with cover.guarding():  # the two guards share derivatives and draws
+        sections["dga"] = dga_check(cover, seed=seed, samples=samples // 10)
+        sections["connection"] = connection_report(cover, seed=seed, samples=samples)
+    sections["class"] = class_report(cover)
     mismatches = [
         key
         for key, expected in fixture.expected.items()

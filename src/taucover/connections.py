@@ -95,36 +95,37 @@ class TauConnection:
         classical = self.classical
         charts = []
         for i, pfc in enumerate(self.charts):
-            ring = pfc.ring
-            v_inv = pfc.chart.v_inv()
-            omega = self.connection_coords(i)
+            with pfc.ring.guarding():
+                ring = pfc.ring
+                v_inv = pfc.chart.v_inv()
+                omega = self.connection_coords(i)
 
-            def residual(lam):
-                lhs = d_function_times_v(pfc.chart, v_inv.scale(lam))
-                formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
-                return lhs, pfc.lift1(formula)
+                def residual(lam):
+                    lhs = d_function_times_v(pfc.chart, v_inv.scale(lam))
+                    formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
+                    return lhs, pfc.lift1(formula)
 
-            failing = _law(
-                lambda form: pfc.omega1_ambient.is_zero(form.parts()),
-                residual,
-                [(ring.one,)],
-                lambda: (ring.random_element(rng, max_deg=3, max_den=1),),
-                samples,
-            )
-            matches = failing is None
-            stays = matches or pfc.coords1(residual(*failing)[0]) is not None
-            agrees = _classical_identity(pfc, classical.eta[i]) if classical else None
-            report = {
-                "chart": i,
-                "samples": samples,
-                "stays_partial": stays,
-                "matches_formula": matches,
-                "matches_classical": agrees,
-                "passed": stays and matches and agrees is not False,
-            }
-            if failing is not None:
-                report["failures"] = {"matches_formula": {"arguments": [str(failing[0])]}}
-            charts.append(report)
+                failing = _law(
+                    lambda form: pfc.omega1_ambient.is_zero(form.parts()),
+                    residual,
+                    [(ring.one,)],
+                    lambda: (ring.random_element(rng, max_deg=3, max_den=1),),
+                    samples,
+                )
+                matches = failing is None
+                stays = matches or pfc.coords1(residual(*failing)[0]) is not None
+                agrees = _classical_identity(pfc, classical.eta[i]) if classical else None
+                report = {
+                    "chart": i,
+                    "samples": samples,
+                    "stays_partial": stays,
+                    "matches_formula": matches,
+                    "matches_classical": agrees,
+                    "passed": stays and matches and agrees is not False,
+                }
+                if failing is not None:
+                    report["failures"] = {"matches_formula": {"arguments": [str(failing[0])]}}
+                charts.append(report)
         return {"charts": charts, "passed": all(c["passed"] for c in charts)}
 
     def flatness_check(self) -> dict:

@@ -24,6 +24,7 @@ explicit inverse of the fiber derivative.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from functools import cached_property
 from operator import add, sub
@@ -547,6 +548,15 @@ class Cover:
         )
         self._overlap_covers: dict[tuple[int, int], CoverChart] = {}
         self.glue_certificates = self._certify_glue()
+
+    @contextlib.contextmanager
+    def guarding(self):
+        """``ChartRing.guarding`` on every chart's ring, so that guards run
+        one after another within the block share what they keep."""
+        with contextlib.ExitStack() as stack:
+            for chart in self.charts:
+                stack.enter_context(chart.ring.guarding())
+            yield
 
     def _certify_glue(self) -> list[dict]:
         """Recompute (g*v)^n = u_other inside each overlap's cover algebra."""

@@ -27,6 +27,7 @@ polynomials in the generator symbol a, e.g. "a+1".
 from __future__ import annotations
 
 import functools
+from operator import mul
 from typing import Iterator
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
@@ -71,6 +72,24 @@ def modulus_coeffs(p: int, e: int) -> tuple[int, ...]:
 def FqField(p: int, e: int = 1) -> "_FqField":
     """Interned finite field with p^e elements."""
     return _FqField(p, e)
+
+
+def draws_below(rng, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], for a random.Random rng.
+
+    randrange(n) takes n.bit_length() bits from getrandbits and draws again
+    while they reach n; this draws the same way, so the stream is the same,
+    without two calls per number.  tests/test_rng_stream.py pins the guards'
+    stream.
+    """
+    bits, k = rng.getrandbits, n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r)
+    return out
 
 
 class _FqField:
@@ -187,14 +206,16 @@ class _FqField:
     def random_code(self, rng) -> int:
         """The code of a random element.  One draw per power-basis
         coefficient, lowest first: seeded reports depend on it."""
-        p = self.p
-        if self.e == 1:
-            return rng.randrange(p)
-        code, weight = 0, 1
-        for _ in range(self.e):
-            code += rng.randrange(p) * weight
-            weight *= p
-        return code
+        return self.random_codes(rng, 1)[0]
+
+    def random_codes(self, rng, count: int) -> list[int]:
+        """count codes, drawn as count calls of random_code draw them."""
+        p, e = self.p, self.e
+        digits = draws_below(rng, p, count * e)
+        if e == 1:
+            return digits
+        weights = [p**j for j in range(e)]
+        return [sum(map(mul, digits[i : i + e], weights)) for i in range(0, len(digits), e)]
 
     def random_nonzero(self, rng) -> "FqElem":
         while True:

@@ -312,106 +312,107 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
     rng = random.Random(seed)
     charts = []
     for i, pfc in enumerate(cover.partial_forms):
-        ring = pfc.ring
-        chart = pfc.chart
-        amb1, amb2 = pfc.omega1_ambient, pfc.omega2_ambient
-        zero, one = ring.zero, ring.one
+        with pfc.ring.guarding():
+            ring = pfc.ring
+            chart = pfc.chart
+            amb1, amb2 = pfc.omega1_ambient, pfc.omega2_ambient
+            zero, one = ring.zero, ring.one
 
-        def base_element():
-            return ring.random_element(rng, max_deg=2, max_den=1)
+            def base_element():
+                return ring.random_element(rng, max_deg=2, max_den=1)
 
-        def zero1(form):
-            return amb1.is_zero(form.parts())
+            def zero1(form):
+                return amb1.is_zero(form.parts())
 
-        def zero2(c):
-            return amb2.is_zero(two_form_parts(c))
+            def zero2(c):
+                return amb2.is_zero(two_form_parts(c))
 
-        def intertwines(f):
-            lhs = pullback_one_form(chart, ring.derive(f))
-            return lhs, pfc.lift1(pfc.d0(f))
+            def intertwines(f):
+                lhs = pullback_one_form(chart, ring.derive(f))
+                return lhs, pfc.lift1(pfc.d0(f))
 
-        def d_squared_cover(g):
-            return d_one_form(d_function(g)), chart.zero
+            def d_squared_cover(g):
+                return d_one_form(d_function(g)), chart.zero
 
-        def d_squared_base(f):
-            return d_one_form(pfc.lift1(pfc.d0(f))), chart.zero
+            def d_squared_base(f):
+                return d_one_form(pfc.lift1(pfc.d0(f))), chart.zero
 
-        def leibniz(f, a, b):
-            x = pfc.lift1((a, b))
-            lhs = d_one_form(pfc.lift1((f * a, f * b)))
-            rhs = wedge_one_one(
-                pullback_one_form(chart, ring.derive(f)), x
-            ) + d_one_form(x).scale(f)
-            return lhs, rhs
-
-        # the first failing arguments of each law, or None; d o d is decided
-        # on the cover, then, when that passes, on the base
-        failing = {
-            "pullback_intertwines_d": _law(
-                zero1, intertwines, [(ring.t,)], lambda: (base_element(),), samples
-            ),
-        }
-        d_squared_on = "cover"
-        failing["d_squared_zero"] = _law(
-            zero2, d_squared_cover,
-            [(chart.from_ring(ring.t),), (chart.v,)],
-            lambda: (chart.random_element(rng, max_deg=2),), samples,
-        )
-        if failing["d_squared_zero"] is None:
-            d_squared_on = "base"
-            failing["d_squared_zero"] = _law(
-                zero2, d_squared_base, [(ring.t,)], lambda: (base_element(),), samples
-            )
-        failing["leibniz"] = _law(
-            zero2, leibniz, [(ring.t, one, zero), (ring.t, zero, one)],
-            lambda: (base_element(), base_element(), base_element()), samples,
-        )
-
-        s_defined = pfc.s1_map.is_well_defined
-        if s_defined:
-
-            def anticommutes(b):
-                lhs = d_one_form(pfc.lift1((zero, b)))
+            def leibniz(f, a, b):
+                x = pfc.lift1((a, b))
+                lhs = d_one_form(pfc.lift1((f * a, f * b)))
                 rhs = wedge_one_one(
-                    dv_over_v(chart),
-                    pullback_one_form(chart, -ring.derive(b)),
-                )
+                    pullback_one_form(chart, ring.derive(f)), x
+                ) + d_one_form(x).scale(f)
                 return lhs, rhs
 
-            def anticommutes_corrected(a, b):
-                # s2 sends the generator dv/v^dt to dt
-                return pfc.d1((a, b))[0], -ring.derive(b)
-
-            failing["s_anticommutes_representatives"] = _law(
-                zero2, anticommutes, [(one,)], lambda: (base_element(),), samples
+            # the first failing arguments of each law, or None; d o d is decided
+            # on the cover, then, when that passes, on the base
+            failing = {
+                "pullback_intertwines_d": _law(
+                    zero1, intertwines, [(ring.t,)], lambda: (base_element(),), samples
+                ),
+            }
+            d_squared_on = "cover"
+            failing["d_squared_zero"] = _law(
+                zero2, d_squared_cover,
+                [(chart.from_ring(ring.t),), (chart.v,)],
+                lambda: (chart.random_element(rng, max_deg=2),), samples,
             )
-            failing["s_anticommutes_corrected"] = _law(
-                lambda x: pfc.corrected_tail.is_zero_elem((x,)),
-                anticommutes_corrected,
-                [(one, zero), (zero, one)],
-                lambda: (base_element(), base_element()), samples,
+            if failing["d_squared_zero"] is None:
+                d_squared_on = "base"
+                failing["d_squared_zero"] = _law(
+                    zero2, d_squared_base, [(ring.t,)], lambda: (base_element(),), samples
+                )
+            failing["leibniz"] = _law(
+                zero2, leibniz, [(ring.t, one, zero), (ring.t, zero, one)],
+                lambda: (base_element(), base_element(), base_element()), samples,
             )
-        laws = {name: args is None for name, args in failing.items()}
-        if not s_defined:
-            laws["s_anticommutes_representatives"] = None
-            laws["s_anticommutes_corrected"] = None
 
-        report = {
-            "chart": i,
-            "laws": laws,
-            "s_well_defined": s_defined,
-            "passed": all(v for v in laws.values() if v is not None),
-        }
-        failures = {
-            name: {"arguments": [str(x) for x in args]}
-            for name, args in failing.items()
-            if args is not None
-        }
-        if "d_squared_zero" in failures:
-            failures["d_squared_zero"]["on"] = d_squared_on
-        if failures:
-            report["failures"] = failures
-        charts.append(report)
+            s_defined = pfc.s1_map.is_well_defined
+            if s_defined:
+
+                def anticommutes(b):
+                    lhs = d_one_form(pfc.lift1((zero, b)))
+                    rhs = wedge_one_one(
+                        dv_over_v(chart),
+                        pullback_one_form(chart, -ring.derive(b)),
+                    )
+                    return lhs, rhs
+
+                def anticommutes_corrected(a, b):
+                    # s2 sends the generator dv/v^dt to dt
+                    return pfc.d1((a, b))[0], -ring.derive(b)
+
+                failing["s_anticommutes_representatives"] = _law(
+                    zero2, anticommutes, [(one,)], lambda: (base_element(),), samples
+                )
+                failing["s_anticommutes_corrected"] = _law(
+                    lambda x: pfc.corrected_tail.is_zero_elem((x,)),
+                    anticommutes_corrected,
+                    [(one, zero), (zero, one)],
+                    lambda: (base_element(), base_element()), samples,
+                )
+            laws = {name: args is None for name, args in failing.items()}
+            if not s_defined:
+                laws["s_anticommutes_representatives"] = None
+                laws["s_anticommutes_corrected"] = None
+
+            report = {
+                "chart": i,
+                "laws": laws,
+                "s_well_defined": s_defined,
+                "passed": all(v for v in laws.values() if v is not None),
+            }
+            failures = {
+                name: {"arguments": [str(x) for x in args]}
+                for name, args in failing.items()
+                if args is not None
+            }
+            if "d_squared_zero" in failures:
+                failures["d_squared_zero"]["on"] = d_squared_on
+            if failures:
+                report["failures"] = failures
+            charts.append(report)
     return {"charts": charts, "passed": all(c["passed"] for c in charts)}
 
 

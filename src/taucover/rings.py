@@ -51,6 +51,7 @@ geometry needs: unit factorization (`unit_log`, which returns the pair
 
 from __future__ import annotations
 
+import contextlib
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -62,7 +63,7 @@ from .errors import (
     RingMismatch,
 )
 from .exprparse import evaluate
-from .fields import FqElem, _FqField
+from .fields import FqElem, _FqField, draws_below
 from .polys import Poly
 
 
@@ -70,6 +71,12 @@ from .polys import Poly
 # this degree is rejected before the test runs (the parser's own degree cap
 # bounds parsing only).
 MAX_PRIME_DEGREE = 64
+
+# ``ChartRing.guarding`` keeps at most this many derivatives, and as many
+# draws, per ring.  Over a large field at large n the draws do not repeat:
+# a one-chart F_256 ``report --samples 1000`` at n = 1024 would keep about
+# 50,000 of each, for nothing, where a catalog report keeps at most 722.
+GUARD_KEEP = 4096
 
 
 def certify_prime(field: _FqField, pi: Poly | str) -> Poly:
@@ -115,6 +122,10 @@ class ChartRing:
         self.zero = RingElem(self, 0, Poly.zero(field), (0,) * self.s)
         self.one = RingElem(self, 1, Poly.one(field), (0,) * self.s)
         self.t = self.make(Poly.x(field))
+        # what ``guarding`` keeps: derivatives, keyed by an element's factors,
+        # and drawn elements, keyed by the draw
+        self._derived: dict | None = None
+        self._drawn: dict | None = None
 
     # -- element construction
 
@@ -263,6 +274,12 @@ class ChartRing:
         a = self.coerce(a)
         if a.is_zero():
             return self.zero
+        derived = self._derived
+        if derived is not None:
+            key = (a.const, a.core.coeffs, a.exps)
+            known = derived.get(key)
+            if known is not None:
+                return known
         p = self.field.p
         deriv, taken = a.core.derivative(), a.core
         dens, open_primes = [], []
@@ -278,8 +295,33 @@ class ChartRing:
                 dens.append(-e)
                 open_primes.append(j)
         if deriv.is_zero():
-            return self.zero
-        return self.make(deriv.scale(a.const), dens, open_primes=open_primes)
+            out = self.zero
+        else:
+            out = self.make(deriv.scale(a.const), dens, open_primes=open_primes)
+        if derived is not None and len(derived) < GUARD_KEEP:
+            derived[key] = out
+        return out
+
+    @contextlib.contextmanager
+    def guarding(self):
+        """Within the block, ``derive`` differentiates each distinct element
+        once, and ``random_element`` returns the element it drew before for
+        the same draw.
+
+        A guard that evaluates many random sections of one chart draws the
+        same small elements, and meets the same coefficients, law after law;
+        every draw is still made.  Elements are immutable, so a kept one can
+        be handed out again.  At most GUARD_KEEP of each are kept, and what
+        was kept goes when the outermost block ends.
+        """
+        if self._derived is not None:
+            yield
+            return
+        self._derived, self._drawn = {}, {}
+        try:
+            yield
+        finally:
+            self._derived = self._drawn = None
 
     def dlog(self, u: "RingElem") -> "RingElem":
         """derive(u)/u for a unit u.  Additive on products; kills p-th powers."""
@@ -313,10 +355,19 @@ class ChartRing:
 
     def random_element(self, rng, max_deg: int = 3, max_den: int = 1) -> "RingElem":
         field = self.field
-        draw = field.random_code
-        num = Poly(field, [draw(rng) for _ in range(rng.randrange(max_deg + 2))])
-        dens = tuple(rng.randrange(max_den + 1) for _ in range(self.s))
-        return self.make(num, dens)
+        (size,) = draws_below(rng, max_deg + 2, 1)
+        codes = field.random_codes(rng, size)
+        dens = draws_below(rng, max_den + 1, self.s)
+        drawn = self._drawn
+        if drawn is None:
+            return self.make(Poly(field, codes), dens)
+        key = (*codes, -1, *dens)  # no code is -1
+        known = drawn.get(key)
+        if known is None:
+            known = self.make(Poly(field, codes), dens)
+            if len(drawn) < GUARD_KEEP:
+                drawn[key] = known
+        return known
 
     def random_unit(self, rng, max_exp: int = 2) -> "RingElem":
         return self.exp_unit(

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON output, catalog handling."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -267,6 +268,20 @@ def test_fixture_report_runs_each_sequence_once(monkeypatch):
     report = fixture_report(load_fixture("TWOCHART"), samples=5)
     assert report["matches_expected"], report["mismatches"]
     assert sorted(runs) == [(1, False), (2, False), (2, True)]
+
+
+def test_fixture_report_guards_share_their_derivatives(monkeypatch):
+    derivatives = count_calls(monkeypatch, Poly, "derivative")
+
+    def report():
+        derivatives.clear()
+        return fixture_report(load_fixture("TWOCHART"), seed=3), len(derivatives)
+
+    shared, shared_count = report()
+    monkeypatch.setattr(Cover, "guarding", lambda cover: contextlib.nullcontext())
+    separate, separate_count = report()
+    assert shared == separate
+    assert shared_count < separate_count
 
 
 def test_connection_report_builds_the_classical_connection_once(monkeypatch):

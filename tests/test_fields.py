@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from oracle import code_digits, schoolbook_add, schoolbook_mul, schoolbook_sub
 
 from taucover.errors import DivisionByZero, FieldMismatch
-from taucover.fields import FqField, modulus_coeffs
+from taucover.fields import FqField, draws_below, modulus_coeffs
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 6)]
 
@@ -157,6 +157,24 @@ def test_random_elements_deterministic(field):
     xs = [field.random_elem(r1) for _ in range(20)]
     ys = [field.random_elem(r2) for _ in range(20)]
     assert xs == ys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 97, 256, 1000, 2**40 + 1])
+def test_draws_below_draws_the_stream_of_randrange(n):
+    r1, r2 = random.Random(n), random.Random(n)
+    assert draws_below(r1, n, 200) == [r2.randrange(n) for _ in range(200)]
+    assert r1.getstate() == r2.getstate()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (97, 1), (2, 2), (2, 3), (3, 2), (5, 3)])
+def test_random_codes_draw_the_stream_of_random_code(p, e):
+    field = FqField(p, e)
+    r1, r2 = random.Random(e), random.Random(e)
+    codes = field.random_codes(r1, 100)
+    digits = [[r2.randrange(p) for _ in range(e)] for _ in range(100)]
+    assert codes == [sum(d * p**j for j, d in enumerate(ds)) for ds in digits]
+    assert r1.getstate() == r2.getstate()
+    assert field.random_codes(r1, 0) == []
 
 
 PRIMES = [p for p in range(2, 98) if all(p % d for d in range(2, p))]

@@ -1,6 +1,7 @@
 """Polynomials and localized chart rings: normal form, units, calculus."""
 
 import functools
+import operator
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from oracle import (
     xgcd,
 )
 
-from taucover import exprparse
+from taucover import exprparse, rings
 from taucover.errors import MalformedInput, NotAUnit, NotIrreducible
 from taucover.fields import FqField
 from taucover.polys import Poly
@@ -225,6 +226,70 @@ def test_derive_quotient_rule(A5):
         g = A5.random_element(rng, max_deg=2, max_den=1)
         assert A5.derive(f * g) == A5.derive(f) * g + f * A5.derive(g)
         assert A5.derive(f + g) == A5.derive(f) + A5.derive(g)
+
+
+def test_guarding_derives_each_distinct_element_once(A5, monkeypatch):
+    rng = random.Random(23)
+    xs = [A5.random_element(rng, max_deg=2, max_den=1) for _ in range(60)]
+    plain = [A5.derive(x) for x in xs]
+    calls = []
+    derivative = Poly.derivative
+    monkeypatch.setattr(
+        Poly, "derivative", lambda f: calls.append(f) or derivative(f)
+    )
+    with A5.guarding():
+        kept = [A5.derive(x) for x in xs]
+        again = [A5.derive(x) for x in xs]
+    assert kept == plain and all(map(operator.is_, kept, again))
+    distinct = {(x.const, x.core.coeffs, x.exps) for x in xs if x}
+    assert len(calls) == len(distinct) < len(xs)
+    # what the block kept went with it
+    A5.derive(A5.t)
+    assert len(calls) == len(distinct) + 1
+
+
+def test_guarding_keeps_at_most_guard_keep_derivatives(A5, monkeypatch):
+    monkeypatch.setattr(rings, "GUARD_KEEP", 5)
+    xs = [A5.parse(f"t^{k} + 1") for k in range(1, 21)]
+    calls = []
+    derivative = Poly.derivative
+    monkeypatch.setattr(
+        Poly, "derivative", lambda f: calls.append(f) or derivative(f)
+    )
+    with A5.guarding():
+        first = [A5.derive(x) for x in xs]
+        again = [A5.derive(x) for x in xs]
+    assert first == again
+    # the first five were kept; the other fifteen are differentiated again
+    assert len(calls) == 20 + 15
+
+
+def test_guarding_hands_out_each_draw_again_on_the_same_stream(A5):
+    r1, r2 = random.Random(29), random.Random(29)
+    plain = [A5.random_element(r1, max_deg=2, max_den=1) for _ in range(200)]
+    with A5.guarding():
+        kept = [A5.random_element(r2, max_deg=2, max_den=1) for _ in range(200)]
+    assert kept == plain and r1.getstate() == r2.getstate()
+    # a repeated draw is the element drawn the first time
+    assert len({id(x) for x in kept}) < len({id(x) for x in plain})
+
+
+def test_guarding_ends_with_the_outermost_block_even_on_error(A5, monkeypatch):
+    x = A5.parse("t^2 + 1")
+    calls = []
+    derivative = Poly.derivative
+    monkeypatch.setattr(
+        Poly, "derivative", lambda f: calls.append(f) or derivative(f)
+    )
+    with pytest.raises(ZeroDivisionError):
+        with A5.guarding():
+            with A5.guarding():
+                A5.derive(x)
+            A5.derive(x)  # the inner block kept nothing of its own
+            assert len(calls) == 1
+            1 / 0
+    A5.derive(x)
+    assert len(calls) == 2
 
 
 def test_dlog_additivity(A5):
