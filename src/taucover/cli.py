@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import catalog
@@ -230,6 +231,87 @@ def matches_expected(expected, actual) -> bool:
     return expected == actual
 
 
+# -- the JSON writer
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent the standard library encodes in pure Python, through a
+    generator per container; this appends every piece to one list.  It
+    takes what that encoder takes and raises its TypeError on the rest; it
+    does not look for circular references, which no report holds.
+    """
+    out = []
+    append = out.append
+
+    def write(value, newline):
+        if isinstance(value, str):
+            append(_quote(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                append(sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": ")
+                write(item, inner)
+                sep = "," + inner
+            append(newline + "}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(payload, "\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A non-string key as the standard encoder writes it."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 # -- argument handling
 
 
@@ -405,7 +487,7 @@ def main(argv=None) -> int:
         payload, code = {"error": str(exc), "kind": "malformed-input"}, 2
     except TauCoverError as exc:
         payload, code = {"error": str(exc), "kind": "failed-verification"}, 1
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_text(payload)
     out_path = getattr(args, "out", None)
     if out_path:
         # Written before printing, so a failed write prints only its error.
@@ -413,7 +495,7 @@ def main(argv=None) -> int:
             Path(out_path).write_text(text + "\n")
         except OSError as exc:
             error = {"error": f"cannot write {out_path}: {exc}", "kind": "malformed-input"}
-            print(json.dumps(error, indent=2, sort_keys=True))
+            print(json_text(error))
             return 2
     print(text)
     return code

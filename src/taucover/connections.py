@@ -86,10 +86,13 @@ class TauConnection:
         ``samples`` random sections guard the product rule the certificate
         rests on.  All are drawn, and ``"samples"`` counts the draws, but
         each distinct section costs one reduction of R(lambda): a repeat,
-        of lambda = 1 or of an earlier draw, is not evaluated again.
-        Membership is solved only to diagnose a failure.  A chart whose
-        formula fails also carries ``"failures"``, the section it failed at,
-        as ``dga_check`` reports its laws.
+        of lambda = 1 or of an earlier draw, is not evaluated again.  A
+        section is decided in block coordinates: the parts of the left side
+        are compared, block by block, with the weight-0 vector of the
+        formula on the generators dt and dv/v, and no one-form is built for
+        the formula side.  Membership is solved only to diagnose a failure.
+        A chart whose formula fails also carries ``"failures"``, the section
+        it failed at, as ``dga_check`` reports its laws.
         """
         rng = random.Random(seed)
         classical = self.classical
@@ -99,21 +102,22 @@ class TauConnection:
                 ring = pfc.ring
                 v_inv = pfc.chart.v_inv()
                 omega = self.connection_coords(i)
+                gens = pfc.sub1.gens
 
-                def residual(lam):
+                def sides(lam):
                     lhs = d_function_times_v(pfc.chart, v_inv.scale(lam))
                     formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
-                    return lhs, pfc.lift1(formula)
+                    return lhs, gens.apply_vec(formula)
 
                 failing = _law(
-                    lambda form: pfc.omega1_ambient.is_zero(form.parts()),
-                    residual,
+                    lambda lhs, formula: pfc.omega1_ambient.equal(lhs.parts(), {0: formula}),
+                    sides,
                     [(ring.one,)],
                     lambda: (ring.random_element(rng, max_deg=3, max_den=1),),
                     samples,
                 )
                 matches = failing is None
-                stays = matches or pfc.coords1(residual(*failing)[0]) is not None
+                stays = matches or pfc.coords1(sides(*failing)[0]) is not None
                 agrees = _classical_identity(pfc, classical.eta[i]) if classical else None
                 report = {
                     "chart": i,

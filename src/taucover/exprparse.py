@@ -30,12 +30,14 @@ A caller that reads many texts over the same constants and atoms may pass
 one ``memo`` dict to every ``evaluate`` call; a bundle read does, so that its
 polynomial texts are each folded once.  Its key is the token tuple of a whole
 text or of the inside of a parenthesised group, so the text "t + 1" and the
-group "(t + 1)" share an entry.  A span's value is stored only when it is of
-the constants' own type (a polynomial, for a chart ring: no group of it was
-lifted) and the span holds no '/' (a division means something else to each
-caller), and only once the span has parsed.  Each entry keeps the span's
-degree bound and how deep it nests, so a hit passes the caps exactly as
-evaluating it again would; a hit still passes through ``lift``.
+group "(t + 1)" share an entry; a whole text is also stored under the text
+itself, so a text read again is not even tokenized.  A span's value is
+stored only when it is of the constants' own type (a polynomial, for a chart
+ring: no group of it was lifted) and the span holds no '/' (a division means
+something else to each caller), and only once the span has parsed.  Each
+entry keeps the span's degree bound and how deep it nests, so a hit passes
+the caps exactly as evaluating it again would; a hit still passes through
+``lift``.
 """
 
 from __future__ import annotations
@@ -137,11 +139,14 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def keep(self, key: tuple, value, degree: int, base: int, divisions: int) -> None:
-        """Store a parsed span evaluated at depth ``base`` when it may be
-        shared: of the constants' type, with no division in it."""
+    def keep(self, keys: tuple, value, degree: int, base: int, divisions: int) -> None:
+        """Store a parsed span evaluated at depth ``base``, under each of
+        its keys, when it may be shared: of the constants' type, with no
+        division in it."""
         if divisions == self.divisions and type(value) is self.plain:
-            self.memo[key] = (value, degree, self.peak - base)
+            entry = (value, degree, self.peak - base)
+            for key in keys:
+                self.memo[key] = entry
 
     def parse(self):
         key = tuple(self.tokens[:-1])
@@ -151,7 +156,7 @@ class _Parser:
         value, degree = self.expr()
         if self.tokens[self.i] is not _END:
             raise MalformedInput(f"trailing input in {self.text!r}")
-        self.keep(key, value, degree, 0, 0)
+        self.keep((key, self.text), value, degree, 0, 0)
         return value
 
     def expr(self):
@@ -229,7 +234,7 @@ class _Parser:
         if self.tokens[self.i] != _CLOSE:
             raise MalformedInput(f"expected ')' in {self.text!r}")
         self.i += 1
-        self.keep(key, value, degree, base, divisions)
+        self.keep((key,), value, degree, base, divisions)
         self.peak = max(self.peak, outer_peak)
         return self.lift(value), degree
 
@@ -248,9 +253,15 @@ def evaluate(
 ):
     """Parse `text` into a value built from `from_int` constants and `atoms`;
     the value of each parenthesised group passes through `lift`.  Spans
-    already in `memo` are not evaluated again (see the module docstring)."""
+    already in `memo` are not evaluated again, and a whole text already in
+    it is not tokenized (see the module docstring)."""
+    if memo is None:
+        memo = {}
+    elif isinstance(text, str):
+        hit = memo.get(text)
+        if hit is not None:
+            return hit[0]
     tokens, closes = tokenize(text)
     if not tokens:
         raise MalformedInput("empty expression")
-    memo = {} if memo is None else memo
     return _Parser(tokens, closes, from_int, atoms, div, lift, text, memo).parse()

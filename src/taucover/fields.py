@@ -27,7 +27,6 @@ polynomials in the generator symbol a, e.g. "a+1".
 from __future__ import annotations
 
 import functools
-from operator import mul
 from typing import Iterator
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
@@ -211,11 +210,21 @@ class _FqField:
     def random_codes(self, rng, count: int) -> list[int]:
         """count codes, drawn as count calls of random_code draw them."""
         p, e = self.p, self.e
-        digits = draws_below(rng, p, count * e)
         if e == 1:
-            return digits
-        weights = [p**j for j in range(e)]
-        return [sum(map(mul, digits[i : i + e], weights)) for i in range(0, len(digits), e)]
+            return draws_below(rng, p, count)
+        # each digit as draws_below draws it, summed into its code as drawn
+        bits, k = rng.getrandbits, p.bit_length()
+        codes = []
+        for _ in range(count):
+            code, weight = 0, 1
+            for _ in range(e):
+                r = bits(k)
+                while r >= p:
+                    r = bits(k)
+                code += r * weight
+                weight *= p
+            codes.append(code)
+        return codes
 
     def random_nonzero(self, rng) -> "FqElem":
         while True:

@@ -16,7 +16,7 @@ core.  That gives the classical algorithms:
     torsion chain and the zero test are read off one SNF, computed once.
   * DirectSum: one-weight FpmModules keyed by weight.  An element is given
     by its parts, one vector per weight, and each part is tested in its own
-    block; the torsion chains of the blocks merge by diag(a, b) ~ diag(gcd,
+    block, as are two elements compared part by part; the torsion chains of the blocks merge by diag(a, b) ~ diag(gcd,
     lcm).  Blocks that share one relation matrix share its SNF, which the
     matrix keeps.  Its submodules are spans inside the weight-0 block, with the
     grading certificate that every generator is zero outside weight 0.
@@ -127,7 +127,8 @@ class PolyMatrix:
     def apply_vec(self, vec: Sequence[RingElem]) -> Vec:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        zero = self.ring.zero
+        ring = self.ring
+        zero, one = ring.zero, ring.one
         out = []
         live = [(k, x) for k, x in enumerate(vec) if x.const]
         for row in self.rows:
@@ -135,7 +136,10 @@ class PolyMatrix:
             for k, x in live:
                 a = row[k]
                 if a.const:
-                    acc = a * x if acc is None else acc + a * x
+                    # an entry that is the ring's one takes x as it is, once
+                    # x is known to lie in the ring
+                    ax = x if a is one and x.ring is ring else a * x
+                    acc = ax if acc is None else acc + ax
             out.append(zero if acc is None else acc)
         return tuple(out)
 
@@ -612,6 +616,22 @@ class DirectSum:
     def is_zero(self, parts: dict[int, Sequence]) -> bool:
         """Every part is zero in its block."""
         return all(self.blocks[w].is_zero_elem(part) for w, part in parts.items())
+
+    def equal(self, parts: dict[int, Sequence], other: dict[int, Sequence]) -> bool:
+        """The elements with these parts are equal: block by block, in the
+        order of ``parts`` and then of the weights only ``other`` has, with
+        no element of the whole sum formed."""
+        blocks = self.blocks
+        for w, part in parts.items():
+            twin = other.get(w)
+            if twin is None:
+                if not blocks[w].is_zero_elem(part):
+                    return False
+            elif not blocks[w].elems_equal(part, twin):
+                return False
+        return all(
+            blocks[w].is_zero_elem(part) for w, part in other.items() if w not in parts
+        )
 
     def span(
         self, generators: Sequence[dict[int, Sequence]], names: Sequence[str]

@@ -63,7 +63,7 @@ from .errors import (
     RingMismatch,
 )
 from .exprparse import evaluate
-from .fields import FqElem, _FqField, draws_below
+from .fields import FqElem, _FqField
 from .polys import Poly
 
 
@@ -158,8 +158,11 @@ class ChartRing:
         return RingElem(self, num.coeffs[-1], num.monic(), tuple(exps))
 
     def from_int(self, n: int) -> "RingElem":
-        # the code of the integer n is n mod p
+        # the code of the integer n is n mod p; 1 is the ring's own one, which
+        # a product skips
         code = n % self.field.p
+        if code == 1:
+            return self.one
         return RingElem(self, code, self.one.core, self.one.exps) if code else self.zero
 
     def from_field(self, c: FqElem) -> "RingElem":
@@ -354,10 +357,39 @@ class ChartRing:
     # -- randomness for tests and probabilistic checks
 
     def random_element(self, rng, max_deg: int = 3, max_den: int = 1) -> "RingElem":
+        """A numerator of at most max_deg + 1 random codes over at most
+        max_den of each inverted prime.
+
+        The size, the codes and the denominator exponents are drawn in that
+        order, each number as ``randrange`` draws it (see
+        ``fields.draws_below``); over a prime field the loops are inlined,
+        since a guard makes hundreds of draws per chart.
+        """
         field = self.field
-        (size,) = draws_below(rng, max_deg + 2, 1)
-        codes = field.random_codes(rng, size)
-        dens = draws_below(rng, max_den + 1, self.s)
+        bits, bound = rng.getrandbits, max_deg + 2
+        k = bound.bit_length()
+        size = bits(k)
+        while size >= bound:
+            size = bits(k)
+        if field.e == 1:
+            bound = field.p
+            k = bound.bit_length()
+            codes = []
+            for _ in range(size):
+                r = bits(k)
+                while r >= bound:
+                    r = bits(k)
+                codes.append(r)
+        else:
+            codes = field.random_codes(rng, size)
+        bound = max_den + 1
+        k = bound.bit_length()
+        dens = []
+        for _ in range(self.s):
+            r = bits(k)
+            while r >= bound:
+                r = bits(k)
+            dens.append(r)
         drawn = self._drawn
         if drawn is None:
             return self.make(Poly(field, codes), dens)
@@ -463,7 +495,11 @@ class RingElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.ring, self.ring.field._neg(self.const), self.core, self.exps)
+        const = self.ring.field._neg(self.const)
+        # in characteristic 2, and at zero, the element is its own negative
+        if const == self.const:
+            return self
+        return RingElem(self.ring, const, self.core, self.exps)
 
     def __sub__(self, other):
         if type(other) is not RingElem or other.ring is not self.ring:
@@ -501,6 +537,11 @@ class RingElem:
         ring = self.ring
         if not self.const or not other.const:
             return ring.zero
+        # a product by one is the other factor, once both are in the ring
+        if self is ring.one:
+            return other
+        if other is ring.one:
+            return self
         a, b = self.exps, other.exps
         return RingElem(
             ring,

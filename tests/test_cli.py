@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from taucover.catalog import (
     CATALOG_ENV,
@@ -20,7 +21,7 @@ from taucover.catalog import (
     load_fixture,
 )
 from taucover import cli, connections
-from taucover.cli import fixture_report, main, matches_expected, omega_l_report
+from taucover.cli import fixture_report, json_text, main, matches_expected, omega_l_report
 from taucover.covers import MAX_CHARTS, MAX_N, Cover, CoverChart, TorsionBundle
 from taucover.errors import MalformedInput
 from taucover.fields import FqField
@@ -838,6 +839,56 @@ def test_out_option_into_an_unwritable_path_exits_two(capsys, tmp_path):
     assert code == 2
     assert out["kind"] == "malformed-input"
     assert not target.exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.floats(),
+        st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+        st.text(),
+        st.text(st.characters(exclude_categories=())),  # lone surrogates too
+        st.text(st.characters(max_codepoint=0x1F)),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(), children, max_size=4),
+        # keys the standard encoder turns into strings, of types it can sort
+        st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=3),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_the_json_writer_matches_the_standard_encoder(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        object(),
+        {"a": [1, {2, 3}]},
+        [b"bytes"],
+        {"z": 1j},
+        {(1, 2): "a tuple key"},
+        {None: 0, True: 1},  # keys that do not sort
+        {"a": 0, 1: 1},
+    ],
+    ids=repr,
+)
+def test_the_json_writer_raises_the_standard_type_error(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        json_text(value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_output_is_byte_stable_across_runs(capsys):

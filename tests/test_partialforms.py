@@ -340,7 +340,7 @@ class _StubLaw:
 
     def run(self, generators, samples):
         return partialforms._law(
-            lambda defect: defect == 0, self.sides, generators, self.draw, samples
+            lambda lhs, rhs: lhs == rhs, self.sides, generators, self.draw, samples
         )
 
 

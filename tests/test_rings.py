@@ -19,7 +19,7 @@ from oracle import (
 )
 
 from taucover import exprparse, rings
-from taucover.errors import MalformedInput, NotAUnit, NotIrreducible
+from taucover.errors import MalformedInput, NotAUnit, NotIrreducible, RingMismatch
 from taucover.fields import FqField
 from taucover.polys import Poly
 from taucover.rings import ChartRing, RingElem
@@ -137,6 +137,16 @@ def test_ring_arithmetic_roundtrip(A5):
         assert (x + y) * z == x * z + y * z
         assert x + y == y + x
         assert (x - y) + y == x
+
+
+def test_a_product_by_one_is_the_other_factor_and_never_crosses_rings(A5, A2):
+    x = A5.parse("(t^2 + 1)/t")
+    assert A5.one * x is x and x * A5.one is x
+    for one in (A2.one, ChartRing(F5, ["t"]).one):
+        with pytest.raises(RingMismatch):
+            one * x
+        with pytest.raises(RingMismatch):
+            x * one
 
 
 def test_adding_equal_denominators_raises_no_prime_to_a_power(A5, monkeypatch):

@@ -27,7 +27,7 @@ import json
 
 import pytest
 
-from taucover import pidmod
+from taucover import exprparse, pidmod
 from taucover.catalog import CATALOG_ENV
 from taucover.cli import main
 from taucover.covers import ChartedScheme, TorsionBundle
@@ -89,14 +89,18 @@ def many_charts(m: int) -> dict:
 
 
 def work(monkeypatch, capsys, directory, argv) -> dict:
-    """Arithmetic calls, SNF cells, Rabin tests, ChartRing builds and
-    restrictions of one CLI run in ``directory``."""
-    counts = {"ring_ops": 0, "snf_cells": 0, "rabin_tests": 0, "ring_builds": 0, "restricts": 0}
+    """Arithmetic calls, SNF cells, Rabin tests, ChartRing builds,
+    restrictions, and the guards' element constructions (``make``) and
+    derivatives (``derive``) of one CLI run in ``directory``."""
+    counts = {
+        "ring_ops": 0, "snf_cells": 0, "rabin_tests": 0, "ring_builds": 0, "restricts": 0,
+        "makes": 0, "derives": 0,
+    }
 
     def counted(method, metric="ring_ops"):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[metric] += 1
-            return method(*args)
+            return method(*args, **kwargs)
 
         return wrapper
 
@@ -115,6 +119,8 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
         m.setattr(Poly, "is_irreducible", counted(Poly.is_irreducible, "rabin_tests"))
         m.setattr(ChartRing, "_invert", counted(ChartRing._invert, "ring_builds"))
         m.setattr(ChartRing, "restrict", counted(ChartRing.restrict, "restricts"))
+        m.setattr(ChartRing, "make", counted(ChartRing.make, "makes"))
+        m.setattr(ChartRing, "derive", counted(ChartRing.derive, "derives"))
         code = main(argv)
     json.loads(capsys.readouterr().out)  # exactly one document
     assert code in (0, 1), argv
@@ -203,3 +209,15 @@ def test_reading_a_bundle_folds_each_distinct_polynomial_once(monkeypatch):
             TorsionBundle.from_json(many_charts(m))
         sums[m] = len(calls)
     assert sums[MORE_CHARTS] * FEW_CHARTS <= sums[FEW_CHARTS] * MORE_CHARTS, sums
+
+
+def test_reading_a_bundle_tokenizes_each_distinct_text_once(monkeypatch):
+    # "t" is inverted by every chart: read again, it is a whole-text hit
+    texts = []
+    tokenize = exprparse.tokenize
+    monkeypatch.setattr(
+        exprparse, "tokenize", lambda text: texts.append(text) or tokenize(text)
+    )
+    TorsionBundle.from_json(many_charts(FEW_CHARTS))
+    assert texts.count("t") == 1
+    assert len(texts) == len(set(texts)), sorted(texts)
