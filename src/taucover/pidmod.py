@@ -16,10 +16,11 @@ core.  That gives the classical algorithms:
     torsion chain and the zero test are read off one SNF, computed once.
   * DirectSum: one-weight FpmModules keyed by weight.  An element is given
     by its parts, one vector per weight, and each part is tested in its own
-    block, as are two elements compared part by part; the torsion chains of the blocks merge by diag(a, b) ~ diag(gcd,
-    lcm).  Blocks that share one relation matrix share its SNF, which the
-    matrix keeps.  Its submodules are spans inside the weight-0 block, with the
-    grading certificate that every generator is zero outside weight 0.
+    block, as are two elements compared part by part; the torsion chains of
+    the blocks merge by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one
+    relation matrix share its SNF, which the matrix keeps.  Its submodules
+    are spans inside the weight-0 block, with the grading certificate that
+    every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.  With no generators the stack is the ambient relation

@@ -4,7 +4,9 @@ In n: the bundle is one chart over F_2 with u = t, at n = 64 and at n = 256.
 Work is counted three ways: RingElem arithmetic calls (+, -, *, negation,
 powers and inverses), SNF cells, rows * cols of each matrix handed to
 pidmod.smith_normal_form, and Rabin tests, calls of Poly.is_irreducible.
-Linear growth multiplies each count by 4; a ratio above 5 fails.
+The guards' construction is counted too: calls of ChartRing.make and
+ChartRing.derive.  Linear growth multiplies each count by 4; a ratio above 5
+fails.
 
 In the chart count: the bundle is over F_37 with n = 37, and chart i inverts t
 and t - i, at 8 and at 16 charts.  Rabin tests may grow at most like the
