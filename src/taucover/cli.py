@@ -72,8 +72,7 @@ def cover_report(cover: Cover) -> dict:
     # OmegaL raises GluingFailure when du/u does not glue, and factor_cover
     # cannot raise on a validated cover, so the check comes first.
     omega = OmegaL(bundle)
-    factor = dict(factor_cover(cover))
-    factor["etale_stage"] = factor["etale_stage"].to_json()
+    factor = factor_cover(cover)
     cartier_fixed = all(cartier(x) == x for x in omega.chart_forms)
     glue_passed = all(c["passed"] for c in cover.glue_certificates)
     return {

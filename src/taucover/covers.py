@@ -15,11 +15,14 @@ transitions is decided in one of them, the ring of all charts' overlap.
 B is graded by Z/n with wt v = 1, and a CoverElem is kept as its weight
 decomposition: the nonzero coefficients a_j of sum a_j v^j, keyed by j.  So
 the work of an operation follows the number of nonzero terms, not n.
+Cover arithmetic takes elements of its own chart as they are; only
+``ChartedScheme.per_chart`` and ``TorsionBundle.__init__`` coerce.
 
 factor_cover splits the cover degree as n = m * p^r with m prime to the
 characteristic, yielding a separable stage A[w]/(w^m - u) (with w = v^{p^r})
 below a purely inseparable one; is_etale checks separability by exhibiting an
-explicit inverse of the fiber derivative.
+explicit inverse of the fiber derivative.  The separable stage is returned as
+bundle JSON, written from the bundle's own chart list and unit texts.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class CoverChart:
     def __init__(self, ring: ChartRing, n: int, u: RingElem):
         if n < 1:
             raise MalformedInput("cover degree must be a positive integer")
-        u = ring.coerce(u)
         if not u.is_unit():
             raise NotAUnit(f"{u} must be a unit to take an n-th root cover")
         self.ring = ring
@@ -70,8 +72,9 @@ class CoverChart:
         """1/v = u^{-1} * v^{n-1}."""
         return self.gen_power(-1)
 
-    def from_ring(self, a) -> "CoverElem":
-        return CoverElem(self, {0: self.ring.coerce(a)})
+    def from_ring(self, a: RingElem) -> "CoverElem":
+        """a as a cover element; an element of another ring raises RingMismatch."""
+        return CoverElem(self, {0: self.ring.check(a)})
 
     def gen_power(self, j: int) -> "CoverElem":
         """v^j for any integer j, reduced into the basis 1, v, ..., v^{n-1}."""
@@ -91,26 +94,12 @@ class CoverChart:
             self, {k: restrict(c, self.ring) * w**k for k, c in x.terms.items()}
         )
 
-    def coerce(self, value) -> "CoverElem":
-        if type(value) is CoverElem and value.chart is self:
-            return value
-        if isinstance(value, CoverElem):
-            if value.chart is not self:
-                raise RingMismatch("element of a different cover chart")
-            return value
-        return self.from_ring(value)
-
     def random_element(self, rng, max_deg: int = 2) -> "CoverElem":
         """Every coefficient is drawn, in index order, zeros included, so the
         draw does not depend on which terms an element stores."""
         draw = self.ring.random_element
         coeffs = [draw(rng, max_deg=max_deg, max_den=1) for _ in range(self.n)]
         return CoverElem(self, dict(enumerate(coeffs)))
-
-    def same_chart(self, other: "CoverChart") -> bool:
-        return (
-            self.ring.same_ring(other.ring) and self.n == other.n and self.u == other.u
-        )
 
     def __repr__(self):
         return f"CoverChart(v^{self.n} = {self.u} over {self.ring!r})"
@@ -143,8 +132,10 @@ class CoverElem:
         out.terms = terms
         return out
 
-    def _check(self, other) -> "CoverElem":
-        return self.chart.coerce(other)
+    def _check(self, other: "CoverElem") -> "CoverElem":
+        if not isinstance(other, CoverElem) or other.chart is not self.chart:
+            raise RingMismatch("operand is not an element of this cover chart")
+        return other
 
     def _combine(self, other, op, negate: bool) -> "CoverElem":
         """self op other for op add or sub, in one pass: a weight only other
@@ -171,8 +162,6 @@ class CoverElem:
         return CoverElem._nonzero(self.chart, {j: -a for j, a in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (RingElem, Poly, int)):
-            return self.scale(other)
         other = self._check(other)
         if len(other.terms) == 1:
             return self._shifted(*other.terms.items())
@@ -187,11 +176,6 @@ class CoverElem:
                     k, term = k - n, term * u
                 out[k] = out[k] + term if k in out else term
         return CoverElem(self.chart, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (RingElem, Poly, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
@@ -223,8 +207,7 @@ class CoverElem:
                 out[k - n] = a * u
         return CoverElem._nonzero(chart, out)
 
-    def scale(self, c) -> "CoverElem":
-        c = self.chart.ring.coerce(c)
+    def scale(self, c: RingElem) -> "CoverElem":
         if not c.const:
             return self.chart.zero
         return CoverElem._nonzero(self.chart, {j: a * c for j, a in self.terms.items()})
@@ -236,13 +219,9 @@ class CoverElem:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (RingElem, Poly, int)):
-            other = self.chart.from_ring(other)
         if not isinstance(other, CoverElem):
             return NotImplemented
-        if not self.chart.same_chart(other.chart):
-            return False
-        return self.terms == other.terms
+        return self.chart is other.chart and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -463,13 +442,7 @@ class TorsionBundle:
         return str(gij * gjk * gik.inv())
 
     def to_json(self) -> dict:
-        return {
-            "field": {"p": self.scheme.field.p, "e": self.scheme.field.e},
-            "n": self.n,
-            "charts": self.scheme.to_json(),
-            "g": {f"({i},{j})": str(val) for (i, j), val in sorted(self.g.items())},
-            "u": list(self.u_text),
-        }
+        return _bundle_json(self.scheme, self.n, self.g, self.u_text)
 
     @classmethod
     def from_json(cls, data: dict) -> "TorsionBundle":
@@ -509,6 +482,18 @@ class TorsionBundle:
                 raise MalformedInput(f"transition key {key} repeats the chart pair {pair}")
             g[pair] = scheme.overlap(*pair).parse(expr, memo)
         return cls(scheme, n, g, u)
+
+
+def _bundle_json(scheme: ChartedScheme, n: int, g: dict, u_text: Sequence[str]) -> dict:
+    """The JSON of the order-n bundle on ``scheme`` with transitions g and
+    units printed as ``u_text``."""
+    return {
+        "field": {"p": scheme.field.p, "e": scheme.field.e},
+        "n": n,
+        "charts": scheme.to_json(),
+        "g": {f"({i},{j})": str(val) for (i, j), val in sorted(g.items())},
+        "u": list(u_text),
+    }
 
 
 def _json_int(value, name: str) -> int:
@@ -632,7 +617,6 @@ def is_etale(ring: ChartRing, k: int, u: RingElem) -> bool:
     algebra A[v]/(v - u) is A itself and the derivative is 1, so no cover
     chart is built.
     """
-    u = ring.coerce(u)
     if k == 1:
         return True
     if k % ring.field.p == 0:
@@ -651,16 +635,14 @@ def factor_cover(cover: Cover) -> dict:
     root bundle of the same units with transitions g^{p^r}, realized inside
     the full cover by w = v^{p^r}.  Every structural identity the splitting
     relies on is recomputed in the cover's own chart algebras.
+
+    ``etale_stage`` is that bundle's JSON, as ``TorsionBundle.to_json``
+    writes it, from the bundle's charts and unit texts; no bundle is built.
     """
     bundle = cover.bundle
     p = bundle.scheme.field.p
     m, pr = split_order(bundle.n, p)
-    stage_g = {
-        pair: val**pr for pair, val in bundle.g.items()
-    }
-    etale_stage = TorsionBundle(bundle.scheme, m, stage_g, bundle.u)
-    # the stage has the bundle's units, so it prints them as the bundle does
-    etale_stage.u_text = bundle.u_text
+    stage_g = {pair: val**pr for pair, val in bundle.g.items()}
     checks = []
     for idx, full in enumerate(cover.charts):
         ring, u = full.ring, full.u
@@ -703,7 +685,7 @@ def factor_cover(cover: Cover) -> dict:
         "order": bundle.n,
         "separable_degree": m,
         "inseparable_degree": pr,
-        "etale_stage": etale_stage,
+        "etale_stage": _bundle_json(bundle.scheme, m, stage_g, bundle.u_text),
         "basis_index": {f"w^{i}*v^{j}": k for (i, j), k in sorted(index_map.items())},
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

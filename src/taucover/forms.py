@@ -111,10 +111,8 @@ class CoverOneForm:
 
     __slots__ = ("chart", "ct", "cv")
 
-    def __init__(self, chart: CoverChart, ct, cv):
-        self.chart = chart
-        self.ct = ct if type(ct) is CoverElem and ct.chart is chart else chart.coerce(ct)
-        self.cv = cv if type(cv) is CoverElem and cv.chart is chart else chart.coerce(cv)
+    def __init__(self, chart: CoverChart, ct: CoverElem, cv: CoverElem):
+        self.chart, self.ct, self.cv = chart, ct, cv
 
     def _check(self, other: "CoverOneForm") -> "CoverOneForm":
         if not isinstance(other, CoverOneForm):
@@ -134,8 +132,7 @@ class CoverOneForm:
     def __neg__(self):
         return CoverOneForm(self.chart, -self.ct, -self.cv)
 
-    def scale(self, c) -> "CoverOneForm":
-        c = self.chart.coerce(c)
+    def scale(self, c: CoverElem) -> "CoverOneForm":
         return CoverOneForm(self.chart, self.ct * c, self.cv * c)
 
     def parts(self) -> dict[int, tuple]:
@@ -159,11 +156,7 @@ class CoverOneForm:
     def __eq__(self, other):
         if not isinstance(other, CoverOneForm):
             return NotImplemented
-        return (
-            self.chart.same_chart(other.chart)
-            and self.ct == other.ct
-            and self.cv == other.cv
-        )
+        return self.chart is other.chart and self.ct == other.ct and self.cv == other.cv
 
     def __hash__(self):
         return hash((self.ct, self.cv))

@@ -42,6 +42,7 @@ from .forms import (
     wedge_one_one,
 )
 from .pidmod import FpmModule, ModuleMap, PolyMatrix, is_exact
+from .rings import RingElem
 
 
 class PartialFormsChart:
@@ -166,9 +167,8 @@ class PartialFormsChart:
 
     # -- the relative derivative
 
-    def d0(self, f) -> tuple:
+    def d0(self, f: RingElem) -> tuple:
         """d of a base function, as coordinates (df/dt, 0) in Omega1_L."""
-        f = self.ring.coerce(f)
         return (self.ring.derive(f), self.ring.zero)
 
     def d1(self, coords: Sequence) -> tuple:

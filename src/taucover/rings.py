@@ -43,6 +43,11 @@ distinct polynomial text or group is folded once per read.
 
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
+Outside values become ring elements (``ChartRing.coerce``) only in ``parse``
+and in the ``RingElem`` operators, for the int, Poly or FqElem operands the
+parser's folds pass.  Every other method takes an element of its own ring as
+it is; those that read stored factors refuse another ring's by ``check``.
+
 Beyond ring arithmetic the chart ring provides the three operations the
 geometry needs: unit factorization (`unit_log`, which returns the pair
 (c, m) of a unit c * prod(pi_j^m_j) read off its stored factors, undone by
@@ -172,12 +177,8 @@ class ChartRing:
         return RingElem(self, c.code, self.one.core, self.one.exps)
 
     def coerce(self, value) -> "RingElem":
-        if type(value) is RingElem and value.ring is self:
-            return value
         if isinstance(value, RingElem):
-            if value.ring is not self:
-                raise RingMismatch("element of a different chart ring")
-            return value
+            return self.check(value)
         if isinstance(value, Poly):
             return self.make(value)
         if isinstance(value, FqElem):
@@ -187,6 +188,13 @@ class ChartRing:
         if isinstance(value, str):
             return self.parse(value)
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
+
+    def check(self, a: "RingElem") -> "RingElem":
+        """a itself, once it is known to be an element of this ring: a method
+        that reads stored factors would misread another ring's."""
+        if a.ring is not self:
+            raise RingMismatch("element of a different chart ring")
+        return a
 
     def parse(self, text: str, memo: dict | None = None) -> "RingElem":
         """Evaluate text in F_q[t], lifting into the ring each parenthesised
@@ -222,7 +230,7 @@ class ChartRing:
     def unit_log(self, a: "RingElem") -> tuple[FqElem, tuple[int, ...]]:
         """Factor a unit as c * prod(pi_j^m_j), returned as (c, m); raises
         NotAUnit otherwise."""
-        a = self.coerce(a)
+        self.check(a)
         if not a.is_unit():
             raise NotAUnit(f"{a} is not a unit of {self}")
         return FqElem(self.field, a.const), a.exps
@@ -239,19 +247,21 @@ class ChartRing:
         The core of zero is the zero polynomial, with unit 1; the core of a
         unit is 1.
         """
-        a = self.coerce(a)
+        self.check(a)
         return RingElem(self, a.const or 1, self.one.core, a.exps), a.core
 
     def divides(self, a: "RingElem", b: "RingElem") -> bool:
         """a | b in the localized ring: one division of cores at most."""
-        a, b = self.coerce(a), self.coerce(b)
+        self.check(a)
+        self.check(b)
         if a.is_zero():
             return b.is_zero()
         return a.is_unit() or a.core.divides(b.core)
 
     def exact_div(self, b: "RingElem", a: "RingElem") -> "RingElem":
         """b / a when a divides b."""
-        a, b = self.coerce(a), self.coerce(b)
+        self.check(a)
+        self.check(b)
         if a.is_zero():
             raise DivisionByZero("exact division by zero")
         if b.is_zero():
@@ -274,7 +284,7 @@ class ChartRing:
         carried as it is and its prime is left open; every other prime
         divides the numerator not at all (see the module docstring).
         """
-        a = self.coerce(a)
+        self.check(a)
         if a.is_zero():
             return self.zero
         derived = self._derived
@@ -328,7 +338,7 @@ class ChartRing:
 
     def dlog(self, u: "RingElem") -> "RingElem":
         """derive(u)/u for a unit u.  Additive on products; kills p-th powers."""
-        u = self.coerce(u)
+        self.check(u)
         if not u.is_unit():
             raise NotAUnit(f"dlog of non-unit {u}")
         return self.derive(u) * u.inv()
@@ -343,7 +353,7 @@ class ChartRing:
     def restrict(self, a: "RingElem", target: "ChartRing") -> "RingElem":
         """Image of a under A -> A' when A' inverts a superset; only the
         primes the target adds can divide the core."""
-        a = self.coerce(a)
+        self.check(a)
         if not self.is_sublocalization_of(target):
             raise RingMismatch("target ring does not invert a superset")
         index = dict(target._prime_index)
@@ -407,15 +417,6 @@ class ChartRing:
             [rng.randrange(-max_exp, max_exp + 1) for _ in range(self.s)],
         )
 
-    # -- identity
-
-    def same_ring(self, other: "ChartRing") -> bool:
-        return (
-            self.field is other.field
-            and tuple(p.coeffs for p in self.inverted)
-            == tuple(p.coeffs for p in other.inverted)
-        )
-
     def __repr__(self):
         if not self.inverted:
             return f"F_{self.field.q}[t]"
@@ -469,17 +470,13 @@ class RingElem:
     # -- arithmetic
 
     def _check(self, other) -> "RingElem":
-        if type(other) is RingElem and other.ring is self.ring:
-            return other
+        """The other operand in this ring: an int, a polynomial or a field
+        element is coerced, as the parser's folds pass them."""
+        if isinstance(other, RingElem):
+            return self.ring.check(other)
         if isinstance(other, (int, Poly, FqElem)):
             return self.ring.coerce(other)
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        if other.ring is not self.ring:
-            if isinstance(other.ring, ChartRing) and other.ring.same_ring(self.ring):
-                return RingElem(self.ring, other.const, other.core, other.exps)
-            raise RingMismatch("elements of different chart rings")
-        return other
+        return NotImplemented
 
     def __add__(self, other):
         if type(other) is not RingElem or other.ring is not self.ring:
@@ -584,12 +581,10 @@ class RingElem:
         return bool(self.const)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Poly, FqElem)):
-            other = self.ring.coerce(other)
         if not isinstance(other, RingElem):
             return NotImplemented
         return (
-            (self.ring is other.ring or self.ring.same_ring(other.ring))
+            self.ring is other.ring
             and self.const == other.const
             and self.exps == other.exps
             and self.core.coeffs == other.core.coeffs

@@ -296,7 +296,7 @@ def cover_elem(chart, coeffs):
     assert len(coeffs) == chart.n
     out = chart.zero
     for j, c in enumerate(coeffs):
-        out = out + chart.gen_power(j).scale(c)
+        out = out + chart.gen_power(j).scale(chart.ring.coerce(c))
     return out
 
 

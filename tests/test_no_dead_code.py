@@ -10,6 +10,10 @@ exception class is held to more: some ``raise`` in the package must name it,
 since an ``except`` clause or an export alone catches nothing.  A module-level
 import must be named in its module's code; ``__future__`` imports and the
 re-exports of ``__init__.py`` are exempt.
+
+Values become ring elements only where they enter from outside: the
+functions of COERCION_BOUNDARY are the only ones that name a ``coerce``
+method.  Every other function takes an element of its own ring as it is.
 """
 
 import ast
@@ -22,6 +26,16 @@ PACKAGE = ROOT / "src" / "taucover"
 
 # Names kept with no caller in the package.
 ALLOWED: set[str] = set()
+
+# Where a value from outside (text, an int, a polynomial, a field element)
+# becomes a ring element.
+COERCION_BOUNDARY = {
+    "ChartRing.parse",
+    "RingElem._check",
+    "ChartedScheme.per_chart",
+    "TorsionBundle.__init__",
+    "is_trivial_class",
+}
 
 
 def _definitions():
@@ -104,3 +118,28 @@ def test_package_exports_are_sorted_complete_and_resolvable():
     )
     unlisted = [name for name in public if name not in exported]
     assert not unlisted, f"bound at the package root but not in __all__: {unlisted}"
+
+
+def _coercing_functions() -> set[str]:
+    """Qualified names of the functions that name an attribute ``coerce``; a
+    nested function or lambda counts as the function it is defined in."""
+    found = set()
+
+    def visit(node, prefix: str, owner: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and owner is None:
+                visit(child, f"{prefix}{child.name}.", None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                visit(child, prefix, prefix + child.name)
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "coerce":
+                    found.add(owner or "<module>")
+                visit(child, prefix, owner)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", None)
+    return found
+
+
+def test_values_are_coerced_only_at_the_boundary():
+    assert _coercing_functions() == COERCION_BOUNDARY

@@ -19,6 +19,7 @@ from oracle import (
 )
 
 from taucover import exprparse, rings
+from taucover.covers import CoverChart
 from taucover.errors import MalformedInput, NotAUnit, NotIrreducible, RingMismatch
 from taucover.fields import FqField
 from taucover.polys import Poly
@@ -355,6 +356,39 @@ def test_restrict_to_overlap():
     assert y == overlap.parse("(t+a)/(t+1)")
     assert y.is_unit()
     assert not x.is_unit()
+
+
+# Each method that reads an element's stored factors, given an element of
+# another ring over the same field: without the ring check they return
+# values, such as derive's (t^2 + 2)/t^2 for (t^2 + 3)/(t + 1).
+FOREIGN_READS = {
+    "unit_log": lambda A, x: A.unit_log(x),
+    "unit_core_split": lambda A, x: A.unit_core_split(x),
+    "divides-left": lambda A, x: A.divides(x, A.t),
+    "divides-right": lambda A, x: A.divides(A.t, x),
+    "exact_div-left": lambda A, x: A.exact_div(x, A.one),
+    "exact_div-right": lambda A, x: A.exact_div(A.t, x),
+    "derive": lambda A, x: A.derive(x),
+    "dlog": lambda A, x: A.dlog(x),
+    "restrict": lambda A, x: A.restrict(x, ChartRing(F5, ["t", "t+4", "t+1", "t+2"])),
+}
+
+
+@pytest.mark.parametrize("read", FOREIGN_READS.values(), ids=FOREIGN_READS)
+def test_a_ring_refuses_to_read_an_element_of_another_ring(A5, read):
+    x = ChartRing(F5, ["t+1", "t+2"]).parse("(t^2+3)/(t+1)")
+    with pytest.raises(RingMismatch):
+        read(A5, x)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_cover_elements_of_two_charts_do_not_combine(A5, op):
+    x = CoverChart(A5, 2, A5.t).v
+    y = CoverChart(A5, 2, A5.parse("t+4")).v
+    with pytest.raises(RingMismatch):
+        op(x, y)
+    with pytest.raises(RingMismatch):
+        op(y, x)
 
 
 def test_expression_caps_raise_malformed_input_before_any_arithmetic(A5):

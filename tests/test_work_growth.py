@@ -20,6 +20,9 @@ pairs a fixed number of times, not once per transition key.  Reading the
 bundle makes Poly sums and differences that grow like the charts, 8 and 16,
 not like the pairs: its m + 1 distinct primes recur in every unit and
 transition text, and one read folds each distinct text or group once.
+With 20 guard samples, ``report`` and ``connection`` may make and derive at
+most like the charts and the pairs together, 36 and 136.  ``cover`` builds
+one TorsionBundle, the one it reads, and lifts its transitions once.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
@@ -186,6 +189,41 @@ def test_ring_builds_and_restrictions_grow_like_the_pairs_in_the_chart_count(
     for metric, (few, more) in bounds.items():
         grown = measured[MORE_CHARTS][metric] * few <= measured[FEW_CHARTS][metric] * more
         assert grown, (command, metric, measured)
+
+
+@pytest.mark.parametrize("command", ["report", "connection"])
+def test_guard_constructions_grow_like_the_charts_and_pairs_in_the_chart_count(
+    command, tmp_path, monkeypatch, capsys
+):
+    measured = {}
+    for m in (FEW_CHARTS, MORE_CHARTS):
+        directory = tmp_path / f"m{m}"
+        write_catalog(directory, many_charts(m), f"{m} charts over F_37, n = 37")
+        argv = [*COMMANDS[command], "--samples", "20"]
+        measured[m] = work(monkeypatch, capsys, directory, argv)
+    few, more = FEW_CHARTS + pairs(FEW_CHARTS), MORE_CHARTS + pairs(MORE_CHARTS)
+    for metric in ("makes", "derives"):
+        grown = measured[MORE_CHARTS][metric] * few <= measured[FEW_CHARTS][metric] * more
+        assert grown, (command, metric, measured)
+
+
+def test_cover_builds_one_bundle_and_lifts_it_once(tmp_path, monkeypatch, capsys):
+    write_catalog(tmp_path / "m8", many_charts(FEW_CHARTS), "8 charts over F_37, n = 37")
+    counts = {"bundles": 0, "lifts": 0}
+
+    def counted(method, metric):
+        def wrapper(*args, **kwargs):
+            counts[metric] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(TorsionBundle, "__init__", counted(TorsionBundle.__init__, "bundles"))
+    monkeypatch.setattr(ChartedScheme, "lift", counted(ChartedScheme.lift, "lifts"))
+    monkeypatch.chdir(tmp_path / "m8")
+    assert main(COMMANDS["cover"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert counts == {"bundles": 1, "lifts": 1}
 
 
 def test_reading_a_bundle_lists_the_chart_pairs_a_fixed_number_of_times(monkeypatch):
