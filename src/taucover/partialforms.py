@@ -42,7 +42,6 @@ from .forms import (
     wedge_one_one,
 )
 from .pidmod import FpmModule, ModuleMap, PolyMatrix, is_exact
-from .rings import RingElem
 
 
 class PartialFormsChart:
@@ -167,7 +166,7 @@ class PartialFormsChart:
 
     # -- the relative derivative
 
-    def d0(self, f: RingElem) -> tuple:
+    def d0(self, f) -> tuple:
         """d of a base function, as coordinates (df/dt, 0) in Omega1_L."""
         return (self.ring.derive(f), self.ring.zero)
 
