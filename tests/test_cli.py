@@ -873,7 +873,8 @@ def test_the_json_writer_matches_the_standard_encoder(value):
 @pytest.mark.parametrize(
     "value",
     [
-        object(),
+        # An explicit id: the repr of a bare object holds its address.
+        pytest.param(object(), id="object()"),
         {"a": [1, {2, 3}]},
         [b"bytes"],
         {"z": 1j},
