@@ -58,7 +58,7 @@ def load_fixture(name: str) -> Fixture:
         )
     try:
         data = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting too deep to decode
         raise MalformedInput(f"fixture file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedInput(f"fixture file {path} must hold a JSON object")

@@ -91,17 +91,22 @@ def cover_report(cover: Cover) -> dict:
 def omega_l_report(cover: Cover, degree: int) -> dict:
     if degree not in (1, 2):
         raise MalformedInput("only form degrees 1 and 2 are supported")
-    invariants = rank_torsion_report(cover)
     if degree == 1:
+        invariants = rank_torsion_report(cover)
         return {
             "degree": 1,
             "charts": invariants["charts"],
             "strict_everywhere": invariants["strict_everywhere"],
             "passed": invariants["strict_everywhere"],
         }
+    # degree 2 reads the two-form presentations only
     charts = [
-        {"chart": c["chart"], "rank": c["degree2_rank"], "torsion": c["degree2_torsion"]}
-        for c in invariants["charts"]
+        {
+            "chart": pfc.index,
+            "rank": pfc.presentation2.rank,
+            "torsion": [str(c) for c in pfc.presentation2.torsion],
+        }
+        for pfc in cover.partial_forms
     ]
     return {"degree": 2, "charts": charts, "passed": True}
 
@@ -388,7 +393,7 @@ def _load_bundle(args) -> tuple[TorsionBundle, Fixture | None]:
             data = json.loads(path.read_text())
         except OSError as exc:
             raise MalformedInput(f"cannot read {path}: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting too deep to decode
             raise MalformedInput(f"{path} is not valid JSON: {exc}") from None
         return TorsionBundle.from_json(data), None
     raise MalformedInput("a bundle is required: pass --fixture NAME or --json FILE")

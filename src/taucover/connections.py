@@ -206,7 +206,7 @@ class ClassicalConnection:
             )
         self.bundle = bundle
         n_inv = pow(bundle.n % p, -1, p)
-        self.eta = tuple(w * n_inv for w in bundle.dlog_u)
+        self.eta = tuple(w * w.ring.from_int(n_inv) for w in bundle.dlog_u)
 
     def delta_condition_check(self) -> dict:
         """dlog(g_ij) = eta_j - eta_i exactly on every overlap."""
@@ -417,7 +417,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             )
         equations.extend(chart_rows)
 
-    lifted = scheme.lift(transitions)
+    lifted = cover.bundle.lifted_g if cochain is None else scheme.lift(transitions)
     for (i, j), g in sorted(lifted.items()):
         # one row per prime of the overlap (i, j), in its order; each of
         # them is inverted by chart i or chart j, so no row is empty

@@ -195,11 +195,9 @@ class CoverElem:
         i, b = term
         chart = self.chart
         n, u = chart.n, chart.u
-        one = b is chart.ring.one
         out = {}
         for j, a in self.terms.items():
-            if not one:
-                a = a * b
+            a = a * b
             k = i + j
             if k < n:
                 out[k] = a
@@ -370,7 +368,9 @@ class TorsionBundle:
                 f"transition units must cover exactly the chart pairs {sorted(want)}"
             )
         self.g = {pair: scheme.overlap(*pair).coerce(val) for pair, val in g.items()}
-        self._lifted_g = scheme.lift(self.g)
+        # the transitions in the ring of every chart's overlap, lifted once
+        # for validation and the canonical class
+        self.lifted_g = scheme.lift(self.g)
 
     def g_any(self, i: int, j: int) -> RingElem:
         """Transition unit for any ordered pair, with g_ii = 1 and g_ji = 1/g_ij."""
@@ -413,7 +413,7 @@ class TorsionBundle:
                     "witness": None if passed else str(lhs * rhs.inv()),
                 }
             )
-        g = self._lifted_g
+        g = self.lifted_g
         for (i, j, k) in itertools.combinations(range(self.scheme.n_charts), 3):
             passed = g[(i, j)] * g[(j, k)] == g[(i, k)]
             ok = ok and passed

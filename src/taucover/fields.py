@@ -18,7 +18,9 @@ sum of two logs needs no reduction) and the log table, which make every
 product and inverse two lookups.  Addition is XOR when p = 2 and integer
 addition mod p when e = 1; odd-characteristic extensions add through Zech
 logarithms, zech[k] = log(1 + g^k).  `FqElem` is the public scalar: a thin
-(field, code) pair.  Polynomial loops (`polys`) read the tables directly.
+(field, code) pair, whose operators take an element of the same field only;
+an int, a coefficient vector or a text becomes one through `_FqField.elem`.
+Polynomial loops (`polys`) read the tables directly.
 
 Text syntax: prime-field elements are decimal digits; extension elements are
 polynomials in the generator symbol a, e.g. "a+1".
@@ -200,15 +202,12 @@ class _FqField:
             yield FqElem(self, code)
 
     def random_elem(self, rng) -> "FqElem":
-        return FqElem(self, self.random_code(rng))
-
-    def random_code(self, rng) -> int:
-        """The code of a random element.  One draw per power-basis
-        coefficient, lowest first: seeded reports depend on it."""
-        return self.random_codes(rng, 1)[0]
+        """A random element.  One draw per power-basis coefficient, lowest
+        first: seeded reports depend on it."""
+        return FqElem(self, self.random_codes(rng, 1)[0])
 
     def random_codes(self, rng, count: int) -> list[int]:
-        """count codes, drawn as count calls of random_code draw them."""
+        """count codes, drawn as count calls of random_elem draw them."""
         p, e = self.p, self.e
         if e == 1:
             return draws_below(rng, p, count)
@@ -299,9 +298,6 @@ class _FqField:
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q}=F_{self.p}(a)"
 
-    def __reduce__(self):
-        return (FqField, (self.p, self.e))
-
 
 class FqElem:
     """Immutable element of an _FqField: the field and the element's code."""
@@ -318,8 +314,6 @@ class FqElem:
         return self.field.digits(self.code)
 
     def _check(self, other) -> "FqElem":
-        if isinstance(other, int):
-            return self.field.elem(other)
         if not isinstance(other, FqElem):
             return NotImplemented
         if other.field is not self.field:
@@ -332,17 +326,11 @@ class FqElem:
             return NotImplemented
         return FqElem(self.field, self.field._add(self.code, other.code))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         return FqElem(self.field, self.field._sub(self.code, other.code))
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        return FqElem(self.field, self.field._sub(other.code, self.code))
 
     def __neg__(self):
         return FqElem(self.field, self.field._neg(self.code))
@@ -353,17 +341,11 @@ class FqElem:
             return NotImplemented
         return FqElem(self.field, self.field._mul(self.code, other.code))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         return FqElem(self.field, self.field._mul(self.code, self.field._inv(other.code)))
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        return other / self
 
     def __pow__(self, k: int):
         field = self.field
@@ -387,8 +369,6 @@ class FqElem:
         return bool(self.code)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.elem(other)
         if not isinstance(other, FqElem):
             return NotImplemented
         return self.field is other.field and self.code == other.code

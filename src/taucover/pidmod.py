@@ -56,7 +56,7 @@ from typing import Iterable, Sequence
 
 from .errors import CertificateFailure, RingMismatch
 from .polys import Poly
-from .rings import ChartRing, RingElem
+from .rings import ChartRing, RingElem, _unit_quotient
 
 Vec = tuple[RingElem, ...]
 
@@ -107,12 +107,10 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matmul shape mismatch")
-        zero, one = self.ring.zero, self.ring.one
+        zero = self.ring.zero
         out = []
         for row in self.rows:
-            # only the nonzero products of each row are formed, and a factor
-            # that is the ring's one (most entries of an SNF transform)
-            # multiplies nothing
+            # only the nonzero products of each row are formed
             live = [(a, other.rows[k]) for k, a in enumerate(row) if a.const]
             sums = []
             for j in range(other.ncols):
@@ -120,7 +118,7 @@ class PolyMatrix:
                 for a, brow in live:
                     b = brow[j]
                     if b.const:
-                        acc = acc + (b if a is one else a * b)
+                        acc = acc + a * b
                 sums.append(acc)
             out.append(sums)
         return PolyMatrix(self.ring, out, self.nrows, other.ncols)
@@ -128,8 +126,7 @@ class PolyMatrix:
     def apply_vec(self, vec: Sequence[RingElem]) -> Vec:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        ring = self.ring
-        zero, one = ring.zero, ring.one
+        zero = self.ring.zero
         out = []
         live = [(k, x) for k, x in enumerate(vec) if x.const]
         for row in self.rows:
@@ -137,10 +134,7 @@ class PolyMatrix:
             for k, x in live:
                 a = row[k]
                 if a.const:
-                    # an entry that is the ring's one takes x as it is, once
-                    # x is known to lie in the ring
-                    ax = x if a is one and x.ring is ring else a * x
-                    acc = ax if acc is None else acc + ax
+                    acc = a * x if acc is None else acc + a * x
             out.append(zero if acc is None else acc)
         return tuple(out)
 
@@ -179,15 +173,6 @@ class SNFResult:
 
     def nonunit_torsion(self) -> list[Poly]:
         return [d.core for d in self.diag if not d.is_zero() and not d.core.is_one()]
-
-
-def _unit_quotient(a: RingElem, b: RingElem, core: Poly) -> RingElem:
-    """core times the unit part of a over that of b, for nonzero a and b."""
-    ring = a.ring
-    field = ring.field
-    return RingElem(
-        ring, field._mul(a.const, field._inv(b.const)), core, tuple(map(sub, a.exps, b.exps))
-    )
 
 
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
@@ -382,9 +367,10 @@ def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] 
     none: each y_i of y = U*b must be divisible by a nonzero d_i, and every
     other y_i must be zero.
 
-    The quotient y_i / d_i is formed as ``ChartRing.exact_div`` forms it,
-    the unit parts divided and the cores by one division, so it is right for
-    any nonzero d_i; a d_i whose core is 1 takes no division.
+    The quotient y_i / d_i is formed by the helper behind
+    ``ChartRing.exact_div``, the unit parts divided and the cores by one
+    division, so it is right for any nonzero d_i; a d_i whose core is 1
+    takes no division.
     """
     ring, diag = snf.matrix.ring, snf.diag
     z = [ring.zero] * snf.matrix.ncols

@@ -6,16 +6,19 @@ empty tuple is the zero polynomial.  The coefficient field makes F_q[t]
 Euclidean, so division with remainder, gcd and exact division are all
 available.
 
-Every operation works on the codes and builds one `Poly` per result.  A
-product with the unit polynomial 1, a scaling by 1 and a sum with 0 return
-the other operand, and a product by t is a shift.  The hot loops, products,
-sums and division with remainder, take one branch per field: over a prime
-field they use integer arithmetic and reduce mod p once per output
-coefficient; over other fields they multiply through the field's log and
-antilog tables and add by XOR when p = 2, or through the field's `_add`
-(Zech logarithms) otherwise.  Negation, scaling and derivatives use the
-field's code methods and tables directly.  Coefficients are handed out as
-`FqElem` only by `lc()` and indexing.
+The operators take a polynomial over the same field only: `Poly.const`
+makes one of a field element, and any other operand is left to its own
+type's reflected operator (a chart ring's parser adds ring elements to
+polynomials that way).  Every operation works on the codes and builds one
+`Poly` per result.  A product with the unit polynomial 1, a scaling by 1 and
+a sum with 0 return the other operand, and a product by t is a shift.  The
+hot loops, products, sums and division with remainder, take one branch per
+field: over a prime field they use integer arithmetic and reduce mod p once
+per output coefficient; over other fields they multiply through the field's
+log and antilog tables and add by XOR when p = 2, or through the field's
+`_add` (Zech logarithms) otherwise.  Negation, scaling and derivatives use
+the field's code methods and tables directly.  Coefficients are handed out
+as `FqElem` only by `lc()` and indexing.
 """
 
 from __future__ import annotations
@@ -200,14 +203,10 @@ class Poly:
     def __getitem__(self, i: int) -> FqElem:
         return FqElem(self.field, self.coeffs[i] if i < len(self.coeffs) else 0)
 
-    def _check(self, other) -> "Poly":
+    def _check(self, other: "Poly") -> "Poly":
+        """other, once it is known to be a polynomial over this field."""
         if not isinstance(other, Poly):
-            if isinstance(other, FqElem):
-                other = Poly.const(other)
-            elif isinstance(other, int):
-                other = Poly.const(self.field.elem(other))
-            else:
-                return NotImplemented
+            raise TypeError(f"expected a polynomial, got {type(other).__name__}")
         if other.field is not self.field:
             raise FieldMismatch("polynomials over different fields")
         return other
@@ -216,10 +215,8 @@ class Poly:
 
     def __add__(self, other):
         if type(other) is not Poly:
-            other = self._check(other)
-            if other is NotImplemented:
-                return NotImplemented
-        elif other.field is not self.field:
+            return NotImplemented
+        if other.field is not self.field:
             raise FieldMismatch("polynomials over different fields")
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -239,26 +236,18 @@ class Poly:
             return _trimmed(field, out + list(a[len(b):]))
         return _trimmed(field, _trim(out))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if type(other) is not Poly:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __neg__(self):
         return Poly(self.field, map(self.field._neg, self.coeffs))
 
     def __mul__(self, other):
         if type(other) is not Poly:
-            other = self._check(other)
-            if other is NotImplemented:
-                return NotImplemented
-        elif other.field is not self.field:
+            return NotImplemented
+        if other.field is not self.field:
             raise FieldMismatch("polynomials over different fields")
         a, b = self.coeffs, other.coeffs
         if a == (1,):
@@ -270,8 +259,6 @@ class Poly:
         # Over a field the product of two trimmed polynomials has a nonzero
         # leading code.
         return _trimmed(self.field, _mul_codes(self.field, a, b))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -414,8 +401,6 @@ class Poly:
     # -- comparisons, hashing, printing
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(self.field.elem(other))
         if not isinstance(other, Poly):
             return NotImplemented
         return self.field is other.field and self.coeffs == other.coeffs

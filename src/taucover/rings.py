@@ -44,9 +44,17 @@ distinct polynomial text or group is folded once per read.
 ``RingElem.fraction`` gives the reduced fraction, which is the printed form.
 
 Outside values become ring elements (``ChartRing.coerce``) only in ``parse``
-and in the ``RingElem`` operators, for the int, Poly or FqElem operands the
-parser's folds pass.  Every other method takes an element of its own ring as
-it is; those that read stored factors refuse another ring's by ``check``.
+and in the ``RingElem`` operators, for the Poly operands the parser's folds
+pass (its integers and the generator a are constant polynomials); an int or
+a field element is refused there, and enters through ``from_int`` or
+``from_field``.  Every other method takes an element of its own ring as it
+is; those that read stored factors refuse another ring's by ``check``.
+
+Each arithmetic shortcut has one owner.  ``RingElem.__mul__`` returns the
+other factor of a product by the ring's one, after its ring check, so no
+caller tests for one first.  ``_unit_quotient`` puts the unit part of one
+element over another's around a given core; ``exact_div`` and ``pidmod``'s
+Euclidean quotient and diagonal solution all divide through it.
 
 Beyond ring arithmetic the chart ring provides the three operations the
 geometry needs: unit factorization (`unit_log`, which returns the pair
@@ -266,13 +274,7 @@ class ChartRing:
             raise DivisionByZero("exact division by zero")
         if b.is_zero():
             return self.zero
-        field = self.field
-        return RingElem(
-            self,
-            field._mul(b.const, field._inv(a.const)),
-            b.core.exact_div(a.core),
-            tuple(map(sub, b.exps, a.exps)),
-        )
+        return _unit_quotient(b, a, b.core.exact_div(a.core))
 
     # -- calculus
 
@@ -427,6 +429,16 @@ class ChartRing:
         return {"inverted": [str(p) for p in self.inverted]}
 
 
+def _unit_quotient(a: "RingElem", b: "RingElem", core: Poly) -> "RingElem":
+    """core times the unit part of a over that of b, for nonzero a and b of
+    one ring."""
+    ring = a.ring
+    field = ring.field
+    return RingElem(
+        ring, field._mul(a.const, field._inv(b.const)), core, tuple(map(sub, a.exps, b.exps))
+    )
+
+
 class RingElem:
     """const * core * prod(pi_j^exps_j) in a ChartRing, const a field code.
 
@@ -470,11 +482,11 @@ class RingElem:
     # -- arithmetic
 
     def _check(self, other) -> "RingElem":
-        """The other operand in this ring: an int, a polynomial or a field
-        element is coerced, as the parser's folds pass them."""
+        """The other operand in this ring: a polynomial is coerced, as the
+        parser's folds pass them."""
         if isinstance(other, RingElem):
             return self.ring.check(other)
-        if isinstance(other, (int, Poly, FqElem)):
+        if isinstance(other, Poly):
             return self.ring.coerce(other)
         return NotImplemented
 
@@ -524,7 +536,10 @@ class RingElem:
         return ring.make(total, [-m for m in low], open_primes=tied)
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not RingElem or other.ring is not self.ring:
@@ -556,7 +571,10 @@ class RingElem:
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return self._check(other) / self
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if k < 0:

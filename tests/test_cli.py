@@ -475,6 +475,32 @@ def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bun
     assert elapsed < 1.0
 
 
+# 5,000 nested arrays, 10 KB: deeper than the JSON decoder recurses
+DEEP_ARRAYS = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP_ARRAYS,
+        json.dumps({**ONE_CHART, "field": None}).replace("null", DEEP_ARRAYS),
+    ],
+    ids=["bare-arrays", "under-field"],
+)
+def test_deeply_nested_json_exits_two_with_one_json_document(capsys, tmp_path, monkeypatch, text):
+    (tmp_path / "bundle.json").write_text(text)
+    code, out = run_cli(capsys, "validate", "--json", str(tmp_path / "bundle.json"))
+    assert (code, out["kind"]) == (2, "malformed-input")
+    assert "is not valid JSON" in out["error"]
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    (catalog / "DEEP.json").write_text(text)
+    monkeypatch.setenv(CATALOG_ENV, str(catalog))
+    code, out = run_cli(capsys, "catalog")
+    assert (code, out["kind"]) == (2, "malformed-input")
+    assert "is not valid JSON" in out["error"]
+
+
 def test_large_field_bundle_validates_within_budget(capsys, tmp_path):
     # Irreducibility over F_256 must not enumerate 256^3 cubic divisors.
     bundle = {

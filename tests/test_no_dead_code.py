@@ -14,6 +14,9 @@ re-exports of ``__init__.py`` are exempt.
 Values become ring elements only where they enter from outside: the
 functions of COERCION_BOUNDARY are the only ones that name a ``coerce``
 method.  Every other function takes an element of its own ring as it is.
+Likewise the parsers are the only functions that name a field's ``elem``,
+which turns an int into a field element: every arithmetic operator takes an
+operand of its own type.
 """
 
 import ast
@@ -27,8 +30,10 @@ PACKAGE = ROOT / "src" / "taucover"
 # Names kept with no caller in the package.
 ALLOWED: set[str] = set()
 
-# Where a value from outside (text, an int, a polynomial, a field element)
-# becomes a ring element.
+# Where a value from outside becomes a ring element through
+# ``ChartRing.coerce``: a text, an int, a polynomial or a field element in the
+# parser and in the library entries, and only a polynomial, the operand the
+# parser's folds pass, in ``RingElem._check``.
 COERCION_BOUNDARY = {
     "ChartRing.parse",
     "RingElem._check",
@@ -36,6 +41,9 @@ COERCION_BOUNDARY = {
     "TorsionBundle.__init__",
     "is_trivial_class",
 }
+
+# Where an integer constant becomes a field element.
+FIELD_ELEMENT_BOUNDARY = {"Poly.parse", "ChartRing.parse", "_FqField.parse"}
 
 
 def _definitions():
@@ -120,8 +128,8 @@ def test_package_exports_are_sorted_complete_and_resolvable():
     assert not unlisted, f"bound at the package root but not in __all__: {unlisted}"
 
 
-def _coercing_functions() -> set[str]:
-    """Qualified names of the functions that name an attribute ``coerce``; a
+def _functions_naming(attr: str) -> set[str]:
+    """Qualified names of the functions that name an attribute ``attr``; a
     nested function or lambda counts as the function it is defined in."""
     found = set()
 
@@ -132,7 +140,7 @@ def _coercing_functions() -> set[str]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
                 visit(child, prefix, prefix + child.name)
             else:
-                if isinstance(child, ast.Attribute) and child.attr == "coerce":
+                if isinstance(child, ast.Attribute) and child.attr == attr:
                     found.add(owner or "<module>")
                 visit(child, prefix, owner)
 
@@ -142,4 +150,8 @@ def _coercing_functions() -> set[str]:
 
 
 def test_values_are_coerced_only_at_the_boundary():
-    assert _coercing_functions() == COERCION_BOUNDARY
+    assert _functions_naming("coerce") == COERCION_BOUNDARY
+
+
+def test_only_the_parsers_make_field_elements_of_ints():
+    assert _functions_naming("elem") == FIELD_ELEMENT_BOUNDARY

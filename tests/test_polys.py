@@ -138,3 +138,14 @@ def test_multiplicity_below_the_degree_of_pi_divides_nothing(monkeypatch):
     # one division finds pi; the cofactor t + 1 is then too small to test
     assert (f * pi).multiplicity(pi) == (1, f)
     assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "divide",
+    [Poly.divmod, Poly.gcd, Poly.exact_div, lambda f, g: f % g, lambda f, g: f // g],
+    ids=["divmod", "gcd", "exact_div", "mod", "floordiv"],
+)
+@pytest.mark.parametrize("other", [3, FqField(5).elem(3)], ids=["int", "FqElem"])
+def test_division_by_a_non_polynomial_raises_type_error(divide, other):
+    with pytest.raises(TypeError):
+        divide(Poly.parse(FqField(5), "t^2 + 1"), other)

@@ -391,10 +391,49 @@ def test_cover_elements_of_two_charts_do_not_combine(A5, op):
         op(y, x)
 
 
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+OPERAND_KINDS = {"Poly": "+-*", "FqElem": "+-*/", "RingElem": "+-*/"}
+
+
+def _operand(A, kind):
+    if kind == "Poly":
+        return Poly.parse(A.field, "t^2 + 1")
+    if kind == "FqElem":
+        return A.field.elem(2)
+    return A.parse("(t + 4)^2/t")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "kind, op", [(kind, op) for kind, ops in OPERAND_KINDS.items() for op in ops]
+)
+def test_an_int_operand_raises_type_error(A5, kind, op, side):
+    # an operator takes an operand of its own type only
+    value, apply = _operand(A5, kind), OPERATORS[op]
+    with pytest.raises(TypeError):
+        apply(value, 3) if side == "left" else apply(3, value)
+
+
+@pytest.mark.parametrize("op", [operator.sub, operator.truediv])
+@pytest.mark.parametrize("other", ["x", None])
+def test_a_foreign_left_operand_of_a_ring_element_raises_type_error(A5, other, op):
+    with pytest.raises(TypeError):
+        op(other, A5.t)
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+def test_a_polynomial_operand_of_a_ring_element_reads_as_the_parser_reads_it(A5, op):
+    # units both, so that either side divides
+    f, f_text = Poly.parse(F5, "3*t^2 + 2*t"), "(3*t^2 + 2*t)"
+    x, x_text = A5.parse("(t + 4)^2/t"), "((t + 4)^2/t)"
+    assert OPERATORS[op](x, f) == A5.parse(f"{x_text} {op} {f_text}")
+    assert OPERATORS[op](f, x) == A5.parse(f"{f_text} {op} {x_text}")
+
+
 def test_expression_caps_raise_malformed_input_before_any_arithmetic(A5):
     depth, degree = exprparse.MAX_DEPTH, exprparse.MAX_DEGREE
     assert A5.parse("(" * depth + "t" + ")" * depth) == A5.t
-    assert A5.parse("-" * depth + "t") == A5.t * (-1) ** depth
+    assert A5.parse("-" * depth + "t") == A5.t * A5.from_int((-1) ** depth)
     assert A5.parse(f"t^{degree}") == A5.t**degree
     assert A5.parse(f"t^{degree // 2 - 1}*(t+1)^{degree // 2}/t") is not None
     assert A5.parse("2^" + "9" * 40) == A5.from_int(pow(2, int("9" * 40), 5))

@@ -22,7 +22,8 @@ not like the pairs: its m + 1 distinct primes recur in every unit and
 transition text, and one read folds each distinct text or group once.
 With 20 guard samples, ``report`` and ``connection`` may make and derive at
 most like the charts and the pairs together, 36 and 136.  ``cover`` builds
-one TorsionBundle, the one it reads, and lifts its transitions once.
+one TorsionBundle, the one it reads, and lifts its transitions once; so
+does ``class``, whose canonical cochain reuses the bundle's lift.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
@@ -226,6 +227,20 @@ def test_cover_builds_one_bundle_and_lifts_it_once(tmp_path, monkeypatch, capsys
     assert counts == {"bundles": 1, "lifts": 1}
 
 
+def test_class_lifts_the_transitions_once(tmp_path, monkeypatch, capsys):
+    # n = 2 over F_37: u_i = t (t - i)^2, with the transitions of many_charts
+    bundle = {**many_charts(6), "n": 2, "u": [f"t*(t - {i})^2" for i in range(1, 7)]}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    lifts = []
+    lift = ChartedScheme.lift
+    monkeypatch.setattr(ChartedScheme, "lift", lambda *args: lifts.append(1) or lift(*args))
+    assert main(["class", "--json", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["trivial"], out["passed"]) == (True, True)
+    assert len(lifts) == 1
+
+
 def test_reading_a_bundle_lists_the_chart_pairs_a_fixed_number_of_times(monkeypatch):
     calls = []
     listed = ChartedScheme.pairs
@@ -241,7 +256,7 @@ def test_reading_a_bundle_folds_each_distinct_polynomial_once(monkeypatch):
     for m in (FEW_CHARTS, MORE_CHARTS):
         calls = []
         with monkeypatch.context() as patch:
-            for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            for name in ("__add__", "__sub__"):
                 method = getattr(Poly, name)
                 patch.setattr(
                     Poly, name, lambda *args, method=method: calls.append(1) or method(*args)
