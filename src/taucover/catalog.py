@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .covers import TorsionBundle
 from .errors import MalformedInput
+from .exprparse import _excerpt
 
 CATALOG_ENV = "TAUCOVER_CATALOG_DIR"
 
@@ -67,7 +68,7 @@ def load_fixture(name: str) -> Fixture:
         raise MalformedInput(f"fixture file {path} missing keys: {missing}")
     if data["name"] != name:
         raise MalformedInput(
-            f"fixture file {path} names itself {data['name']!r}, expected {name!r}"
+            f"fixture file {path} names itself {_excerpt(data['name'])}, expected {name!r}"
         )
     bundle, expected = data["bundle"], data["expected"]
     if not isinstance(bundle, dict) or not isinstance(expected, dict):

@@ -34,6 +34,7 @@ from operator import add, sub
 from typing import Sequence
 
 from .errors import InvalidCocycle, MalformedInput, NotAUnit, RingMismatch
+from .exprparse import _excerpt, _power, _term
 from .fields import FqField, _FqField
 from .polys import Poly
 from .rings import ChartRing, RingElem, certify_prime
@@ -225,19 +226,8 @@ class CoverElem:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        terms = []
-        for j, a in sorted(self.terms.items()):
-            power = "" if j == 0 else ("v" if j == 1 else f"v^{j}")
-            astr = str(a)
-            if not power:
-                terms.append(astr)
-            elif astr == "1":
-                terms.append(power)
-            else:
-                if " " in astr or "+" in astr:
-                    astr = f"({astr})"
-                terms.append(f"{astr}*{power}")
-        return " + ".join(terms) if terms else "0"
+        terms = [_term(str(a), _power("v", j)) for j, a in sorted(self.terms.items())]
+        return " + ".join(terms) or "0"
 
     __repr__ = __str__
 
@@ -499,7 +489,7 @@ def _bundle_json(scheme: ChartedScheme, n: int, g: dict, u_text: Sequence[str]) 
 def _json_int(value, name: str) -> int:
     """A JSON integer; rejects booleans, floats and strings."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedInput(f"{name} must be an integer, got {value!r}")
+        raise MalformedInput(f"{name} must be an integer, got {_excerpt(value)}")
     return value
 
 
@@ -507,11 +497,11 @@ def _parse_pair(key: str) -> tuple[int, int]:
     text = key.strip().strip("()")
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 2:
-        raise MalformedInput(f"bad transition key {key!r}; expected '(i,j)'")
+        raise MalformedInput(f"bad transition key {_excerpt(key)}; expected '(i,j)'")
     try:
         return (int(parts[0]), int(parts[1]))
     except ValueError:
-        raise MalformedInput(f"bad transition key {key!r}; expected '(i,j)'") from None
+        raise MalformedInput(f"bad transition key {_excerpt(key)}; expected '(i,j)'") from None
 
 
 class Cover:

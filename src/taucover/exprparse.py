@@ -1,4 +1,4 @@
-"""Tiny recursive-descent parser for algebraic expressions.
+"""The expression grammar, read and written: a recursive-descent parser.
 
 One grammar serves field elements ("a+1"), polynomials ("t^2 + 2*t + 1") and
 localized ring elements ("(t+a)/(t+1)").  The caller supplies the integer
@@ -38,6 +38,12 @@ something else to each caller), and only once the span has parsed.  Each
 entry keeps the span's degree bound and how deep it nests, so a hit passes
 the caps exactly as evaluating it again would; a hit still passes through
 ``lift``.
+
+Every printed element, vector and form name is written by three rules: a
+factor whose text is a sum is parenthesised (``_grouped``), ``name^k`` is
+empty at k = 0 and the bare name at k = 1 (``_power``), and ``c*name`` is
+the name alone when c is 1 and c alone when there is no name (``_term``).
+An error quotes the input it refuses in 80 characters at most (``_excerpt``).
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ def tokenize(text: str) -> tuple[list[tuple[str, Any]], dict[int, int]]:
     """The tokens of text, and the index of the matching ')' of each '('
     that has one."""
     if not isinstance(text, str):
-        raise MalformedInput(f"expected an expression string, got {text!r}")
+        raise MalformedInput(f"expected an expression string, got {_excerpt(text)}")
     tokens, closes, opened = [], {}, []
     for digits, name, op, rest in _TOKEN.findall(text):
         if op:
@@ -77,9 +83,9 @@ def tokenize(text: str) -> tuple[list[tuple[str, Any]], dict[int, int]]:
             try:
                 tokens.append(("int", int(digits)))
             except ValueError:  # more digits than int() converts
-                raise MalformedInput(f"integer literal too long in {text!r}") from None
+                raise MalformedInput(f"integer literal too long in {_excerpt(text)}") from None
         elif not rest.isspace():
-            raise MalformedInput(f"bad character {rest[0]!r} in {text!r}")
+            raise MalformedInput(f"bad character {rest[0]!r} in {_excerpt(text)}")
     return tokens, closes
 
 
@@ -120,14 +126,14 @@ class _Parser:
     def bounded(self, degree: int) -> int:
         if degree > MAX_DEGREE:
             raise MalformedInput(
-                f"degree bound {degree} exceeds {MAX_DEGREE} in {self.text!r}"
+                f"degree bound {degree} exceeds {MAX_DEGREE} in {_excerpt(self.text)}"
             )
         return degree
 
     def reach(self, depth: int) -> None:
         if depth > MAX_DEPTH:
             raise MalformedInput(
-                f"expression nests deeper than {MAX_DEPTH} levels in {self.text!r}"
+                f"expression nests deeper than {MAX_DEPTH} levels in {_excerpt(self.text)}"
             )
         if depth > self.peak:
             self.peak = depth
@@ -155,7 +161,7 @@ class _Parser:
             return hit[0]
         value, degree = self.expr()
         if self.tokens[self.i] is not _END:
-            raise MalformedInput(f"trailing input in {self.text!r}")
+            raise MalformedInput(f"trailing input in {_excerpt(self.text)}")
         self.keep((key, self.text), value, degree, 0, 0)
         return value
 
@@ -199,7 +205,7 @@ class _Parser:
             kind, exp = self.tokens[self.i + 1]
             self.i += 2
             if kind != "int":
-                raise MalformedInput(f"exponent must be an integer in {self.text!r}")
+                raise MalformedInput(f"exponent must be an integer in {_excerpt(self.text)}")
             degree = self.bounded(degree * exp)
             value = value**exp
         return value, degree
@@ -211,11 +217,11 @@ class _Parser:
             return self.from_int(val), 0
         if kind == "name":
             if val not in self.atoms:
-                raise MalformedInput(f"unknown symbol {val!r} in {self.text!r}")
+                raise MalformedInput(f"unknown symbol {_excerpt(val)} in {_excerpt(self.text)}")
             return self.atoms[val], 1
         if kind == "op" and val == "(":
             return self.group()
-        raise MalformedInput(f"cannot parse {self.text!r}")
+        raise MalformedInput(f"cannot parse {_excerpt(self.text)}")
 
     def group(self):
         """The group whose '(' was just read, lifted; a stored one is skipped
@@ -232,7 +238,7 @@ class _Parser:
         self.peak = 0
         value, degree = self.nested(self.expr)
         if self.tokens[self.i] != _CLOSE:
-            raise MalformedInput(f"expected ')' in {self.text!r}")
+            raise MalformedInput(f"expected ')' in {_excerpt(self.text)}")
         self.i += 1
         self.keep((key,), value, degree, base, divisions)
         self.peak = max(self.peak, outer_peak)
@@ -265,3 +271,31 @@ def evaluate(
     if not tokens:
         raise MalformedInput("empty expression")
     return _Parser(tokens, closes, from_int, atoms, div, lift, text, memo).parse()
+
+
+# -- writing
+
+
+def _grouped(text: str) -> str:
+    """text as a factor: parenthesised when it is a sum."""
+    return f"({text})" if " " in text or "+" in text else text
+
+
+def _power(name: str, k: int) -> str:
+    """name^k for k >= 0: empty at k = 0, the bare name at k = 1."""
+    return "" if not k else name if k == 1 else f"{name}^{k}"
+
+
+def _term(coeff: str, name: str) -> str:
+    """The term coeff*name, coeff grouped: the name alone when coeff is "1",
+    coeff alone when there is no name."""
+    if not name:
+        return coeff
+    return name if coeff == "1" else f"{_grouped(coeff)}*{name}"
+
+
+def _excerpt(value) -> str:
+    """repr(value), cut to its first 77 characters and "..." when it is
+    longer than 80, so an error quotes a hostile input of any size briefly."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."

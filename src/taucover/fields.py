@@ -12,7 +12,7 @@ sum c_i a^i is sum c_i p^i.  This is the order of `elements()`; 0 and 1 are
 the codes of zero and one, and the code of an integer n is n mod p.  The
 coefficient vector, used for printing, is read off the code's base-p digits.
 
-Each field builds its tables once, on first use, each of size O(q): the
+Each field builds its tables once, when it is built, each of size O(q): the
 antilog table of a primitive element g (exp[k] = g^k, stored twice over so a
 sum of two logs needs no reduction) and the log table, which make every
 product and inverse two lookups.  Addition is XOR when p = 2 and integer
@@ -23,7 +23,8 @@ an int, a coefficient vector or a text becomes one through `_FqField.elem`.
 Polynomial loops (`polys`) read the tables directly.
 
 Text syntax: prime-field elements are decimal digits; extension elements are
-polynomials in the generator symbol a, e.g. "a+1".
+polynomials in the generator symbol a, highest power first and joined by "+"
+with no spaces, e.g. "a^2+2*a+1", written by the rules of ``exprparse``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import functools
 from typing import Iterator
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
-from .exprparse import evaluate
+from .exprparse import _excerpt, _power, _term, evaluate
 
 _MAX_Q = 256
 _MAX_P = 97
@@ -97,7 +98,7 @@ class _FqField:
     """The field F_q; owns the modulus, the tables and all element arithmetic.
 
     The arithmetic methods act on codes.  `exp`, `log` and, for odd-p
-    extensions, `zech` are built together on first access.
+    extensions, `zech` are built together with the field.
     """
 
     def __init__(self, p: int, e: int):
@@ -115,15 +116,9 @@ class _FqField:
         self.modulus = modulus_coeffs(p, e)
         self.zero = FqElem(self, 0)
         self.one = FqElem(self, 1)
+        self._build_tables()
 
     # -- tables
-
-    def __getattr__(self, name):
-        # Runs only while a table attribute is still missing.
-        if name in ("exp", "log", "zech"):
-            self._build_tables()
-            return self.__dict__[name]
-        raise AttributeError(name)
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
@@ -276,24 +271,14 @@ class _FqField:
             atoms["a"] = self.gen
         value = evaluate(text, self.elem, atoms)
         if not isinstance(value, FqElem):
-            raise MalformedInput(f"{text!r} is not a field element")
+            raise MalformedInput(f"{_excerpt(text)} is not a field element")
         return value
 
     def format(self, code: int) -> str:
         if self.e == 1:
             return str(code)
-        terms = []
-        digits = self.digits(code)
-        for d in range(self.e - 1, -1, -1):
-            c = digits[d]
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if d == 1 else f"a^{d}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        terms = [_term(str(c), _power("a", d)) for d, c in enumerate(self.digits(code)) if c]
+        return "+".join(reversed(terms)) or "0"
 
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q}=F_{self.p}(a)"
@@ -379,5 +364,4 @@ class FqElem:
     def __str__(self):
         return self.field.format(self.code)
 
-    def __repr__(self):
-        return self.field.format(self.code)
+    __repr__ = __str__

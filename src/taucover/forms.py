@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
 from .errors import GluingFailure, RingMismatch
+from .exprparse import _power, _term
 from .pidmod import DirectSum, FpmModule, PolyMatrix
 from .polys import Poly
 from .rings import RingElem
@@ -45,11 +46,8 @@ def one_form_str(x: RingElem) -> str:
     if x.is_zero():
         return "0"
     cs = str(x)
-    if cs == "1":
-        return "dt"
-    if " " in cs or "+" in cs or "/" in cs:
-        cs = f"({cs})"
-    return f"{cs}*dt"
+    # a fraction is parenthesised too, unlike in the other printed terms
+    return f"({cs})*dt" if "/" in cs else _term(cs, "dt")
 
 
 def cartier(x: RingElem) -> RingElem:
@@ -181,7 +179,7 @@ def two_form_parts(c: CoverElem) -> dict[int, tuple]:
 
 def _v_power_names(n: int, suffix: str) -> list[str]:
     """The names of v^j * suffix for j = 0, ..., n-1."""
-    return [suffix, f"v*{suffix}", *(f"v^{j}*{suffix}" for j in range(2, n))][:n]
+    return [_term(_power("v", j) or "1", suffix) for j in range(n)]
 
 
 def _weight_blocks(chart: CoverChart, relations, names) -> DirectSum:

@@ -55,6 +55,7 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailure, RingMismatch
+from .exprparse import _term
 from .polys import Poly
 from .rings import ChartRing, RingElem, _unit_quotient
 
@@ -552,18 +553,8 @@ class FpmModule:
 
     def format_vec(self, vec: Sequence) -> str:
         vec = self.check_vec(vec)
-        terms = []
-        for name, x in zip(self.gen_names, vec):
-            if x.is_zero():
-                continue
-            xs = str(x)
-            if xs == "1":
-                terms.append(name)
-            else:
-                if " " in xs or "+" in xs:
-                    xs = f"({xs})"
-                terms.append(f"{xs}*{name}")
-        return " + ".join(terms) if terms else "0"
+        terms = [_term(str(x), name) for name, x in zip(self.gen_names, vec) if not x.is_zero()]
+        return " + ".join(terms) or "0"
 
     def __repr__(self):
         ncols = self.relations.ncols

@@ -18,7 +18,8 @@ per output coefficient; over other fields they multiply through the field's
 log and antilog tables and add by XOR when p = 2, or through the field's
 `_add` (Zech logarithms) otherwise.  Negation, scaling and derivatives use
 the field's code methods and tables directly.  Coefficients are handed out
-as `FqElem` only by `lc()` and indexing.
+as `FqElem` only by `lc()` and indexing.  A polynomial prints by the rules
+of ``exprparse``, highest term first: "t^2 + (a+1)*t + 1".
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
-from .exprparse import evaluate
+from .exprparse import _excerpt, _power, _term, evaluate
 from .fields import FqElem, _FqField
 
 
@@ -171,7 +172,7 @@ class Poly:
         def div(x: "Poly", y: "Poly") -> "Poly":
             q, r = x.divmod(y)
             if not r.is_zero():
-                raise MalformedInput(f"non-exact division in polynomial {text!r}")
+                raise MalformedInput(f"non-exact division in polynomial {_excerpt(text)}")
             return q
 
         atoms = {"t": cls.x(field)}
@@ -409,26 +410,8 @@ class Poly:
         return hash((self.field.p, self.field.e, self.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        field = self.field
-        terms = []
-        for d in range(self.deg, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            cs = field.format(c)
-            if d == 0:
-                terms.append(cs)
-                continue
-            var = "t" if d == 1 else f"t^{d}"
-            if c == 1:
-                terms.append(var)
-            elif "+" in cs:
-                terms.append(f"({cs})*{var}")
-            else:
-                terms.append(f"{cs}*{var}")
-        return " + ".join(terms)
+        fmt = self.field.format
+        terms = [_term(fmt(c), _power("t", d)) for d, c in enumerate(self.coeffs) if c]
+        return " + ".join(reversed(terms)) or "0"
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__

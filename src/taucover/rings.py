@@ -41,7 +41,8 @@ form and costs no division, while a constant group such as (a + 1) stays a
 polynomial.  A bundle read shares one memo among its parses, so each
 distinct polynomial text or group is folded once per read.
 
-``RingElem.fraction`` gives the reduced fraction, which is the printed form.
+``RingElem.fraction`` gives the reduced fraction, which is the printed form,
+written by the rules of ``exprparse``: "(t + 1)/(t^2*(t + a))".
 
 Outside values become ring elements (``ChartRing.coerce``) only in ``parse``
 and in the ``RingElem`` operators, for the Poly operands the parser's folds
@@ -75,7 +76,7 @@ from .errors import (
     NotIrreducible,
     RingMismatch,
 )
-from .exprparse import evaluate
+from .exprparse import _grouped, _power, evaluate
 from .fields import FqElem, _FqField
 from .polys import Poly
 
@@ -613,20 +614,12 @@ class RingElem:
 
     def __str__(self):
         num = str(self.num)
-        if not any(self.dens):
+        parts = [
+            _power(_grouped(str(pi)), m) for pi, m in zip(self.ring.inverted, self.dens) if m
+        ]
+        if not parts:
             return num
-        den_parts = []
-        for pi, m in zip(self.ring.inverted, self.dens):
-            if m == 0:
-                continue
-            base = str(pi)
-            if " " in base or "+" in base:
-                base = f"({base})"
-            den_parts.append(base if m == 1 else f"{base}^{m}")
-        den = "*".join(den_parts)
-        if " " in num or "+" in num:
-            num = f"({num})"
-        return f"{num}/{den}" if len(den_parts) == 1 else f"{num}/({den})"
+        den = parts[0] if len(parts) == 1 else f"({'*'.join(parts)})"
+        return f"{_grouped(num)}/{den}"
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__

@@ -501,6 +501,25 @@ def test_deeply_nested_json_exits_two_with_one_json_document(capsys, tmp_path, m
     assert "is not valid JSON" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "bundle, prefix",
+    [
+        ({**ONE_CHART, "u": [[0] * 200_000]}, "expected an expression string, got [0, 0, "),
+        ({**ONE_CHART, "n": [0] * 100_000}, "n must be an integer, got [0, 0, "),
+        ({**ONE_CHART, "u": ["t" * 2**20 + "#"]}, "bad character '#' in 'ttt"),
+    ],
+    ids=["long-list-unit", "long-list-order", "megabyte-expression"],
+)
+def test_hostile_input_is_quoted_in_a_bounded_error(capsys, tmp_path, bundle, prefix):
+    path = write_bundle(tmp_path, bundle)
+    code = main(["validate", "--json", path])
+    out = capsys.readouterr().out
+    doc = json.loads(out)  # raises unless exactly one document
+    assert (code, doc["kind"]) == (2, "malformed-input")
+    assert doc["error"].startswith(prefix) and doc["error"].endswith("...")
+    assert len(out.encode()) < 1024
+
+
 def test_large_field_bundle_validates_within_budget(capsys, tmp_path):
     # Irreducibility over F_256 must not enumerate 256^3 cubic divisors.
     bundle = {

@@ -17,6 +17,10 @@ method.  Every other function takes an element of its own ring as it is.
 Likewise the parsers are the only functions that name a field's ``elem``,
 which turns an int into a field element: every arithmetic operator takes an
 operand of its own type.
+
+Printed text follows the rules ``exprparse`` owns: no other module tests
+whether a text is a sum (``" " in text`` or ``"+" in text``) to decide its
+parentheses.
 """
 
 import ast
@@ -155,3 +159,19 @@ def test_values_are_coerced_only_at_the_boundary():
 
 def test_only_the_parsers_make_field_elements_of_ints():
     assert _functions_naming("elem") == FIELD_ELEMENT_BOUNDARY
+
+
+def test_only_the_grammar_decides_when_a_text_is_a_sum():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "exprparse.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Constant)
+                and node.left.value in (" ", "+")
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "a sum test outside exprparse:\n" + "\n".join(found)

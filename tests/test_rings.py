@@ -468,7 +468,7 @@ def test_a_stored_group_met_too_deep_still_raises_the_depth_cap(A5):
     text = "(" * depth + "(t + 1)" + ")" * depth
     with pytest.raises(MalformedInput) as err:
         A5.parse(text, memo)
-    assert str(err.value) == f"expression nests deeper than {depth} levels in {text!r}"
+    assert str(err.value) == f"expression nests deeper than {depth} levels in '" + "(" * 76 + "..."
 
 
 def test_a_stored_group_raised_to_a_power_still_raises_the_degree_cap(A5):
@@ -487,7 +487,7 @@ def test_an_over_long_integer_raises_with_a_memo(A5):
     text = "t + " + "9" * 5000
     with pytest.raises(MalformedInput) as err:
         A5.parse(text, memo)
-    assert str(err.value) == f"integer literal too long in {text!r}"
+    assert str(err.value) == "integer literal too long in 't + " + "9" * 72 + "..."
 
 
 def test_a_division_is_not_shared_between_parses():
@@ -524,7 +524,7 @@ def test_a_constant_group_stays_a_polynomial(monkeypatch):
         ("t^", "exponent must be an integer in 't^'"),
         ("t t", "trailing input in 't t'"),
         ("x + 1", "unknown symbol 'x' in 'x + 1'"),
-        ("t + " + "9" * 5000, f"integer literal too long in {'t + ' + '9' * 5000!r}"),
+        ("t + " + "9" * 5000, "integer literal too long in 't + " + "9" * 72 + "..."),
     ],
 )
 def test_parse_errors_name_the_fault(A5, text, message):
