@@ -467,9 +467,13 @@ class TorsionBundle:
         for key, expr in g_raw.items():
             pair = _parse_pair(key)
             if pair not in pairs:
-                raise MalformedInput(f"transition key {key} is not a chart pair (i,j), i<j")
+                raise MalformedInput(
+                    f"transition key {_excerpt(key)} is not a chart pair (i,j), i<j"
+                )
             if pair in g:
-                raise MalformedInput(f"transition key {key} repeats the chart pair {pair}")
+                raise MalformedInput(
+                    f"transition key {_excerpt(key)} repeats the chart pair {pair}"
+                )
             g[pair] = scheme.overlap(*pair).parse(expr, memo)
         return cls(scheme, n, g, u)
 
