@@ -15,7 +15,8 @@ Bundles come from ``--fixture NAME`` (catalog) or ``--json FILE`` (user data).
 Every subcommand prints one JSON document; ``--out FILE`` also writes it to
 disk.  Exit codes: 0 when the requested checks pass (for ``verify`` on a
 fixture: when results match the fixture's expected block), 1 on a failed
-verification, 2 on malformed input.
+verification, 2 on malformed input, and EXIT_CLOSED_STDOUT (141) when the
+reader of stdout closed it before the document was written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -53,6 +56,10 @@ SEQUENCE_IDS = {
 # Each product-rule guard sample costs one module reduction; five times the
 # default bounds what `--samples` can ask for.
 MAX_SAMPLES = 1000
+
+# What a shell reports for a process ended by SIGPIPE (128 + 13): the reader
+# closed stdout before the document reached it, whatever the verdict.
+EXIT_CLOSED_STDOUT = 141
 
 _MALFORMED = (
     MalformedInput,
@@ -501,7 +508,12 @@ def main(argv=None) -> int:
             error = {"error": f"cannot write {out_path}: {exc}", "kind": "malformed-input"}
             print(json_text(error))
             return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The interpreter's final flush would raise again on the closed pipe.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_CLOSED_STDOUT
     return code
 
 

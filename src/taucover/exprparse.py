@@ -85,7 +85,7 @@ def tokenize(text: str) -> tuple[list[tuple[str, Any]], dict[int, int]]:
             except ValueError:  # more digits than int() converts
                 raise MalformedInput(f"integer literal too long in {_excerpt(text)}") from None
         elif not rest.isspace():
-            raise MalformedInput(f"bad character {rest[0]!r} in {_excerpt(text)}")
+            raise MalformedInput(f"bad character {rest[-1]!r} in {_excerpt(text)}")
     return tokens, closes
 
 

@@ -22,8 +22,9 @@ B is graded by Z/n with wt v = 1 and wt A = 0, so wt dt = 0 and wt dv = 1;
 this is the eigensheaf splitting pi_* O_Y = sum L^(-i) of the cyclic cover,
 and it holds when p | n too.  d is homogeneous of weight 0, and each relation
 column is homogeneous, so the presented modules are pidmod.DirectSums of n
-blocks of at most two generators, each reduced on its own.  This module is
-the only place that knows the layout: block w holds v^w dt and v^(w-1) dv
+blocks of at most two generators.  Blocks 1..n-1 have one presentation, so
+they are one FpmModule, and weight 0 is the other.  This module is the only
+place that knows the layout: block w holds v^w dt and v^(w-1) dv
 of the one-forms and v^(w-1) dt^dv of the two-forms (v^(-1) = v^(n-1) at
 w = 0).  A one-form's ``parts()`` and ``two_form_parts`` of a two-form are
 the nonzero coefficient vectors on those blocks, read off the coefficients'
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from .covers import Cover, CoverChart, CoverElem, TorsionBundle
 from .errors import GluingFailure, RingMismatch
-from .exprparse import _power, _term
+from .exprparse import _term
 from .pidmod import DirectSum, FpmModule, PolyMatrix
 from .polys import Poly
 from .rings import RingElem
@@ -177,27 +178,22 @@ def two_form_parts(c: CoverElem) -> dict[int, tuple]:
     return {w: (terms[(w - 1) % n],) for w in sorted((j + 1) % n for j in terms)}
 
 
-def _v_power_names(n: int, suffix: str) -> list[str]:
-    """The names of v^j * suffix for j = 0, ..., n-1."""
-    return [_term(_power("v", j) or "1", suffix) for j in range(n)]
+def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
+    """The DirectSum of the n weight blocks of a cover chart's forms: the
+    block of weight 0, and one block that weights 1..n-1 all map to.
 
-
-def _weight_blocks(chart: CoverChart, relations, names) -> DirectSum:
-    """The DirectSum of the n weight blocks of a cover chart's forms.
-
-    Block w is presented on the generators names(w) by the matrix with rows
-    relations(x): x = n u at weights 1..n-1, which share that one matrix, and
-    x = n in place of n u at weight 0.  Each distinct block matrix is built,
-    and reduced, once.
+    A block is presented by the matrix with rows relations(x): x = n u in the
+    shared block, x = n in the weight-0 one.  When p | n that is one matrix,
+    reduced once.
     """
     ring = chart.ring
     n_scalar = ring.from_int(chart.n)
     nu = n_scalar * chart.u
     rel = PolyMatrix(ring, relations(nu))
     rel0 = rel if n_scalar == nu else PolyMatrix(ring, relations(n_scalar))
-    return DirectSum({
-        w: FpmModule(ring, rel.nrows, rel if w else rel0, names(w), w) for w in range(chart.n)
-    })
+    shared = range(1, chart.n)
+    rest = FpmModule(ring, rel.nrows, rel, weight=shared) if shared else None
+    return DirectSum({0: FpmModule(ring, rel.nrows, rel0), **dict.fromkeys(shared, rest)})
 
 
 def one_forms_module(chart: CoverChart) -> DirectSum:
@@ -210,8 +206,7 @@ def one_forms_module(chart: CoverChart) -> DirectSum:
     in place of n u at w = 0, where v^{-1} dv is v^{n-1} dv.
     """
     minus_du = -chart.ring.derive(chart.u)
-    dt, dv = _v_power_names(chart.n, "dt"), _v_power_names(chart.n, "dv")
-    return _weight_blocks(chart, lambda x: [[minus_du], [x]], lambda w: [dt[w], dv[w - 1]])
+    return _weight_blocks(chart, lambda x: [[minus_du], [x]])
 
 
 def two_forms_module(chart: CoverChart) -> DirectSum:
@@ -224,8 +219,7 @@ def two_forms_module(chart: CoverChart) -> DirectSum:
     n u at w = 0.
     """
     du = chart.ring.derive(chart.u)
-    names = _v_power_names(chart.n, "dt^dv")
-    return _weight_blocks(chart, lambda x: [[du, x]], lambda w: [names[w - 1]])
+    return _weight_blocks(chart, lambda x: [[du, x]])
 
 
 def d_function(f: CoverElem) -> CoverOneForm:

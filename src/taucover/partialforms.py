@@ -27,9 +27,9 @@ from typing import Sequence
 
 from .covers import Cover, TorsionBundle
 from .errors import StabilityFailure
+from .exprparse import _power, _term
 from .forms import (
     CoverOneForm,
-    _v_power_names,
     d_function,
     d_one_form,
     dv_over_v,
@@ -190,18 +190,15 @@ class PartialFormsChart:
         chart = self.chart
         zero, n = chart.zero, chart.n
         dv_multiples = (
-            (name, CoverOneForm(chart, zero, chart.gen_power(j)))
-            for j, name in enumerate(_v_power_names(n, "dv"))
+            ("dv", j, CoverOneForm(chart, zero, chart.gen_power(j))) for j in range(n)
         )
         dt_multiples = (  # past dt itself
-            (name, CoverOneForm(chart, chart.gen_power(j), zero))
-            for j, name in enumerate(_v_power_names(n, "dt"))
-            if j
+            ("dt", j, CoverOneForm(chart, chart.gen_power(j), zero)) for j in range(1, n)
         )
         witness = next(
             (
-                name
-                for name, form in itertools.chain(dv_multiples, dt_multiples)
+                _term(_power("v", j) or "1", suffix)
+                for suffix, j, form in itertools.chain(dv_multiples, dt_multiples)
                 if not self.omega1_ambient.is_zero(form.parts())
                 and self.coords1(form) is None
             ),

@@ -14,13 +14,14 @@ core.  That gives the classical algorithms:
     of FpmModule share one read-off of U*b against the diagonal of D.
   * FpmModule: generators + relation columns, in one weight.  Rank, the
     torsion chain and the zero test are read off one SNF, computed once.
-  * DirectSum: one-weight FpmModules keyed by weight.  An element is given
-    by its parts, one vector per weight, and each part is tested in its own
-    block, as are two elements compared part by part; the torsion chains of
-    the blocks merge by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one
-    relation matrix share its SNF, which the matrix keeps.  Its submodules
-    are spans inside the weight-0 block, with the grading certificate that
-    every generator is zero outside weight 0.
+  * DirectSum: FpmModules keyed by weight, several weights to one module
+    where their blocks agree.  An element is given by its parts, one vector
+    per weight, and each part is tested in its weight's block, as are two
+    elements compared part by part; the torsion chains of the blocks merge
+    by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one relation matrix
+    share its SNF, which the matrix keeps.  Its submodules are spans inside
+    the weight-0 block, with the grading certificate that every generator is
+    zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.  With no generators the stack is the ambient relation
@@ -34,7 +35,7 @@ core.  That gives the classical algorithms:
 
 On a cover chart B = A[v]/(v^n - u) the grading is by Z/n, wt v = 1 and
 wt A = 0 (the mu_n eigensheaf splitting of the cyclic cover), so the chart
-modules of ``forms`` are DirectSums of n blocks of at most two generators.
+modules of ``forms`` are DirectSums of n blocks held in two FpmModules.
 Only those ambient modules are graded: the partial forms dt, dv/v and
 dv/v^dt have weight 0, so every submodule, presentation and map lives in
 weight 0.
@@ -422,14 +423,16 @@ def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
-def _block_snf(block: PolyMatrix, w: int) -> SNFResult:
-    """SNF of the block of weight w, reduced once per matrix; a failed
-    certificate names the block that asked."""
+def _block_snf(block: PolyMatrix, weight: int | range) -> SNFResult:
+    """SNF of the block of this weight, or these weights, reduced once per
+    matrix; a failed certificate names the block that asked."""
     if block._snf is None:
         try:
             block._snf = smith_normal_form(block)
         except CertificateFailure as exc:
-            raise CertificateFailure(f"{exc}, in the block of weight {w}") from None
+            ws = weight if isinstance(weight, range) else range(weight, weight + 1)
+            where = f"weights {ws[0]}..{ws[-1]}" if len(ws) > 1 else f"weight {ws[0]}"
+            raise CertificateFailure(f"{exc}, in the block of {where}") from None
     return block._snf
 
 
@@ -483,9 +486,9 @@ class FpmModule:
     """A^n_gens modulo the column span of a relation matrix.
 
     The module lives in one weight, 0 unless a DirectSum builds it as its
-    block of another weight; a failed SNF certificate names that weight.
-    Rank, torsion and the zero test are read off one SNF, computed once per
-    relation matrix.
+    block of another weight, or as the one block of a range of weights; a
+    failed SNF certificate names that weight or range.  Rank, torsion and the
+    zero test are read off one SNF, computed once per relation matrix.
     """
 
     def __init__(
@@ -494,7 +497,7 @@ class FpmModule:
         n_gens: int,
         relations: PolyMatrix | None = None,
         gen_names: Sequence[str] | None = None,
-        weight: int = 0,
+        weight: int | range = 0,
     ):
         self.ring = ring
         self.n_gens = n_gens
@@ -563,7 +566,8 @@ class FpmModule:
 
 
 class DirectSum:
-    """A module kept as the direct sum of one-weight FpmModules, keyed by weight.
+    """A module kept as the direct sum of FpmModules keyed by weight; a module
+    that several weights map to counts once per weight.
 
     An element is given by its parts, a dict from weight to a vector of that
     block; a missing weight is a zero part.  Each question is asked of the

@@ -341,8 +341,13 @@ class Poly:
     def multiplicity(self, pi: "Poly") -> tuple[int, "Poly"]:
         """Largest k with pi^k dividing self, and the cofactor self / pi^k.
 
-        A cofactor of lower degree than pi ends the search without a division,
-        and at pi = t the multiplicity is the number of low zero coefficients.
+        k is read in base p by dividing by pi^(p^j) = sum c_i^(p^j) t^(i p^j),
+        which is as sparse as pi.  Going up, pi, pi^p, pi^(p^2), ... divide
+        once each while they do; coming down, each digit takes at most p - 1
+        divisions that succeed and one that fails.  A power is built only
+        when its degree fits the cofactor, so when deg self < p deg pi only
+        pi divides, as often as it goes.  At pi = t the multiplicity is the
+        number of low zero coefficients.
         """
         if self.is_zero():
             raise ValueError("multiplicity in the zero polynomial")
@@ -352,15 +357,38 @@ class Poly:
             while not cs[k]:
                 k += 1
             return k, (_trimmed(self.field, cs[k:]) if k else self)
-        k = 0
-        cur = self
-        while len(cur.coeffs) >= len(pi.coeffs):
-            q, r = cur.divmod(pi)
+        p, d = self.field.p, pi.deg
+        k, cur, step, built = 0, self, 1, []
+        # Up: divide by pi^step for step = 1, p, p^2, ..., each power built
+        # once it fits, while it divides; what is left is below pi^step.
+        while cur.deg >= step * d:
+            power = pi._frobenius_power(step) if built else pi
+            q, r = cur.divmod(power)
             if not r.is_zero():
                 break
-            k += 1
-            cur = q
+            built.append((step, power))
+            k, cur, step = k + step, q, step * p
+        # Down: each base-p digit below step is at most p - 1.
+        for step, power in reversed(built):
+            for _ in range(p - 1):
+                if cur.deg < step * d:
+                    break
+                q, r = cur.divmod(power)
+                if not r.is_zero():
+                    break
+                k, cur = k + step, q
         return k, cur
+
+    def _frobenius_power(self, step: int) -> "Poly":
+        """self^step for step a power of p: each code raised to step, and the
+        exponents multiplied by step."""
+        field = self.field
+        exp, log, order = field.exp, field.log, field.q - 1
+        codes = [0] * (step * self.deg + 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                codes[i * step] = exp[log[c] * step % order]
+        return Poly(field, codes)
 
     def is_irreducible(self) -> bool:
         """Rabin's test (SIAM J. Comput. 9, 1980).

@@ -688,6 +688,34 @@ def test_a_power_of_an_inverted_prime_parses_with_at_most_one_division(
     assert len(calls) <= 1
 
 
+def test_a_sparse_multiple_of_a_high_power_parses_with_few_divisions(monkeypatch):
+    # t^1024 + 1 = (t + 1)^1024: its multiplicity is read in base 2
+    ring = ChartRing(FqField(2), ["t + 1"])
+    calls = count_calls(monkeypatch, Poly, "divmod")
+    x = ring.parse("t^1024 + 1")
+    assert (x.const, x.core.is_one(), x.exps) == (1, True, (1024,))
+    assert len(calls) <= 30
+
+
+def test_a_bundle_repeating_a_high_power_validates_with_few_divisions(
+    capsys, tmp_path, monkeypatch
+):
+    # every chart inverts t + 1 and every transition is t^1024 + 1 = (t + 1)^1024
+    m = 4
+    bundle = {
+        "field": {"p": 2},
+        "n": 2,
+        "charts": [{"inverted": ["t + 1"]}] * m,
+        "u": ["t + 1"] * m,
+        "g": {f"({i},{j})": "t^1024 + 1" for i in range(m) for j in range(i + 1, m)},
+    }
+    path = write_bundle(tmp_path, bundle)
+    calls = count_calls(monkeypatch, Poly, "divmod")
+    code, out = run_cli(capsys, "validate", "--json", path)
+    assert (code, out["valid"]) == (1, False)  # g^2 = (t + 1)^2048, not u_j/u_i = 1
+    assert len(calls) <= 30 * len(bundle["g"])
+
+
 @pytest.mark.parametrize("name, exit_code", [("TWOCHART", 0), ("sparse", 1)])
 def test_cover_takes_the_log_derivative_of_each_unit_once(
     capsys, tmp_path, monkeypatch, name, exit_code
@@ -885,6 +913,41 @@ def test_out_option_into_an_unwritable_path_exits_two(capsys, tmp_path):
     assert code == 2
     assert out["kind"] == "malformed-input"
     assert not target.exists()
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_with_its_own_code_and_no_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["validate", "--fixture", "GM_P2"]) == cli.EXIT_CLOSED_STDOUT
+    assert cli.EXIT_CLOSED_STDOUT not in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_pipe_closed_before_reading_exits_with_its_own_code_and_no_traceback():
+    child = subprocess.Popen(
+        [sys.executable, "-m", "taucover.cli", "report", "--all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert code == cli.EXIT_CLOSED_STDOUT
+    assert b"Traceback" not in err, err.decode()
 
 
 _JSON_VALUES = st.recursive(

@@ -9,7 +9,7 @@ from oracle import cover_elem, dense_coeffs, graded_cut
 
 from taucover import pidmod
 from taucover.covers import Cover, CoverChart, ChartedScheme, TorsionBundle
-from taucover.errors import GluingFailure, RingMismatch
+from taucover.errors import CertificateFailure, GluingFailure, RingMismatch
 from taucover.fields import FqField
 from taucover.forms import (
     CoverOneForm,
@@ -242,13 +242,32 @@ def test_one_forms_module_gm_p2():
     chart = cover.charts[0]
     mod = one_forms_module(chart)
     assert mod.n_gens == 4
-    assert [b.gen_names for b in mod.blocks.values()] == [("dt", "v*dv"), ("v*dt", "dv")]
+    assert len({id(mod.blocks[w]) for w in range(1, chart.n)}) == 1
     assert mod.rank == 2
     assert mod.torsion == []
     # both dt generators die; the dv block is free
     assert mod.is_zero(one_form(chart, [1, 0, 0, 0]).parts())
     assert mod.is_zero(one_form(chart, [0, 1, 0, 0]).parts())
     assert not mod.is_zero(one_form(chart, [0, 0, 1, 0]).parts())
+
+
+@pytest.mark.parametrize("name, weights", [("MIXED", "weights 1..5"), ("GM_P2", "weight 1")])
+def test_a_failed_certificate_of_the_shared_block_names_its_weights(name, weights, monkeypatch):
+    class Corrupted(pidmod.SNFResult):
+        __slots__ = ()
+
+        def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
+            wrong = PolyMatrix.zeros(matrix.ring, U_inv.nrows, U_inv.ncols)
+            super().__init__(matrix, U, wrong, D, V, V_inv, diag)
+
+    chart = Cover(FIXTURES[name]()).charts[0]
+    module = one_forms_module(chart)
+    assert len({id(module.blocks[w]) for w in range(1, chart.n)}) == 1
+    monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
+    one = chart.ring.one
+    with pytest.raises(CertificateFailure) as info:
+        module.is_zero({chart.n // 2: (one, one)})
+    assert str(info.value).endswith(f", in the block of {weights}")
 
 
 def test_one_forms_module_zerotorsion():

@@ -1,6 +1,7 @@
 """Polynomial kernel: division, multiplicity, printing and irreducibility."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,30 @@ def test_multiplicity_below_the_degree_of_pi_divides_nothing(monkeypatch):
     # one division finds pi; the cofactor t + 1 is then too small to test
     assert (f * pi).multiplicity(pi) == (1, f)
     assert calls == [1]
+
+
+def divide_once_per_unit(f, pi):
+    """The reference multiplicity: pi divided out one copy at a time."""
+    k = 0
+    while f.deg >= pi.deg:
+        q, r = f.divmod(pi)
+        if not r.is_zero():
+            break
+        k, f = k + 1, q
+    return k, f
+
+
+def test_multiplicity_in_base_p_agrees_with_dividing_once_per_unit():
+    rng = random.Random(31)
+    for field in (FqField(2), FqField(3), FqField(2, 2), FqField(5), FqField(3, 2)):
+        p, q = field.p, field.q
+        for _ in range(300):
+            # pi monic of degree 1 to 3, g nonzero of degree at most 5
+            pi = Poly(field, [*(rng.randrange(q) for _ in range(rng.randrange(1, 4))), 1])
+            lower = [rng.randrange(q) for _ in range(rng.randrange(6))]
+            g = Poly(field, [*lower, rng.randrange(1, q)])
+            f = pi ** rng.randrange(2 * p * p + p) * g
+            assert f.multiplicity(pi) == divide_once_per_unit(f, pi)
 
 
 @pytest.mark.parametrize(

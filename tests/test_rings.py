@@ -516,7 +516,7 @@ def test_a_constant_group_stays_a_polynomial(monkeypatch):
     "text, message",
     [
         ("t$", "bad character '$' in 't$'"),
-        ("t  $", "bad character ' ' in 't  $'"),
+        ("t  $", "bad character '$' in 't  $'"),
         (" \t ", "empty expression"),
         ("t + ", "cannot parse 't + '"),
         ("(t + 1", "expected ')' in '(t + 1'"),

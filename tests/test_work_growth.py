@@ -6,7 +6,12 @@ powers and inverses), SNF cells, rows * cols of each matrix handed to
 pidmod.smith_normal_form, and Rabin tests, calls of Poly.is_irreducible.
 The guards' construction is counted too: calls of ChartRing.make and
 ChartRing.derive.  Linear growth multiplies each count by 4; a ratio above 5
-fails.
+fails.  FpmModule constructions do not grow at all: a chart's form modules
+hold the block of weight 0 and one block that weights 1..n-1 share.
+
+In the guard samples: ``report`` on one chart at 50 and at 200 samples may
+make, derive and do ring arithmetic at most 5 times as much, a linear growth
+of 4.
 
 In the chart count: the bundle is over F_37 with n = 37, and chart i inverts t
 and t - i, at 8 and at 16 charts.  Rabin tests may grow at most like the
@@ -96,11 +101,12 @@ def many_charts(m: int) -> dict:
 
 def work(monkeypatch, capsys, directory, argv) -> dict:
     """Arithmetic calls, SNF cells, Rabin tests, ChartRing builds,
-    restrictions, and the guards' element constructions (``make``) and
-    derivatives (``derive``) of one CLI run in ``directory``."""
+    restrictions, the guards' element constructions (``make``) and
+    derivatives (``derive``), and FpmModule constructions of one CLI run in
+    ``directory``."""
     counts = {
         "ring_ops": 0, "snf_cells": 0, "rabin_tests": 0, "ring_builds": 0, "restricts": 0,
-        "makes": 0, "derives": 0,
+        "makes": 0, "derives": 0, "fpm_modules": 0,
     }
 
     def counted(method, metric="ring_ops"):
@@ -127,6 +133,7 @@ def work(monkeypatch, capsys, directory, argv) -> dict:
         m.setattr(ChartRing, "restrict", counted(ChartRing.restrict, "restricts"))
         m.setattr(ChartRing, "make", counted(ChartRing.make, "makes"))
         m.setattr(ChartRing, "derive", counted(ChartRing.derive, "derives"))
+        m.setattr(pidmod.FpmModule, "__init__", counted(pidmod.FpmModule.__init__, "fpm_modules"))
         code = main(argv)
     json.loads(capsys.readouterr().out)  # exactly one document
     assert code in (0, 1), argv
@@ -142,6 +149,28 @@ def test_work_grows_at_most_linearly_in_n(command, tmp_path, monkeypatch, capsys
     for metric, small in measured[SMALL].items():
         large = measured[LARGE][metric]
         assert large <= MAX_RATIO * small, (command, metric, small, large)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_fpm_module_constructions_do_not_grow_with_n(command, tmp_path, monkeypatch, capsys):
+    built = {}
+    for n in (SMALL, LARGE):
+        write_catalog(tmp_path / f"n{n}", one_chart(n), f"one chart over F_2, u = t, n = {n}")
+        built[n] = work(monkeypatch, capsys, tmp_path / f"n{n}", COMMANDS[command])["fpm_modules"]
+    assert built[SMALL] == built[LARGE], (command, built)
+
+
+def test_report_work_grows_at_most_linearly_in_the_samples(tmp_path, monkeypatch, capsys):
+    write_catalog(tmp_path / "one", one_chart(6), "one chart over F_2, u = t, n = 6")
+    measured = {
+        samples: work(
+            monkeypatch, capsys, tmp_path / "one", [*COMMANDS["report"], "--samples", str(samples)]
+        )
+        for samples in (50, 200)
+    }
+    for metric in ("makes", "derives", "ring_ops"):
+        few, more = measured[50][metric], measured[200][metric]
+        assert more <= MAX_RATIO * few, (metric, few, more)
 
 
 def chart_count_work(command, tmp_path, monkeypatch, capsys) -> dict:
