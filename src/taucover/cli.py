@@ -327,11 +327,10 @@ def _key_text(key) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors exit 2 with a JSON diagnostic, like other bad input."""
+    """Argument errors are malformed input, reported by ``main`` like other bad input."""
 
     def error(self, message):
-        print(json.dumps({"error": message, "kind": "malformed-input"}, sort_keys=True))
-        raise SystemExit(2)
+        raise MalformedInput(message)
 
 
 def _add_bundle_options(parser: argparse.ArgumentParser) -> None:
@@ -491,8 +490,9 @@ def _dispatch(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         payload, code = _dispatch(args)
     except _MALFORMED as exc:
         payload, code = {"error": str(exc), "kind": "malformed-input"}, 2
@@ -506,8 +506,7 @@ def main(argv=None) -> int:
             Path(out_path).write_text(text + "\n")
         except OSError as exc:
             error = {"error": f"cannot write {out_path}: {exc}", "kind": "malformed-input"}
-            print(json_text(error))
-            return 2
+            text, code = json_text(error), 2
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -21,15 +21,15 @@ a plain CoverElem, and ``two_form_parts`` gives its blocks.
 B is graded by Z/n with wt v = 1 and wt A = 0, so wt dt = 0 and wt dv = 1;
 this is the eigensheaf splitting pi_* O_Y = sum L^(-i) of the cyclic cover,
 and it holds when p | n too.  d is homogeneous of weight 0, and each relation
-column is homogeneous, so the presented modules are pidmod.DirectSums of n
-blocks of at most two generators.  Blocks 1..n-1 have one presentation, so
-they are one FpmModule, and weight 0 is the other.  This module is the only
-place that knows the layout: block w holds v^w dt and v^(w-1) dv
-of the one-forms and v^(w-1) dt^dv of the two-forms (v^(-1) = v^(n-1) at
-w = 0).  A one-form's ``parts()`` and ``two_form_parts`` of a two-form are
-the nonzero coefficient vectors on those blocks, read off the coefficients'
-``terms``: a term a v^j has weight j in the dt coefficient and weight
-j + 1 (mod n) in the dv and dt^dv ones.
+column is homogeneous, so the presented modules split into n blocks of at
+most two generators.  Blocks 1..n-1 have one presentation, so each module is
+a pidmod.DirectSum of the weight-0 block, the block that weights 1..n-1
+share, and n.  This module alone builds one and knows the layout: block w
+holds v^w dt and v^(w-1) dv of the one-forms and v^(w-1) dt^dv of the
+two-forms (v^(-1) = v^(n-1) at w = 0).  A one-form's ``parts()`` and
+``two_form_parts`` of a two-form are the nonzero coefficient vectors on
+those blocks, read off the coefficients' ``terms``: a term a v^j has weight
+j in the dt coefficient and weight j + 1 (mod n) in the dv and dt^dv ones.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ def two_form_parts(c: CoverElem) -> dict[int, tuple]:
 
 
 def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
-    """The DirectSum of the n weight blocks of a cover chart's forms: the
-    block of weight 0, and one block that weights 1..n-1 all map to.
+    """The DirectSum of a cover chart's forms: the weight-0 block, the block
+    that weights 1..n-1 share (at n = 1, the weight-0 one again), and n.
 
     A block is presented by the matrix with rows relations(x): x = n u in the
     shared block, x = n in the weight-0 one.  When p | n that is one matrix,
@@ -191,9 +191,9 @@ def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
     nu = n_scalar * chart.u
     rel = PolyMatrix(ring, relations(nu))
     rel0 = rel if n_scalar == nu else PolyMatrix(ring, relations(n_scalar))
-    shared = range(1, chart.n)
-    rest = FpmModule(ring, rel.nrows, rel, weight=shared) if shared else None
-    return DirectSum({0: FpmModule(ring, rel.nrows, rel0), **dict.fromkeys(shared, rest)})
+    zero = FpmModule(ring, rel.nrows, rel0)
+    rest = FpmModule(ring, rel.nrows, rel, weights=range(1, chart.n)) if chart.n > 1 else zero
+    return DirectSum(zero, rest, chart.n)
 
 
 def one_forms_module(chart: CoverChart) -> DirectSum:

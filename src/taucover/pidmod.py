@@ -12,16 +12,16 @@ core.  That gives the classical algorithms:
     shape and the ring.
   * solve / syzygy_matrix: linear algebra over A.  solve and the zero test
     of FpmModule share one read-off of U*b against the diagonal of D.
-  * FpmModule: generators + relation columns, in one weight.  Rank, the
+  * FpmModule: generators + relation columns, in its weights.  Rank, the
     torsion chain and the zero test are read off one SNF, computed once.
-  * DirectSum: FpmModules keyed by weight, several weights to one module
-    where their blocks agree.  An element is given by its parts, one vector
-    per weight, and each part is tested in its weight's block, as are two
-    elements compared part by part; the torsion chains of the blocks merge
-    by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one relation matrix
-    share its SNF, which the matrix keeps.  Its submodules are spans inside
-    the weight-0 block, with the grading certificate that every generator is
-    zero outside weight 0.
+  * DirectSum: a Z/n-graded module held as the block of weight 0, the one
+    block that weights 1..n-1 share, and n.  An element is given by its
+    parts, one vector per weight, and each part is tested in its weight's
+    block, as are two elements compared part by part; the torsion chains of
+    the blocks merge by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one
+    relation matrix share its SNF, which the matrix keeps.  Its submodules
+    are spans inside the weight-0 block, with the grading certificate that
+    every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.  With no generators the stack is the ambient relation
@@ -35,7 +35,7 @@ core.  That gives the classical algorithms:
 
 On a cover chart B = A[v]/(v^n - u) the grading is by Z/n, wt v = 1 and
 wt A = 0 (the mu_n eigensheaf splitting of the cyclic cover), so the chart
-modules of ``forms`` are DirectSums of n blocks held in two FpmModules.
+modules of ``forms`` are DirectSums, whatever n, of two FpmModules.
 Only those ambient modules are graded: the partial forms dt, dv/v and
 dv/v^dt have weight 0, so every submodule, presentation and map lives in
 weight 0.
@@ -423,15 +423,15 @@ def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
-def _block_snf(block: PolyMatrix, weight: int | range) -> SNFResult:
-    """SNF of the block of this weight, or these weights, reduced once per
-    matrix; a failed certificate names the block that asked."""
+def _block_snf(block: PolyMatrix, weights: range) -> SNFResult:
+    """SNF of the block of these weights, reduced once per matrix; a failed
+    certificate names the block that asked."""
     if block._snf is None:
         try:
             block._snf = smith_normal_form(block)
         except CertificateFailure as exc:
-            ws = weight if isinstance(weight, range) else range(weight, weight + 1)
-            where = f"weights {ws[0]}..{ws[-1]}" if len(ws) > 1 else f"weight {ws[0]}"
+            first, last = weights[0], weights[-1]
+            where = f"weights {first}..{last}" if last > first else f"weight {first}"
             raise CertificateFailure(f"{exc}, in the block of {where}") from None
     return block._snf
 
@@ -485,10 +485,10 @@ def _divisibility_chain(cores: Iterable[Poly]) -> list[Poly]:
 class FpmModule:
     """A^n_gens modulo the column span of a relation matrix.
 
-    The module lives in one weight, 0 unless a DirectSum builds it as its
-    block of another weight, or as the one block of a range of weights; a
-    failed SNF certificate names that weight or range.  Rank, torsion and the
-    zero test are read off one SNF, computed once per relation matrix.
+    The module lives in a range of weights, weight 0 alone unless it is the
+    block that weights 1..n-1 of a DirectSum share; a failed SNF certificate
+    names them.  Rank, torsion and the zero test are read off one SNF,
+    computed once per relation matrix.
     """
 
     def __init__(
@@ -497,7 +497,7 @@ class FpmModule:
         n_gens: int,
         relations: PolyMatrix | None = None,
         gen_names: Sequence[str] | None = None,
-        weight: int | range = 0,
+        weights: range = range(1),
     ):
         self.ring = ring
         self.n_gens = n_gens
@@ -506,7 +506,7 @@ class FpmModule:
         if relations.nrows != n_gens:
             raise ValueError("relation matrix must have one row per generator")
         self.relations = relations
-        self.weight = weight
+        self.weights = weights
         self.gen_names = tuple(gen_names) if gen_names else tuple(
             f"e{i}" for i in range(n_gens)
         )
@@ -522,7 +522,7 @@ class FpmModule:
     @property
     def snf(self) -> SNFResult:
         """SNF of the relation matrix, which the matrix keeps."""
-        return _block_snf(self.relations, self.weight)
+        return _block_snf(self.relations, self.weights)
 
     @property
     def rank(self) -> int:
@@ -566,53 +566,53 @@ class FpmModule:
 
 
 class DirectSum:
-    """A module kept as the direct sum of FpmModules keyed by weight; a module
-    that several weights map to counts once per weight.
+    """A graded module kept as its block of weight 0, the one block that
+    weights 1..n-1 share, and n; the shared block counts n - 1 times.
 
     An element is given by its parts, a dict from weight to a vector of that
-    block; a missing weight is a zero part.  Each question is asked of the
-    blocks one at a time, in the order of the parts, and a zero part takes
-    no SNF.  Submodules live in the weight-0 block.
+    weight's block; a missing weight is a zero part.  Each question is asked
+    of the blocks one at a time, in the order of the parts, and a zero part
+    takes no SNF.  Submodules live in the weight-0 block.
     """
 
-    def __init__(self, blocks: dict[int, FpmModule]):
-        self.blocks = blocks
+    def __init__(self, zero: FpmModule, rest: FpmModule, n: int):
+        self.zero, self.rest, self.n = zero, rest, n
+
+    def block(self, w: int) -> FpmModule:
+        return self.rest if w else self.zero
 
     @property
     def n_gens(self) -> int:
-        return sum(block.n_gens for block in self.blocks.values())
+        return self.zero.n_gens + (self.n - 1) * self.rest.n_gens
 
     @property
     def rank(self) -> int:
         """Rank of the torsion-free quotient."""
-        return sum(block.rank for block in self.blocks.values())
+        return self.zero.rank + (self.n - 1) * self.rest.rank
 
     @property
     def torsion(self) -> list[Poly]:
         """Nonunit torsion invariants: the block chains merged by
         diag(a, b) ~ diag(gcd, lcm)."""
-        return _divisibility_chain(
-            core for block in self.blocks.values() for core in block.torsion
-        )
+        return _divisibility_chain([*self.zero.torsion, *self.rest.torsion * (self.n - 1)])
 
     def is_zero(self, parts: dict[int, Sequence]) -> bool:
         """Every part is zero in its block."""
-        return all(self.blocks[w].is_zero_elem(part) for w, part in parts.items())
+        return all(self.block(w).is_zero_elem(part) for w, part in parts.items())
 
     def equal(self, parts: dict[int, Sequence], other: dict[int, Sequence]) -> bool:
         """The elements with these parts are equal: block by block, in the
         order of ``parts`` and then of the weights only ``other`` has, with
         no element of the whole sum formed."""
-        blocks = self.blocks
         for w, part in parts.items():
             twin = other.get(w)
             if twin is None:
-                if not blocks[w].is_zero_elem(part):
+                if not self.block(w).is_zero_elem(part):
                     return False
-            elif not blocks[w].elems_equal(part, twin):
+            elif not self.block(w).elems_equal(part, twin):
                 return False
         return all(
-            blocks[w].is_zero_elem(part) for w, part in other.items() if w not in parts
+            self.block(w).is_zero_elem(part) for w, part in other.items() if w not in parts
         )
 
     def span(
@@ -622,7 +622,7 @@ class DirectSum:
 
         The grading certificate is that every part outside weight 0 is zero.
         """
-        block = self.blocks[0]
+        block = self.zero
         zero = (block.ring.zero,) * block.n_gens
         for name, parts in zip(names, generators, strict=True):
             for w, part in parts.items():
@@ -677,7 +677,7 @@ class Submodule:
         ambient = self.ambient
         if not self.gens.ncols:
             return ambient.snf
-        return _block_snf(self.gens.hstack(ambient.relations), ambient.weight)
+        return _block_snf(self.gens.hstack(ambient.relations), ambient.weights)
 
     @cached_property
     def presentation(self) -> FpmModule:

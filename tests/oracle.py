@@ -6,7 +6,8 @@ arithmetic.  It deliberately shares nothing with the module engine, so the two
 rank computations are genuinely separate routes.  The same fraction arithmetic
 is the reference for chart-ring elements: a ring element is read into a
 fraction from its stored unit-core factors, and every other step is plain
-polynomial arithmetic.
+polynomial arithmetic.  As the ``Fraction`` type, with the grammar's
+operators, it reads any bundle text or printed element into F_q(t).
 
 The field references compute on power-basis coefficient vectors, not the
 field's tables, and the irreducibility reference is trial division.
@@ -20,17 +21,20 @@ lifts both summands to polynomials and divides every prime out with ``make``,
 and cover-element products and differences built term by term through the
 constructor that drops zero terms.
 
-The weight-block references move between a dense matrix and a DirectSum of
-its weight blocks by index bookkeeping alone.  The coset reference reduces a
-vector to a canonical representative of its class, through the module's SNF
-and the extended Euclidean algorithm; the module engine's zero test reads
-divisibility on the SNF diagonal instead.  The certificate reference decides
-U*M*V = D by both products and each inverse against an identity matrix.
+The weight-block references move between a dense matrix and a DirectSum by
+index bookkeeping alone: the dense matrix holds the weight-0 block once and
+the block that weights 1..n-1 share n - 1 times, down its diagonal.  The
+coset reference reduces a vector to a canonical representative of its class,
+through the module's SNF and the extended Euclidean algorithm; the module
+engine's zero test reads divisibility on the SNF diagonal instead.  The
+certificate reference decides U*M*V = D by both products and each inverse
+against an identity matrix.
 """
 
 import itertools
 
 from taucover.covers import CoverElem
+from taucover.exprparse import evaluate
 from taucover.pidmod import DirectSum, FpmModule, PolyMatrix
 from taucover.polys import Poly
 
@@ -91,6 +95,50 @@ def frac_derive(a: Frac) -> Frac:
     """The quotient rule."""
     num, den = a
     return reduce_frac((num.derivative() * den - num * den.derivative(), den * den))
+
+
+class Fraction:
+    """An element of F_q(t), a reduced fraction whose denominator is monic,
+    with the operators that ``exprparse.evaluate`` folds: any bundle text or
+    printed element reads into it with no chart ring."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, fr: Frac):
+        self.num, self.den = reduce_frac(fr)
+
+    @classmethod
+    def parse(cls, field, text: str) -> "Fraction":
+        one = Poly.one(field)
+        atoms = {"t": cls((Poly.x(field), one))}
+        if field.e > 1:
+            atoms["a"] = cls((Poly.const(field.gen), one))
+        return evaluate(text, lambda k: cls((Poly.const(field.elem(k)), one)), atoms)
+
+    def __add__(self, other):
+        return Fraction(frac_add((self.num, self.den), (other.num, other.den)))
+
+    def __sub__(self, other):
+        return Fraction(frac_sub((self.num, self.den), (other.num, other.den)))
+
+    def __mul__(self, other):
+        return Fraction(frac_mul((self.num, self.den), (other.num, other.den)))
+
+    def __truediv__(self, other):
+        assert not other.num.is_zero(), "division by zero"
+        return Fraction(frac_div((self.num, self.den), (other.num, other.den)))
+
+    def __neg__(self):
+        return Fraction((-self.num, self.den))
+
+    def __pow__(self, k: int):
+        return Fraction((self.num**k, self.den**k))
+
+    def __eq__(self, other):
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __repr__(self):
+        return f"({self.num})/({self.den})"
 
 
 def fraction_field_rank(rows: list[list[Frac]]) -> int:
@@ -248,43 +296,69 @@ def canonical_reduce(module: FpmModule, vec) -> tuple:
     return snf.U_inv.apply_vec(y)
 
 
-def graded_cut(M: PolyMatrix, row_weights, col_weights) -> DirectSum:
-    """M kept as the DirectSum of its weight blocks, weight 0 always among them;
-    asserts that no nonzero entry joins two weights."""
+def graded_cut(M: PolyMatrix, row_weights, col_weights, n: int) -> DirectSum:
+    """M kept as a DirectSum of its block of weight 0 and the one block that
+    weights 1..n-1 share; asserts that no nonzero entry joins two weights and
+    that the blocks of weights 1..n-1 are one matrix."""
     assert (M.nrows, M.ncols) == (len(row_weights), len(col_weights))
     for i, row in enumerate(M.rows):
         for j, x in enumerate(row):
             assert row_weights[i] == col_weights[j] or x.is_zero(), f"entry ({i}, {j})"
-    blocks = {}
-    for w in sorted({0, *row_weights, *col_weights}):
+
+    def block(w):
         rows = [i for i, rw in enumerate(row_weights) if rw == w]
         cols = [j for j, cw in enumerate(col_weights) if cw == w]
-        block = PolyMatrix(
+        return PolyMatrix(
             M.ring, [[M.rows[i][j] for j in cols] for i in rows], nrows=len(rows), ncols=len(cols)
         )
-        blocks[w] = FpmModule(M.ring, len(rows), block, weight=w)
-    return DirectSum(blocks)
+
+    blocks = [block(w) for w in range(n)]
+    assert all(b == blocks[-1] for b in blocks[1:]), "weights 1..n-1 differ"
+    zero = FpmModule(M.ring, blocks[0].nrows, blocks[0])
+    rest = FpmModule(M.ring, blocks[-1].nrows, blocks[-1], weights=range(1, n)) if n > 1 else zero
+    return DirectSum(zero, rest, n)
+
+
+def _block_diagonal(blocks) -> tuple[PolyMatrix, list[int], list[int]]:
+    """The block-diagonal matrix of these blocks, block w of weight w, with
+    the weight of each of its rows and of each of its columns."""
+    ring = blocks[0].ring
+    row_weights = [w for w, b in enumerate(blocks) for _ in range(b.nrows)]
+    col_weights = [w for w, b in enumerate(blocks) for _ in range(b.ncols)]
+    rows, col = [], 0
+    for block in blocks:
+        for brow in block.rows:
+            rows.append(
+                [ring.zero] * col + list(brow) + [ring.zero] * (len(col_weights) - col - len(brow))
+            )
+        col += block.ncols
+    return (
+        PolyMatrix(ring, rows, nrows=len(rows), ncols=len(col_weights)),
+        row_weights,
+        col_weights,
+    )
+
+
+def graded_sum(zero: PolyMatrix, rest: PolyMatrix, n: int) -> tuple[DirectSum, PolyMatrix, list]:
+    """The DirectSum of a weight-0 block and a block that weights 1..n-1
+    share, cut from its dense block-diagonal relation matrix, which holds rest
+    n - 1 times; with that matrix and the weight of each of its rows."""
+    M, row_weights, col_weights = _block_diagonal([zero, *[rest] * (n - 1)])
+    return graded_cut(M, row_weights, col_weights, n), M, row_weights
 
 
 def cut(vec, row_weights, module: DirectSum) -> dict:
-    """The parts of a vector whose entries carry row_weights, one per block."""
+    """The parts of a vector whose entries carry row_weights, one per weight."""
     return {
-        w: tuple(x for x, rw in zip(vec, row_weights) if rw == w) for w in module.blocks
+        w: tuple(x for x, rw in zip(vec, row_weights) if rw == w) for w in range(module.n)
     }
 
 
 def dense(module: DirectSum) -> tuple[PolyMatrix, list[int]]:
     """The block-diagonal relation matrix of a DirectSum, its blocks in weight
     order, with the weight of each of its rows."""
-    ring = next(iter(module.blocks.values())).ring
-    row_weights = [w for w, b in module.blocks.items() for _ in range(b.n_gens)]
-    rows, col = [], 0
-    ncols = sum(b.relations.ncols for b in module.blocks.values())
-    for block in module.blocks.values():
-        for brow in block.relations.rows:
-            rows.append([ring.zero] * col + list(brow) + [ring.zero] * (ncols - col - len(brow)))
-        col += block.relations.ncols
-    return PolyMatrix(ring, rows, nrows=len(rows), ncols=ncols), row_weights
+    M, row_weights, _ = _block_diagonal([module.block(w).relations for w in range(module.n)])
+    return M, row_weights
 
 
 # -- dense cover-element references

@@ -859,16 +859,12 @@ def test_bundles_above_a_cap_exit_two_before_any_chart_is_parsed(capsys, tmp_pat
 
 
 def test_bad_sequence_choice_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--fixture", "GM_P2", "--sequence", "9.9"])
-    assert info.value.code == 2
+    assert main(["verify", "--fixture", "GM_P2", "--sequence", "9.9"]) == 2
     assert json.loads(capsys.readouterr().out)["kind"] == "malformed-input"
 
 
 def test_missing_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    assert main([]) == 2
 
 
 def test_failed_snf_certificate_exits_one_with_one_json_document(capsys, monkeypatch):
@@ -948,6 +944,35 @@ def test_a_pipe_closed_before_reading_exits_with_its_own_code_and_no_traceback()
         child.stderr.close()
     assert code == cli.EXIT_CLOSED_STDOUT
     assert b"Traceback" not in err, err.decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fixture", "GM_P2", "--sequence", "9.9"],
+        ["validate", "--fixture", "GM_P2", "--out", "{missing}/report.json"],
+    ],
+    ids=["argument-error", "unwritable-out"],
+)
+def test_an_error_document_into_a_closed_pipe_exits_with_its_own_code_and_no_stderr(
+    argv, tmp_path
+):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "taucover.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert code == cli.EXIT_CLOSED_STDOUT
+    assert err == b"", err.decode()
 
 
 _JSON_VALUES = st.recursive(

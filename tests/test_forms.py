@@ -213,12 +213,13 @@ def test_form_modules_are_the_weight_blocks_of_the_dense_presentation(name):
         ):
             # each dense generator's parts lie in its weight alone
             assert [list(parts(form)) for form in basis] == [[w] for w in weights]
-            # the dense matrix is block diagonal for these weights (the cut
-            # asserts that no entry joins two weights), with the module's blocks
-            cut = graded_cut(dense, weights, col_weights)
-            assert {w: b.relations for w, b in cut.blocks.items()} == {
-                w: b.relations for w, b in module.blocks.items()
-            }
+            # the dense matrix is block diagonal for these weights, weights
+            # 1..n-1 with one block (the cut asserts both), and its two blocks
+            # are the module's
+            cut = graded_cut(dense, weights, col_weights, n)
+            assert (cut.zero.relations, cut.rest.relations) == (
+                module.zero.relations, module.rest.relations
+            )
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -231,9 +232,9 @@ def test_form_modules_reduce_each_distinct_block_matrix_once(name, monkeypatch):
             calls.clear()
             assert module.rank <= module.n_gens
             assert all(c.is_monic() for c in module.torsion)
-            for w, block in module.blocks.items():
-                module.is_zero({w: (chart.ring.one,) * block.n_gens})
-            distinct = {b.relations.rows for b in module.blocks.values()}
+            for w in range(chart.n):
+                module.is_zero({w: (chart.ring.one,) * module.block(w).n_gens})
+            distinct = {module.block(w).relations.rows for w in range(chart.n)}
             assert len(calls) == len(distinct) <= 2
 
 
@@ -242,7 +243,7 @@ def test_one_forms_module_gm_p2():
     chart = cover.charts[0]
     mod = one_forms_module(chart)
     assert mod.n_gens == 4
-    assert len({id(mod.blocks[w]) for w in range(1, chart.n)}) == 1
+    assert (mod.n, mod.rest.weights) == (chart.n, range(1, chart.n))
     assert mod.rank == 2
     assert mod.torsion == []
     # both dt generators die; the dv block is free
@@ -262,7 +263,7 @@ def test_a_failed_certificate_of_the_shared_block_names_its_weights(name, weight
 
     chart = Cover(FIXTURES[name]()).charts[0]
     module = one_forms_module(chart)
-    assert len({id(module.blocks[w]) for w in range(1, chart.n)}) == 1
+    assert module.rest.weights == range(1, chart.n)
     monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
     one = chart.ring.one
     with pytest.raises(CertificateFailure) as info:

@@ -21,6 +21,9 @@ operand of its own type.
 Printed text follows the rules ``exprparse`` owns: no other module tests
 whether a text is a sum (``" " in text`` or ``"+" in text``) to decide its
 parentheses.
+
+The weight layout of a cover chart's form modules lives in ``forms``: it is
+the only module that builds a ``pidmod.DirectSum``.
 """
 
 import ast
@@ -175,3 +178,15 @@ def test_only_the_grammar_decides_when_a_text_is_a_sum():
             ):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "a sum test outside exprparse:\n" + "\n".join(found)
+
+
+def test_only_forms_builds_a_direct_sum():
+    builders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "DirectSum":
+                    builders.add(path.name)
+    assert builders == {"forms.py"}, f"DirectSum built in {sorted(builders)}"

@@ -11,7 +11,7 @@ from oracle import (
     dense,
     frac_of_ring_elem,
     fraction_field_rank,
-    graded_cut,
+    graded_sum,
     literal_snf_certificate,
 )
 
@@ -608,29 +608,27 @@ def graded_matrix(ring, rng, row_weights, col_weights, max_deg=2):
     )
 
 
-def random_weights(rng, count, n_weights):
-    return [rng.randrange(n_weights) for _ in range(count)]
-
-
 @pytest.mark.parametrize("ring", [A2, A5], ids=["F2-loc-t", "F5-loc-t-t4"])
 def test_graded_module_agrees_with_its_ungraded_matrix(ring):
-    """Block-by-block rank, torsion chain, zero test and membership match one
-    SNF of the whole matrix; submodule generators lie in weight 0."""
+    """A two-block sum's rank, torsion chain, zero test and membership match
+    one SNF of its whole matrix, which holds the shared block n - 1 times;
+    submodule generators lie in weight 0."""
     rng = random.Random(61)
     torsion_seen = 0
     for trial in range(60):
-        m, k = rng.randrange(1, 7), rng.randrange(0, 7)
-        row_w = random_weights(rng, m, 3)
-        col_w = random_weights(rng, k, 3)
-        if trial % 2:  # diagonal: every entry a block of its own
-            k, row_w = m, list(range(m))
-            col_w = row_w
-        rel = graded_matrix(ring, rng, row_w, col_w)
-        graded = graded_cut(rel, row_w, col_w)
+        n = rng.randrange(1, 5)
+        m0, m1 = rng.randrange(1, 4), rng.randrange(0, 3)
+        if trial % 2:  # square blocks, each with torsion of its own
+            k0, k1 = m0, m1
+        else:
+            k0, k1 = rng.randrange(0, 4), rng.randrange(0, 3)
+        zero, rest = random_matrix(ring, rng, m0, k0), random_matrix(ring, rng, m1, k1)
+        graded, rel, row_w = graded_sum(zero, rest, n)
+        m, k = rel.nrows, rel.ncols
         whole = FpmModule(ring, m, rel)
         assert graded.rank == whole.rank
         assert [str(c) for c in graded.torsion] == [str(c) for c in whole.torsion]
-        torsion_seen += len(whole.torsion) > 1
+        torsion_seen += len(whole.torsion) > 1 and graded.zero.torsion != graded.rest.torsion
         g = rng.randrange(0, 3)
         gens = graded_matrix(ring, rng, row_w, [0] * g)
         sub_graded = graded.span(
@@ -649,25 +647,27 @@ def test_graded_module_agrees_with_its_ungraded_matrix(ring):
             parts = cut(vec, row_w, graded)
             assert graded.is_zero(parts) == whole.is_zero_elem(vec)
             assert (graded.coords(sub_graded, parts) is None) == (sub_whole.contains(vec) is None)
-    assert torsion_seen  # the gcd/lcm merge met chains longer than one
+    # the gcd/lcm merge met chains longer than one, from blocks that differ
+    assert torsion_seen
 
 
 def test_torsion_chain_merges_blocks_by_gcd_and_lcm():
     # (t+2)(t+3) = t^2 + 1 over F_5; t is a unit of A5
-    rel = mat(A5, [["(t+2)*(t+3)", "0", "0"], ["0", "t+2", "0"], ["0", "0", "t"]])
-    module = graded_cut(rel, [0, 1, 2], [0, 1, 2])
+    zero = mat(A5, [["(t+2)*(t+3)"]])
+    module, _, _ = graded_sum(zero, mat(A5, [["t+2", "0"], ["0", "t"]]), 2)
     assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
     # coprime blocks merge into one factor: diag(t+3, t+2) ~ diag(1, t^2 + 1)
-    rel = mat(A5, [["t+3", "0"], ["0", "t+2"]])
-    module = graded_cut(rel, [0, 1], [0, 1])
+    module, _, _ = graded_sum(mat(A5, [["t+3"]]), mat(A5, [["t+2"]]), 2)
     assert [str(c) for c in module.torsion] == ["t^2 + 1"]
+    # the shared block counts n - 1 = 2 times: diag(t+3, t+2, t+2)
+    module, _, _ = graded_sum(mat(A5, [["t+3"]]), mat(A5, [["t+2"]]), 3)
+    assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
 
 
 def test_entry_joining_two_weights_raises():
     # a generator has weight 0, so an entry on the weight-1 generator e1 joins
     # two weights; the grading certificate rejects it at construction
-    rel = mat(A5, [["(t+2)^2", "0"], ["0", "t+3"]])
-    amb = graded_cut(rel, [0, 1], [0, 1])
+    amb, _, _ = graded_sum(mat(A5, [["(t+2)^2"]]), mat(A5, [["t+3"]]), 2)
     with pytest.raises(
         CertificateFailure,
         match=r"grading certificate failed: generator g0 .* part in weight 1, not 0",
@@ -686,15 +686,14 @@ def test_entry_joining_two_weights_raises():
 
 
 def test_questions_about_one_weight_reduce_only_its_block(monkeypatch):
-    row_w, col_w = [0, 1, 2, 0], [0, 1, 2]
-    rel = mat(A5, [["t+2", "0", "0"], ["0", "t", "0"], ["0", "0", "t+1"], ["1", "0", "0"]])
-    amb = graded_cut(rel, row_w, col_w)
+    amb, _, row_w = graded_sum(mat(A5, [["t+2"], ["1"]]), mat(A5, [["t"]]), 3)
+    assert row_w == [0, 0, 1, 2]
     sub = amb.span([cut([A5.one, A5.zero, A5.zero, A5.zero], row_w, amb)], ["g0"])
     shapes = count_snfs(monkeypatch)
     assert sub.presentation.n_gens == 1
     vec = [A5.parse("t"), A5.zero, A5.zero, A5.zero]
     assert amb.coords(sub, cut(vec, row_w, amb)) is not None
-    assert amb.is_zero(cut([A5.zero, A5.one, A5.zero, A5.zero], row_w, amb))
+    assert amb.is_zero(cut([A5.zero, A5.zero, A5.one, A5.zero], row_w, amb))
     assert shapes == [(2, 2), (1, 1)]
 
 
@@ -738,14 +737,13 @@ def test_corrupted_snf_raises_a_certificate_failure_naming_the_block(monkeypatch
             super().__init__(matrix, U, wrong, D, V, V_inv, diag)
 
     monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
-    rel = mat(A5, [["t+2", "0"], ["0", "t"]])
-    module = graded_cut(rel, [0, 3], [0, 3])
+    module, _, row_w = graded_sum(mat(A5, [["t+2"]]), mat(A5, [["t"]]), 4)
     with pytest.raises(CertificateFailure) as info:
-        module.is_zero(cut([A5.zero, A5.one], [0, 3], module))
+        module.is_zero(cut([A5.zero, A5.zero, A5.zero, A5.one], row_w, module))
     message = str(info.value)
     assert "U*U^-1 = I" in message
     assert "1x1 matrix" in message
-    assert "block of weight 3" in message
+    assert "block of weights 1..3" in message
 
 
 def corrupt(part, matrix, U, U_inv, D, V, V_inv, diag):
@@ -790,14 +788,15 @@ def test_each_corrupted_snf_part_raises_its_certificate_message(part, certificat
             super().__init__(*corrupt(part, *parts))
 
     monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
-    # the block of weight 3 is diag(t + 1, (t + 1)^2)
-    rel = mat(A5, [["t+2", "0", "0"], ["0", "t+1", "0"], ["0", "0", "(t+1)^2"]])
-    module = graded_cut(rel, [0, 3, 3], [0, 3, 3])
+    # the block that weights 1..3 share is diag(t + 1, (t + 1)^2)
+    rest = mat(A5, [["t+1", "0"], ["0", "(t+1)^2"]])
+    module, _, row_w = graded_sum(mat(A5, [["t+2"]]), rest, 4)
+    vec = [A5.zero] * 5 + [A5.one, A5.zero]
     with pytest.raises(CertificateFailure) as info:
-        module.is_zero(cut([A5.zero, A5.one, A5.zero], [0, 3, 3], module))
+        module.is_zero(cut(vec, row_w, module))
     assert str(info.value) == (
         f"SNF certificate failed: {certificate}, on a 2x2 matrix over {A5}, "
-        "in the block of weight 3"
+        "in the block of weights 1..3"
     )
 
 
