@@ -1088,3 +1088,23 @@ def test_report_all_stdout_is_pinned(capsys, seed):
     assert main(["report", "--all", "--seed", seed]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_ALL_SHA256
+
+
+# One chart over F_2 at n = 1024 inverting t and t^2 + t + 1, u = t(t^2 + t + 1):
+# u' = t^2 + 1 = (t + 1)^2 is no unit, so every weight block of the one-forms
+# holds torsion, and `ambient_torsion` lists t^2 + 1 once per weight.
+WIDE_TORSION = {
+    "field": {"p": 2, "e": 1},
+    "n": 1024,
+    "charts": [{"inverted": ["t", "t^2 + t + 1"]}],
+    "u": ["t*(t^2 + t + 1)"],
+}
+# sha256 of `omega-l --degree 1` stdout on WIDE_TORSION
+WIDE_TORSION_OMEGA_L_SHA256 = "fc3412c2e941caad4be077513341ba7aafb59b5e07c5d9c3083dbf90e9cb2e39"
+
+
+def test_omega_l_at_a_large_order_is_pinned(capsys, tmp_path):
+    assert main(["omega-l", "--degree", "1", "--json", write_bundle(tmp_path, WIDE_TORSION)]) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["charts"][0]["ambient_torsion"] == ["t^2 + 1"] * 1024
+    assert hashlib.sha256(stdout.encode()).hexdigest() == WIDE_TORSION_OMEGA_L_SHA256
