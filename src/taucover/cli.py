@@ -250,8 +250,9 @@ def json_text(payload) -> str:
 
     With an indent the standard library encodes in pure Python, through a
     generator per container; this appends every piece to one list.  It
-    takes what that encoder takes and raises its TypeError on the rest; it
-    does not look for circular references, which no report holds.
+    takes what a report holds (dicts with str keys, lists, tuples, str, int,
+    bool and None) and raises TypeError on the rest; it does not look for
+    circular references, which no report holds.
     """
     out = []
     append = out.append
@@ -267,8 +268,6 @@ def json_text(payload) -> str:
             append("false")
         elif isinstance(value, int):
             append(int.__repr__(value))
-        elif isinstance(value, float):
-            append(_float_text(value))
         elif isinstance(value, (list, tuple)):
             if not value:
                 append("[]")
@@ -287,7 +286,7 @@ def json_text(payload) -> str:
             inner = newline + "  "
             sep = "{" + inner
             for key, item in sorted(value.items()):
-                append(sep + _quote(key if isinstance(key, str) else _key_text(key)) + ": ")
+                append(sep + _quote(key) + ": ")
                 write(item, inner)
                 sep = "," + inner
             append(newline + "}")
@@ -296,31 +295,6 @@ def json_text(payload) -> str:
 
     write(payload, "\n")
     return "".join(out)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A non-string key as the standard encoder writes it."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # -- argument handling

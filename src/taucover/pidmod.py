@@ -17,8 +17,9 @@ core.  That gives the classical algorithms:
   * DirectSum: a Z/n-graded module held as the block of weight 0, the one
     block that weights 1..n-1 share, and n.  An element is given by its
     parts, one vector per weight, and each part is tested in its weight's
-    block, as are two elements compared part by part; the torsion chains of
-    the blocks merge by diag(a, b) ~ diag(gcd, lcm).  Blocks that share one
+    block, as are two elements compared part by part.  Its torsion chain is
+    the shared block's, each factor n times, with the grading certificate
+    that the weight-0 block's chain is the same.  Blocks that share one
     relation matrix share its SNF, which the matrix keeps.  Its submodules
     are spans inside the weight-0 block, with the grading certificate that
     every generator is zero outside weight 0.
@@ -430,56 +431,13 @@ def _block_snf(block: PolyMatrix, weights: range) -> SNFResult:
         try:
             block._snf = smith_normal_form(block)
         except CertificateFailure as exc:
-            first, last = weights[0], weights[-1]
-            where = f"weights {first}..{last}" if last > first else f"weight {first}"
-            raise CertificateFailure(f"{exc}, in the block of {where}") from None
+            raise CertificateFailure(f"{exc}, in the block of {_weights_text(weights)}") from None
     return block._snf
 
 
-def _push(runs: list[tuple[Poly, int]], c: Poly, m: int) -> None:
-    """Append m copies of c to the chain runs; a unit is no torsion."""
-    if c.is_one():
-        return
-    if runs and runs[-1][0] == c:
-        runs[-1] = (c, runs[-1][1] + m)
-    else:
-        runs.append((c, m))
-
-
-def _divisibility_chain(cores: Iterable[Poly]) -> list[Poly]:
-    """Invariant factors of diag(cores), the cores monic.
-
-    Each core x is merged into the chain by diag(a, x) ~ diag(gcd, lcm) down
-    the chain, which leaves every entry dividing the next.  The chain is kept
-    as runs (factor, count): in a run of c the first copy takes gcd(c, x)
-    and the lcm carries on, so the many equal factors of a cover's weight
-    blocks cost one gcd per run.  Units, a coprime pair's gcd among them,
-    carry no torsion and are dropped.
-    """
-    runs: list[tuple[Poly, int]] = []
-    for x in cores:
-        if x.is_one():
-            continue
-        merged: list[tuple[Poly, int]] = []
-        for c, m in runs:
-            if x is None:
-                _push(merged, c, m)
-            elif c == x:
-                _push(merged, c, m + 1)
-                x = None
-            else:
-                g = c.gcd(x)
-                if g == c:
-                    _push(merged, c, m)
-                    continue
-                _push(merged, g, 1)
-                if m > 1:
-                    _push(merged, c, m - 1)
-                x = (c * x).exact_div(g)
-        if x is not None:
-            _push(merged, x, 1)
-        runs = merged
-    return [c for c, m in runs for _ in range(m)]
+def _weights_text(weights: range) -> str:
+    first, last = weights[0], weights[-1]
+    return f"weights {first}..{last}" if last > first else f"weight {first}"
 
 
 class FpmModule:
@@ -572,7 +530,8 @@ class DirectSum:
     An element is given by its parts, a dict from weight to a vector of that
     weight's block; a missing weight is a zero part.  Each question is asked
     of the blocks one at a time, in the order of the parts, and a zero part
-    takes no SNF.  Submodules live in the weight-0 block.
+    takes no SNF.  Submodules live in the weight-0 block.  The blocks may
+    differ, but ``torsion`` asks that they share one chain.
     """
 
     def __init__(self, zero: FpmModule, rest: FpmModule, n: int):
@@ -592,9 +551,18 @@ class DirectSum:
 
     @property
     def torsion(self) -> list[Poly]:
-        """Nonunit torsion invariants: the block chains merged by
-        diag(a, b) ~ diag(gcd, lcm)."""
-        return _divisibility_chain([*self.zero.torsion, *self.rest.torsion * (self.n - 1)])
+        """Nonunit torsion invariants: each factor of the shared block's
+        chain n times, once the weight-0 block's chain is certified to be the
+        same.  A form module's blocks always agree: when p | n they are one
+        matrix, and otherwise neither has torsion."""
+        chain = self.rest.torsion
+        if self.zero.torsion != chain:
+            raise CertificateFailure(
+                f"grading certificate failed: over {self.zero.ring} the block of "
+                f"weight 0 has torsion {[str(c) for c in self.zero.torsion]}, the "
+                f"block of {_weights_text(self.rest.weights)} {[str(c) for c in chain]}"
+            )
+        return [c for c in chain for _ in range(self.n)]
 
     def is_zero(self, parts: dict[int, Sequence]) -> bool:
         """Every part is zero in its block."""

@@ -981,8 +981,6 @@ _JSON_VALUES = st.recursive(
         st.booleans(),
         st.integers(),
         st.integers(min_value=-(10**40), max_value=10**40),
-        st.floats(),
-        st.sampled_from([float("inf"), float("-inf"), float("nan")]),
         st.text(),
         st.text(st.characters(exclude_categories=())),  # lone surrogates too
         st.text(st.characters(max_codepoint=0x1F)),
@@ -991,9 +989,6 @@ _JSON_VALUES = st.recursive(
         st.lists(children, max_size=4),
         st.tuples(children, children),
         st.dictionaries(st.text(), children, max_size=4),
-        # keys the standard encoder turns into strings, of types it can sort
-        st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=3),
-        st.dictionaries(st.none(), children, max_size=1),
     ),
     max_leaves=20,
 )
@@ -1012,7 +1007,6 @@ def test_the_json_writer_matches_the_standard_encoder(value):
         {"a": [1, {2, 3}]},
         [b"bytes"],
         {"z": 1j},
-        {(1, 2): "a tuple key"},
         {None: 0, True: 1},  # keys that do not sort
         {"a": 0, 1: 1},
     ],
@@ -1024,6 +1018,15 @@ def test_the_json_writer_raises_the_standard_type_error(value):
     with pytest.raises(TypeError) as raised:
         json_text(value)
     assert str(raised.value) == str(expected.value)
+
+
+# values the standard encoder writes but no report holds
+@pytest.mark.parametrize(
+    "value", [{(1, 2): "a tuple key"}, {1: "an int key"}, {"a": 0.5}], ids=repr
+)
+def test_the_json_writer_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_output_is_byte_stable_across_runs(capsys):

@@ -504,3 +504,41 @@ def test_parts_round_trip():
     zero = (chart.ring.zero,)
     coeffs = tuple(parts.get((j + 1) % chart.n, zero)[0] for j in range(chart.n))
     assert coeffs == dense_coeffs(two)
+
+
+# the fields of the grading-certificate sweep, prime and not
+SWEEP_FIELDS = [
+    FqField(p, e) for p, e in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 8))
+]
+
+
+def random_prime(field, rng, chosen) -> Poly:
+    """A monic irreducible of degree 1 or 2 that is not in chosen."""
+    while True:
+        degree = rng.randrange(1, 3)
+        pi = Poly(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
+        if pi not in chosen and pi.is_irreducible():
+            return pi
+
+
+def test_random_form_modules_pass_the_grading_certificate():
+    """A chart's two form blocks share one torsion chain, whatever the field,
+    n and unit, so ``torsion`` never refuses one; degenerate units (p-th
+    powers, du/u = 0) included."""
+    rng = random.Random(33)
+    with_torsion = 0
+    for _ in range(300):
+        field = rng.choice(SWEEP_FIELDS)
+        primes = [Poly.x(field)]
+        for _ in range(rng.randrange(3)):
+            primes.append(random_prime(field, rng, primes))
+        ring = ChartRing(field, primes)
+        u = ring.random_unit(rng)
+        if rng.random() < 0.3:
+            u = u**field.p
+        chart = CoverChart(ring, rng.choice([*range(1, 13), field.p**2]), u)
+        for module in (one_forms_module(chart), two_forms_module(chart)):
+            chain = module.torsion
+            assert len(chain) % chart.n == 0
+            with_torsion += bool(chain)
+    assert with_torsion

@@ -24,6 +24,9 @@ parentheses.
 
 The weight layout of a cover chart's form modules lives in ``forms``: it is
 the only module that builds a ``pidmod.DirectSum``.
+
+No module holds a float constant or names ``float``: every reported value is
+exact, and the JSON writer takes no float.
 """
 
 import ast
@@ -190,3 +193,14 @@ def test_only_forms_builds_a_direct_sum():
                 if name == "DirectSum":
                     builders.add(path.name)
     assert builders == {"forms.py"}, f"DirectSum built in {sorted(builders)}"
+
+
+def test_no_module_holds_a_float():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and type(node.value) is float) or (
+                isinstance(node, ast.Name) and node.id == "float"
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "a float in the package:\n" + "\n".join(found)

@@ -610,11 +610,12 @@ def graded_matrix(ring, rng, row_weights, col_weights, max_deg=2):
 
 @pytest.mark.parametrize("ring", [A2, A5], ids=["F2-loc-t", "F5-loc-t-t4"])
 def test_graded_module_agrees_with_its_ungraded_matrix(ring):
-    """A two-block sum's rank, torsion chain, zero test and membership match
-    one SNF of its whole matrix, which holds the shared block n - 1 times;
-    submodule generators lie in weight 0."""
+    """A two-block sum's rank, zero test and membership match one SNF of its
+    whole matrix, which holds the shared block n - 1 times, and so does its
+    torsion chain when the blocks' chains agree; when they differ, the chain
+    is refused.  Submodule generators lie in weight 0."""
     rng = random.Random(61)
-    torsion_seen = 0
+    compared = refused = 0
     for trial in range(60):
         n = rng.randrange(1, 5)
         m0, m1 = rng.randrange(1, 4), rng.randrange(0, 3)
@@ -623,12 +624,19 @@ def test_graded_module_agrees_with_its_ungraded_matrix(ring):
         else:
             k0, k1 = rng.randrange(0, 4), rng.randrange(0, 3)
         zero, rest = random_matrix(ring, rng, m0, k0), random_matrix(ring, rng, m1, k1)
+        if trial % 3 and m1:  # one matrix, as forms._weight_blocks builds when p | n
+            zero = rest
         graded, rel, row_w = graded_sum(zero, rest, n)
         m, k = rel.nrows, rel.ncols
         whole = FpmModule(ring, m, rel)
         assert graded.rank == whole.rank
-        assert [str(c) for c in graded.torsion] == [str(c) for c in whole.torsion]
-        torsion_seen += len(whole.torsion) > 1 and graded.zero.torsion != graded.rest.torsion
+        if graded.zero.torsion == graded.rest.torsion:
+            assert [str(c) for c in graded.torsion] == [str(c) for c in whole.torsion]
+            compared += len(whole.torsion) > 1
+        else:
+            with pytest.raises(CertificateFailure, match="grading certificate failed"):
+                graded.torsion
+            refused += 1
         g = rng.randrange(0, 3)
         gens = graded_matrix(ring, rng, row_w, [0] * g)
         sub_graded = graded.span(
@@ -647,21 +655,25 @@ def test_graded_module_agrees_with_its_ungraded_matrix(ring):
             parts = cut(vec, row_w, graded)
             assert graded.is_zero(parts) == whole.is_zero_elem(vec)
             assert (graded.coords(sub_graded, parts) is None) == (sub_whole.contains(vec) is None)
-    # the gcd/lcm merge met chains longer than one, from blocks that differ
-    assert torsion_seen
+    # both branches ran: a chain longer than one was compared, and one refused
+    assert compared and refused
 
 
-def test_torsion_chain_merges_blocks_by_gcd_and_lcm():
+def test_torsion_chain_repeats_the_shared_chain_n_times():
     # (t+2)(t+3) = t^2 + 1 over F_5; t is a unit of A5
-    zero = mat(A5, [["(t+2)*(t+3)"]])
-    module, _, _ = graded_sum(zero, mat(A5, [["t+2", "0"], ["0", "t"]]), 2)
+    block = mat(A5, [["t+2", "0"], ["0", "(t+2)*(t+3)"]])
+    module, _, _ = graded_sum(block, block, 3)
+    assert [str(c) for c in module.torsion] == ["t + 2"] * 3 + ["t^2 + 1"] * 3
+    module, _, _ = graded_sum(block, block, 1)
     assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
-    # coprime blocks merge into one factor: diag(t+3, t+2) ~ diag(1, t^2 + 1)
-    module, _, _ = graded_sum(mat(A5, [["t+3"]]), mat(A5, [["t+2"]]), 2)
-    assert [str(c) for c in module.torsion] == ["t^2 + 1"]
-    # the shared block counts n - 1 = 2 times: diag(t+3, t+2, t+2)
+    # blocks with different chains have no chain of one shared block
     module, _, _ = graded_sum(mat(A5, [["t+3"]]), mat(A5, [["t+2"]]), 3)
-    assert [str(c) for c in module.torsion] == ["t + 2", "t^2 + 1"]
+    with pytest.raises(
+        CertificateFailure,
+        match=r"grading certificate failed: .* block of weight 0 has torsion \['t \+ 3'\], "
+        r"the block of weights 1\.\.2 \['t \+ 2'\]",
+    ):
+        module.torsion
 
 
 def test_entry_joining_two_weights_raises():
