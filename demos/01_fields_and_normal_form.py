@@ -54,7 +54,7 @@ def main():
     print()
     print("== Module invariants from a presentation ==")
     relations = mat(ring, [["t + 1"], ["0"]])
-    module = FpmModule(ring, 2, relations)
+    module = FpmModule(relations)
     print("two generators, one relation (t+1)*e0 = 0")
     print(f"rank {module.rank}, torsion {[str(c) for c in module.torsion]}")
 

@@ -36,7 +36,7 @@ from typing import Sequence
 from .errors import InvalidCocycle, MalformedInput, NotAUnit, RingMismatch
 from .exprparse import _excerpt, _power, _term
 from .fields import FqField, _FqField
-from .polys import Poly
+from .polys import Poly, _square_and_multiply
 from .rings import ChartRing, RingElem, certify_prime
 
 # Caps on a bundle read from JSON, checked before any chart is parsed; the
@@ -181,15 +181,7 @@ class CoverElem:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative cover-element power")
-        result = self.chart.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _square_and_multiply(self, k, self.chart.one)
 
     def _shifted(self, term: tuple) -> "CoverElem":
         """The product with the one term b v^i, given as (i, b)."""

@@ -39,15 +39,16 @@ _MAX_Q = 256
 _MAX_P = 97
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,7 +104,7 @@ class _FqField:
 
     def __init__(self, p: int, e: int):
         # the range check comes first: trial division of a huge p never ends
-        if not (2 <= p <= _MAX_P) or not _is_prime(p):
+        if not (2 <= p <= _MAX_P) or _prime_divisors(p) != [p]:
             raise ValueError(f"characteristic must be a prime in [2, {_MAX_P}], got {p}")
         if e < 1:
             raise ValueError(f"extension degree e must be at least 1, got {e}")

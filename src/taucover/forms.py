@@ -191,8 +191,8 @@ def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
     nu = n_scalar * chart.u
     rel = PolyMatrix(ring, relations(nu))
     rel0 = rel if n_scalar == nu else PolyMatrix(ring, relations(n_scalar))
-    zero = FpmModule(ring, rel.nrows, rel0)
-    rest = FpmModule(ring, rel.nrows, rel, weights=range(1, chart.n)) if chart.n > 1 else zero
+    zero = FpmModule(rel0)
+    rest = FpmModule(rel, weights=range(1, chart.n)) if chart.n > 1 else zero
     return DirectSum(zero, rest, chart.n)
 
 

@@ -91,13 +91,7 @@ class PartialFormsChart:
     @cached_property
     def corrected_tail(self) -> FpmModule:
         """Omega1_X / A*(du/u), the target of the corrected degree-2 tail map."""
-        ring = self.ring
-        return FpmModule(
-            ring,
-            1,
-            PolyMatrix(ring, [[self.omega_coeff]], nrows=1, ncols=1),
-            ["dt"],
-        )
+        return FpmModule(self.mul_omega_map.matrix, ["dt"])
 
     # -- the sequence maps
 
@@ -107,7 +101,7 @@ class PartialFormsChart:
         return ModuleMap(
             self.base_functions,
             self.base_one_forms,
-            PolyMatrix(ring, [[self.omega_coeff]], nrows=1, ncols=1),
+            PolyMatrix(ring, [[self.omega_coeff]]),
             "mult-du/u",
         )
 
@@ -117,7 +111,7 @@ class PartialFormsChart:
         return ModuleMap(
             self.base_one_forms,
             self.presentation1,
-            PolyMatrix(ring, [[ring.one], [ring.zero]], nrows=2, ncols=1),
+            PolyMatrix(ring, [[ring.one], [ring.zero]]),
             "pullback",
         )
 
@@ -127,7 +121,7 @@ class PartialFormsChart:
         return ModuleMap(
             self.presentation1,
             self.base_functions,
-            PolyMatrix(ring, [[ring.zero, ring.one]], nrows=1, ncols=2),
+            PolyMatrix(ring, [[ring.zero, ring.one]]),
             "s",
         )
 
@@ -140,7 +134,7 @@ class PartialFormsChart:
         return ModuleMap(
             self.presentation2,
             target,
-            PolyMatrix(ring, [[ring.one]], nrows=1, ncols=1),
+            PolyMatrix(ring, [[ring.one]]),
             "s",
         )
 

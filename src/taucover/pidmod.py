@@ -10,19 +10,20 @@ core.  That gives the classical algorithms:
     products: once V*V^-1 = I, U*M*V = D is decided as U*M = D*V^-1, a row
     scaling.  A failure raises CertificateFailure naming the certificate, the
     shape and the ring.
-  * solve / syzygy_matrix: linear algebra over A.  solve and the zero test
-    of FpmModule share one read-off of U*b against the diagonal of D.
-  * FpmModule: generators + relation columns, in its weights.  Rank, the
-    torsion chain and the zero test are read off one SNF, computed once.
+  * solve / syzygy_matrix: linear algebra over A, each given only the SNF
+    of its matrix, which carries the matrix.  solve and the zero test of
+    FpmModule share one read-off of U*b against the diagonal of D.
+  * FpmModule: generators + relation columns, in its weights.  The ring and
+    the generator count are the relation matrix's.  Rank, the torsion chain
+    and the zero test are read off one SNF, computed once.
   * DirectSum: a Z/n-graded module held as the block of weight 0, the one
     block that weights 1..n-1 share, and n.  An element is given by its
     parts, one vector per weight, and each part is tested in its weight's
-    block, as are two elements compared part by part.  Its torsion chain is
-    the shared block's, each factor n times, with the grading certificate
-    that the weight-0 block's chain is the same.  Blocks that share one
-    relation matrix share its SNF, which the matrix keeps.  Its submodules
-    are spans inside the weight-0 block, with the grading certificate that
-    every generator is zero outside weight 0.
+    block.  Its torsion chain is the shared block's, each factor n times,
+    with the grading certificate that the weight-0 block's chain is the
+    same.  Blocks that share one relation matrix share its SNF, which the
+    matrix keeps.  Its submodules are spans inside the weight-0 block, with
+    the grading certificate that every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.  With no generators the stack is the ambient relation
@@ -42,9 +43,10 @@ dv/v^dt have weight 0, so every submodule, presentation and map lives in
 weight 0.
 
 Matrix entries and vectors are elements of the module's ring: nothing here
-coerces, and every matrix is built by the one PolyMatrix constructor.  Every
-derived object (SNF, presentation, image, kernel, certificate) is computed
-once on first use and kept by the object it belongs to.
+coerces, and every matrix is built by the one PolyMatrix constructor, which
+reads its shape off its rows.  Every derived object (SNF, presentation,
+image, kernel, certificate) is computed once on first use and kept by the
+object it belongs to.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -67,44 +69,43 @@ Vec = tuple[RingElem, ...]
 class PolyMatrix:
     """Immutable matrix over a fixed ChartRing, its entries elements of it.
 
-    Nothing is coerced: an entry of another ring meets ``RingElem._check``
-    at the first arithmetic that reads it.  A matrix reduced as a module
-    block keeps its SNF, so modules that share one relation matrix share its
-    reduction.
+    The shape is read off the rows; ``ncols`` gives the width only of a
+    matrix with no rows.  Nothing is coerced: an entry of another ring meets
+    ``RingElem._check`` at the first arithmetic that reads it.  A matrix
+    reduced as a module block keeps its SNF, so modules that share one
+    relation matrix share its reduction.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "rows", "_snf")
 
-    def __init__(
-        self, ring: ChartRing, rows: Iterable[Iterable[RingElem]], nrows=None, ncols=None
-    ):
+    def __init__(self, ring: ChartRing, rows: Iterable[Iterable[RingElem]], *, ncols: int = 0):
         frozen = tuple(map(tuple, rows))
         self._snf = None
         self.ring = ring
         self.rows = frozen
-        self.nrows = len(frozen) if nrows is None else nrows
-        self.ncols = len(frozen[0]) if frozen else ncols or 0
+        self.nrows = len(frozen)
+        self.ncols = len(frozen[0]) if frozen else ncols
         if any(len(row) != self.ncols for row in frozen):
             raise ValueError("ragged matrix")
 
     @classmethod
     def zeros(cls, ring: ChartRing, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(ring, [(ring.zero,) * ncols] * nrows, nrows, ncols)
+        return cls(ring, [(ring.zero,) * ncols] * nrows, ncols=ncols)
 
     @classmethod
     def from_columns(
         cls, ring: ChartRing, cols: Sequence[Sequence[RingElem]], nrows: int
     ) -> "PolyMatrix":
-        return cls(ring, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
+        return cls(ring, [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
 
     def col(self, j: int) -> Vec:
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        return tuple(row[j] for row in self.rows)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if other.nrows != self.nrows:
             raise ValueError("hstack with mismatched row counts")
         return PolyMatrix(
-            self.ring, map(add, self.rows, other.rows), self.nrows, self.ncols + other.ncols
+            self.ring, map(add, self.rows, other.rows), ncols=self.ncols + other.ncols
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -124,7 +125,7 @@ class PolyMatrix:
                         acc = acc + a * b
                 sums.append(acc)
             out.append(sums)
-        return PolyMatrix(self.ring, out, self.nrows, other.ncols)
+        return PolyMatrix(self.ring, out, ncols=other.ncols)
 
     def apply_vec(self, vec: Sequence[RingElem]) -> Vec:
         if len(vec) != self.ncols:
@@ -302,11 +303,11 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
 
     result = SNFResult(
         M,
-        PolyMatrix(ring, U, m, m),
-        PolyMatrix(ring, Uinv, m, m),
-        PolyMatrix(ring, S, m, n),
-        PolyMatrix(ring, V, n, n),
-        PolyMatrix(ring, Vinv, n, n),
+        PolyMatrix(ring, U),
+        PolyMatrix(ring, Uinv),
+        PolyMatrix(ring, S, ncols=n),
+        PolyMatrix(ring, V),
+        PolyMatrix(ring, Vinv),
         tuple(S[i][i] for i in range(min(m, n))),
     )
     _verify_snf(result)
@@ -392,20 +393,19 @@ def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] 
     return z
 
 
-def solve(M: PolyMatrix, b: Sequence[RingElem], snf: SNFResult | None = None):
-    """One solution x of M x = b over the chart ring, or None."""
-    snf = snf or smith_normal_form(M)
+def solve(snf: SNFResult, b: Sequence[RingElem]):
+    """One solution x of M x = b over the chart ring, M the matrix of snf, or None."""
     z = _diagonal_solution(snf, b)
     return None if z is None else snf.V.apply_vec(z)
 
 
-def syzygy_matrix(M: PolyMatrix, snf: SNFResult | None = None) -> PolyMatrix:
-    """Columns form a basis of ker(M : A^ncols -> A^nrows).
+def syzygy_matrix(snf: SNFResult) -> PolyMatrix:
+    """Columns form a basis of ker(M : A^ncols -> A^nrows), M the matrix of snf.
 
     Each column is scaled so its first nonzero entry is a monic core, which
     keeps downstream witness strings stable.
     """
-    snf = snf or smith_normal_form(M)
+    M = snf.matrix
     free = [
         j
         for j in range(M.ncols)
@@ -441,7 +441,8 @@ def _weights_text(weights: range) -> str:
 
 
 class FpmModule:
-    """A^n_gens modulo the column span of a relation matrix.
+    """A^n_gens modulo the column span of a relation matrix, whose ring and
+    row count are the module's ring and generator count.
 
     The module lives in a range of weights, weight 0 alone unless it is the
     block that weights 1..n-1 of a DirectSum share; a failed SNF certificate
@@ -451,31 +452,25 @@ class FpmModule:
 
     def __init__(
         self,
-        ring: ChartRing,
-        n_gens: int,
-        relations: PolyMatrix | None = None,
+        relations: PolyMatrix,
         gen_names: Sequence[str] | None = None,
         weights: range = range(1),
     ):
-        self.ring = ring
-        self.n_gens = n_gens
-        if relations is None:
-            relations = PolyMatrix.zeros(ring, n_gens, 0)
-        if relations.nrows != n_gens:
-            raise ValueError("relation matrix must have one row per generator")
+        self.ring = relations.ring
+        self.n_gens = relations.nrows
         self.relations = relations
         self.weights = weights
         self.gen_names = tuple(gen_names) if gen_names else tuple(
-            f"e{i}" for i in range(n_gens)
+            f"e{i}" for i in range(self.n_gens)
         )
 
     @classmethod
     def free(cls, ring: ChartRing, n: int, gen_names=None) -> "FpmModule":
-        return cls(ring, n, None, gen_names)
+        return cls(PolyMatrix.zeros(ring, n, 0), gen_names)
 
     @classmethod
     def zero(cls, ring: ChartRing) -> "FpmModule":
-        return cls(ring, 0, None, ())
+        return cls.free(ring, 0)
 
     @property
     def snf(self) -> SNFResult:
@@ -568,21 +563,6 @@ class DirectSum:
         """Every part is zero in its block."""
         return all(self.block(w).is_zero_elem(part) for w, part in parts.items())
 
-    def equal(self, parts: dict[int, Sequence], other: dict[int, Sequence]) -> bool:
-        """The elements with these parts are equal: block by block, in the
-        order of ``parts`` and then of the weights only ``other`` has, with
-        no element of the whole sum formed."""
-        for w, part in parts.items():
-            twin = other.get(w)
-            if twin is None:
-                if not self.block(w).is_zero_elem(part):
-                    return False
-            elif not self.block(w).elems_equal(part, twin):
-                return False
-        return all(
-            self.block(w).is_zero_elem(part) for w, part in other.items() if w not in parts
-        )
-
     def span(
         self, generators: Sequence[dict[int, Sequence]], names: Sequence[str]
     ) -> "Submodule":
@@ -650,10 +630,8 @@ class Submodule:
     @cached_property
     def presentation(self) -> FpmModule:
         """Generators modulo their syzygies: the gens rows of ker [gens | relations]."""
-        ring, snf, k = self.ambient.ring, self.snf, self.gens.ncols
-        syz = syzygy_matrix(snf.matrix, snf)
-        relations = PolyMatrix(ring, syz.rows[:k], k, syz.ncols)
-        return FpmModule(ring, k, relations, self._names)
+        syz, k = syzygy_matrix(self.snf), self.gens.ncols
+        return FpmModule(PolyMatrix(syz.ring, syz.rows[:k], ncols=syz.ncols), self._names)
 
     def contains(self, vec: Sequence) -> Vec | None:
         """Coordinates of vec on the generators, or None when vec is outside.
@@ -663,7 +641,7 @@ class Submodule:
         vec = self.ambient.check_vec(vec)
         if all(x.is_zero() for x in vec):
             return (self.ambient.ring.zero,) * self.gens.ncols
-        sol = solve(self.snf.matrix, vec, self.snf)
+        sol = solve(self.snf, vec)
         return None if sol is None else sol[: self.gens.ncols]
 
     def contains_submodule(self, other: "Submodule") -> tuple[bool, Vec | None]:

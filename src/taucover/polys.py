@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
 from .exprparse import _excerpt, _power, _term, evaluate
-from .fields import FqElem, _FqField
+from .fields import FqElem, _FqField, _prime_divisors
 
 
 def _mul_codes(field: _FqField, a, b) -> list[int]:
@@ -114,15 +114,18 @@ def _trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
+def _square_and_multiply(base, k: int, one):
+    """base^k for k >= 0, from one: one product per set bit of k and one
+    squaring per bit below the top one, none after it.  The powers of
+    ``Poly`` and ``covers.CoverElem`` both take it."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _trimmed(field: _FqField, codes: list[int]) -> "Poly":
@@ -264,15 +267,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _square_and_multiply(self, k, Poly.one(self.field))
 
     def scale(self, code: int) -> "Poly":
         """The product with the constant of this field code; by 1 it is self."""

@@ -262,7 +262,6 @@ def literal_snf_certificate(r) -> str | None:
         return PolyMatrix(
             ring,
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-            nrows=n,
             ncols=n,
         )
 
@@ -309,13 +308,13 @@ def graded_cut(M: PolyMatrix, row_weights, col_weights, n: int) -> DirectSum:
         rows = [i for i, rw in enumerate(row_weights) if rw == w]
         cols = [j for j, cw in enumerate(col_weights) if cw == w]
         return PolyMatrix(
-            M.ring, [[M.rows[i][j] for j in cols] for i in rows], nrows=len(rows), ncols=len(cols)
+            M.ring, [[M.rows[i][j] for j in cols] for i in rows], ncols=len(cols)
         )
 
     blocks = [block(w) for w in range(n)]
     assert all(b == blocks[-1] for b in blocks[1:]), "weights 1..n-1 differ"
-    zero = FpmModule(M.ring, blocks[0].nrows, blocks[0])
-    rest = FpmModule(M.ring, blocks[-1].nrows, blocks[-1], weights=range(1, n)) if n > 1 else zero
+    zero = FpmModule(blocks[0])
+    rest = FpmModule(blocks[-1], weights=range(1, n)) if n > 1 else zero
     return DirectSum(zero, rest, n)
 
 
@@ -333,7 +332,7 @@ def _block_diagonal(blocks) -> tuple[PolyMatrix, list[int], list[int]]:
             )
         col += block.ncols
     return (
-        PolyMatrix(ring, rows, nrows=len(rows), ncols=len(col_weights)),
+        PolyMatrix(ring, rows, ncols=len(col_weights)),
         row_weights,
         col_weights,
     )

@@ -19,6 +19,7 @@ from taucover.covers import (
 from taucover.errors import InvalidCocycle, MalformedInput, NotAUnit
 from taucover.fields import FqField
 from taucover.forms import CoverOneForm, _partial_v
+from taucover.polys import Poly
 from taucover.rings import ChartRing
 
 F2 = FqField(2)
@@ -50,6 +51,25 @@ def test_power_skips_the_squaring_after_the_top_bit(monkeypatch, k, products):
         expected = expected * x
     assert power == expected
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("kind", ["Poly", "CoverElem"])
+def test_every_power_takes_one_product_per_set_bit_and_one_squaring_per_lower_bit(
+    monkeypatch, kind
+):
+    chart = CoverChart(A3, 4, A3.parse("2*t"))
+    x = Poly.parse(F3, "t + 2") if kind == "Poly" else chart.v + chart.one
+    one = Poly.one(F3) if kind == "Poly" else chart.one
+    expected = [one]
+    for _ in range(40):
+        expected.append(expected[-1] * x)
+    cls, calls = type(x), []
+    mul = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for k in range(41):
+        calls.clear()
+        assert x**k == expected[k]
+        assert len(calls) == (k.bit_count() + k.bit_length() - 1 if k else 0), k
 
 
 def test_root_is_invertible():

@@ -33,6 +33,22 @@ def test_construction_bounds():
     FqField(97, 1)
 
 
+def test_exactly_the_primes_up_to_97_are_characteristics():
+    # a sieve of Eratosthenes, independent of the field's trial division
+    sieve = [False, False] + [True] * 96
+    for d in range(2, 10):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    primes = [n for n, prime in enumerate(sieve) if prime]
+    assert len(primes) == 25 and primes[-1] == 97
+    for p in range(-3, 101):
+        if p in primes:
+            assert FqField(p).p == p
+        else:
+            with pytest.raises(ValueError, match="characteristic must be a prime"):
+                FqField(p)
+
+
 def test_modulus_is_canonical_and_pinned():
     # same object for repeated construction, stable coefficients
     assert FqField(3, 2) is FqField(3, 2)

@@ -9,7 +9,10 @@ Dunder methods are called by the interpreter and are not scanned.  An
 exception class is held to more: some ``raise`` in the package must name it,
 since an ``except`` clause or an export alone catches nothing.  A module-level
 import must be named in its module's code; ``__future__`` imports and the
-re-exports of ``__init__.py`` are exempt.
+re-exports of ``__init__.py`` are exempt.  No function binds a local name
+that it, or a function nested in it, never reads; a name that starts with
+``_`` is bound to be dropped, and one declared ``global`` or ``nonlocal`` is
+read elsewhere.
 
 Values become ring elements only where they enter from outside: the
 functions of COERCION_BOUNDARY are the only ones that name a ``coerce``
@@ -98,6 +101,30 @@ def test_every_module_level_import_is_named_in_its_module():
                     if bound not in named:
                         unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, "imported but never named:\n" + "\n".join(unused)
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    dead = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            read.update(
+                name
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Global, ast.Nonlocal))
+                for name in node.names
+            )
+            dead.update(
+                f"{path.relative_to(ROOT)}:{node.lineno}: {node.id}"
+                for node in names
+                if isinstance(node.ctx, ast.Store)
+                and node.id not in read
+                and not node.id.startswith("_")
+            )
+    assert not dead, "bound but never read:\n" + "\n".join(sorted(dead))
 
 
 def _raised_names() -> set[str]:
