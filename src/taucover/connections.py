@@ -87,10 +87,11 @@ class TauConnection:
         rests on.  All are drawn, and ``"samples"`` counts the draws, but
         each distinct section costs one reduction of R(lambda): a repeat,
         of lambda = 1 or of an earlier draw, is not evaluated again.  A
-        section is decided in block coordinates: the weight-0 part of the
-        left side is compared with the weight-0 vector of the formula on the
-        generators dt and dv/v, every other part is tested for zero in its
-        block, and no one-form is built for the formula side.  Membership is
+        section is decided in block coordinates by ``DirectSum.equal``: the
+        weight-0 part of the left side is compared with the weight-0 vector
+        of the formula on the generators dt and dv/v, every other part is
+        tested for zero in its block, no one-form is built for the formula
+        side, and no difference of the two sides is formed.  Membership is
         solved only to diagnose a failure.  A chart whose formula fails also
         carries ``"failures"``, the section it failed at, as ``dga_check``
         reports its laws.
@@ -104,21 +105,14 @@ class TauConnection:
                 v_inv = pfc.chart.v_inv()
                 omega = self.connection_coords(i)
                 gens = pfc.sub1.gens
-                amb = pfc.omega1_ambient
-                zeros = (ring.zero,) * amb.zero.n_gens
 
                 def sides(lam):
                     lhs = d_function_times_v(pfc.chart, v_inv.scale(lam))
                     formula = (ring.derive(lam) + lam * omega[0], lam * omega[1])
                     return lhs, gens.apply_vec(formula)
 
-                def matches(lhs, formula):
-                    parts = lhs.parts()
-                    zero_part = parts.pop(0, zeros)
-                    return amb.zero.elems_equal(zero_part, formula) and amb.is_zero(parts)
-
                 failing = _law(
-                    matches,
+                    lambda lhs, formula: pfc.omega1_ambient.equal(lhs.parts(), {0: formula}),
                     sides,
                     [(ring.one,)],
                     lambda: (ring.random_element(rng, max_deg=3, max_den=1),),

@@ -11,19 +11,25 @@ core.  That gives the classical algorithms:
     scaling.  A failure raises CertificateFailure naming the certificate, the
     shape and the ring.
   * solve / syzygy_matrix: linear algebra over A, each given only the SNF
-    of its matrix, which carries the matrix.  solve and the zero test of
-    FpmModule share one read-off of U*b against the diagonal of D.
+    of its matrix, which carries the matrix.  One helper, _read_off, owns
+    the rule that reads a row y_i of U*b against the diagonal of D: a unit
+    d_i accepts any y_i, a zero or missing d_i needs y_i = 0, and any other
+    d_i must divide y_i.  solve reads every row and keeps the quotients.
   * FpmModule: generators + relation columns, in its weights.  The ring and
     the generator count are the relation matrix's.  Rank, the torsion chain
-    and the zero test are read off one SNF, computed once.
+    and the membership test are read off one SNF, computed once.  The zero
+    test and the equality test read only the rows of U*x whose d_i is zero,
+    missing or not a unit, collected once per SNF, and compare two vectors
+    row by row with no difference of them formed.
   * DirectSum: a Z/n-graded module held as the block of weight 0, the one
     block that weights 1..n-1 share, and n.  An element is given by its
     parts, one vector per weight, and each part is tested in its weight's
-    block.  Its torsion chain is the shared block's, each factor n times,
-    with the grading certificate that the weight-0 block's chain is the
-    same.  Blocks that share one relation matrix share its SNF, which the
-    matrix keeps.  Its submodules are spans inside the weight-0 block, with
-    the grading certificate that every generator is zero outside weight 0.
+    block, as are two elements compared part by part.  Its torsion chain is
+    the shared block's, each factor n times, with the grading certificate
+    that the weight-0 block's chain is the same.  Blocks that share one
+    relation matrix share its SNF, which the matrix keeps.  Its submodules
+    are spans inside the weight-0 block, with the grading certificate that
+    every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.  With no generators the stack is the ambient relation
@@ -55,7 +61,7 @@ by position, so reports are byte-stable across runs.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, sub
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailure, RingMismatch
@@ -160,7 +166,7 @@ class PolyMatrix:
 class SNFResult:
     """U * M * V = D, all four transforms kept with their inverses."""
 
-    __slots__ = ("matrix", "U", "U_inv", "D", "V", "V_inv", "diag")
+    __slots__ = ("matrix", "U", "U_inv", "D", "V", "V_inv", "diag", "_rows_to_read")
 
     def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
         self.matrix = matrix
@@ -170,6 +176,7 @@ class SNFResult:
         self.V = V
         self.V_inv = V_inv
         self.diag = diag  # tuple of RingElem, length min(m, n), cores or zero
+        self._rows_to_read = None
 
     @property
     def rank(self) -> int:
@@ -177,6 +184,21 @@ class SNFResult:
 
     def nonunit_torsion(self) -> list[Poly]:
         return [d.core for d in self.diag if not d.is_zero() and not d.core.is_one()]
+
+    @property
+    def rows_to_read(self) -> tuple[tuple[int, tuple[tuple[int, RingElem], ...]], ...]:
+        """(i, the nonzero entries (k, U_ik) of row i of U) for each row i of
+        U*x that the membership test reads: those whose diagonal entry is
+        zero, missing or not a unit.  A unit d_i divides every y_i, so its
+        row is never read.  Collected once."""
+        if self._rows_to_read is None:
+            diag = self.diag
+            self._rows_to_read = tuple(
+                (i, tuple((k, a) for k, a in enumerate(row) if a.const))
+                for i, row in enumerate(self.U.rows)
+                if i >= len(diag) or not diag[i].is_unit()
+            )
+        return self._rows_to_read
 
 
 def _euclid_quotient(ring: ChartRing, a: RingElem, b: RingElem) -> RingElem:
@@ -366,30 +388,39 @@ def _is_identity(P: PolyMatrix) -> bool:
     )
 
 
-def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] | None:
-    """z with D*z = U*b, zero off the nonzero diagonal, or None when there is
-    none: each y_i of y = U*b must be divisible by a nonzero d_i, and every
-    other y_i must be zero.
+def _read_off(snf: SNFResult, i: int, y: RingElem) -> RingElem | None:
+    """z_i with d_i*z_i = y, y the entry in row i of U*x, or None when there
+    is none.  This is the read-off rule: a unit d_i accepts any y, a zero or
+    missing d_i needs y = 0, and any other d_i must divide y.
 
-    The quotient y_i / d_i is formed by the helper behind
+    The quotient y / d_i is formed by the helper behind
     ``ChartRing.exact_div``, the unit parts divided and the cores by one
     division, so it is right for any nonzero d_i; a d_i whose core is 1
     takes no division.
     """
-    ring, diag = snf.matrix.ring, snf.diag
-    z = [ring.zero] * snf.matrix.ncols
-    for i, y in enumerate(snf.U.apply_vec(b)):
-        if not y.const:
-            continue
-        d = diag[i] if i < len(diag) else ring.zero
-        if not d.const:
+    if not y.const:
+        return y
+    diag = snf.diag
+    if i >= len(diag) or not diag[i].const:
+        return None
+    d, core = diag[i], y.core
+    if not d.core.is_one():
+        core, rest = core.divmod(d.core)
+        if not rest.is_zero():
             return None
-        core = y.core
-        if not d.core.is_one():
-            core, rest = core.divmod(d.core)
-            if not rest.is_zero():
+    return _unit_quotient(y, d, core)
+
+
+def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] | None:
+    """z with D*z = U*b, zero off the nonzero diagonal, or None when there is
+    none: every row of U*b is read off the diagonal."""
+    z = [snf.matrix.ring.zero] * snf.matrix.ncols
+    for i, y in enumerate(snf.U.apply_vec(b)):
+        if y.const:
+            q = _read_off(snf, i, y)
+            if q is None:
                 return None
-        z[i] = _unit_quotient(y, d, core)
+            z[i] = q
     return z
 
 
@@ -435,6 +466,16 @@ def _block_snf(block: PolyMatrix, weights: range) -> SNFResult:
     return block._snf
 
 
+def _row_times(live: Sequence[tuple[int, RingElem]], x: Vec, zero: RingElem) -> RingElem:
+    """sum a * x_k over the nonzero entries (k, a) of a matrix row."""
+    acc = zero
+    for k, a in live:
+        xk = x[k]
+        if xk.const:
+            acc = a * xk if acc is zero else acc + a * xk
+    return acc
+
+
 def _weights_text(weights: range) -> str:
     first, last = weights[0], weights[-1]
     return f"weights {first}..{last}" if last > first else f"weight {first}"
@@ -446,8 +487,8 @@ class FpmModule:
 
     The module lives in a range of weights, weight 0 alone unless it is the
     block that weights 1..n-1 of a DirectSum share; a failed SNF certificate
-    names them.  Rank, torsion and the zero test are read off one SNF,
-    computed once per relation matrix.
+    names them.  Rank, torsion, the zero test and the equality test are
+    read off one SNF, computed once per relation matrix.
     """
 
     def __init__(
@@ -488,24 +529,46 @@ class FpmModule:
         return self.snf.nonunit_torsion()
 
     def check_vec(self, vec: Sequence[RingElem]) -> Vec:
-        """vec as a tuple, checked to have one entry per generator."""
+        """vec as a tuple, checked to have one entry per generator and each
+        nonzero entry in the module's ring."""
         vec = tuple(vec)
         if len(vec) != self.n_gens:
             raise ValueError("vector length does not match generator count")
+        ring = self.ring
+        for x in vec:
+            if x.const and x.ring is not ring:
+                ring.check(x)
         return vec
 
     def is_zero_elem(self, vec: Sequence[RingElem]) -> bool:
         """vec lies in the relation span: D*z = U*vec has a solution, read
-        off the diagonal.  The zero vector takes no SNF."""
-        return self._in_relation_span(self.check_vec(vec))
-
-    def _in_relation_span(self, vec: Vec) -> bool:
-        if all(x.is_zero() for x in vec):
-            return True
-        return _diagonal_solution(self.snf, vec) is not None
+        off the rows that can fail.  The zero vector takes no SNF."""
+        vec = self.check_vec(vec)
+        return all(not x.const for x in vec) or self._agree(vec, None)
 
     def elems_equal(self, v: Sequence, w: Sequence) -> bool:
-        return self._in_relation_span(tuple(map(sub, self.check_vec(v), self.check_vec(w))))
+        """v = w in the module, decided on the rows of U*v and U*w that can
+        fail, with no difference of the two vectors formed: where d_i is zero
+        the rows must be equal, elsewhere they must agree modulo d_i.  Equal
+        vectors take no SNF."""
+        v, w = self.check_vec(v), self.check_vec(w)
+        return v == w or self._agree(v, w)
+
+    def _agree(self, v: Vec, w: Vec | None) -> bool:
+        """v = w, or v = 0 when w is None, on every row of the SNF's
+        ``rows_to_read``; a row where the two differ is read off as their
+        difference."""
+        snf, zero = self.snf, self.ring.zero
+        for i, live in snf.rows_to_read:
+            y = _row_times(live, v, zero)
+            if w is not None:
+                y_w = _row_times(live, w, zero)
+                if y == y_w:
+                    continue
+                y = y - y_w
+            if _read_off(snf, i, y) is None:
+                return False
+        return True
 
     def format_vec(self, vec: Sequence) -> str:
         vec = self.check_vec(vec)
@@ -525,8 +588,11 @@ class DirectSum:
     An element is given by its parts, a dict from weight to a vector of that
     weight's block; a missing weight is a zero part.  Each question is asked
     of the blocks one at a time, in the order of the parts, and a zero part
-    takes no SNF.  Submodules live in the weight-0 block.  The blocks may
-    differ, but ``torsion`` asks that they share one chain.
+    takes no SNF.  Two elements are compared by ``equal``, part against
+    part, with no difference formed; it is the one comparison the guards of
+    the connection and of the differential-graded laws use.  Submodules live
+    in the weight-0 block.  The blocks may differ, but ``torsion`` asks that
+    they share one chain.
     """
 
     def __init__(self, zero: FpmModule, rest: FpmModule, n: int):
@@ -562,6 +628,19 @@ class DirectSum:
     def is_zero(self, parts: dict[int, Sequence]) -> bool:
         """Every part is zero in its block."""
         return all(self.block(w).is_zero_elem(part) for w, part in parts.items())
+
+    def equal(self, parts: dict[int, Sequence], other: dict[int, Sequence]) -> bool:
+        """The elements with these parts are equal, block by block: a weight
+        with both parts compares them in its block, and a weight with one
+        part tests it for zero.  No difference of the two elements is
+        formed, and a part literally equal to its twin takes no SNF."""
+        for w, part in parts.items():
+            twin = other.get(w)
+            block = self.block(w)
+            same = block.is_zero_elem(part) if twin is None else block.elems_equal(part, twin)
+            if not same:
+                return False
+        return all(self.block(w).is_zero_elem(part) for w, part in other.items() if w not in parts)
 
     def span(
         self, generators: Sequence[dict[int, Sequence]], names: Sequence[str]

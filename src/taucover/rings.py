@@ -518,6 +518,9 @@ class RingElem:
                 return NotImplemented
         if not other.const:
             return self
+        # d o d on a dense draw subtracts many a kept derivative from itself
+        if other is self:
+            return self.ring.zero
         return self._plus(other, self.ring.field._neg(other.const))
 
     def _plus(self, other: "RingElem", const: int) -> "RingElem":

@@ -28,6 +28,12 @@ parentheses.
 The weight layout of a cover chart's form modules lives in ``forms``: it is
 the only module that builds a ``pidmod.DirectSum``.
 
+The read-off rule of ``pidmod`` has one owner: ``_read_off`` is the only
+function that reads the SNF's diagonal against a row of U*x.  The other
+functions that name ``diag`` read it alone: the SNF's own rank, torsion and
+choice of the rows that can fail, the certificate, and the free columns of
+the kernel.
+
 No module holds a float constant or names ``float``: every reported value is
 exact, and the JSON writer takes no float.
 """
@@ -57,6 +63,18 @@ COERCION_BOUNDARY = {
 
 # Where an integer constant becomes a field element.
 FIELD_ELEMENT_BOUNDARY = {"Poly.parse", "ChartRing.parse", "_FqField.parse"}
+
+# The functions that name an SNF's ``diag``; only ``_read_off`` reads it
+# against a vector.
+DIAGONAL_READERS = {
+    "SNFResult.__init__",
+    "SNFResult.rank",
+    "SNFResult.nonunit_torsion",
+    "SNFResult.rows_to_read",
+    "_verify_snf",
+    "syzygy_matrix",
+    "_read_off",
+}
 
 
 def _definitions():
@@ -192,6 +210,10 @@ def test_values_are_coerced_only_at_the_boundary():
 
 def test_only_the_parsers_make_field_elements_of_ints():
     assert _functions_naming("elem") == FIELD_ELEMENT_BOUNDARY
+
+
+def test_only_the_read_off_reads_the_diagonal_against_a_vector():
+    assert _functions_naming("diag") == DIAGONAL_READERS
 
 
 def test_only_the_grammar_decides_when_a_text_is_a_sum():

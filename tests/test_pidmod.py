@@ -21,6 +21,7 @@ from taucover.covers import Cover
 from taucover.errors import CertificateFailure, RingMismatch
 from taucover.fields import FqField
 from taucover.pidmod import (
+    DirectSum,
     FpmModule,
     ModuleMap,
     PolyMatrix,
@@ -261,6 +262,22 @@ def test_a_nonzero_entry_of_another_ring_raises_ring_mismatch():
         module.is_zero_elem(stranger)
     with pytest.raises(RingMismatch):
         sub.contains(stranger)
+    # a unit diagonal leaves no row of U*x to read, and the entry is still refused
+    unit = FpmModule(PolyMatrix(A5, [[A5.one]]))
+    assert not unit.snf.rows_to_read
+    graded = DirectSum(unit, unit, 2)
+    refusals = (
+        lambda: unit.is_zero_elem([A2.t]),
+        lambda: unit.elems_equal([A2.t], [A2.t]),
+        lambda: unit.elems_equal([A5.one], [A2.t]),
+        lambda: module.elems_equal(stranger, stranger),
+        lambda: graded.equal({0: (A2.t,)}, {0: (A2.t,)}),
+        lambda: graded.equal({1: (A5.one,)}, {0: (A5.zero,), 1: (A2.t,)}),
+        lambda: graded.equal({}, {1: (A2.t,)}),
+    )
+    for refusal in refusals:
+        with pytest.raises(RingMismatch):
+            refusal()
 
 
 def test_ragged_rows_and_vectors_of_the_wrong_length_raise_value_error():
@@ -353,6 +370,99 @@ def test_elems_equal_mod_torsion():
     m = FpmModule(rel)
     assert m.elems_equal([A5.parse("t")], [A5.parse("-2")])
     assert not m.elems_equal([A5.parse("t")], [A5.parse("t+1")])
+
+
+def unimodular(ring, rng, size):
+    """A random invertible matrix and its inverse, from a unit scaling and a
+    few elementary row operations on the identity."""
+    P = [[ring.one if i == j else ring.zero for j in range(size)] for i in range(size)]
+    P_inv = [row[:] for row in P]
+    i = rng.randrange(size)
+    unit = ring.random_unit(rng)
+    P[i] = [unit * x for x in P[i]]
+    P_inv = [[x * unit.inv() if j == i else x for j, x in enumerate(row)] for row in P_inv]
+    for _ in range(size * 2 - 2):
+        i, j = rng.sample(range(size), 2)
+        q = ring.random_element(rng, max_deg=1, max_den=1)
+        # P <- (I + q e_ij) P and P^-1 <- P^-1 (I - q e_ij)
+        P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+        for row in P_inv:
+            row[j] = row[j] - q * row[i]
+    return PolyMatrix(ring, P), PolyMatrix(ring, P_inv)
+
+
+def diagonal_chain(ring, rng, length):
+    """A divisibility chain of nonzero diagonal entries, units, monic cores
+    and non-monic multiples of them, with zeros last."""
+    nonzero = rng.randrange(length + 1)
+    chain, d = [], ring.random_unit(rng)
+    for _ in range(nonzero):
+        kind = rng.randrange(3)
+        if kind == 1:  # a monic core
+            d = d * ring.make(Poly(ring.field, [rng.randrange(ring.field.p) or 1, 1]))
+            d = ring.make(d.core)
+        elif kind == 2:  # a non-monic multiple, its unit part kept
+            d = d * ring.random_unit(rng) * ring.make(Poly(ring.field, [1, 0, 1]))
+        chain.append(d)
+    return chain + [ring.zero] * (length - nonzero)
+
+
+def test_membership_reads_only_the_rows_that_can_fail_and_agrees_with_the_read_off():
+    """is_zero_elem, elems_equal and DirectSum.equal decide v = w as the full
+    read-off of v - w does, on SNFs with zero, unit, non-unit and non-monic
+    diagonal entries, half the pairs in the span by construction."""
+    rings = [A2, A5, ChartRing(FqField(2, 2), ["t", "t + 1"]), ChartRing(FqField(3), [])]
+    rng = random.Random(3535)
+    pairs, outcomes, kinds = 0, set(), set()
+    for ring in rings:
+        for nrows in (1, 2, 3):
+            for ncols in (1, 2, 3):
+                for built in range(3):
+                    P, P_inv = unimodular(ring, rng, nrows)
+                    Q, Q_inv = unimodular(ring, rng, ncols)
+                    chain = diagonal_chain(ring, rng, min(nrows, ncols))
+                    D = PolyMatrix(
+                        ring,
+                        [[chain[i] if i == j else ring.zero for j in range(ncols)]
+                         for i in range(nrows)],
+                        ncols=ncols,
+                    )
+                    M = P_inv @ D @ Q_inv
+                    if built == 2:  # the SNF held as built: D keeps its non-monic entries
+                        M._snf = pidmod.SNFResult(M, P, P_inv, D, Q, Q_inv, tuple(chain))
+                        pidmod._verify_snf(M._snf)
+                    module = FpmModule(M)
+                    snf = module.snf
+                    for i in range(nrows):
+                        d = snf.diag[i] if i < len(snf.diag) else None
+                        kinds.add(
+                            "missing" if d is None else "zero" if not d else
+                            "unit" if d.is_unit() else
+                            "monic" if d.const == 1 and not any(d.exps) else "non-monic"
+                        )
+                    graded = DirectSum(module, module, 3)
+                    for k in range(20):
+                        v = [ring.random_element(rng, max_deg=2) for _ in range(nrows)]
+                        if k % 2:  # w - v in the span of the relations
+                            x = [ring.random_element(rng, max_deg=1) for _ in range(ncols)]
+                            if k % 10 == 1:
+                                x = [ring.zero] * ncols
+                            w = [a + b for a, b in zip(v, M.apply_vec(x))]
+                        else:
+                            w = [ring.random_element(rng, max_deg=2) for _ in range(nrows)]
+                        diff = [a - b for a, b in zip(v, w)]
+                        expected = pidmod._diagonal_solution(snf, diff) is not None
+                        assert expected or k % 2 == 0
+                        assert module.elems_equal(v, w) == expected
+                        assert module.is_zero_elem(diff) == expected
+                        assert graded.equal({0: v, 2: w}, {0: w, 2: v}) == expected
+                        assert graded.equal({1: diff}, {}) == expected
+                        assert graded.equal({0: v}, {0: v, 1: diff}) == expected
+                        pairs += 1
+                        outcomes.add(expected)
+    assert pairs >= 2000
+    assert outcomes == {True, False}
+    assert kinds == {"missing", "zero", "unit", "monic", "non-monic"}
 
 
 def test_invariants_stable_under_presentation_shuffle():

@@ -34,6 +34,10 @@ does ``class``, whose canonical cochain reuses the bundle's lift.
 
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
+
+Over the catalog, ``report --all --seed 1`` makes at most 800 RingElem
+subtractions: the guards compare the two sides of each law with no element
+difference formed.
 """
 
 import json
@@ -53,6 +57,9 @@ from taucover.rings import ChartRing, RingElem
 SMALL, LARGE = 64, 256
 FEW_CHARTS, MORE_CHARTS = 8, 16
 MAX_RATIO = 5
+# RingElem subtractions of ``report --all --seed 1``: 400 when the guards
+# compare their sides row by row, 1,622 when they subtracted them
+MAX_REPORT_SUBTRACTIONS = 800
 ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__neg__", "__pow__", "inv",
@@ -332,3 +339,21 @@ def test_reading_a_bundle_tokenizes_each_distinct_text_once(monkeypatch):
     TorsionBundle.from_json(many_charts(FEW_CHARTS))
     assert texts.count("t") == 1
     assert len(texts) == len(set(texts)), sorted(texts)
+
+
+def test_the_guards_compare_their_sides_with_no_element_difference(monkeypatch, capsys):
+    # comparing the two sides of a guard's law forms no difference of them:
+    # only the rows of U*x whose diagonal entry can fail are read, and only a
+    # row where the sides differ is read off as their difference
+    calls = 0
+    subtract = RingElem.__sub__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return subtract(self, other)
+
+    monkeypatch.setattr(RingElem, "__sub__", counted)
+    assert main(["report", "--all", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert calls <= MAX_REPORT_SUBTRACTIONS, calls
