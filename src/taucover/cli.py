@@ -42,7 +42,7 @@ from .errors import (
     RingMismatch,
     TauCoverError,
 )
-from .forms import OmegaL, cartier, one_form_str
+from .forms import cartier, omega_l, one_form_str
 from .partialforms import dga_check, rank_torsion_report, verify_sequence
 
 # Sequence ids are opaque labels for the shipped exactness claims:
@@ -76,18 +76,18 @@ _MALFORMED = (
 
 def cover_report(cover: Cover) -> dict:
     bundle = cover.bundle
-    # OmegaL raises GluingFailure when du/u does not glue, and factor_cover
+    # omega_l raises GluingFailure when du/u does not glue, and factor_cover
     # cannot raise on a validated cover, so the check comes first.
-    omega = OmegaL(bundle)
+    forms = omega_l(bundle)
     factor = factor_cover(cover)
-    cartier_fixed = all(cartier(x) == x for x in omega.chart_forms)
+    cartier_fixed = all(cartier(x) == x for x in forms)
     glue_passed = all(c["passed"] for c in cover.glue_certificates)
     return {
         "summary": cover.summary(),
         "glue_passed": glue_passed,
         "factor": factor,
         "omega_l": {
-            "forms": [one_form_str(x) for x in omega.chart_forms],
+            "forms": [one_form_str(x) for x in forms],
             "degenerate": bundle.is_degenerate(),
             "cartier_fixed": cartier_fixed,
         },

@@ -383,7 +383,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
         if not s_map.is_well_defined:
             continue
         s_kills = s_kills is not False and s_map.after(pfc.sigma1_map).matrix.is_zero()
-        s_value = s_map.apply(coords[i])[0]
+        s_value = s_map.matrix.apply_vec(coords[i])[0]
         if not s_value.is_zero():
             return nontrivial("s-functional", {"chart": i, "s_value": str(s_value)})
 

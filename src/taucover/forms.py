@@ -4,10 +4,12 @@ On the base chart A, Omega^1 is free of rank one on dt, so a base one-form
 f*dt is its dt coefficient f, a plain RingElem: ``ChartRing.derive`` is d,
 ``ChartRing.dlog`` is du/u, and ``cartier`` and ``pullback_one_form`` take
 and give coefficients.  Two-forms on a curve vanish, so there is no base
-two-form to carry.  The Cartier operator acts on f*dt through the
-coefficients of t^(p-1) inside p-th power blocks.  Whether a bundle is
-degenerate (some du/u vanishes) or coprime (p does not divide n) is decided
-by ``TorsionBundle.is_degenerate`` and ``TorsionBundle.is_coprime`` only.
+two-form to carry.  ``omega_l`` returns a bundle's du/u, one per chart,
+once they agree on every overlap.  The Cartier operator acts on f*dt
+through the coefficients of t^(p-1) inside p-th power blocks.  Whether a
+bundle is degenerate (some du/u vanishes) or coprime (p does not divide n)
+is decided by ``TorsionBundle.is_degenerate`` and
+``TorsionBundle.is_coprime`` only.
 
 On a cover chart B = A[v]/(v^n - u), forms are carried in the coordinates
 (dt, dv).  The B-modules of one- and two-forms are finitely presented over A
@@ -76,30 +78,19 @@ def cartier(x: RingElem) -> RingElem:
     return ring.make(Poly(field, picked), x.dens)
 
 
-class OmegaL:
-    """Per-chart logarithmic forms du/u of a bundle's trivializing units, each
-    held as its dt coefficient.
-
-    On overlaps the restrictions must agree; a mismatch raises GluingFailure.
+def omega_l(bundle: TorsionBundle) -> tuple[RingElem, ...]:
+    """The logarithmic forms du/u of a bundle's trivializing units, each held
+    as its dt coefficient: ``bundle.dlog_u``, once their restrictions agree
+    on every overlap.  The first overlap where they differ raises
+    GluingFailure.
     """
-
-    def __init__(self, bundle: TorsionBundle):
-        scheme = bundle.scheme
-        self.bundle = bundle
-        self.chart_forms = bundle.dlog_u
-        for (i, j) in scheme.pairs():
-            left = scheme.restrict(i, self.chart_forms[i], j)
-            right = scheme.restrict(j, self.chart_forms[j], i)
-            if left != right:
-                raise GluingFailure(
-                    f"du/u does not glue on overlap {(i, j)}: {left} vs {right}"
-                )
-
-    def __getitem__(self, i: int) -> RingElem:
-        return self.chart_forms[i]
-
-    def __len__(self) -> int:
-        return len(self.chart_forms)
+    scheme, forms = bundle.scheme, bundle.dlog_u
+    for (i, j) in scheme.pairs():
+        left = scheme.restrict(i, forms[i], j)
+        right = scheme.restrict(j, forms[j], i)
+        if left != right:
+            raise GluingFailure(f"du/u does not glue on overlap {(i, j)}: {left} vs {right}")
+    return forms
 
 
 # -- forms on a cover chart
@@ -148,9 +139,6 @@ class CoverOneForm:
         ct = {w: a for w, (a, _) in parts.items()}
         cv = {(w - 1) % chart.n: b for w, (_, b) in parts.items()}
         return cls(chart, CoverElem(chart, ct), CoverElem(chart, cv))
-
-    def is_zero(self) -> bool:
-        return self.ct.is_zero() and self.cv.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, CoverOneForm):

@@ -210,30 +210,25 @@ class PartialFormsChart:
         }
 
 
+def _closed_chain_report(maps: Sequence[ModuleMap], labels: Sequence[str]) -> dict:
+    """Exactness of 0 -> maps -> 0: the chain closed by a zero map at each end."""
+    zero = FpmModule.zero(maps[0].source.ring)
+    return is_exact(
+        [ModuleMap.zero(zero, maps[0].source), *maps, ModuleMap.zero(maps[-1].target, zero)],
+        labels,
+    )
+
+
 def degree1_report(pfc: PartialFormsChart) -> dict:
-    zero = FpmModule.zero(pfc.ring)
-    maps = [
-        ModuleMap.zero(zero, pfc.base_functions, "0"),
-        pfc.mul_omega_map,
-        pfc.sigma1_map,
-        pfc.s1_map,
-        ModuleMap.zero(pfc.base_functions, zero, "0"),
-    ]
-    labels = ["O_X", "Omega1_X", "Omega1_L", "O_X"]
-    return is_exact(maps, labels)
+    return _closed_chain_report(
+        [pfc.mul_omega_map, pfc.sigma1_map, pfc.s1_map],
+        ["O_X", "Omega1_X", "Omega1_L", "O_X"],
+    )
 
 
 def degree2_report(pfc: PartialFormsChart, corrected: bool) -> dict:
-    zero = FpmModule.zero(pfc.ring)
     s2 = pfc.s2_corrected_map if corrected else pfc.s2_literal_map
-    maps = [
-        ModuleMap.zero(zero, pfc.base_two_forms, "0"),
-        pfc.sigma2_map,
-        s2,
-        ModuleMap.zero(s2.target, zero, "0"),
-    ]
-    labels = ["Omega2_X", "Omega2_L", "tail"]
-    return is_exact(maps, labels)
+    return _closed_chain_report([pfc.sigma2_map, s2], ["Omega2_X", "Omega2_L", "tail"])
 
 
 def verify_sequence(cover: Cover, degree: int, corrected: bool = False) -> dict:
@@ -490,7 +485,7 @@ def basis_independence_check(bundle: TorsionBundle, rescalings: Sequence) -> dic
                 continue
             if not s_defined:
                 continue
-            s_val = old.s1_map.apply(coords)[0]
+            s_val = old.s1_map.matrix.apply_vec(coords)[0]
             if not old.base_functions.elems_equal([s_val], [expected_s]):
                 s_match = False
         backward_ok = True

@@ -14,7 +14,9 @@ core.  That gives the classical algorithms:
     of its matrix, which carries the matrix.  One helper, _read_off, owns
     the rule that reads a row y_i of U*b against the diagonal of D: a unit
     d_i accepts any y_i, a zero or missing d_i needs y_i = 0, and any other
-    d_i must divide y_i.  solve reads every row and keeps the quotients.
+    d_i must divide y_i.  It divides the cores and forms no quotient:
+    solve reads every row and alone forms the quotients y_i / d_i, and the
+    zero and equality tests keep only the verdict.
   * FpmModule: generators + relation columns, in its weights.  The ring and
     the generator count are the relation matrix's.  Rank, the torsion chain
     and the membership test are read off one SNF, computed once.  The zero
@@ -388,18 +390,19 @@ def _is_identity(P: PolyMatrix) -> bool:
     )
 
 
-def _read_off(snf: SNFResult, i: int, y: RingElem) -> RingElem | None:
-    """z_i with d_i*z_i = y, y the entry in row i of U*x, or None when there
-    is none.  This is the read-off rule: a unit d_i accepts any y, a zero or
-    missing d_i needs y = 0, and any other d_i must divide y.
+def _read_off(snf: SNFResult, i: int, y: RingElem) -> tuple[RingElem, Poly] | None:
+    """Whether d_i*z_i = y has a solution, y the entry in row i of U*x.  This
+    is the read-off rule: a unit d_i accepts any y, a zero or missing d_i
+    needs y = 0, and any other d_i must divide y.
 
-    The quotient y / d_i is formed by the helper behind
-    ``ChartRing.exact_div``, the unit parts divided and the cores by one
-    division, so it is right for any nonzero d_i; a d_i whose core is 1
-    takes no division.
+    A refused y gives None.  An accepted one gives a divisor c of y and the
+    core of y / c, which ``_unit_quotient`` turns into z_i: c is d_i, or 1
+    when y = 0.  The cores are divided once, and a d_i whose core is 1 takes
+    no division; no quotient is formed here, so a zero or equality test that
+    keeps only the verdict builds none.
     """
     if not y.const:
-        return y
+        return y.ring.one, y.core
     diag = snf.diag
     if i >= len(diag) or not diag[i].const:
         return None
@@ -408,19 +411,20 @@ def _read_off(snf: SNFResult, i: int, y: RingElem) -> RingElem | None:
         core, rest = core.divmod(d.core)
         if not rest.is_zero():
             return None
-    return _unit_quotient(y, d, core)
+    return d, core
 
 
 def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] | None:
     """z with D*z = U*b, zero off the nonzero diagonal, or None when there is
-    none: every row of U*b is read off the diagonal."""
+    none: every nonzero row of U*b is read off the diagonal, and the
+    quotient formed through the helper behind ``ChartRing.exact_div``."""
     z = [snf.matrix.ring.zero] * snf.matrix.ncols
     for i, y in enumerate(snf.U.apply_vec(b)):
         if y.const:
-            q = _read_off(snf, i, y)
-            if q is None:
+            read = _read_off(snf, i, y)
+            if read is None:
                 return None
-            z[i] = q
+            z[i] = _unit_quotient(y, *read)
     return z
 
 
@@ -780,9 +784,6 @@ class ModuleMap:
     @property
     def is_well_defined(self) -> bool:
         return self.well_definedness[0]
-
-    def apply(self, vec: Sequence) -> Vec:
-        return self.matrix.apply_vec(vec)
 
     def after(self, first: "ModuleMap") -> "ModuleMap":
         if first.target is not self.source:

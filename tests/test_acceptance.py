@@ -25,7 +25,7 @@ from taucover.connections import (
 )
 from taucover.covers import Cover
 from taucover.fields import FqField
-from taucover.forms import OmegaL, cartier
+from taucover.forms import cartier, omega_l
 from taucover.partialforms import dga_check, rank_torsion_report, verify_sequence
 from taucover.pidmod import smith_normal_form
 from taucover.rings import ChartRing
@@ -74,12 +74,11 @@ def test_criterion_1_degree_one_sequence_exact_on_catalog(capsys):
 def test_criterion_2_cartier_fixes_the_log_form_and_it_glues():
     for name in NON_DEGENERATE:
         bundle = FIXTURES[name]()
-        omega = OmegaL(bundle)
         assert not bundle.is_degenerate(), name
-        for form in omega.chart_forms:
+        for form in omega_l(bundle):
             assert cartier(form) == form, name
     bundle = FIXTURES["TWOCHART"]()
-    omega = OmegaL(bundle)
+    omega = omega_l(bundle)
     scheme = bundle.scheme
     left = scheme.restrict(0, omega[0], 1)
     right = scheme.restrict(1, omega[1], 0)

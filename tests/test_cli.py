@@ -94,30 +94,67 @@ def test_fixture_file_bad_json_raises(tmp_path, monkeypatch):
         load_fixture("BROKEN")
 
 
+def spoiled(key, spoil):
+    """The fixture document with its block ``key`` replaced by spoil(block)."""
+    return lambda data: {**data, key: spoil(data[key])}
+
+
 @pytest.mark.parametrize(
-    "key, spoil, argv",
+    "spoil, argv, message",
     [
-        ("expected", lambda x: {k: v for k, v in x.items() if k != "validate"}, ["catalog"]),
-        ("expected", lambda x: [x], ["report", "--fixture", "GM_P2"]),
-        ("bundle", lambda x: {**x, "charts": 5}, ["catalog"]),
         (
-            "expected",
-            lambda x: {**x, "sequences": [1]},
+            spoiled("expected", lambda x: {k: v for k, v in x.items() if k != "validate"}),
+            ["catalog"],
+            "missing keys: ['expected.validate.degenerate']",
+        ),
+        (
+            spoiled("expected", lambda x: [x]),
+            ["report", "--fixture", "GM_P2"],
+            "bundle and expected must be objects",
+        ),
+        (spoiled("bundle", lambda x: {**x, "charts": 5}), ["catalog"], "bundle.charts must be a list"),
+        (
+            spoiled("expected", lambda x: {**x, "sequences": [1]}),
             ["verify", "--fixture", "GM_P2", "--sequence", "2.7"],
+            "expected.sequences must be an object",
+        ),
+        (lambda data: [data], ["report", "--fixture", "GM_P2"], "must hold a JSON object"),
+        (
+            lambda data: {k: v for k, v in data.items() if k != "provenance"},
+            ["report", "--fixture", "GM_P2"],
+            "missing keys: ['provenance']",
         ),
     ],
-    ids=["expected-without-validate", "expected-as-list", "charts-not-a-list", "sequences-as-list"],
+    ids=[
+        "expected-without-validate",
+        "expected-as-list",
+        "charts-not-a-list",
+        "sequences-as-list",
+        "document-as-list",
+        "without-provenance",
+    ],
 )
-def test_fixture_file_bad_blocks_exit_two(capsys, tmp_path, monkeypatch, key, spoil, argv):
+def test_fixture_file_bad_blocks_exit_two(capsys, tmp_path, monkeypatch, spoil, argv, message):
     data = json.loads((catalog_dir() / "GM_P2.json").read_text())
-    data[key] = spoil(data[key])
-    (tmp_path / "GM_P2.json").write_text(json.dumps(data))
+    path = tmp_path / "GM_P2.json"
+    path.write_text(json.dumps(spoil(data)))
     monkeypatch.setenv(CATALOG_ENV, str(tmp_path))
     with pytest.raises(MalformedInput):
         load_fixture("GM_P2")
     code, out = run_cli(capsys, *argv)  # raises unless exactly one document
     assert code == 2
     assert out["kind"] == "malformed-input"
+    assert out["error"].startswith(f"fixture file {path}") and out["error"].endswith(message)
+
+
+def test_a_missing_catalog_directory_exits_two(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv(CATALOG_ENV, str(missing))
+    code, out = run_cli(capsys, "catalog")  # raises unless exactly one document
+    assert (code, out) == (
+        2,
+        {"error": f"catalog directory {missing} does not exist", "kind": "malformed-input"},
+    )
 
 
 # -- expected-block comparison
@@ -428,15 +465,26 @@ TWO_CHARTS = {
             {**ONE_CHART, "charts": [{"inverted": ["t^65 + t^18 + 1"]}], "u": ["t^65 + t^18 + 1"]},
             {**TWO_CHARTS, "g": {"(0,1)": "(t + 1)/t", "(0, 1)": "t"}},
         ]),
-        ({**ONE_CHART, "field": {"p": 2, "e": 0}}, "extension degree e must be at least 1, got 0"),
-        ({**ONE_CHART, "field": {"p": 2, "e": -3}}, "extension degree e must be at least 1, got -3"),
+        (
+            {**ONE_CHART, "field": {"p": 2, "e": 0}},
+            "bad field description: extension degree e must be at least 1, got 0",
+        ),
+        (
+            {**ONE_CHART, "field": {"p": 2, "e": -3}},
+            "bad field description: extension degree e must be at least 1, got -3",
+        ),
         (
             {**ONE_CHART, "field": {"p": 3, "e": 10**9}},
-            "field size p^e must be at most 256, got 3^1000000000",
+            "bad field description: field size p^e must be at most 256, got 3^1000000000",
         ),
         (
             {**ONE_CHART, "field": {"p": 2**61 - 1}},
-            "characteristic must be a prime in [2, 97], got 2305843009213693951",
+            "bad field description: characteristic must be a prime in [2, 97], "
+            "got 2305843009213693951",
+        ),
+        (
+            {**TWO_CHARTS, "g": {"(a,b)": "t"}},
+            "bad transition key '(a,b)'; expected '(i,j)'",
         ),
     ],
     ids=[
@@ -460,6 +508,7 @@ TWO_CHARTS = {
         "negative-e",
         "huge-e",
         "huge-p",
+        "non-integer-key",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle, message):
@@ -471,8 +520,16 @@ def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bun
     assert code == 2
     assert out["kind"] == "malformed-input"
     if message is not None:
-        assert out["error"] == f"bad field description: {message}"
+        assert out["error"] == message
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing-file", "directory"])
+def test_an_unreadable_bundle_path_exits_two_with_one_json_document(capsys, tmp_path, name):
+    path = tmp_path / name
+    code, out = run_cli(capsys, "validate", "--json", str(path))
+    assert (code, out["kind"]) == (2, "malformed-input")
+    assert out["error"].startswith(f"cannot read {path}: ")
 
 
 # 5,000 nested arrays, 10 KB: deeper than the JSON decoder recurses
@@ -720,7 +777,7 @@ def test_a_bundle_repeating_a_high_power_validates_with_few_divisions(
 def test_cover_takes_the_log_derivative_of_each_unit_once(
     capsys, tmp_path, monkeypatch, name, exit_code
 ):
-    # validation, OmegaL and each partial-forms chart read one du/u per chart
+    # validation, omega_l and each partial-forms chart read one du/u per chart
     bundle = sparse_bundle() if name == "sparse" else load_fixture(name).bundle_json
     calls = count_calls(monkeypatch, ChartRing, "dlog")
     code, _ = run_cli(capsys, "cover", "--json", write_bundle(tmp_path, bundle))

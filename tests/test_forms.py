@@ -13,11 +13,11 @@ from taucover.errors import CertificateFailure, GluingFailure, RingMismatch
 from taucover.fields import FqField
 from taucover.forms import (
     CoverOneForm,
-    OmegaL,
     cartier,
     d_function,
     d_one_form,
     dv_over_v,
+    omega_l,
     one_form_str,
     one_forms_module,
     pullback_one_form,
@@ -126,7 +126,8 @@ def test_cartier_fixes_dlog_of_units(ring):
 
 def test_omega_l_glues_on_two_charts():
     bundle = twochart()
-    omega = OmegaL(bundle)
+    omega = omega_l(bundle)
+    assert omega is bundle.dlog_u
     assert not bundle.is_degenerate()
     assert omega[0] == omega[0].ring.parse("1/t")
     assert omega[1] == omega[1].ring.parse("1/t")
@@ -134,7 +135,7 @@ def test_omega_l_glues_on_two_charts():
 
 def test_omega_l_degenerate_flag():
     bundle = degenerate()
-    omega = OmegaL(bundle)
+    omega = omega_l(bundle)
     assert bundle.is_degenerate()
     assert omega[0].is_zero()
 
@@ -148,15 +149,14 @@ def test_omega_l_gluing_failure():
     g = scheme.overlap(0, 1).parse("t^2")
     bundle = TorsionBundle(scheme, 1, {(0, 1): g}, [chart.t, chart_b.parse("t^3")])
     assert bundle.validate()["valid"]
-    with pytest.raises(GluingFailure):
-        OmegaL(bundle)
+    with pytest.raises(GluingFailure, match=r"on overlap \(0, 1\): 1/t vs 0$"):
+        omega_l(bundle)
 
 
 def test_cartier_fixes_omega_l_on_fixtures():
     for name, make in FIXTURES.items():
         bundle = make()
-        omega = OmegaL(bundle)
-        for form in omega.chart_forms:
+        for form in omega_l(bundle):
             assert cartier(form) == form, name
 
 

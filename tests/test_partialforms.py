@@ -321,12 +321,14 @@ def test_dga_laws(name):
 
 
 class _StubLaw:
-    """A law on integers that fails exactly at ``failing``, counting its
-    draws and recording each argument it evaluates."""
+    """A law on integers that fails exactly at ``failing``, and whose sides
+    leave the partial forms at ``leaving``, counting its draws and recording
+    each argument it evaluates."""
 
-    def __init__(self, draws, failing=()):
+    def __init__(self, draws, failing=(), leaving=()):
         self.draws = iter(draws)
         self.failing = set(failing)
+        self.leaving = set(leaving)
         self.drawn = 0
         self.evaluated = []
 
@@ -336,6 +338,8 @@ class _StubLaw:
 
     def sides(self, x):
         self.evaluated.append(x)
+        if x in self.leaving:
+            raise StabilityFailure(f"{x} left the partial forms")
         return x, x + (x in self.failing)
 
     def run(self, generators, samples):
@@ -361,6 +365,13 @@ def test_law_does_not_evaluate_a_drawn_generator_again():
 def test_law_returns_the_first_failing_draw_after_a_passing_repeat():
     law = _StubLaw([2, 3, 2, 5, 7, 5], failing={5, 7})
     assert law.run([(1,)], samples=6) == (5,)
+    assert law.drawn == 4
+    assert law.evaluated == [1, 2, 3, 5]
+
+
+def test_law_fails_at_the_first_draw_whose_side_leaves_the_partial_forms():
+    law = _StubLaw([2, 3, 2, 5, 7], failing={7}, leaving={5})
+    assert law.run([(1,)], samples=5) == (5,)
     assert law.drawn == 4
     assert law.evaluated == [1, 2, 3, 5]
 

@@ -210,12 +210,16 @@ def test_the_read_off_divides_each_nonzero_entry_once_and_never_by_a_unit(monkey
     # division counted is one of the read-off against the diagonal
     ring = ChartRing(F5, [])
     rng = random.Random(23)
-    original = Poly.divmod
-    divisors = []
+    original, original_quotient = Poly.divmod, pidmod._unit_quotient
+    divisors, quotients = [], []
 
     def counting(self, other):
         divisors.append(other)
         return original(self, other)
+
+    def counting_quotients(*args):
+        quotients.append(args)
+        return original_quotient(*args)
 
     outcomes = set()
     for _ in range(80):
@@ -228,11 +232,18 @@ def test_the_read_off_divides_each_nonzero_entry_once_and_never_by_a_unit(monkey
         for b in (m.apply_vec(x), [ring.random_element(rng, max_deg=2) for _ in range(nrows)]):
             y = snf.U.apply_vec(b)
             budget = sum(1 for i in nonunit if not y[i].is_zero())
-            for read_off in (lambda: solve(snf, b), lambda: module.is_zero_elem(b)):
+            # only solve forms quotients y_i / d_i; the zero test keeps the verdict
+            for read_off, may_divide in (
+                (lambda: solve(snf, b), True),
+                (lambda: module.is_zero_elem(b), False),
+            ):
                 divisors.clear()
+                quotients.clear()
                 monkeypatch.setattr(Poly, "divmod", counting)
+                monkeypatch.setattr(pidmod, "_unit_quotient", counting_quotients)
                 found = read_off()
                 monkeypatch.undo()
+                assert may_divide or not quotients
                 assert len(divisors) <= budget
                 assert all(any(p is core for core in nonunit.values()) for p in divisors)
                 if found is not None and found is not False:

@@ -32,6 +32,16 @@ most like the charts and the pairs together, 36 and 136.  ``cover`` builds
 one TorsionBundle, the one it reads, and lifts its transitions once; so
 does ``class``, whose canonical cochain reuses the bundle's lift.
 
+In the number of inverted primes: the bundle is one chart over F_2 with
+n = 2 and u = t, inverting t and k primes of degree 16, the first k in the
+order of their codes, at k = 4 and at k = 16.  ``connection`` with 20 guard
+samples makes prime tests, the calls of Poly.multiplicity, all from
+ChartRing.make, and polynomial products inside ChartRing.derive.  Each may
+grow at most linearly in k, 4 times; a ratio above 5 fails.  Measured: 78
+and 367 prime tests, 150 and 689 products.  Each test and each product
+costs more as k grows, since a drawn numerator's degree grows with the
+primes in its denominator; the counts do not show that.
+
 ``report`` reads the bundle as a catalog file through TAUCOVER_CATALOG_DIR, as
 a user catalog would.
 
@@ -41,6 +51,7 @@ difference formed.
 """
 
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -56,6 +67,7 @@ from taucover.rings import ChartRing, RingElem
 
 SMALL, LARGE = 64, 256
 FEW_CHARTS, MORE_CHARTS = 8, 16
+FEW_PRIMES, MORE_PRIMES = 4, 16
 MAX_RATIO = 5
 # RingElem subtractions of ``report --all --seed 1``: 400 when the guards
 # compare their sides row by row, 1,622 when they subtracted them
@@ -269,6 +281,48 @@ def test_guard_constructions_grow_like_the_charts_and_pairs_in_the_chart_count(
     for metric in ("makes", "derives"):
         grown = measured[MORE_CHARTS][metric] * few <= measured[FEW_CHARTS][metric] * more
         assert grown, (command, metric, measured)
+
+
+def inverting_primes(k: int) -> dict:
+    """One chart over F_2 inverting t and the first k irreducibles of degree
+    16 in the order of their codes, with n = 2 and u = t."""
+    field, primes, code = FqField(2), [], 1
+    while len(primes) < k:
+        f = Poly(field, [*((code >> i) & 1 for i in range(16)), 1])
+        if f.is_irreducible():
+            primes.append(str(f))
+        code += 2
+    return {"field": {"p": 2}, "n": 2, "charts": [{"inverted": ["t", *primes]}], "u": ["t"]}
+
+
+def test_guard_prime_tests_and_products_grow_at_most_linearly_in_the_inverted_primes(
+    tmp_path, monkeypatch, capsys
+):
+    multiplicity, product = Poly.multiplicity, Poly.__mul__
+    in_derive = ChartRing.derive.__code__
+    measured = {}
+    for k in (FEW_PRIMES, MORE_PRIMES):
+        path = tmp_path / f"k{k}.json"
+        path.write_text(json.dumps(inverting_primes(k)))
+        counts = {"prime_tests": 0, "derive_products": 0}
+
+        def tested(*args, counts=counts):
+            counts["prime_tests"] += 1
+            return multiplicity(*args)
+
+        def multiplied(*args, counts=counts):
+            counts["derive_products"] += sys._getframe(1).f_code is in_derive
+            return product(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "multiplicity", tested)
+            m.setattr(Poly, "__mul__", multiplied)
+            code = main(["connection", "--samples", "20", "--json", str(path)])
+        assert (code, json.loads(capsys.readouterr().out)["passed"]) == (0, True)
+        measured[k] = counts
+    for metric, few in measured[FEW_PRIMES].items():
+        more = measured[MORE_PRIMES][metric]
+        assert 0 < few and more <= MAX_RATIO * few, (metric, few, more)
 
 
 def test_cover_builds_one_bundle_and_lifts_it_once(tmp_path, monkeypatch, capsys):
