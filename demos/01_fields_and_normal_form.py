@@ -16,10 +16,12 @@ def mat(ring, rows):
 def main():
     print("== The field F_4 ==")
     field = FqField(2, 2)
-    a = field.gen
+    a, one = Poly.parse(field, "a"), Poly.one(field)
     print(f"generator a with a^2 = {a * a}")
-    print(f"a * (a + 1) = {a * (a + field.one)}")
-    print(f"Frobenius: (a)^2 = {a ** 2}, and its inverse root: {(a ** 2).frobenius_inverse()}")
+    print(f"a * (a + 1) = {a * (a + one)}")
+    # the inverse of Frobenius x -> x^p on F_(p^e) is x -> x^(p^(e-1))
+    root = (a**2) ** (field.p ** (field.e - 1))
+    print(f"Frobenius: (a)^2 = {a ** 2}, and its inverse root: {root}")
 
     print()
     print("== Polynomials over F_5 ==")
@@ -39,7 +41,7 @@ def main():
     u = ring.parse("3*t^2/(t + 4)")
     print(f"u = {u} is a unit: {u.is_unit()}")
     constant, exponents = ring.unit_log(u)
-    print(f"unit decomposition: constant {constant}, exponents {exponents}")
+    print(f"unit decomposition: constant {f5.format(constant)}, exponents {exponents}")
     print(f"dlog(u) = {ring.dlog(u)}")
 
     print()

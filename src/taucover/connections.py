@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .covers import Cover, TorsionBundle
 from .errors import MalformedInput, NotCoprime, TauCoverError
-from .fields import FqElem
 from .forms import (
     CoverOneForm,
     d_function,
@@ -459,7 +458,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
             if (m - solution[(j, k)]) % p != 0:
                 raise TauCoverError("exponent assembly left the mod-p solution class")
             exponents.append(m)
-        units.append(pfc.ring.exp_unit(FqElem(scheme.field, roots[j].const), exponents))
+        units.append(pfc.ring.exp_unit(roots[j].const, exponents))
 
     # Definitive re-verification of the witness against both identities.
     for i, pfc in enumerate(pfcs):
@@ -529,8 +528,8 @@ def _lattice_rows(ring: ChartRing, keys: list, target: RingElem, modulus: Poly |
     rows = []
     digits = ring.field.digits
     for pos in range(width):
-        col_digits = [digits(c[pos].code) for c in columns]
-        for comp, rhs in enumerate(digits(cleared[pos].code)):
+        col_digits = [digits(c[pos]) for c in columns]
+        for comp, rhs in enumerate(digits(cleared[pos])):
             row = {}
             for j in range(len(primes)):
                 val = col_digits[j][comp]

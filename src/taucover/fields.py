@@ -8,32 +8,33 @@ and elements are plain residues.
 
 Every element is one int, its *code*, in [0, q): the base-p value of its
 power-basis coefficient vector (c_0, ..., c_(e-1)), so the code of
-sum c_i a^i is sum c_i p^i.  This is the order of `elements()`; 0 and 1 are
-the codes of zero and one, and the code of an integer n is n mod p.  The
-coefficient vector, used for printing, is read off the code's base-p digits.
+sum c_i a^i is sum c_i p^i.  0 and 1 are the codes of zero and one, the
+code of an integer n is n mod p, and p is the code of a.  The coefficient
+vector, used for printing, is read off the code's base-p digits.  The code
+is the only representation of an element: callers compute on codes through
+the field's methods and tables.
 
 Each field builds its tables once, when it is built, each of size O(q): the
 antilog table of a primitive element g (exp[k] = g^k, stored twice over so a
 sum of two logs needs no reduction) and the log table, which make every
 product and inverse two lookups.  Addition is XOR when p = 2 and integer
 addition mod p when e = 1; odd-characteristic extensions add through Zech
-logarithms, zech[k] = log(1 + g^k).  `FqElem` is the public scalar: a thin
-(field, code) pair, whose operators take an element of the same field only;
-an int, a coefficient vector or a text becomes one through `_FqField.elem`.
+logarithms, zech[k] = log(1 + g^k).  A power is one lookup too, `_pow`.
 Polynomial loops (`polys`) read the tables directly.
 
-Text syntax: prime-field elements are decimal digits; extension elements are
-polynomials in the generator symbol a, highest power first and joined by "+"
-with no spaces, e.g. "a^2+2*a+1", written by the rules of ``exprparse``.
+Printed form: prime-field elements are decimal digits; extension elements
+are polynomials in the generator symbol a, highest power first and joined by
+"+" with no spaces, e.g. "a^2+2*a+1", written by the rules of ``exprparse``.
+Nothing reads a field element alone: a coefficient is read inside a
+polynomial text, where a is an atom of ``Poly.parse`` and ``ChartRing.parse``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
 
-from .errors import DivisionByZero, FieldMismatch, MalformedInput
-from .exprparse import _excerpt, _power, _term, evaluate
+from .errors import DivisionByZero
+from .exprparse import _power, _term
 
 _MAX_Q = 256
 _MAX_P = 97
@@ -115,8 +116,6 @@ class _FqField:
         self.e = e
         self.q = p**e
         self.modulus = modulus_coeffs(p, e)
-        self.zero = FqElem(self, 0)
-        self.one = FqElem(self, 1)
         self._build_tables()
 
     # -- tables
@@ -168,42 +167,12 @@ class _FqField:
             code //= p
         return tuple(out)
 
-    # -- construction
-
-    def elem(self, value) -> "FqElem":
-        """Coerce an int, coefficient vector, string or FqElem into the field."""
-        if isinstance(value, FqElem):
-            if value.field is not self:
-                raise FieldMismatch("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FqElem(self, value % self.p)
-        if isinstance(value, str):
-            return self.parse(value)
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.e:
-            raise ValueError("coefficient vector longer than the extension degree")
-        return FqElem(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
-
-    @property
-    def gen(self) -> "FqElem":
-        """Image of a, the power-basis generator.  Extension fields only."""
-        if self.e == 1:
-            raise ValueError("prime field has no extension generator")
-        return FqElem(self, self.p)
-
-    def elements(self) -> Iterator["FqElem"]:
-        """All q elements, by code."""
-        for code in range(self.q):
-            yield FqElem(self, code)
-
-    def random_elem(self, rng) -> "FqElem":
-        """A random element.  One draw per power-basis coefficient, lowest
-        first: seeded reports depend on it."""
-        return FqElem(self, self.random_codes(rng, 1)[0])
+    # -- randomness
 
     def random_codes(self, rng, count: int) -> list[int]:
-        """count codes, drawn as count calls of random_elem draw them."""
+        """count random codes.  Each code takes one draw per power-basis
+        digit, lowest first, each as ``randrange(p)`` draws it: seeded reports
+        depend on this stream."""
         p, e = self.p, self.e
         if e == 1:
             return draws_below(rng, p, count)
@@ -220,12 +189,6 @@ class _FqField:
                 weight *= p
             codes.append(code)
         return codes
-
-    def random_nonzero(self, rng) -> "FqElem":
-        while True:
-            x = self.random_elem(rng)
-            if x.code:
-                return x
 
     # -- arithmetic on codes
 
@@ -264,16 +227,13 @@ class _FqField:
             raise DivisionByZero("inverse of zero in F_q")
         return self.exp[self.q - 1 - self.log[x]]
 
-    # -- parsing and printing
+    def _pow(self, x: int, k: int) -> int:
+        """x^k for k >= 0, read off the log table; 0^0 = 1."""
+        if not x:
+            return 0 if k else 1
+        return self.exp[self.log[x] * k % (self.q - 1)]
 
-    def parse(self, text: str) -> "FqElem":
-        atoms = {}
-        if self.e > 1:
-            atoms["a"] = self.gen
-        value = evaluate(text, self.elem, atoms)
-        if not isinstance(value, FqElem):
-            raise MalformedInput(f"{_excerpt(text)} is not a field element")
-        return value
+    # -- printing
 
     def format(self, code: int) -> str:
         if self.e == 1:
@@ -283,86 +243,3 @@ class _FqField:
 
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q}=F_{self.p}(a)"
-
-
-class FqElem:
-    """Immutable element of an _FqField: the field and the element's code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: _FqField, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Power-basis coefficient vector, low degree first."""
-        return self.field.digits(self.code)
-
-    def _check(self, other) -> "FqElem":
-        if not isinstance(other, FqElem):
-            return NotImplemented
-        if other.field is not self.field:
-            raise FieldMismatch("elements of different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._add(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._sub(self.code, other.code))
-
-    def __neg__(self):
-        return FqElem(self.field, self.field._neg(self.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._mul(self.code, self.field._inv(other.code)))
-
-    def __pow__(self, k: int):
-        field = self.field
-        if k < 0:
-            return self.inv() ** (-k)
-        if not self.code:
-            return self if k else field.one
-        return FqElem(field, field.exp[field.log[self.code] * k % (field.q - 1)])
-
-    def inv(self) -> "FqElem":
-        return FqElem(self.field, self.field._inv(self.code))
-
-    def frobenius_inverse(self) -> "FqElem":
-        """The inverse automorphism: x^(p^(e-1)); its p-th power is x."""
-        return self ** (self.field.p ** (self.field.e - 1))
-
-    def is_zero(self) -> bool:
-        return not self.code
-
-    def __bool__(self):
-        return bool(self.code)
-
-    def __eq__(self, other):
-        if not isinstance(other, FqElem):
-            return NotImplemented
-        return self.field is other.field and self.code == other.code
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.e, self.code))
-
-    def __str__(self):
-        return self.field.format(self.code)
-
-    __repr__ = __str__

@@ -72,9 +72,9 @@ def cartier(x: RingElem) -> RingElem:
         return ring.zero
     num, den = x.fraction()
     lifted = num * den ** (p - 1)
-    picked = [
-        lifted[k].frobenius_inverse().code for k in range(p - 1, len(lifted.coeffs), p)
-    ]
+    # the p-th root of a code is its p^(e-1)-th power
+    root, power = p ** (field.e - 1), field._pow
+    picked = [power(lifted[k], root) for k in range(p - 1, len(lifted.coeffs), p)]
     return ring.make(Poly(field, picked), x.dens)
 
 

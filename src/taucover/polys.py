@@ -7,7 +7,7 @@ Euclidean, so division with remainder, gcd and exact division are all
 available.
 
 The operators take a polynomial over the same field only: `Poly.const`
-makes one of a field element, and any other operand is left to its own
+makes one of a field code, and any other operand is left to its own
 type's reflected operator (a chart ring's parser adds ring elements to
 polynomials that way).  Every operation works on the codes and builds one
 `Poly` per result.  A product with the unit polynomial 1, a scaling by 1 and
@@ -17,9 +17,9 @@ field: over a prime field they use integer arithmetic and reduce mod p once
 per output coefficient; over other fields they multiply through the field's
 log and antilog tables and add by XOR when p = 2, or through the field's
 `_add` (Zech logarithms) otherwise.  Negation, scaling and derivatives use
-the field's code methods and tables directly.  Coefficients are handed out
-as `FqElem` only by `lc()` and indexing.  A polynomial prints by the rules
-of ``exprparse``, highest term first: "t^2 + (a+1)*t + 1".
+the field's code methods and tables directly; indexing hands out a
+coefficient's code.  A polynomial prints by the rules of ``exprparse``,
+highest term first: "t^2 + (a+1)*t + 1".
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
 from .exprparse import _excerpt, _power, _term, evaluate
-from .fields import FqElem, _FqField, _prime_divisors
+from .fields import _FqField, _prime_divisors
 
 
 def _mul_codes(field: _FqField, a, b) -> list[int]:
@@ -163,8 +163,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def const(cls, c: FqElem) -> "Poly":
-        return cls(c.field, (c.code,))
+    def const(cls, field, code: int) -> "Poly":
+        return cls(field, (code,))
 
     @classmethod
     def parse(cls, field, text: str, memo: dict | None = None) -> "Poly":
@@ -178,10 +178,11 @@ class Poly:
                 raise MalformedInput(f"non-exact division in polynomial {_excerpt(text)}")
             return q
 
+        p = field.p
         atoms = {"t": cls.x(field)}
         if field.e > 1:
-            atoms["a"] = cls.const(field.gen)
-        return evaluate(text, lambda n: cls.const(field.elem(n)), atoms, div, memo=memo)
+            atoms["a"] = cls.const(field, p)
+        return evaluate(text, lambda n: cls.const(field, n % p), atoms, div, memo=memo)
 
     # -- structure
 
@@ -196,16 +197,12 @@ class Poly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    def lc(self) -> FqElem:
-        if not self.coeffs:
-            raise DivisionByZero("leading coefficient of zero")
-        return FqElem(self.field, self.coeffs[-1])
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __getitem__(self, i: int) -> FqElem:
-        return FqElem(self.field, self.coeffs[i] if i < len(self.coeffs) else 0)
+    def __getitem__(self, i: int) -> int:
+        """The code of the t^i coefficient, 0 past the degree."""
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def _check(self, other: "Poly") -> "Poly":
         """other, once it is known to be a polynomial over this field."""
@@ -377,13 +374,11 @@ class Poly:
     def _frobenius_power(self, step: int) -> "Poly":
         """self^step for step a power of p: each code raised to step, and the
         exponents multiplied by step."""
-        field = self.field
-        exp, log, order = field.exp, field.log, field.q - 1
+        power = self.field._pow
         codes = [0] * (step * self.deg + 1)
         for i, c in enumerate(self.coeffs):
-            if c:
-                codes[i * step] = exp[log[c] * step % order]
-        return Poly(field, codes)
+            codes[i * step] = power(c, step)
+        return Poly(self.field, codes)
 
     def is_irreducible(self) -> bool:
         """Rabin's test (SIAM J. Comput. 9, 1980).

@@ -46,10 +46,10 @@ written by the rules of ``exprparse``: "(t + 1)/(t^2*(t + a))".
 
 Outside values become ring elements (``ChartRing.coerce``) only in ``parse``
 and in the ``RingElem`` operators, for the Poly operands the parser's folds
-pass (its integers and the generator a are constant polynomials); an int or
-a field element is refused there, and enters through ``from_int`` or
-``from_field``.  Every other method takes an element of its own ring as it
-is; those that read stored factors refuse another ring's by ``check``.
+pass (its integers and the generator a are constant polynomials); an int is
+refused there, and enters through ``from_int``.  Every other method takes an
+element of its own ring as it is; those that read stored factors refuse
+another ring's by ``check``.
 
 Each arithmetic shortcut has one owner.  ``RingElem.__mul__`` returns the
 other factor of a product by the ring's one, after its ring check, so no
@@ -59,8 +59,9 @@ Euclidean quotient and diagonal solution all divide through it.
 
 Beyond ring arithmetic the chart ring provides the three operations the
 geometry needs: unit factorization (`unit_log`, which returns the pair
-(c, m) of a unit c * prod(pi_j^m_j) read off its stored factors, undone by
-`exp_unit`), d/dt (`derive`), and the logarithmic derivative (`dlog`).
+(c, m) of a unit c * prod(pi_j^m_j) read off its stored factors, c the
+constant's field code, undone by `exp_unit`), d/dt (`derive`), and the
+logarithmic derivative (`dlog`).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .errors import (
     RingMismatch,
 )
 from .exprparse import _grouped, _power, evaluate
-from .fields import FqElem, _FqField
+from .fields import _FqField
 from .polys import Poly
 
 
@@ -179,19 +180,11 @@ class ChartRing:
             return self.one
         return RingElem(self, code, self.one.core, self.one.exps) if code else self.zero
 
-    def from_field(self, c: FqElem) -> "RingElem":
-        """A constant is a unit or zero: no prime to divide out."""
-        if not c.code:
-            return self.zero
-        return RingElem(self, c.code, self.one.core, self.one.exps)
-
     def coerce(self, value) -> "RingElem":
         if isinstance(value, RingElem):
             return self.check(value)
         if isinstance(value, Poly):
             return self.make(value)
-        if isinstance(value, FqElem):
-            return self.from_field(value)
         if isinstance(value, int):
             return self.from_int(value)
         if isinstance(value, str):
@@ -217,16 +210,17 @@ class ChartRing:
         element is not stored.
         """
         field, coerce = self.field, self.coerce
+        p = field.p
         atoms = {"t": Poly.x(field)}
         if field.e > 1:
-            atoms["a"] = Poly.const(field.gen)
+            atoms["a"] = Poly.const(field, p)
 
         def lift(x):
             return self.make(x) if type(x) is Poly and x.deg > 0 else x
 
         value = evaluate(
             text,
-            lambda n: Poly.const(field.elem(n)),
+            lambda n: Poly.const(field, n % p),
             atoms,
             lambda x, y: coerce(x) / coerce(y),
             lift,
@@ -236,19 +230,23 @@ class ChartRing:
 
     # -- units and cores, read off the stored factors
 
-    def unit_log(self, a: "RingElem") -> tuple[FqElem, tuple[int, ...]]:
-        """Factor a unit as c * prod(pi_j^m_j), returned as (c, m); raises
-        NotAUnit otherwise."""
+    def unit_log(self, a: "RingElem") -> tuple[int, tuple[int, ...]]:
+        """Factor a unit as c * prod(pi_j^m_j), returned as (c, m) with c a
+        field code; raises NotAUnit otherwise."""
         self.check(a)
         if not a.is_unit():
             raise NotAUnit(f"{a} is not a unit of {self}")
-        return FqElem(self.field, a.const), a.exps
+        return a.const, a.exps
 
-    def exp_unit(self, constant: FqElem, exponents: Iterable[int]) -> "RingElem":
-        """Inverse of unit_log: c * prod(pi_j^m_j) from (c, m)."""
-        if constant.is_zero():
-            raise NotAUnit("unit constant must be nonzero")
-        return RingElem(self, constant.code, self.one.core, tuple(exponents))
+    def exp_unit(self, constant: int, exponents: Iterable[int]) -> "RingElem":
+        """Inverse of unit_log: c * prod(pi_j^m_j) from (c, m), c the code of
+        a nonzero field element."""
+        if not 0 < constant < self.field.q:
+            raise NotAUnit(
+                f"unit constant must be nonzero, a code in [1, {self.field.q}); "
+                f"got {constant!r}"
+            )
+        return RingElem(self, constant, self.one.core, tuple(exponents))
 
     def unit_core_split(self, a: "RingElem") -> tuple["RingElem", Poly]:
         """Write a = unit * core with core monic and coprime to every pi_j.
@@ -415,9 +413,13 @@ class ChartRing:
         return known
 
     def random_unit(self, rng, max_exp: int = 2) -> "RingElem":
+        """A random unit: its constant's code, drawn again while it is 0, then
+        one exponent in [-max_exp, max_exp] per inverted prime by ``randrange``."""
+        constant = 0
+        while not constant:
+            (constant,) = self.field.random_codes(rng, 1)
         return self.exp_unit(
-            self.field.random_nonzero(rng),
-            [rng.randrange(-max_exp, max_exp + 1) for _ in range(self.s)],
+            constant, [rng.randrange(-max_exp, max_exp + 1) for _ in range(self.s)]
         )
 
     def __repr__(self):
@@ -583,8 +585,8 @@ class RingElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        const = FqElem(self.ring.field, self.const) ** k
-        return RingElem(self.ring, const.code, self.core**k, tuple(e * k for e in self.exps))
+        const = self.ring.field._pow(self.const, k)
+        return RingElem(self.ring, const, self.core**k, tuple(e * k for e in self.exps))
 
     def inv(self) -> "RingElem":
         """Inverse of a unit; raises NotAUnit otherwise."""

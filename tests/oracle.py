@@ -71,8 +71,8 @@ def reduce_frac(fr: Frac) -> Frac:
     if not g.is_one():
         num = num.exact_div(g)
         den = den.exact_div(g)
-    lc_inv = den.lc().inv()
-    return (num.scale(lc_inv.code), den.scale(lc_inv.code))
+    lc_inv = den.field._inv(den.coeffs[-1])
+    return (num.scale(lc_inv), den.scale(lc_inv))
 
 
 def frac_add(a: Frac, b: Frac) -> Frac:
@@ -112,8 +112,8 @@ class Fraction:
         one = Poly.one(field)
         atoms = {"t": cls((Poly.x(field), one))}
         if field.e > 1:
-            atoms["a"] = cls((Poly.const(field.gen), one))
-        return evaluate(text, lambda k: cls((Poly.const(field.elem(k)), one)), atoms)
+            atoms["a"] = cls((Poly.const(field, field.p), one))
+        return evaluate(text, lambda k: cls((Poly.const(field, k % field.p), one)), atoms)
 
     def __add__(self, other):
         return Fraction(frac_add((self.num, self.den), (other.num, other.den)))
@@ -213,6 +213,16 @@ def schoolbook_mul(p: int, modulus, x: int, y: int) -> int:
     return digits_code(p, conv[:e])
 
 
+def schoolbook_pow(p: int, modulus, x: int, k: int) -> int:
+    """x^k for k >= 0 by square and multiply on schoolbook products."""
+    result = 1
+    for bit in bin(k)[2:]:
+        result = schoolbook_mul(p, modulus, result, result)
+        if bit == "1":
+            result = schoolbook_mul(p, modulus, result, x)
+    return result
+
+
 def trial_division_is_irreducible(f: Poly) -> bool:
     """No monic divisor of degree 1 .. deg f // 2, over every lower part."""
     if f.deg < 1:
@@ -237,7 +247,7 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if a.is_zero():
         return a, s0, t0
-    lead = a.lc().inv().code
+    lead = a.field._inv(a.coeffs[-1])
     return a.scale(lead), s0.scale(lead), t0.scale(lead)
 
 

@@ -90,10 +90,7 @@ def test_cartier_defect_is_exact_derivative(ring):
     rng = random.Random(31)
     p = ring.field.p
     for _ in range(30):
-        f = Poly(
-            ring.field,
-            [ring.field.random_elem(rng).code for _ in range(rng.randrange(1, 8))],
-        )
+        f = Poly(ring.field, ring.field.random_codes(rng, rng.randrange(1, 8)))
         c = cartier(ring.make(f))
         assert not c.dens or all(m == 0 for m in c.dens)
         defect = f - c.num ** p * Poly.x(ring.field) ** (p - 1)

@@ -17,9 +17,6 @@ read elsewhere.
 Values become ring elements only where they enter from outside: the
 functions of COERCION_BOUNDARY are the only ones that name a ``coerce``
 method.  Every other function takes an element of its own ring as it is.
-Likewise the parsers are the only functions that name a field's ``elem``,
-which turns an int into a field element: every arithmetic operator takes an
-operand of its own type.
 
 Printed text follows the rules ``exprparse`` owns: no other module tests
 whether a text is a sum (``" " in text`` or ``"+" in text``) to decide its
@@ -50,7 +47,7 @@ PACKAGE = ROOT / "src" / "taucover"
 ALLOWED: set[str] = set()
 
 # Where a value from outside becomes a ring element through
-# ``ChartRing.coerce``: a text, an int, a polynomial or a field element in the
+# ``ChartRing.coerce``: a text, an int or a polynomial in the
 # parser and in the library entries, and only a polynomial, the operand the
 # parser's folds pass, in ``RingElem._check``.
 COERCION_BOUNDARY = {
@@ -60,9 +57,6 @@ COERCION_BOUNDARY = {
     "TorsionBundle.__init__",
     "is_trivial_class",
 }
-
-# Where an integer constant becomes a field element.
-FIELD_ELEMENT_BOUNDARY = {"Poly.parse", "ChartRing.parse", "_FqField.parse"}
 
 # The functions that name an SNF's ``diag``; only ``_read_off`` reads it
 # against a vector.
@@ -206,10 +200,6 @@ def _functions_naming(attr: str) -> set[str]:
 
 def test_values_are_coerced_only_at_the_boundary():
     assert _functions_naming("coerce") == COERCION_BOUNDARY
-
-
-def test_only_the_parsers_make_field_elements_of_ints():
-    assert _functions_naming("elem") == FIELD_ELEMENT_BOUNDARY
 
 
 def test_only_the_read_off_reads_the_diagonal_against_a_vector():

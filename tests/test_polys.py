@@ -170,7 +170,7 @@ def test_multiplicity_in_base_p_agrees_with_dividing_once_per_unit():
     [Poly.divmod, Poly.gcd, Poly.exact_div, lambda f, g: f % g, lambda f, g: f // g],
     ids=["divmod", "gcd", "exact_div", "mod", "floordiv"],
 )
-@pytest.mark.parametrize("other", [3, FqField(5).elem(3)], ids=["int", "FqElem"])
+@pytest.mark.parametrize("other", [3], ids=["int"])
 def test_division_by_a_non_polynomial_raises_type_error(divide, other):
     with pytest.raises(TypeError):
         divide(Poly.parse(FqField(5), "t^2 + 1"), other)

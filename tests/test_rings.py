@@ -56,7 +56,8 @@ def test_poly_parse_and_str():
 def test_poly_parse_extension_coeffs():
     f = Poly.parse(F4, "(a+1)*t^2 + a*t + 1")
     assert f.deg == 2
-    assert f[2] == F4.gen + F4.one
+    assert f[2] == 3  # the code of a + 1
+    assert f[3] == 0
     assert Poly.parse(F4, str(f)) == f
 
 
@@ -209,7 +210,7 @@ def test_unit_log_examples(A5):
         A5.unit_log(u)
     v = A5.parse("3*t^2/(t+4)")
     constant, exponents = A5.unit_log(v)
-    assert constant == F5.elem(3)
+    assert constant == 3
     assert exponents == (2, -1)
     assert A5.exp_unit(constant, exponents) == v
     assert v.inv() * v == A5.one
@@ -224,8 +225,27 @@ def test_unit_log_roundtrip_random(A5):
 
 
 def test_exp_unit_rejects_a_zero_constant(A5):
-    with pytest.raises(NotAUnit, match="unit constant must be nonzero"):
-        A5.exp_unit(F5.zero, (1, 0))
+    # and every other int that is not the code of a unit of F_5
+    for constant in (0, 5, -1, 7):
+        with pytest.raises(NotAUnit, match="unit constant must be nonzero"):
+            A5.exp_unit(constant, (1, 0))
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_unit_draws_a_nonzero_code_then_one_exponent_per_prime(field, seed):
+    ring = ChartRing(field, ["t", "t+1"])
+    p, e = field.p, field.e
+    r1, r2 = random.Random(seed), random.Random(seed)
+    for _ in range(30):
+        u = ring.random_unit(r1, max_exp=3)
+        # one randrange(p) per digit, lowest first, again while the code is 0
+        constant = 0
+        while not constant:
+            constant = sum(r2.randrange(p) * p**i for i in range(e))
+        exponents = tuple(r2.randrange(-3, 4) for _ in range(ring.s))
+        assert ring.unit_log(u) == (constant, exponents)
+    assert r1.getstate() == r2.getstate()
 
 
 def test_derive_quotient_rule(A5):
@@ -392,14 +412,12 @@ def test_cover_elements_of_two_charts_do_not_combine(A5, op):
 
 
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-OPERAND_KINDS = {"Poly": "+-*", "FqElem": "+-*/", "RingElem": "+-*/"}
+OPERAND_KINDS = {"Poly": "+-*", "RingElem": "+-*/"}
 
 
 def _operand(A, kind):
     if kind == "Poly":
         return Poly.parse(A.field, "t^2 + 1")
-    if kind == "FqElem":
-        return A.field.elem(2)
     return A.parse("(t + 4)^2/t")
 
 
@@ -549,8 +567,8 @@ def test_parse_str_roundtrip(A5):
 def test_unit_group_structure(i, j, k):
     """unit_log is an isomorphism onto F_q^x x Z^s on sampled units."""
     A = ChartRing(F5, ["t", "t+4"])
-    c = F5.elem(i + 1) if i < 4 else F5.elem(1)
-    u = A.parse("t") ** (j - 2) * A.parse("t+4") ** (k - 1) * A.from_field(c)
+    c = i + 1 if i < 4 else 1
+    u = A.parse("t") ** (j - 2) * A.parse("t+4") ** (k - 1) * A.from_int(c)
     constant, exponents = A.unit_log(u)
     assert exponents == (j - 2, k - 1)
     assert constant == c
@@ -635,7 +653,7 @@ def test_unit_core_form_matches_the_fraction_field_oracle(case):
     assert_unit_core_form(u.inv(), frac_div(one, fu))
     assert_unit_core_form(ring.dlog(u), frac_div(frac_derive(fu), fu))
     constant, exponents = ring.unit_log(u)
-    top, bottom = Poly.const(constant), Poly.one(ring.field)
+    top, bottom = Poly.const(ring.field, constant), Poly.one(ring.field)
     for pi, m in zip(primes, exponents):
         top, bottom = (top * pi**m, bottom) if m > 0 else (top, bottom * pi ** (-m))
     assert reduce_frac((top, bottom)) == fu
@@ -681,7 +699,7 @@ def ring_elem_fold(ring, text):
     public parser: every sum and product is RingElem arithmetic."""
     atoms = {"t": ring.t}
     if ring.field.e > 1:
-        atoms["a"] = ring.from_field(ring.field.gen)
+        atoms["a"] = ring.make(Poly.const(ring.field, ring.field.p))
     return exprparse.evaluate(text, ring.from_int, atoms)
 
 
