@@ -110,8 +110,8 @@ def omega_l_report(cover: Cover, degree: int) -> dict:
     charts = [
         {
             "chart": pfc.index,
-            "rank": pfc.presentation2.rank,
-            "torsion": [str(c) for c in pfc.presentation2.torsion],
+            "rank": pfc.sub2.presentation.rank,
+            "torsion": [str(c) for c in pfc.sub2.presentation.torsion],
         }
         for pfc in cover.partial_forms
     ]

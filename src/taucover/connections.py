@@ -137,7 +137,7 @@ class TauConnection:
         """Curvature d(omega) + omega^omega vanishes, chart by chart."""
         charts = []
         for i, pfc in enumerate(self.charts):
-            d_part = pfc.presentation2.is_zero_elem(pfc.d1(self.connection_coords(i)))
+            d_part = pfc.sub2.presentation.is_zero_elem(pfc.d1(self.connection_coords(i)))
             form = self.connection_form(i)
             wedge_part = pfc.omega2_ambient.is_zero(
                 two_form_parts(wedge_one_one(form, form))
@@ -192,7 +192,7 @@ def _classical_identity(pfc: PartialFormsChart, eta: RingElem) -> bool:
     The difference is lambda*(eta, -1), A-linear in lambda with no assumption
     on the code, so lambda = 1 decides it.
     """
-    return pfc.presentation1.is_zero_elem((eta, -pfc.ring.one))
+    return pfc.sub1.presentation.is_zero_elem((eta, -pfc.ring.one))
 
 
 class ClassicalConnection:
@@ -293,7 +293,7 @@ def cech_class(cover: Cover) -> dict:
     """The obstruction cochain (g, dv/v) with its cocycle conditions checked."""
     charts = []
     for i, pfc in enumerate(cover.partial_forms):
-        closed = pfc.presentation2.is_zero_elem(pfc.d1((pfc.ring.zero, pfc.ring.one)))
+        closed = pfc.sub2.presentation.is_zero_elem(pfc.d1((pfc.ring.zero, pfc.ring.one)))
         charts.append({"chart": i, "form": "dv/v", "closed": closed})
     delta = atiyah_cocycle_check(cover)
     return {
@@ -381,7 +381,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
         s_map = pfc.s1_map
         if not s_map.is_well_defined:
             continue
-        s_kills = s_kills is not False and s_map.after(pfc.sigma1_map).matrix.is_zero()
+        s_kills = s_kills is not False and (s_map.matrix @ pfc.sigma1_map.matrix).is_zero()
         s_value = s_map.matrix.apply_vec(coords[i])[0]
         if not s_value.is_zero():
             return nontrivial("s-functional", {"chart": i, "s_value": str(s_value)})
@@ -463,7 +463,7 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     # Definitive re-verification of the witness against both identities.
     for i, pfc in enumerate(pfcs):
         stated = (pfc.ring.dlog(units[i]), pfc.ring.zero)
-        if not pfc.presentation1.elems_equal(coords[i], stated):
+        if not pfc.sub1.presentation.elems_equal(coords[i], stated):
             raise TauCoverError("witness failed the dlog identity re-check")
     for pair, quotient in scheme.coboundary(units).items():
         if quotient != transitions[pair]:

@@ -80,14 +80,6 @@ class PartialFormsChart:
 
     # -- presented modules
 
-    @property
-    def presentation1(self) -> FpmModule:
-        return self.sub1.presentation
-
-    @property
-    def presentation2(self) -> FpmModule:
-        return self.sub2.presentation
-
     @cached_property
     def corrected_tail(self) -> FpmModule:
         """Omega1_X / A*(du/u), the target of the corrected degree-2 tail map."""
@@ -110,7 +102,7 @@ class PartialFormsChart:
         ring = self.ring
         return ModuleMap(
             self.base_one_forms,
-            self.presentation1,
+            self.sub1.presentation,
             PolyMatrix(ring, [[ring.one], [ring.zero]]),
             "pullback",
         )
@@ -119,7 +111,7 @@ class PartialFormsChart:
     def s1_map(self) -> ModuleMap:
         ring = self.ring
         return ModuleMap(
-            self.presentation1,
+            self.sub1.presentation,
             self.base_functions,
             PolyMatrix(ring, [[ring.zero, ring.one]]),
             "s",
@@ -127,12 +119,12 @@ class PartialFormsChart:
 
     @cached_property
     def sigma2_map(self) -> ModuleMap:
-        return ModuleMap.zero(self.base_two_forms, self.presentation2, "pullback")
+        return ModuleMap.zero(self.base_two_forms, self.sub2.presentation, "pullback")
 
     def _s2_map(self, target: FpmModule) -> ModuleMap:
         ring = self.ring
         return ModuleMap(
-            self.presentation2,
+            self.sub2.presentation,
             target,
             PolyMatrix(ring, [[ring.one]]),
             "s",
@@ -174,13 +166,13 @@ class PartialFormsChart:
         found = self.omega2_ambient.coords(self.sub2, two_form_parts(two))
         if found is None:
             raise StabilityFailure(
-                f"d of {self.presentation1.format_vec(coords)} left the "
+                f"d of {self.sub1.presentation.format_vec(coords)} left the "
                 f"partial two-forms: ({two})*dt^dv"
             )
         return found
 
     def invariants(self) -> dict:
-        pres = self.presentation1
+        pres = self.sub1.presentation
         chart = self.chart
         zero, n = chart.zero, chart.n
         dv_multiples = (
@@ -204,44 +196,29 @@ class PartialFormsChart:
             "torsion": [str(c) for c in pres.torsion],
             "ambient_rank": self.omega1_ambient.rank,
             "ambient_torsion": [str(c) for c in self.omega1_ambient.torsion],
-            "degree2_rank": self.presentation2.rank,
-            "degree2_torsion": [str(c) for c in self.presentation2.torsion],
+            "degree2_rank": self.sub2.presentation.rank,
+            "degree2_torsion": [str(c) for c in self.sub2.presentation.torsion],
             "strict_witness": witness,
         }
 
 
-def _closed_chain_report(maps: Sequence[ModuleMap], labels: Sequence[str]) -> dict:
-    """Exactness of 0 -> maps -> 0: the chain closed by a zero map at each end."""
-    zero = FpmModule.zero(maps[0].source.ring)
-    return is_exact(
-        [ModuleMap.zero(zero, maps[0].source), *maps, ModuleMap.zero(maps[-1].target, zero)],
-        labels,
-    )
-
-
-def degree1_report(pfc: PartialFormsChart) -> dict:
-    return _closed_chain_report(
-        [pfc.mul_omega_map, pfc.sigma1_map, pfc.s1_map],
-        ["O_X", "Omega1_X", "Omega1_L", "O_X"],
-    )
-
-
-def degree2_report(pfc: PartialFormsChart, corrected: bool) -> dict:
-    s2 = pfc.s2_corrected_map if corrected else pfc.s2_literal_map
-    return _closed_chain_report([pfc.sigma2_map, s2], ["Omega2_X", "Omega2_L", "tail"])
-
-
 def verify_sequence(cover: Cover, degree: int, corrected: bool = False) -> dict:
-    """Junction-by-junction exactness of the comparison sequence, per chart."""
+    """Junction-by-junction exactness of the comparison sequence, per chart:
+    0 -> maps -> 0, the chain closed by a zero map at each end."""
     if degree not in (1, 2):
         raise ValueError("comparison sequences exist in degrees 1 and 2")
     charts = []
     for i, pfc in enumerate(cover.partial_forms):
         if degree == 1:
-            report = degree1_report(pfc)
+            maps = [pfc.mul_omega_map, pfc.sigma1_map, pfc.s1_map]
+            labels = ["O_X", "Omega1_X", "Omega1_L", "O_X"]
         else:
-            report = degree2_report(pfc, corrected)
-        charts.append({"chart": i, **report})
+            s2 = pfc.s2_corrected_map if corrected else pfc.s2_literal_map
+            maps = [pfc.sigma2_map, s2]
+            labels = ["Omega2_X", "Omega2_L", "tail"]
+        end = FpmModule.zero(pfc.ring)
+        chain = [ModuleMap.zero(end, maps[0].source), *maps, ModuleMap.zero(maps[-1].target, end)]
+        charts.append({"chart": i, **is_exact(chain, labels)})
     return {
         "degree": degree,
         "corrected": corrected,

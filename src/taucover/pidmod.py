@@ -321,9 +321,9 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
     for i in range(min(m, n)):
         if S[i][i].is_zero():
             continue
-        unit, _core = ring.unit_core_split(S[i][i])
-        if unit != ring.one:
-            row_scale(i, unit.inv(), unit)
+        winv = _unit_quotient(ring.one, S[i][i], ring.one.core)
+        if winv != ring.one:
+            row_scale(i, winv, winv.inv())
 
     result = SNFResult(
         M,
@@ -452,8 +452,7 @@ def syzygy_matrix(snf: SNFResult) -> PolyMatrix:
         col = list(snf.V.col(j))
         lead = next((x for x in col if not x.is_zero()), None)
         if lead is not None:
-            unit, _ = ring.unit_core_split(lead)
-            winv = unit.inv()
+            winv = _unit_quotient(ring.one, lead, ring.one.core)
             col = [winv * x for x in col]
         cols.append(col)
     return PolyMatrix.from_columns(ring, cols, M.ncols)
@@ -785,16 +784,6 @@ class ModuleMap:
     def is_well_defined(self) -> bool:
         return self.well_definedness[0]
 
-    def after(self, first: "ModuleMap") -> "ModuleMap":
-        if first.target is not self.source:
-            raise RingMismatch("maps not composable")
-        return ModuleMap(
-            first.source,
-            self.target,
-            self.matrix @ first.matrix,
-            f"{self.name}*{first.name}",
-        )
-
     @cached_property
     def image(self) -> Submodule:
         """Image as a submodule of the target."""
@@ -815,20 +804,21 @@ class ModuleMap:
         return f"{label}: {self.source!r} -> {self.target!r}"
 
 
-def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str] | None = None) -> dict:
+def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str]) -> dict:
     """Exactness report for a composable chain of maps.
 
-    One junction per intermediate module.  Each junction reports whether
-    image(incoming) = kernel(outgoing), with a witness element on failure.
-    Maps that fail their well-definedness certificate mark their adjacent
-    junctions failed, carrying the certificate witness.
+    One junction per intermediate module, named by its entry of labels.
+    Each junction reports whether image(incoming) = kernel(outgoing), with
+    a witness element on failure.  Maps that fail their well-definedness
+    certificate mark their adjacent junctions failed, carrying the
+    certificate witness.
     """
     junctions = []
     for idx in range(len(maps) - 1):
         f, g = maps[idx], maps[idx + 1]
         if f.target is not g.source:
             raise RingMismatch("sequence maps are not composable")
-        label = labels[idx] if labels else f"junction{idx}"
+        label = labels[idx]
         module = f.target
         f_ok, f_wit = f.well_definedness
         g_ok, g_wit = g.well_definedness

@@ -55,7 +55,9 @@ Each arithmetic shortcut has one owner.  ``RingElem.__mul__`` returns the
 other factor of a product by the ring's one, after its ring check, so no
 caller tests for one first.  ``_unit_quotient`` puts the unit part of one
 element over another's around a given core; ``exact_div`` and ``pidmod``'s
-Euclidean quotient and diagonal solution all divide through it.
+Euclidean quotient and diagonal solution all divide through it, and
+``pidmod`` scales an SNF diagonal entry or a kernel column to its monic
+core by the inverse unit part it gives.
 
 Beyond ring arithmetic the chart ring provides the three operations the
 geometry needs: unit factorization (`unit_log`, which returns the pair
@@ -248,15 +250,6 @@ class ChartRing:
             )
         return RingElem(self, constant, self.one.core, tuple(exponents))
 
-    def unit_core_split(self, a: "RingElem") -> tuple["RingElem", Poly]:
-        """Write a = unit * core with core monic and coprime to every pi_j.
-
-        The core of zero is the zero polynomial, with unit 1; the core of a
-        unit is 1.
-        """
-        self.check(a)
-        return RingElem(self, a.const or 1, self.one.core, a.exps), a.core
-
     def divides(self, a: "RingElem", b: "RingElem") -> bool:
         """a | b in the localized ring: one division of cores at most."""
         self.check(a)
@@ -346,16 +339,13 @@ class ChartRing:
 
     # -- restriction to a larger localization (chart overlap)
 
-    def is_sublocalization_of(self, other: "ChartRing") -> bool:
-        if other.field is not self.field:
-            return False
-        return self._prime_index.keys() <= other._prime_index.keys()
-
     def restrict(self, a: "RingElem", target: "ChartRing") -> "RingElem":
         """Image of a under A -> A' when A' inverts a superset; only the
         primes the target adds can divide the core."""
         self.check(a)
-        if not self.is_sublocalization_of(target):
+        if target.field is not self.field or not (
+            self._prime_index.keys() <= target._prime_index.keys()
+        ):
             raise RingMismatch("target ring does not invert a superset")
         index = dict(target._prime_index)
         dens = [0] * target.s

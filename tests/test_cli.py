@@ -486,6 +486,18 @@ TWO_CHARTS = {
             {**TWO_CHARTS, "g": {"(a,b)": "t"}},
             "bad transition key '(a,b)'; expected '(i,j)'",
         ),
+        (
+            {**ONE_CHART, "charts": [{"inverted": ["t^2/(t + 1)"]}]},
+            "non-exact division in polynomial 't^2/(t + 1)'",
+        ),
+        (
+            {**TWO_CHARTS, "g": {"(0,1)": "t + 2"}},
+            "transition unit on overlap (0, 1) is not a unit",
+        ),
+        (
+            {**TWO_CHARTS, "g": ["t"]},
+            "g must map chart pairs to transition units",
+        ),
     ],
     ids=[
         "duplicate-inverted",
@@ -509,6 +521,9 @@ TWO_CHARTS = {
         "huge-e",
         "huge-p",
         "non-integer-key",
+        "non-exact-division-in-inverted",
+        "non-unit-transition",
+        "transitions-not-a-mapping",
     ],
 )
 def test_malformed_bundle_exits_two_with_one_json_document(capsys, tmp_path, bundle, message):

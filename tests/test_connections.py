@@ -531,7 +531,7 @@ def test_nonzero_s_after_sigma_turns_s_kills_coboundaries_false():
     # a mutant pullback that also hits dv/v, so s o sigma = 1
     pfc.sigma1_map = pidmod.ModuleMap(
         pfc.base_one_forms,
-        pfc.presentation1,
+        pfc.sub1.presentation,
         pidmod.PolyMatrix(ring, [[ring.one], [ring.one]]),
         "pullback",
     )

@@ -7,12 +7,12 @@ Every bundle that ``perfbench/workloads.py`` generates for many-chart-glue
 exit code and every stdout, in that order, so any change to a verdict, a
 message or a printed element fails it.  A second command tuple, with its own
 sha256, runs ``omega-l --degree 2``, ``verify --sequence 2.7`` and
-``connection --samples 20`` over the same bundles.  The workload file is
-imported by path and not edited.
+``connection --samples 20`` over the same bundles.  A third, with its own
+sha256, runs ``connection`` at its default 200 samples, about 2 s over the
+corpus.  The workload file is imported by path and not edited.
 
 ``verify 2.10`` and ``2.11`` stay out: their relation witnesses depend on the
-pivot order of the block SNF.  So does a full-sample ``connection``, for its
-cost (about 3 s over the corpus).
+pivot order of the block SNF.
 """
 
 import hashlib
@@ -37,6 +37,8 @@ MORE_COMMANDS = (
     ["connection", "--samples", "20"],
 )
 MORE_SHA256 = "d1398fdb05620fc0c3cd0fb89a19f0c054145197ec0889084846638112bbe325"
+FULL_SAMPLE_COMMANDS = (["connection"],)
+FULL_SAMPLE_SHA256 = "f1063033464282a4a3e09f05f94482258b6be4adc30f872a07575c1e00d212ac"
 
 
 def load_workloads():
@@ -86,3 +88,9 @@ def test_more_cli_output_on_the_benchmark_bundles_is_pinned(tmp_path, capsys):
     texts = corpus(load_workloads())
     assert len(texts) == 2 * len(SEEDS) * 11
     assert pin(texts, MORE_COMMANDS, tmp_path, capsys) == MORE_SHA256
+
+
+def test_full_sample_connection_on_the_benchmark_bundles_is_pinned(tmp_path, capsys):
+    texts = corpus(load_workloads())
+    assert len(texts) == 2 * len(SEEDS) * 11
+    assert pin(texts, FULL_SAMPLE_COMMANDS, tmp_path, capsys) == FULL_SAMPLE_SHA256

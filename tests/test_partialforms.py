@@ -13,14 +13,12 @@ from taucover.catalog import load_fixture
 from taucover.cli import fixture_report
 from taucover.covers import Cover, TorsionBundle
 from taucover.errors import CertificateFailure, StabilityFailure
-from taucover.forms import CoverOneForm
+from taucover.forms import CoverOneForm, dv_over_v
 from taucover.partialforms import (
     PartialFormsChart,
     atiyah_cocycle_check,
     basis_independence_check,
     dga_check,
-    degree1_report,
-    degree2_report,
     rank_torsion_report,
     verify_sequence,
 )
@@ -145,11 +143,13 @@ def test_gm_p2_pullback_dies_inside():
     assert not pfc.omega1_ambient.is_zero(root_form.parts())
 
 
-def test_generator_outside_weight_zero_fails_the_grading_certificate(monkeypatch):
-    # dv has weight 1; put in place of dv/v it leaves the weight-0 block
-    def dv(chart):
-        return CoverOneForm(chart, chart.zero, chart.one)
+def dv(chart):
+    """dv, of weight 1: outside the weight-0 block of the partial forms."""
+    return CoverOneForm(chart, chart.zero, chart.one)
 
+
+def test_generator_outside_weight_zero_fails_the_grading_certificate(monkeypatch):
+    # put in place of dv/v, dv leaves the weight-0 block
     monkeypatch.setattr(partialforms, "dv_over_v", dv)
     with pytest.raises(
         CertificateFailure,
@@ -275,7 +275,7 @@ def test_root_form_is_closed(name):
     for i in range(len(cover.charts)):
         pfc = PartialFormsChart(cover, i)
         coords = pfc.d1((pfc.ring.zero, pfc.ring.one))
-        assert pfc.presentation2.is_zero_elem(coords)
+        assert pfc.sub2.presentation.is_zero_elem(coords)
 
 
 def test_d1_is_stable_on_random_sections():
@@ -403,6 +403,24 @@ def test_basis_independence_coprime_skips_s():
     report = basis_independence_check(coprime(), ["t"])
     assert report["passed"]
     assert report["charts"][0]["s_values_match"] is None
+
+
+@pytest.mark.parametrize(
+    "image, forward, backward, s_match",
+    [(dv, False, False, True), (dv_over_v, True, True, False)],
+    ids=["dv-leaves-the-partial-forms", "dv-over-v-moves-s"],
+)
+def test_basis_independence_reports_a_wrong_root_change(
+    monkeypatch, image, forward, backward, s_match
+):
+    monkeypatch.setattr(partialforms, "rescale_root", lambda target, w, form: image(target))
+    report = basis_independence_check(FIXTURES["GM_P3"](), ["t"])
+    [chart] = report["charts"]
+    assert chart["forward_membership"] is forward
+    assert chart["backward_membership"] is backward
+    assert chart["s_values_match"] is s_match
+    assert chart["passed"] is False
+    assert report["passed"] is False
 
 
 def test_atiyah_cocycle_on_rescaled_bundle():

@@ -665,14 +665,6 @@ def test_kernel_is_read_off_the_image_presentation(monkeypatch):
     assert ker.contains([A5.one, A5.zero]) is None
 
 
-def test_composition():
-    a = FpmModule.free(A5, 1)
-    f = ModuleMap(a, a, mat(A5, [["t"]]))
-    g = ModuleMap(a, a, mat(A5, [["t+1"]]))
-    h = g.after(f)
-    assert h.matrix.rows[0][0] == A5.parse("t^2+t")
-
-
 # -- exactness
 
 
@@ -872,7 +864,12 @@ def test_zero_test_agrees_with_canonical_reduce_on_catalog_charts(name):
     outcomes = set()
     for pfc in Cover(FIXTURES[name]()).partial_forms:
         ring = pfc.ring
-        modules = (pfc.omega1_ambient, pfc.omega2_ambient, pfc.presentation1, pfc.presentation2)
+        modules = (
+            pfc.omega1_ambient,
+            pfc.omega2_ambient,
+            pfc.sub1.presentation,
+            pfc.sub2.presentation,
+        )
         for module in modules:
             if not module.n_gens:
                 continue

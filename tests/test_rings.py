@@ -349,11 +349,12 @@ def test_dlog_example_char2(A2):
     assert B.dlog(B.parse("t^3+t")) == B.parse("1/t")
 
 
-def test_unit_core_split(A5):
+def test_core_is_the_monic_s_free_factor(A5):
     x = A5.parse("(2*t^3+2*t^2)/(t+4)")  # 2 t^2 (t+1) / (t-1)
-    unit, core = A5.unit_core_split(x)
-    assert str(core) == "t + 1"
-    assert unit * A5.make(core) == x
+    assert str(x.core) == "t + 1"
+    unit = rings._unit_quotient(x, A5.one, A5.one.core)
+    assert unit.is_unit()
+    assert unit * A5.make(x.core) == x
     assert A5.parse("3*t/(t+4)").core == Poly.one(F5)
     assert A5.zero.core.is_zero()
 
@@ -376,6 +377,10 @@ def test_restrict_to_overlap():
     assert y == overlap.parse("(t+a)/(t+1)")
     assert y.is_unit()
     assert not x.is_unit()
+    with pytest.raises(RingMismatch, match="does not invert a superset"):
+        overlap.restrict(y, chart_a)  # chart_a does not invert t + a
+    with pytest.raises(RingMismatch, match="does not invert a superset"):
+        chart_a.restrict(x, ChartRing(F2, ["t", "t+1"]))  # same primes, another field
 
 
 # Each method that reads an element's stored factors, given an element of
@@ -383,7 +388,6 @@ def test_restrict_to_overlap():
 # values, such as derive's (t^2 + 2)/t^2 for (t^2 + 3)/(t + 1).
 FOREIGN_READS = {
     "unit_log": lambda A, x: A.unit_log(x),
-    "unit_core_split": lambda A, x: A.unit_core_split(x),
     "divides-left": lambda A, x: A.divides(x, A.t),
     "divides-right": lambda A, x: A.divides(A.t, x),
     "exact_div-left": lambda A, x: A.exact_div(x, A.one),
