@@ -37,7 +37,6 @@ from .errors import MalformedInput, NotCoprime, TauCoverError
 from .forms import (
     CoverOneForm,
     d_function,
-    dv_over_v,
     pullback_one_form,
     two_form_parts,
     wedge_one_one,
@@ -66,7 +65,7 @@ class TauConnection:
         return (ring.zero, -ring.one)
 
     def connection_form(self, index: int) -> CoverOneForm:
-        return -dv_over_v(self.cover.charts[index])
+        return -self.charts[index].generators1[1]
 
     def leibniz_check(self, seed: int = 0, samples: int = 200) -> dict:
         """nabla(lambda/v) = (dlambda - lambda dv/v)/v, decided at lambda = 1.

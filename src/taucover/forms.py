@@ -171,15 +171,13 @@ def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
     that weights 1..n-1 share (at n = 1, the weight-0 one again), and n.
 
     A block is presented by the matrix with rows relations(x): x = n u in the
-    shared block, x = n in the weight-0 one.  When p | n that is one matrix,
-    reduced once.
+    shared block, x = n in the weight-0 one.  When p | n the two matrices are
+    equal, and share one SNF.
     """
     ring = chart.ring
     n_scalar = ring.from_int(chart.n)
-    nu = n_scalar * chart.u
-    rel = PolyMatrix(ring, relations(nu))
-    rel0 = rel if n_scalar == nu else PolyMatrix(ring, relations(n_scalar))
-    zero = FpmModule(rel0)
+    rel = PolyMatrix(ring, relations(n_scalar * chart.u))
+    zero = FpmModule(PolyMatrix(ring, relations(n_scalar)))
     rest = FpmModule(rel, weights=range(1, chart.n)) if chart.n > 1 else zero
     return DirectSum(zero, rest, chart.n)
 

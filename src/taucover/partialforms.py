@@ -94,7 +94,6 @@ class PartialFormsChart:
             self.base_functions,
             self.base_one_forms,
             PolyMatrix(ring, [[self.omega_coeff]]),
-            "mult-du/u",
         )
 
     @cached_property
@@ -104,7 +103,6 @@ class PartialFormsChart:
             self.base_one_forms,
             self.sub1.presentation,
             PolyMatrix(ring, [[ring.one], [ring.zero]]),
-            "pullback",
         )
 
     @cached_property
@@ -114,12 +112,11 @@ class PartialFormsChart:
             self.sub1.presentation,
             self.base_functions,
             PolyMatrix(ring, [[ring.zero, ring.one]]),
-            "s",
         )
 
     @cached_property
     def sigma2_map(self) -> ModuleMap:
-        return ModuleMap.zero(self.base_two_forms, self.sub2.presentation, "pullback")
+        return ModuleMap.zero(self.base_two_forms, self.sub2.presentation)
 
     def _s2_map(self, target: FpmModule) -> ModuleMap:
         ring = self.ring
@@ -127,7 +124,6 @@ class PartialFormsChart:
             self.sub2.presentation,
             target,
             PolyMatrix(ring, [[ring.one]]),
-            "s",
         )
 
     @cached_property
@@ -339,7 +335,7 @@ def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
                 def anticommutes(b):
                     lhs = d_one_form(pfc.lift1((zero, b)))
                     rhs = wedge_one_one(
-                        dv_over_v(chart),
+                        pfc.generators1[1],
                         pullback_one_form(chart, -ring.derive(b)),
                     )
                     return lhs, rhs

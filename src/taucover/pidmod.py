@@ -19,7 +19,7 @@ core.  That gives the classical algorithms:
     zero and equality tests keep only the verdict.
   * FpmModule: generators + relation columns, in its weights.  The ring and
     the generator count are the relation matrix's.  Rank, the torsion chain
-    and the membership test are read off one SNF, computed once.  The zero
+    and the membership test are read off one SNF, looked up once.  The zero
     test and the equality test read only the rows of U*x whose d_i is zero,
     missing or not a unit, collected once per SNF, and compare two vectors
     row by row with no difference of them formed.
@@ -28,14 +28,12 @@ core.  That gives the classical algorithms:
     parts, one vector per weight, and each part is tested in its weight's
     block, as are two elements compared part by part.  Its torsion chain is
     the shared block's, each factor n times, with the grading certificate
-    that the weight-0 block's chain is the same.  Blocks that share one
-    relation matrix share its SNF, which the matrix keeps.  Its submodules
-    are spans inside the weight-0 block, with the grading certificate that
-    every generator is zero outside weight 0.
+    that the weight-0 block's chain is the same.  Its submodules are spans
+    inside the weight-0 block, with the grading certificate that every
+    generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
-    membership test.  With no generators the stack is the ambient relation
-    matrix and keeps the ambient module's SNF.
+    membership test.
   * ModuleMap: matrix on generators carrying a well-definedness certificate.
     Its image is the Submodule spanned by the matrix, and its kernel is
     generated by the relations of that image's presentation, so the kernel
@@ -54,7 +52,10 @@ Matrix entries and vectors are elements of the module's ring: nothing here
 coerces, and every matrix is built by the one PolyMatrix constructor, which
 reads its shape off its rows.  Every derived object (SNF, presentation,
 image, kernel, certificate) is computed once on first use and kept by the
-object it belongs to.
+object it belongs to.  An SNF is also shared by value: _block_snf, the one
+caller of smith_normal_form, finds it by the matrix's ring and entries for
+as long as some module holds it, so equal matrices over one ring are reduced
+once, and a ring that outlives its modules keeps no SNF.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -62,6 +63,7 @@ by position, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from operator import add
 from typing import Iterable, Sequence
@@ -79,16 +81,13 @@ class PolyMatrix:
 
     The shape is read off the rows; ``ncols`` gives the width only of a
     matrix with no rows.  Nothing is coerced: an entry of another ring meets
-    ``RingElem._check`` at the first arithmetic that reads it.  A matrix
-    reduced as a module block keeps its SNF, so modules that share one
-    relation matrix share its reduction.
+    ``RingElem._check`` at the first arithmetic that reads it.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_snf")
+    __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring: ChartRing, rows: Iterable[Iterable[RingElem]], *, ncols: int = 0):
         frozen = tuple(map(tuple, rows))
-        self._snf = None
         self.ring = ring
         self.rows = frozen
         self.nrows = len(frozen)
@@ -168,7 +167,9 @@ class PolyMatrix:
 class SNFResult:
     """U * M * V = D, all four transforms kept with their inverses."""
 
-    __slots__ = ("matrix", "U", "U_inv", "D", "V", "V_inv", "diag", "_rows_to_read")
+    __slots__ = (
+        "matrix", "U", "U_inv", "D", "V", "V_inv", "diag", "_rows_to_read", "__weakref__"
+    )
 
     def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
         self.matrix = matrix
@@ -458,15 +459,23 @@ def syzygy_matrix(snf: SNFResult) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
+# The SNF of each matrix some module holds, keyed by its ring and entries.
+_SNFS = weakref.WeakValueDictionary()
+
+
 def _block_snf(block: PolyMatrix, weights: range) -> SNFResult:
-    """SNF of the block of these weights, reduced once per matrix; a failed
-    certificate names the block that asked."""
-    if block._snf is None:
+    """SNF of the block of these weights, shared by every equal matrix over
+    its ring while some module holds it and reduced only when none does; a
+    failed certificate names the block that asked."""
+    key = (block.ring, block.ncols, block.rows)
+    snf = _SNFS.get(key)
+    if snf is None:
         try:
-            block._snf = smith_normal_form(block)
+            snf = smith_normal_form(block)
         except CertificateFailure as exc:
             raise CertificateFailure(f"{exc}, in the block of {_weights_text(weights)}") from None
-    return block._snf
+        _SNFS[key] = snf
+    return snf
 
 
 def _row_times(live: Sequence[tuple[int, RingElem]], x: Vec, zero: RingElem) -> RingElem:
@@ -491,7 +500,7 @@ class FpmModule:
     The module lives in a range of weights, weight 0 alone unless it is the
     block that weights 1..n-1 of a DirectSum share; a failed SNF certificate
     names them.  Rank, torsion, the zero test and the equality test are
-    read off one SNF, computed once per relation matrix.
+    read off one SNF, looked up once per module.
     """
 
     def __init__(
@@ -516,9 +525,9 @@ class FpmModule:
     def zero(cls, ring: ChartRing) -> "FpmModule":
         return cls.free(ring, 0)
 
-    @property
+    @cached_property
     def snf(self) -> SNFResult:
-        """SNF of the relation matrix, which the matrix keeps."""
+        """SNF of the relation matrix, shared with every equal matrix."""
         return _block_snf(self.relations, self.weights)
 
     @property
@@ -699,14 +708,9 @@ class Submodule:
 
     @cached_property
     def snf(self) -> SNFResult:
-        """SNF of [gens | relations], computed once.
-
-        With no generators the stack is the ambient relation matrix, and the
-        ambient module's SNF is reused.
-        """
+        """SNF of [gens | relations]; with no generators the stack is the
+        ambient relation matrix, whose SNF it shares."""
         ambient = self.ambient
-        if not self.gens.ncols:
-            return ambient.snf
         return _block_snf(self.gens.hstack(ambient.relations), ambient.weights)
 
     @cached_property
@@ -744,28 +748,16 @@ class Submodule:
 class ModuleMap:
     """A map of finitely presented modules, given by a matrix on generators."""
 
-    def __init__(
-        self,
-        source: FpmModule,
-        target: FpmModule,
-        matrix: PolyMatrix,
-        name: str = "",
-    ):
+    def __init__(self, source: FpmModule, target: FpmModule, matrix: PolyMatrix):
         if matrix.nrows != target.n_gens or matrix.ncols != source.n_gens:
             raise ValueError("map matrix shape must be target gens x source gens")
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.name = name
 
     @classmethod
-    def zero(cls, source: FpmModule, target: FpmModule, name: str = "0") -> "ModuleMap":
-        return cls(
-            source,
-            target,
-            PolyMatrix.zeros(source.ring, target.n_gens, source.n_gens),
-            name,
-        )
+    def zero(cls, source: FpmModule, target: FpmModule) -> "ModuleMap":
+        return cls(source, target, PolyMatrix.zeros(source.ring, target.n_gens, source.n_gens))
 
     @cached_property
     def well_definedness(self) -> tuple[bool, dict | None]:
@@ -800,8 +792,7 @@ class ModuleMap:
         return Submodule(self.source, self.image.presentation.relations)
 
     def __repr__(self):
-        label = self.name or "map"
-        return f"{label}: {self.source!r} -> {self.target!r}"
+        return f"map: {self.source!r} -> {self.target!r}"
 
 
 def is_exact(maps: Sequence[ModuleMap], labels: Sequence[str]) -> dict:

@@ -533,7 +533,6 @@ def test_nonzero_s_after_sigma_turns_s_kills_coboundaries_false():
         pfc.base_one_forms,
         pfc.sub1.presentation,
         pidmod.PolyMatrix(ring, [[ring.one], [ring.one]]),
-        "pullback",
     )
     verdict = is_trivial_class(cover)
     assert verdict["obstruction"] == "s-functional"

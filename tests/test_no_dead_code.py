@@ -31,6 +31,9 @@ functions that name ``diag`` read it alone: the SNF's own rank, torsion and
 choice of the rows that can fail, the certificate, and the free columns of
 the kernel.
 
+Every SNF the package takes is looked up in one memo: ``_block_snf`` is the
+only function that calls ``smith_normal_form``.
+
 No module holds a float constant or names ``float``: every reported value is
 exact, and the JSON writer takes no float.
 """
@@ -178,8 +181,27 @@ def test_package_exports_are_sorted_complete_and_resolvable():
 
 
 def _functions_naming(attr: str) -> set[str]:
-    """Qualified names of the functions that name an attribute ``attr``; a
-    nested function or lambda counts as the function it is defined in."""
+    """Qualified names of the functions that name an attribute ``attr``."""
+    return _functions_where(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def _functions_calling(name: str) -> set[str]:
+    """Qualified names of the functions that call ``name``, bare or as an
+    attribute."""
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return _functions_where(calls)
+
+
+def _functions_where(match) -> set[str]:
+    """Qualified names of the functions holding a node that ``match``
+    accepts; a nested function or lambda counts as the function it is
+    defined in."""
     found = set()
 
     def visit(node, prefix: str, owner: str | None):
@@ -189,7 +211,7 @@ def _functions_naming(attr: str) -> set[str]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
                 visit(child, prefix, prefix + child.name)
             else:
-                if isinstance(child, ast.Attribute) and child.attr == attr:
+                if match(child):
                     found.add(owner or "<module>")
                 visit(child, prefix, owner)
 
@@ -204,6 +226,10 @@ def test_values_are_coerced_only_at_the_boundary():
 
 def test_only_the_read_off_reads_the_diagonal_against_a_vector():
     assert _functions_naming("diag") == DIAGONAL_READERS
+
+
+def test_only_the_block_memo_reduces_a_matrix():
+    assert _functions_calling("smith_normal_form") == {"_block_snf"}
 
 
 def test_only_the_grammar_decides_when_a_text_is_a_sum():

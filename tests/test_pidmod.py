@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from fixtures import FIXTURES
@@ -122,16 +124,19 @@ def snf_digest(results) -> str:
 
 
 def test_snf_outputs_on_the_catalog_report_are_pinned(monkeypatch, capsys):
-    # every SNF that `report --all` reaches passes through _verify_snf
+    # every SNF that `report --all` reaches passes through _verify_snf; the
+    # results keep their rings alive, so a ring's id names it
     results = []
     original = pidmod._verify_snf
     monkeypatch.setattr(pidmod, "_verify_snf", lambda r: original(r) or results.append(r))
     assert main(["report", "--all"]) == 0
     capsys.readouterr()
-    assert len(results) == 120
+    assert len(results) == 89
     assert snf_digest(results) == (
-        "ddc58b4a4a78e6f42fac0e7d17a94cc9cd15e3f008c72f4f38f630e181d49b28"
+        "dbf467718e6a17e0e906758e6ee140aabe363064c12609f40bb5e70246f61252"
     )
+    reduced = Counter((id(r.matrix.ring), r.matrix.ncols, r.matrix.rows) for r in results)
+    assert [n for n in reduced.values() if n > 1] == [], "a matrix was reduced twice"
 
 
 def test_snf_outputs_on_seeded_random_matrices_are_pinned():
@@ -440,10 +445,12 @@ def test_membership_reads_only_the_rows_that_can_fail_and_agrees_with_the_read_o
                     )
                     M = P_inv @ D @ Q_inv
                     if built == 2:  # the SNF held as built: D keeps its non-monic entries
-                        M._snf = pidmod.SNFResult(M, P, P_inv, D, Q, Q_inv, tuple(chain))
-                        pidmod._verify_snf(M._snf)
+                        as_built = pidmod.SNFResult(M, P, P_inv, D, Q, Q_inv, tuple(chain))
+                        pidmod._verify_snf(as_built)
+                        pidmod._SNFS[M.ring, M.ncols, M.rows] = as_built
                     module = FpmModule(M)
                     snf = module.snf
+                    assert built < 2 or snf is as_built
                     for i in range(nrows):
                         d = snf.diag[i] if i < len(snf.diag) else None
                         kinds.add(
@@ -597,6 +604,34 @@ def test_submodule_without_generators_reuses_the_ambient_snf(monkeypatch):
     assert shapes == []
 
 
+def test_equal_matrices_over_one_ring_share_one_snf(monkeypatch):
+    rows = [["t^2+3", "t"], ["1", "t+1"]]
+    shapes = count_snfs(monkeypatch)
+    first, second = FpmModule(mat(A5, rows)), FpmModule(mat(A5, rows))
+    assert first.relations is not second.relations
+    assert first.snf is second.snf
+    # the same text over another ring is another matrix, reduced again
+    elsewhere = FpmModule(mat(ChartRing(F5, ["t", "t+4"]), rows))
+    assert elsewhere.snf is not first.snf
+    assert shapes == [(2, 2), (2, 2)]
+    # on a catalog chart, the image of du/u is presented by the corrected
+    # tail's relation matrix, built apart from it
+    pfc = Cover(FIXTURES["GM_P2"]()).partial_forms[0]
+    assert pfc.mul_omega_map.image.snf is pfc.corrected_tail.snf
+
+
+def test_an_snf_no_module_holds_is_reduced_afresh(monkeypatch):
+    rows = [["t^2+3", "t"], ["1", "t+1"]]
+    shapes = count_snfs(monkeypatch)
+    snf = FpmModule(mat(A5, rows)).snf
+    held = weakref.ref(snf)
+    key = (A5, snf.matrix.ncols, snf.matrix.rows)
+    del snf
+    assert held() is None and key not in pidmod._SNFS
+    assert FpmModule(mat(A5, rows)).rank == 0
+    assert shapes == [(2, 2), (2, 2)]
+
+
 def test_submodule_equality_by_double_membership():
     amb = FpmModule.free(A5, 2)
     s1 = Submodule(amb, mat(A5, [["1", "0"], ["0", "t+2"]], ncols=2))
@@ -674,10 +709,10 @@ def ses_maps(ring, multiplier):
     a = FpmModule.free(ring, 1)
     q = FpmModule(mat(ring, [[multiplier]]))
     return [
-        ModuleMap.zero(z, a, "in"),
-        ModuleMap(a, a, mat(ring, [[multiplier]]), "mult"),
-        ModuleMap(a, q, mat(ring, [["1"]]), "proj"),
-        ModuleMap.zero(q, z, "out"),
+        ModuleMap.zero(z, a),
+        ModuleMap(a, a, mat(ring, [[multiplier]])),
+        ModuleMap(a, q, mat(ring, [["1"]])),
+        ModuleMap.zero(q, z),
     ]
 
 
@@ -692,7 +727,7 @@ def test_failure_kernel_not_in_image():
     maps = ses_maps(A5, "t+2")
     a = maps[1].source
     # shrink the image without shrinking the kernel of the projection
-    maps[1] = ModuleMap(a, a, mat(A5, [["(t+2)^2"]]), "mult")
+    maps[1] = ModuleMap(a, a, mat(A5, [["(t+2)^2"]]))
     report = is_exact(maps, labels=["left", "middle", "right"])
     assert not report["exact"]
     middle = report["junctions"][1]
@@ -704,8 +739,8 @@ def test_failure_kernel_not_in_image():
 
 def test_failure_image_not_in_kernel():
     a = FpmModule.free(A5, 1)
-    f = ModuleMap(a, a, mat(A5, [["t+2"]]), "f")
-    g = ModuleMap(a, a, mat(A5, [["1"]]), "g")
+    f = ModuleMap(a, a, mat(A5, [["t+2"]]))
+    g = ModuleMap(a, a, mat(A5, [["1"]]))
     report = is_exact([f, g], labels=["middle"])
     assert not report["exact"]
     assert report["junctions"][0]["note"] == "image not annihilated by the next map"
@@ -714,8 +749,8 @@ def test_failure_image_not_in_kernel():
 def test_ill_defined_map_marks_junction():
     src = FpmModule(mat(A5, [["t+2"]]))
     tgt = FpmModule(mat(A5, [["(t+2)^2"]]))
-    bad = ModuleMap(src, tgt, mat(A5, [["1"]]), "bad")
-    out = ModuleMap.zero(tgt, FpmModule.zero(A5), "out")
+    bad = ModuleMap(src, tgt, mat(A5, [["1"]]))
+    out = ModuleMap.zero(tgt, FpmModule.zero(A5))
     report = is_exact([bad, out], labels=["middle"])
     assert not report["exact"]
     assert report["junctions"][0]["note"] == "ill-defined map"
