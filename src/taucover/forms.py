@@ -172,7 +172,7 @@ def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
 
     A block is presented by the matrix with rows relations(x): x = n u in the
     shared block, x = n in the weight-0 one.  When p | n the two matrices are
-    equal, and share one SNF.
+    equal.
     """
     ring = chart.ring
     n_scalar = ring.from_int(chart.n)

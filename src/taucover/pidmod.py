@@ -19,7 +19,7 @@ core.  That gives the classical algorithms:
     zero and equality tests keep only the verdict.
   * FpmModule: generators + relation columns, in its weights.  The ring and
     the generator count are the relation matrix's.  Rank, the torsion chain
-    and the membership test are read off one SNF, looked up once.  The zero
+    and the membership test are read off one SNF, reduced once.  The zero
     test and the equality test read only the rows of U*x whose d_i is zero,
     missing or not a unit, collected once per SNF, and compare two vectors
     row by row with no difference of them formed.
@@ -52,10 +52,7 @@ Matrix entries and vectors are elements of the module's ring: nothing here
 coerces, and every matrix is built by the one PolyMatrix constructor, which
 reads its shape off its rows.  Every derived object (SNF, presentation,
 image, kernel, certificate) is computed once on first use and kept by the
-object it belongs to.  An SNF is also shared by value: _block_snf, the one
-caller of smith_normal_form, finds it by the matrix's ring and entries for
-as long as some module holds it, so equal matrices over one ring are reduced
-once, and a ring that outlives its modules keeps no SNF.
+object it belongs to.
 
 Pivoting is deterministic: minimal core degree, ties broken lexicographically
 by position, so reports are byte-stable across runs.
@@ -63,7 +60,6 @@ by position, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 from operator import add
 from typing import Iterable, Sequence
@@ -167,9 +163,7 @@ class PolyMatrix:
 class SNFResult:
     """U * M * V = D, all four transforms kept with their inverses."""
 
-    __slots__ = (
-        "matrix", "U", "U_inv", "D", "V", "V_inv", "diag", "_rows_to_read", "__weakref__"
-    )
+    __slots__ = ("matrix", "U", "U_inv", "D", "V", "V_inv", "diag", "_rows_to_read")
 
     def __init__(self, matrix, U, U_inv, D, V, V_inv, diag):
         self.matrix = matrix
@@ -415,10 +409,13 @@ def _read_off(snf: SNFResult, i: int, y: RingElem) -> tuple[RingElem, Poly] | No
     return d, core
 
 
-def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] | None:
-    """z with D*z = U*b, zero off the nonzero diagonal, or None when there is
-    none: every nonzero row of U*b is read off the diagonal, and the
-    quotient formed through the helper behind ``ChartRing.exact_div``."""
+def solve(snf: SNFResult, b: Sequence[RingElem]):
+    """One solution x of M x = b over the chart ring, M the matrix of snf, or None.
+
+    x = V*z for the z with D*z = U*b that is zero off the nonzero diagonal,
+    and there is none when some row of U*b fails: every nonzero row of U*b
+    is read off the diagonal, and the quotient formed through the helper
+    behind ``ChartRing.exact_div``."""
     z = [snf.matrix.ring.zero] * snf.matrix.ncols
     for i, y in enumerate(snf.U.apply_vec(b)):
         if y.const:
@@ -426,13 +423,7 @@ def _diagonal_solution(snf: SNFResult, b: Sequence[RingElem]) -> list[RingElem] 
             if read is None:
                 return None
             z[i] = _unit_quotient(y, *read)
-    return z
-
-
-def solve(snf: SNFResult, b: Sequence[RingElem]):
-    """One solution x of M x = b over the chart ring, M the matrix of snf, or None."""
-    z = _diagonal_solution(snf, b)
-    return None if z is None else snf.V.apply_vec(z)
+    return snf.V.apply_vec(z)
 
 
 def syzygy_matrix(snf: SNFResult) -> PolyMatrix:
@@ -459,23 +450,13 @@ def syzygy_matrix(snf: SNFResult) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, cols, M.ncols)
 
 
-# The SNF of each matrix some module holds, keyed by its ring and entries.
-_SNFS = weakref.WeakValueDictionary()
-
-
 def _block_snf(block: PolyMatrix, weights: range) -> SNFResult:
-    """SNF of the block of these weights, shared by every equal matrix over
-    its ring while some module holds it and reduced only when none does; a
-    failed certificate names the block that asked."""
-    key = (block.ring, block.ncols, block.rows)
-    snf = _SNFS.get(key)
-    if snf is None:
-        try:
-            snf = smith_normal_form(block)
-        except CertificateFailure as exc:
-            raise CertificateFailure(f"{exc}, in the block of {_weights_text(weights)}") from None
-        _SNFS[key] = snf
-    return snf
+    """SNF of the block of these weights; a failed certificate names the
+    block that asked."""
+    try:
+        return smith_normal_form(block)
+    except CertificateFailure as exc:
+        raise CertificateFailure(f"{exc}, in the block of {_weights_text(weights)}") from None
 
 
 def _row_times(live: Sequence[tuple[int, RingElem]], x: Vec, zero: RingElem) -> RingElem:
@@ -500,7 +481,7 @@ class FpmModule:
     The module lives in a range of weights, weight 0 alone unless it is the
     block that weights 1..n-1 of a DirectSum share; a failed SNF certificate
     names them.  Rank, torsion, the zero test and the equality test are
-    read off one SNF, looked up once per module.
+    read off one SNF, reduced once per module.
     """
 
     def __init__(
@@ -527,7 +508,7 @@ class FpmModule:
 
     @cached_property
     def snf(self) -> SNFResult:
-        """SNF of the relation matrix, shared with every equal matrix."""
+        """SNF of the relation matrix, reduced once per module."""
         return _block_snf(self.relations, self.weights)
 
     @property
@@ -708,8 +689,7 @@ class Submodule:
 
     @cached_property
     def snf(self) -> SNFResult:
-        """SNF of [gens | relations]; with no generators the stack is the
-        ambient relation matrix, whose SNF it shares."""
+        """SNF of [gens | relations], reduced once per submodule."""
         ambient = self.ambient
         return _block_snf(self.gens.hstack(ambient.relations), ambient.weights)
 

@@ -24,6 +24,7 @@ highest term first: "t^2 + (a+1)*t + 1".
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
@@ -114,18 +115,38 @@ def _trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _square_and_multiply(base, k: int, one):
-    """base^k for k >= 0, from one: one product per set bit of k and one
-    squaring per bit below the top one, none after it.  The powers of
-    ``Poly`` and ``covers.CoverElem`` both take it."""
+def _gcd_codes(field: _FqField, a, b):
+    """A greatest common divisor of two code sequences free of trailing
+    zeros, by Euclid's algorithm; not made monic."""
+    while b:
+        a, b = b, _trim(_divmod_codes(field, a, b)[1])
+    return a
+
+
+def _square_and_multiply(base, k: int, one, mul=operator.mul):
+    """base^k for k >= 0, from one, under the product mul: one product per
+    set bit of k and one squaring per bit below the top one, none after it.
+    The powers of ``Poly`` and ``covers.CoverElem`` take it with the plain
+    product, and Rabin's test with the product modulo f."""
     result = one
     while k:
         if k & 1:
-            result = result * base
+            result = mul(result, base)
         k >>= 1
         if k:
-            base = base * base
+            base = mul(base, base)
     return result
+
+
+def _grammar_constants(field: _FqField) -> tuple:
+    """What the grammar of ``exprparse`` reads as a constant over field: the
+    integer literal n as the constant n mod p, and the atoms t and, past the
+    prime field, a.  Both parsers take them, in ``evaluate``'s order."""
+    p = field.p
+    atoms = {"t": Poly.x(field)}
+    if field.e > 1:
+        atoms["a"] = Poly.const(field, p)
+    return lambda n: Poly.const(field, n % p), atoms
 
 
 def _trimmed(field: _FqField, codes: list[int]) -> "Poly":
@@ -178,11 +199,7 @@ class Poly:
                 raise MalformedInput(f"non-exact division in polynomial {_excerpt(text)}")
             return q
 
-        p = field.p
-        atoms = {"t": cls.x(field)}
-        if field.e > 1:
-            atoms["a"] = cls.const(field, p)
-        return evaluate(text, lambda n: cls.const(field, n % p), atoms, div, memo=memo)
+        return evaluate(text, *_grammar_constants(field), div, memo=memo)
 
     # -- structure
 
@@ -312,10 +329,8 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""
-        a, b = self, self._check(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        other = self._check(other)
+        return Poly(self.field, _gcd_codes(self.field, self.coeffs, other.coeffs)).monic()
 
     def derivative(self) -> "Poly":
         field = self.field
@@ -391,31 +406,20 @@ class Poly:
         if d <= 1:
             return d == 1
         field, f = self.field, self.coeffs
+
+        def mulmod(a, b):
+            return _trim(_divmod_codes(field, _mul_codes(field, a, b), f)[1])
+
         checkpoints = {d // r for r in _prime_divisors(d)}
         x = [0, 1]  # t^(q^k) mod f, k = 0
         for k in range(1, d + 1):
-            x = self._powmod(x, field.q)
+            x = _square_and_multiply(x, field.q, [1], mulmod)
             if k in checkpoints:
                 g = x + [0] * (2 - len(x))
                 g[1] = field._sub(g[1], 1)  # t^(q^k) - t
-                a, b = list(f), _trim(g)
-                while b:
-                    a, b = b, _trim(_divmod_codes(field, a, b)[1])
-                if len(a) > 1:
+                if len(_gcd_codes(field, f, _trim(g))) > 1:
                     return False
         return x == [0, 1]
-
-    def _powmod(self, base: list[int], k: int) -> list[int]:
-        """base^k mod self, on codes."""
-        field, f = self.field, self.coeffs
-        result = [1]
-        while k:
-            if k & 1:
-                result = _trim(_divmod_codes(field, _mul_codes(field, result, base), f)[1])
-            k >>= 1
-            if k:
-                base = _trim(_divmod_codes(field, _mul_codes(field, base, base), f)[1])
-        return result
 
     # -- comparisons, hashing, printing
 

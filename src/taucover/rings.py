@@ -81,7 +81,7 @@ from .errors import (
 )
 from .exprparse import _grouped, _power, evaluate
 from .fields import _FqField
-from .polys import Poly
+from .polys import Poly, _grammar_constants
 
 
 # Rabin's test costs grow quickly with the degree, so an inverted prime above
@@ -211,19 +211,14 @@ class ChartRing:
         ``exprparse``); a group that a lift or a division made a ring
         element is not stored.
         """
-        field, coerce = self.field, self.coerce
-        p = field.p
-        atoms = {"t": Poly.x(field)}
-        if field.e > 1:
-            atoms["a"] = Poly.const(field, p)
+        coerce = self.coerce
 
         def lift(x):
             return self.make(x) if type(x) is Poly and x.deg > 0 else x
 
         value = evaluate(
             text,
-            lambda n: Poly.const(field, n % p),
-            atoms,
+            *_grammar_constants(self.field),
             lambda x, y: coerce(x) / coerce(y),
             lift,
             memo,

@@ -31,8 +31,9 @@ functions that name ``diag`` read it alone: the SNF's own rank, torsion and
 choice of the rows that can fail, the certificate, and the free columns of
 the kernel.
 
-Every SNF the package takes is looked up in one memo: ``_block_snf`` is the
-only function that calls ``smith_normal_form``.
+Every SNF the package takes is reduced for a block of weights:
+``_block_snf`` is the only function that calls ``smith_normal_form``, so
+every failed certificate names its block.
 
 No module holds a float constant or names ``float``: every reported value is
 exact, and the JSON writer takes no float.
@@ -228,7 +229,7 @@ def test_only_the_read_off_reads_the_diagonal_against_a_vector():
     assert _functions_naming("diag") == DIAGONAL_READERS
 
 
-def test_only_the_block_memo_reduces_a_matrix():
+def test_every_reduction_names_its_block():
     assert _functions_calling("smith_normal_form") == {"_block_snf"}
 
 
