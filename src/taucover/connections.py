@@ -330,12 +330,15 @@ def is_trivial_class(cover: Cover, cochain: dict | None = None) -> dict:
     ``"transitions"``: either the transitions are not a cocycle (the details
     name an overlap (i, j) with g_ij != g_0j / g_0i, decided on the
     transitions lifted into the scheme-wide ring) or no integer exponent
-    assignment satisfies them.  Every chart
-    cochain that passes s lies in the image of the pullback sigma: a chart's
-    only relation is (u', -n*u), so when p does not divide n every (a, b) is
-    absorbed, and when p | n any b != 0 has a nonzero value of s.  Trivial
-    verdicts re-verify the witness, built from chart 0 by
-    lambda_j = lambda_0 * g_0j, against both identities.
+    assignment satisfies them.  When s o sigma != 0 on a chart read so far
+    (``s_kills_coboundaries`` False), an ``"s-functional"`` verdict
+    certifies only s != 0 on the cochain, not a nontrivial class: s is then
+    nonzero on some coboundaries too.  Only a mutant pullback gets there.
+    Every chart cochain that passes s lies in the image of the pullback
+    sigma: a chart's only relation is (u', -n*u), so when p does not divide
+    n every (a, b) is absorbed, and when p | n any b != 0 has a nonzero
+    value of s.  Trivial verdicts re-verify the witness, built from chart 0
+    by lambda_j = lambda_0 * g_0j, against both identities.
     """
     scheme = cover.bundle.scheme
     n_charts = len(scheme.charts)

@@ -26,9 +26,10 @@ and it holds when p | n too.  d is homogeneous of weight 0, and each relation
 column is homogeneous, so the presented modules split into n blocks of at
 most two generators.  Blocks 1..n-1 have one presentation, so each module is
 a pidmod.DirectSum of the weight-0 block, the block that weights 1..n-1
-share, and n.  This module alone builds one and knows the layout: block w
-holds v^w dt and v^(w-1) dv of the one-forms and v^(w-1) dt^dv of the
-two-forms (v^(-1) = v^(n-1) at w = 0).  A one-form's ``parts()`` and
+share, and n; when p | n block 0 has that presentation too, and one module
+is both.  This module alone builds one and knows the layout: block w holds
+v^w dt and v^(w-1) dv of the one-forms and v^(w-1) dt^dv of the two-forms
+(v^(-1) = v^(n-1) at w = 0).  A one-form's ``parts()`` and
 ``two_form_parts`` of a two-form are the nonzero coefficient vectors on
 those blocks, read off the coefficients' ``terms``: a term a v^j has weight
 j in the dt coefficient and weight j + 1 (mod n) in the dv and dt^dv ones.
@@ -168,18 +169,20 @@ def two_form_parts(c: CoverElem) -> dict[int, tuple]:
 
 def _weight_blocks(chart: CoverChart, relations) -> DirectSum:
     """The DirectSum of a cover chart's forms: the weight-0 block, the block
-    that weights 1..n-1 share (at n = 1, the weight-0 one again), and n.
+    that weights 1..n-1 share, and n.
 
     A block is presented by the matrix with rows relations(x): x = n u in the
-    shared block, x = n in the weight-0 one.  When p | n the two matrices are
-    equal.
+    shared block, x = n in the weight-0 one.  When p | n (both are then
+    relations(0)), or at n = 1, one module of weights 0..n-1 is both blocks.
     """
-    ring = chart.ring
-    n_scalar = ring.from_int(chart.n)
-    rel = PolyMatrix(ring, relations(n_scalar * chart.u))
-    zero = FpmModule(PolyMatrix(ring, relations(n_scalar)))
-    rest = FpmModule(rel, weights=range(1, chart.n)) if chart.n > 1 else zero
-    return DirectSum(zero, rest, chart.n)
+    ring, n = chart.ring, chart.n
+    n_scalar = ring.from_int(n)
+    rel_zero = PolyMatrix(ring, relations(n_scalar))
+    if n == 1 or n_scalar.is_zero():
+        block = FpmModule(rel_zero, weights=range(n))
+        return DirectSum(block, block, n)
+    rest = FpmModule(PolyMatrix(ring, relations(n_scalar * chart.u)), weights=range(1, n))
+    return DirectSum(FpmModule(rel_zero), rest, n)
 
 
 def one_forms_module(chart: CoverChart) -> DirectSum:

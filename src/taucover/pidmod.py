@@ -6,10 +6,11 @@ core.  That gives the classical algorithms:
 
   * smith_normal_form(M): U * M * V = D with U, V invertible and D a diagonal
     divisibility chain of monic cores.  The identity U*M*V = D, both inverse
-    certificates and the shape of D are re-verified on every call, with three
-    products: once V*V^-1 = I, U*M*V = D is decided as U*M = D*V^-1, a row
-    scaling.  A failure raises CertificateFailure naming the certificate, the
-    shape and the ring.
+    certificates and the shape of D are re-verified on every call, on the
+    rows of ``_product_rows``, the one matrix product (``@`` calls it too):
+    once V*V^-1 = I, U*M*V = D is decided as U*M = D*V^-1, a row scaling,
+    and (U*M)*V is formed only otherwise.  A failure raises
+    CertificateFailure naming the certificate, the shape and the ring.
   * solve / syzygy_matrix: linear algebra over A, each given only the SNF
     of its matrix, which carries the matrix.  One helper, _read_off, owns
     the rule that reads a row y_i of U*b against the diagonal of D: a unit
@@ -24,13 +25,13 @@ core.  That gives the classical algorithms:
     missing or not a unit, collected once per SNF, and compare two vectors
     row by row with no difference of them formed.
   * DirectSum: a Z/n-graded module held as the block of weight 0, the one
-    block that weights 1..n-1 share, and n.  An element is given by its
-    parts, one vector per weight, and each part is tested in its weight's
-    block, as are two elements compared part by part.  Its torsion chain is
-    the shared block's, each factor n times, with the grading certificate
-    that the weight-0 block's chain is the same.  Its submodules are spans
-    inside the weight-0 block, with the grading certificate that every
-    generator is zero outside weight 0.
+    block that weights 1..n-1 share (one module may be both), and n.  An
+    element is given by its parts, one vector per weight, and each part is
+    tested in its weight's block, as are two elements compared part by
+    part.  Its torsion chain is the shared block's, each factor n times,
+    with the grading certificate that the weight-0 block's chain is the
+    same.  Its submodules are spans inside the weight-0 block, with the
+    grading certificate that every generator is zero outside weight 0.
   * Submodule: the span of generator columns inside an FpmModule.  One SNF
     of [gens | relations] gives both its syzygy presentation and its
     membership test.
@@ -114,21 +115,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matmul shape mismatch")
-        zero = self.ring.zero
-        out = []
-        for row in self.rows:
-            # only the nonzero products of each row are formed
-            live = [(a, other.rows[k]) for k, a in enumerate(row) if a.const]
-            sums = []
-            for j in range(other.ncols):
-                acc = zero
-                for a, brow in live:
-                    b = brow[j]
-                    if b.const:
-                        acc = acc + a * b
-                sums.append(acc)
-            out.append(sums)
-        return PolyMatrix(self.ring, out, ncols=other.ncols)
+        rows = _product_rows(self.rows, other.rows, other.ncols, self.ring.zero)
+        return PolyMatrix(self.ring, rows, ncols=other.ncols)
 
     def apply_vec(self, vec: Sequence[RingElem]) -> Vec:
         if len(vec) != self.ncols:
@@ -333,35 +321,52 @@ def smith_normal_form(M: PolyMatrix) -> SNFResult:
     return result
 
 
+def _product_rows(a: Sequence[Vec], b: Sequence[Vec], ncols: int, zero: RingElem) -> list[Vec]:
+    """The rows of a*b, b having ncols columns: the one matrix product,
+    which forms only the nonzero products of each row."""
+    out = []
+    for row in a:
+        live = [(x, b[k]) for k, x in enumerate(row) if x.const]
+        sums = []
+        for j in range(ncols):
+            acc = zero
+            for x, brow in live:
+                y = brow[j]
+                if y.const:
+                    acc = acc + x * y
+            sums.append(acc)
+        out.append(tuple(sums))
+    return out
+
+
 def _verify_snf(r: SNFResult) -> None:
     ring = r.matrix.ring
-    m, n = r.D.nrows, r.D.ncols
+    m, n, zero = r.D.nrows, r.D.ncols, ring.zero
 
     def fail(certificate: str) -> CertificateFailure:
         return CertificateFailure(
             f"SNF certificate failed: {certificate}, on a {m}x{n} matrix over {ring}"
         )
 
-    D = r.D.rows
+    D, V_inv = r.D.rows, r.V_inv.rows
     diagonal = all(not x.const for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
-    v_inverse = _is_identity(r.V @ r.V_inv)
-    UM = r.U @ r.matrix
+    v_inverse = _is_identity(_product_rows(r.V.rows, V_inv, n, zero), ring.one)
+    UM = _product_rows(r.U.rows, r.matrix.rows, n, zero)
     if diagonal and v_inverse:
         # V and V^-1 are square over a commutative ring, so V*V^-1 = I gives
         # V^-1*V = I, and U*M*V = D exactly when U*M = D*V^-1: a row scaling,
         # D being diagonal
-        V_inv = r.V_inv.rows
         holds = all(
             all(x == D[i][i] * y for x, y in zip(row, V_inv[i]))
             if i < n
             else not any(x.const for x in row)
-            for i, row in enumerate(UM.rows)
+            for i, row in enumerate(UM)
         )
     else:
-        holds = UM @ r.V == r.D
+        holds = _product_rows(UM, r.V.rows, n, zero) == list(D)
     if not holds:
         raise fail("U*M*V = D")
-    if not _is_identity(r.U @ r.U_inv):
+    if not _is_identity(_product_rows(r.U.rows, r.U_inv.rows, m, zero), ring.one):
         raise fail("U*U^-1 = I")
     if not v_inverse:
         raise fail("V*V^-1 = I")
@@ -375,12 +380,11 @@ def _verify_snf(r: SNFResult) -> None:
             raise fail("each diagonal entry divides the next")
 
 
-def _is_identity(P: PolyMatrix) -> bool:
-    """P is an identity matrix, read entry by entry."""
-    one = P.ring.one
+def _is_identity(rows: Sequence[Vec], one: RingElem) -> bool:
+    """The rows are those of an identity matrix, read entry by entry."""
     return all(
         x == one if i == j else not x.const
-        for i, row in enumerate(P.rows)
+        for i, row in enumerate(rows)
         for j, x in enumerate(row)
     )
 
@@ -608,7 +612,7 @@ class DirectSum:
         """Nonunit torsion invariants: each factor of the shared block's
         chain n times, once the weight-0 block's chain is certified to be the
         same.  A form module's blocks always agree: when p | n they are one
-        matrix, and otherwise neither has torsion."""
+        module, and otherwise neither has torsion."""
         chain = self.rest.torsion
         if self.zero.torsion != chain:
             raise CertificateFailure(

@@ -953,11 +953,11 @@ def test_failed_snf_certificate_exits_one_with_one_json_document(capsys, monkeyp
     code, out = run_cli(capsys, "class", "--fixture", "GM_P2")
     assert code == 1
     assert out["kind"] == "failed-verification"
-    # the first reduction of `class` is the weight-0 block of the two-forms
-    # and their generator dv/v^dt
+    # the first reduction of `class` is the two-forms' block and their
+    # generator dv/v^dt; p | n, so that block serves every weight
     assert out["error"] == (
         "SNF certificate failed: U*U^-1 = I, on a 1x3 matrix over "
-        "F_2[t] loc(t), in the block of weight 0"
+        "F_2[t] loc(t), in the block of weights 0..1"
     )
 
 

@@ -232,7 +232,9 @@ def test_form_modules_reduce_each_distinct_block_matrix_once(name, monkeypatch):
             for w in range(chart.n):
                 module.is_zero({w: (chart.ring.one,) * module.block(w).n_gens})
             blocks = {id(module.block(w)) for w in range(chart.n)}
-            assert len(calls) == len(blocks) == (1 if chart.n == 1 else 2)
+            # when p | n, or at n = 1, one block module serves every weight
+            shared = chart.n == 1 or chart.n % chart.ring.field.p == 0
+            assert len(calls) == len(blocks) == (1 if shared else 2)
 
 
 def test_one_forms_module_gm_p2():
@@ -240,7 +242,9 @@ def test_one_forms_module_gm_p2():
     chart = cover.charts[0]
     mod = one_forms_module(chart)
     assert mod.n_gens == 4
-    assert (mod.n, mod.rest.weights) == (chart.n, range(1, chart.n))
+    # p | n, so one block module serves every weight
+    assert mod.rest is mod.zero
+    assert (mod.n, mod.rest.weights) == (chart.n, range(chart.n))
     assert mod.rank == 2
     assert mod.torsion == []
     # both dt generators die; the dv block is free
@@ -249,7 +253,10 @@ def test_one_forms_module_gm_p2():
     assert not mod.is_zero(one_form(chart, [0, 0, 1, 0]).parts())
 
 
-@pytest.mark.parametrize("name, weights", [("MIXED", "weights 1..5"), ("GM_P2", "weight 1")])
+@pytest.mark.parametrize(
+    "name, weights",
+    [("MIXED", "weights 0..5"), ("GM_P2", "weights 0..1"), ("COPRIME", "weight 1")],
+)
 def test_a_failed_certificate_of_the_shared_block_names_its_weights(name, weights, monkeypatch):
     class Corrupted(pidmod.SNFResult):
         __slots__ = ()
@@ -260,7 +267,9 @@ def test_a_failed_certificate_of_the_shared_block_names_its_weights(name, weight
 
     chart = Cover(FIXTURES[name]()).charts[0]
     module = one_forms_module(chart)
-    assert module.rest.weights == range(1, chart.n)
+    # p | n in MIXED and GM_P2, so their shared block is every weight's
+    shared = chart.n % chart.ring.field.p == 0
+    assert module.rest.weights == range(0 if shared else 1, chart.n)
     monkeypatch.setattr(pidmod, "SNFResult", Corrupted)
     one = chart.ring.one
     with pytest.raises(CertificateFailure) as info:

@@ -35,6 +35,11 @@ Every SNF the package takes is reduced for a block of weights:
 ``_block_snf`` is the only function that calls ``smith_normal_form``, so
 every failed certificate names its block.
 
+Matrix products have one owner: ``_product_rows`` forms them, and only
+``PolyMatrix.__matmul__`` and the SNF certificate ``_verify_snf`` call it.
+The certificate reads rows and builds no ``PolyMatrix``, by its constructor
+or by ``@``.
+
 No module holds a float constant or names ``float``: every reported value is
 exact, and the JSON writer takes no float.
 """
@@ -231,6 +236,14 @@ def test_only_the_read_off_reads_the_diagonal_against_a_vector():
 
 def test_every_reduction_names_its_block():
     assert _functions_calling("smith_normal_form") == {"_block_snf"}
+
+
+def test_matrix_products_have_one_owner():
+    assert _functions_calling("_product_rows") == {"PolyMatrix.__matmul__", "_verify_snf"}
+    builders = _functions_calling("PolyMatrix") | _functions_where(
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    )
+    assert "_verify_snf" not in builders
 
 
 def test_only_the_grammar_decides_when_a_text_is_a_sum():

@@ -7,7 +7,9 @@ Only a bundle's JSON and a command's stdout are read: every unit, transition
 and printed element is read into F_q(t) by ``oracle.Fraction``.  The bundles
 are the 7 catalog fixtures and the 66 of ``test_corpus_pin.py``, and 11
 spoiled ones, so that failed checks are read too: the glue bundles of the
-first seed with g(0,1) multiplied by t, which every chart inverts.
+first seed with g(0,1) multiplied by t, which every chart inverts.  The
+same checks read the bundles of ``ODD_EXTENSION``, over F_9 and F_25, where
+the chart arithmetic adds field elements through Zech logarithms.
 
 - ``validate`` prints one check per pair, ``g(i,j)^n = u_j/u_i``, then one
   per triple, ``g(i,j)*g(j,k) = g(i,k)``.  Each check's ``passed`` is the
@@ -38,17 +40,41 @@ import json
 import re
 
 import pytest
-from oracle import Fraction, frac_derive
+from oracle import Fraction, frac_derive, trial_division_is_irreducible
 from test_corpus_pin import corpus, load_workloads
 
 from taucover import cli
 from taucover.catalog import catalog_dir, fixture_names
 from taucover.cli import json_text, main
 from taucover.fields import FqField
+from taucover.polys import Poly
 
 # trivial class verdicts: 18 of the corpus bundles, and the catalog's COPRIME
 TRIVIAL_CLASSES = 19
 SPOILED = 11
+
+
+# Hand-written bundles over odd-characteristic extension fields, each chart
+# inverting a prime of degree 2: p | n and p prime to n, one chart and two.
+ODD_EXTENSION = [
+    {"field": {"p": 3, "e": 2}, "n": 3, "charts": [{"inverted": ["t", "t^2 + a + 1"]}],
+     "u": ["t*(t^2 + a + 1)"], "g": {}},
+    {"field": {"p": 3, "e": 2}, "n": 2, "charts": [{"inverted": ["t^2 + t + a"]}],
+     "u": ["a*(t^2 + t + a)"], "g": {}},
+    {"field": {"p": 3, "e": 2}, "n": 6,
+     "charts": [{"inverted": ["t", "t^2 + a + 1"]}, {"inverted": ["t", "t^2 + t + a"]}],
+     "u": ["t^2*(t^2 + a + 1)^6", "t^8*(t^2 + t + a)^6"],
+     "g": {"(0,1)": "t*(t^2 + t + a)/(t^2 + a + 1)"}},
+    {"field": {"p": 5, "e": 2}, "n": 5,
+     "charts": [{"inverted": ["t", "t^2 + a"]}, {"inverted": ["t", "t^2 + 2*a"]}],
+     "u": ["t*(t^2 + a)^5", "t*(t^2 + 2*a)^5"], "g": {"(0,1)": "(t^2 + 2*a)/(t^2 + a)"}},
+    {"field": {"p": 5, "e": 2}, "n": 2, "charts": [{"inverted": ["t", "t^2 + t + a"]}],
+     "u": ["a*t*(t^2 + t + a)^3"], "g": {}},
+    {"field": {"p": 5, "e": 2}, "n": 2,
+     "charts": [{"inverted": ["t", "t^2 + a + 1"]}, {"inverted": ["t", "t^2 + t + a"]}],
+     "u": ["t*(t^2 + a + 1)^2", "t*(t^2 + t + a)^2"],
+     "g": {"(0,1)": "(t^2 + t + a)/(t^2 + a + 1)"}},
+]
 
 
 def spoiled(bundle: dict) -> dict:
@@ -56,9 +82,9 @@ def spoiled(bundle: dict) -> dict:
     return {**bundle, "g": {**bundle["g"], "(0,1)": f"({bundle['g']['(0,1)']})*t"}}
 
 
-@pytest.fixture(scope="module")
-def written():
-    """Every payload ``main`` hands the JSON writer while this module runs."""
+@contextlib.contextmanager
+def recorded_documents():
+    """Every payload ``main`` hands the JSON writer inside the block."""
     payloads = []
 
     def recording(payload):
@@ -71,19 +97,51 @@ def written():
 
 
 @pytest.fixture(scope="module")
+def written():
+    """Every payload ``main`` hands the JSON writer while this module runs,
+    but for those of ``odd_runs``, which records its own."""
+    with recorded_documents() as payloads:
+        yield payloads
+
+
+def json_sources(directory, bundles) -> list:
+    """(argv, bundle) for each bundle, written to a file of directory."""
+    sources = []
+    for index, bundle in enumerate(bundles):
+        path = directory / f"bundle{index}.json"
+        path.write_text(json.dumps(bundle))
+        sources.append((["--json", str(path)], bundle))
+    return sources
+
+
+@pytest.fixture(scope="module")
 def runs(written, tmp_path_factory):
-    """(bundle JSON, {command: (exit code, stdout)}) for every bundle;
-    ``connection`` runs only where p does not divide n."""
+    """The runs of the catalog, the corpus and the spoiled bundles."""
     sources = [
         (["--fixture", name], json.loads((catalog_dir() / f"{name}.json").read_text())["bundle"])
         for name in fixture_names()
     ]
     bundles = [json.loads(text) for text in corpus(load_workloads())]
     directory = tmp_path_factory.mktemp("bundles")
-    for index, bundle in enumerate(bundles + [spoiled(b) for b in bundles[:SPOILED]]):
-        path = directory / f"bundle{index}.json"
-        path.write_text(json.dumps(bundle))
-        sources.append((["--json", str(path)], bundle))
+    sources += json_sources(directory, bundles + [spoiled(b) for b in bundles[:SPOILED]])
+    out = run_commands(sources)
+    assert len(out) == 7 + 66 + SPOILED
+    return out
+
+
+@pytest.fixture(scope="module")
+def odd_runs(tmp_path_factory):
+    """The runs of ``ODD_EXTENSION`` and of its F_9 two-chart bundle spoiled,
+    with the payloads they hand the JSON writer."""
+    bundles = ODD_EXTENSION + [spoiled(ODD_EXTENSION[2])]
+    with recorded_documents() as payloads:
+        out = run_commands(json_sources(tmp_path_factory.mktemp("odd"), bundles))
+    return out, payloads
+
+
+def run_commands(sources) -> list:
+    """(bundle JSON, {command: (exit code, stdout)}) for every (argv, bundle)
+    of sources; ``connection`` runs only where p does not divide n."""
     out = []
     for argv, bundle in sources:
         printed = {}
@@ -95,7 +153,6 @@ def runs(written, tmp_path_factory):
                 code = main([*command, *argv])
             printed[command[0]] = (code, json.loads(stdout.getvalue()))
         out.append((bundle, printed))
-    assert len(out) == 7 + 66 + SPOILED
     return out
 
 
@@ -115,7 +172,9 @@ def dlog(x: Fraction) -> Fraction:
     return Fraction(frac_derive((x.num, x.den))) / x
 
 
-def test_validate_checks_are_the_fraction_identities(runs):
+def check_validate(runs) -> int:
+    """Each printed check of ``validate`` is its fraction identity; returns
+    the number of failed checks, whose witnesses were read."""
     failed = 0
     for bundle, printed in runs:
         field, n, u, g = read_bundle(bundle)
@@ -139,10 +198,16 @@ def test_validate_checks_are_the_fraction_identities(runs):
                 assert Fraction.parse(field, check["witness"]) == lhs / rhs, name
         assert report["valid"] == all(c["passed"] for c in checks)
         assert code == (0 if report["valid"] else 1)
-    assert failed  # the witnesses of failed checks were read
+    return failed
 
 
-def test_trivial_class_witnesses_split_the_printed_transitions(runs):
+def test_validate_checks_are_the_fraction_identities(runs):
+    assert check_validate(runs)
+
+
+def check_trivial_witnesses(runs) -> int:
+    """``class`` prints the transitions, and each trivial verdict's units
+    split them; returns the number of trivial verdicts."""
     trivial = 0
     for bundle, printed in runs:
         field, _, _, g = read_bundle(bundle)
@@ -162,10 +227,16 @@ def test_trivial_class_witnesses_split_the_printed_transitions(runs):
         units = [Fraction.parse(field, text) for text in report["witness"]["units"]]
         for i, j in itertools.combinations(range(len(units)), 2):
             assert units[j] / units[i] == transitions[f"({i},{j})"], (i, j)
-    assert trivial == TRIVIAL_CLASSES
+    return trivial
 
 
-def test_class_differences_are_the_log_derivatives_of_the_transitions(runs):
+def test_trivial_class_witnesses_split_the_printed_transitions(runs):
+    assert check_trivial_witnesses(runs) == TRIVIAL_CLASSES
+
+
+def check_class_differences(runs) -> int:
+    """Each delta-condition difference of ``class`` is dlog(g_ij) dt;
+    returns the number of nonzero differences read."""
     read = 0
     for bundle, printed in runs:
         field, _, _, g = read_bundle(bundle)
@@ -183,10 +254,16 @@ def test_class_differences_are_the_log_derivatives_of_the_transitions(runs):
                 inner = re.fullmatch(r"\((.*)\)\*dt", text)
                 assert inner and Fraction.parse(field, inner[1]) == x, overlap
                 read += 1
-    assert read
+    return read
 
 
-def test_the_etale_stage_is_the_bundle_with_its_transitions_to_the_inseparable_degree(runs):
+def test_class_differences_are_the_log_derivatives_of_the_transitions(runs):
+    assert check_class_differences(runs)
+
+
+def check_etale_stage(runs) -> int:
+    """``cover`` refuses an invalid or unglued bundle and otherwise prints
+    the etale stage; returns the number of stages with p^r > 1."""
     staged = 0
     for bundle, printed in runs:
         field, n, u, g = read_bundle(bundle)
@@ -216,10 +293,16 @@ def test_the_etale_stage_is_the_bundle_with_its_transitions_to_the_inseparable_d
         for i, j, k in itertools.combinations(range(len(stage_u)), 3):
             assert stage_g[(i, j)] * stage_g[(j, k)] == stage_g[(i, k)], (i, j, k)
         staged += pr > 1
-    assert staged
+    return staged
 
 
-def test_the_averaged_connection_is_dlog_u_over_n(runs):
+def test_the_etale_stage_is_the_bundle_with_its_transitions_to_the_inseparable_degree(runs):
+    assert check_etale_stage(runs)
+
+
+def check_averaged_connection(runs) -> int:
+    """``connection`` prints eta_i = dlog(u_i) / n and its delta condition;
+    returns the number of valid bundles with p prime to n."""
     coprime = 0
     for bundle, printed in runs:
         if "connection" not in printed:
@@ -239,14 +322,17 @@ def test_the_averaged_connection_is_dlog_u_over_n(runs):
         for overlap in overlaps:
             i, j = overlap["overlap"]
             assert overlap["passed"] == (dlog(g[(i, j)]) == eta[j] - eta[i]), overlap
-    assert coprime == 1 + 18  # COPRIME and the corpus glue bundles with p prime to n
+    return coprime
 
 
-def test_every_printed_document_holds_only_what_the_writer_takes(runs, written):
-    for argv in (["report", "--all"], ["catalog"]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-    assert len(written) == sum(len(printed) for _, printed in runs) + 2
+def test_the_averaged_connection_is_dlog_u_over_n(runs):
+    # COPRIME and the corpus glue bundles with p prime to n
+    assert check_averaged_connection(runs) == 1 + 18
+
+
+def check_writable(payloads):
+    """Every payload holds only dicts with str keys, lists, str, int, bool
+    and None."""
 
     def walk(value, path):
         if isinstance(value, dict):
@@ -259,5 +345,38 @@ def test_every_printed_document_holds_only_what_the_writer_takes(runs, written):
         else:
             assert value is None or type(value) in (str, int, bool), f"{path}: {value!r}"
 
-    for index, payload in enumerate(written):
+    for index, payload in enumerate(payloads):
         walk(payload, f"document {index}")
+
+
+def test_every_printed_document_holds_only_what_the_writer_takes(runs, written):
+    for argv in (["report", "--all"], ["catalog"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert len(written) == sum(len(printed) for _, printed in runs) + 2
+    check_writable(written)
+
+
+def test_the_odd_extension_bundles_invert_irreducible_primes_of_degree_two():
+    shapes = set()
+    for bundle in ODD_EXTENSION:
+        field, n, _, _ = read_bundle(bundle)
+        for chart in bundle["charts"]:
+            primes = [Poly.parse(field, text) for text in chart["inverted"]]
+            assert all(trial_division_is_irreducible(pi) for pi in primes), chart
+            assert 2 in {pi.deg for pi in primes}, chart
+        shapes.add((field.q, n % field.p == 0, len(bundle["charts"])))
+    assert {q for q, _, _ in shapes} == {9, 25}
+    assert {divides for _, divides, _ in shapes} == {True, False}
+    assert 2 in {charts for _, _, charts in shapes}
+
+
+def test_verdicts_over_odd_extension_fields_are_the_fraction_identities(odd_runs):
+    runs, payloads = odd_runs
+    assert check_validate(runs) == 1  # the spoiled bundle's pair check
+    assert check_trivial_witnesses(runs) == 3  # the three with p prime to n
+    assert check_class_differences(runs) == 3  # the three two-chart bundles
+    assert check_etale_stage(runs) == 3  # the three with p | n
+    assert check_averaged_connection(runs) == 3
+    assert len(payloads) == sum(len(printed) for _, printed in runs)
+    check_writable(payloads)
