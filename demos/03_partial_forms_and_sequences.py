@@ -11,7 +11,7 @@ import json
 from taucover import (
     Cover,
     load_fixture,
-    rank_torsion_report,
+    omega_l_report,
     verify_sequence,
 )
 
@@ -26,7 +26,7 @@ def main():
     pfc = cover.partial_forms[0]
     print(f"ambient module presented on {pfc.omega1_ambient.n_gens} generators")
     print(f"submodule generators: {list(pfc.sub1.presentation.gen_names)}")
-    report = rank_torsion_report(cover)
+    report = omega_l_report(cover, 1)
     chart = report["charts"][0]
     print(f"rank {chart['rank']}, torsion {chart['torsion']}, "
           f"ambient rank {chart['ambient_rank']}")
@@ -34,7 +34,7 @@ def main():
 
     print()
     print("== A torsion summand appears (order 5, char 5) ==")
-    chart = rank_torsion_report(build("ZEROTORSION"))["charts"][0]
+    chart = omega_l_report(build("ZEROTORSION"), 1)["charts"][0]
     print(f"rank {chart['rank']}, torsion {chart['torsion']}")
 
     print()

@@ -24,7 +24,7 @@ def main():
     print("== Connection form and product rule (two charts, char 2) ==")
     conn = TauConnection(build("TWOCHART"))
     for i, chart in enumerate(conn.charts):
-        print(f"chart {i}: connection form {conn.connection_form(i)}")
+        print(f"chart {i}: connection form {chart.lift1(conn.connection_coords(i))}")
     leibniz = conn.leibniz_check(seed=5, samples=50)
     for chart in leibniz["charts"]:
         print(f"chart {chart['chart']}: {chart['samples']} random sections, "
@@ -44,7 +44,7 @@ def main():
     classical = ClassicalConnection(bundle)
     print(f"order {bundle.n} in characteristic {bundle.scheme.field.p}")
     print(f"classical form coefficient: {classical.eta[0]}")
-    print(f"curvature vanishes: {classical.curvature_check()['passed']}")
+    print(f"curvature vanishes: {classical.report()['curvature']['passed']}")
 
     degeneration = coprime_degeneration_check(Cover(bundle))
     chart = degeneration["charts"][0]

@@ -12,6 +12,7 @@ catalog     list the shipped example bundles
 report      full pipeline over catalog fixtures, compared to expected blocks
 
 Bundles come from ``--fixture NAME`` (catalog) or ``--json FILE`` (user data).
+The library builds the omega-l and connection sections; this module the rest.
 Every subcommand prints one JSON document; ``--out FILE`` also writes it to
 disk.  Exit codes: 0 when the requested checks pass (for ``verify`` on a
 fixture: when results match the fixture's expected block), 1 on a failed
@@ -43,7 +44,7 @@ from .errors import (
     TauCoverError,
 )
 from .forms import cartier, omega_l, one_form_str
-from .partialforms import dga_check, rank_torsion_report, verify_sequence
+from .partialforms import DEFAULT_SAMPLES, dga_check, omega_l_report, verify_sequence
 
 # Sequence ids are opaque labels for the shipped exactness claims:
 # degree-1, degree-2 with the literal tail, degree-2 with the corrected tail.
@@ -53,8 +54,8 @@ SEQUENCE_IDS = {
     "2.11": (2, True),
 }
 
-# Each product-rule guard sample costs one module reduction; five times the
-# default bounds what `--samples` can ask for.
+# Each product-rule guard sample costs one module reduction; five times
+# DEFAULT_SAMPLES bounds what `--samples` can ask for.
 MAX_SAMPLES = 1000
 
 # What a shell reports for a process ended by SIGPIPE (128 + 13): the reader
@@ -93,29 +94,6 @@ def cover_report(cover: Cover) -> dict:
         },
         "passed": glue_passed and factor["passed"] and cartier_fixed,
     }
-
-
-def omega_l_report(cover: Cover, degree: int) -> dict:
-    if degree not in (1, 2):
-        raise MalformedInput("only form degrees 1 and 2 are supported")
-    if degree == 1:
-        invariants = rank_torsion_report(cover)
-        return {
-            "degree": 1,
-            "charts": invariants["charts"],
-            "strict_everywhere": invariants["strict_everywhere"],
-            "passed": invariants["strict_everywhere"],
-        }
-    # degree 2 reads the two-form presentations only
-    charts = [
-        {
-            "chart": pfc.index,
-            "rank": pfc.sub2.presentation.rank,
-            "torsion": [str(c) for c in pfc.sub2.presentation.torsion],
-        }
-        for pfc in cover.partial_forms
-    ]
-    return {"degree": 2, "charts": charts, "passed": True}
 
 
 def _failures(run: dict) -> list[dict]:
@@ -173,19 +151,6 @@ def sequence_reports(cover: Cover, sequence_ids) -> dict:
     return reports
 
 
-def connection_report(cover: Cover, seed: int = 0, samples: int = 200) -> dict:
-    tau = TauConnection(cover)
-    out = {
-        "mode": "classical" if tau.classical else "partial",
-        **tau.report(seed=seed, samples=samples),
-    }
-    if tau.classical:
-        classical = tau.classical.report()
-        out["classical"] = classical
-        out["passed"] = out["passed"] and classical["passed"]
-    return out
-
-
 def class_report(cover: Cover) -> dict:
     cocycle = cech_class(cover)
     decision = is_trivial_class(cover)
@@ -200,7 +165,7 @@ def class_report(cover: Cover) -> dict:
     }
 
 
-def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
+def fixture_report(fixture: Fixture, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
     """Run every pipeline on one fixture and compare to its expected block."""
     cover = Cover(fixture.bundle())
     sections = {
@@ -211,7 +176,7 @@ def fixture_report(fixture: Fixture, seed: int = 0, samples: int = 200) -> dict:
     }
     with cover.guarding():  # the two guards share derivatives and draws
         sections["dga"] = dga_check(cover, seed=seed, samples=samples // 10)
-        sections["connection"] = connection_report(cover, seed=seed, samples=samples)
+        sections["connection"] = TauConnection(cover).report(seed=seed, samples=samples)
     sections["class"] = class_report(cover)
     mismatches = [
         key
@@ -337,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connection", help="connection, Leibniz, flatness, gluing")
     _add_bundle_options(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     p = sub.add_parser("class", help="cocycle class and triviality decision")
     _add_bundle_options(p)
@@ -353,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples",
         type=int,
-        default=200,
+        default=DEFAULT_SAMPLES,
         help="random sections guarding the Leibniz check; the DGA laws draw "
         "one tenth as many",
     )
@@ -450,17 +415,13 @@ def _dispatch(args) -> tuple[dict, int]:
     cover = Cover(bundle)
     if args.command == "cover":
         report = cover_report(cover)
-        return report, 0 if report["passed"] else 1
-    if args.command == "omega-l":
+    elif args.command == "omega-l":
         report = omega_l_report(cover, args.degree)
-        return report, 0 if report["passed"] else 1
-    if args.command == "connection":
-        report = connection_report(cover, seed=args.seed, samples=args.samples)
-        return report, 0 if report["passed"] else 1
-    if args.command == "class":
+    elif args.command == "connection":
+        report = TauConnection(cover).report(seed=args.seed, samples=args.samples)
+    else:  # argparse admits no other command
         report = class_report(cover)
-        return report, 0 if report["passed"] else 1
-    raise MalformedInput(f"unknown command {args.command!r}")
+    return report, 0 if report["passed"] else 1
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ dt and the logarithmic root form dv/v; in degree two the generator is their
 wedge dv/v ^ dt.  These submodules carry syzygy presentations, so every claim
 about them (exact sequences, well-definedness of the residue-style functional
 s, stability under the derivative) is computed, with witnesses on failure.
+``omega_l_report`` reads their invariants in degree one or two.
 
 Per chart and degree there is a four-term comparison sequence.  In degree one,
 
@@ -26,7 +27,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .covers import Cover, TorsionBundle
-from .errors import StabilityFailure
+from .errors import MalformedInput, StabilityFailure
 from .exprparse import _power, _term
 from .forms import (
     CoverOneForm,
@@ -42,6 +43,9 @@ from .forms import (
     wedge_one_one,
 )
 from .pidmod import FpmModule, ModuleMap, PolyMatrix, is_exact
+
+# Random sections the Leibniz guard draws by default; each DGA law draws a tenth.
+DEFAULT_SAMPLES = 200
 
 
 class PartialFormsChart:
@@ -223,16 +227,26 @@ def verify_sequence(cover: Cover, degree: int, corrected: bool = False) -> dict:
     }
 
 
-def rank_torsion_report(cover: Cover) -> dict:
-    """Invariants of the partial one-forms with a strict-inclusion witness."""
-    charts = [pfc.invariants() for pfc in cover.partial_forms]
-    return {
-        "charts": charts,
-        "strict_everywhere": all(c["strict_witness"] is not None for c in charts),
-    }
+def omega_l_report(cover: Cover, degree: int) -> dict:
+    """Presentation invariants of the partial forms in degree 1 or 2, per chart."""
+    if degree not in (1, 2):
+        raise MalformedInput("only form degrees 1 and 2 are supported")
+    if degree == 1:
+        charts = [pfc.invariants() for pfc in cover.partial_forms]
+        strict = all(c["strict_witness"] is not None for c in charts)
+        return {"degree": 1, "charts": charts, "strict_everywhere": strict, "passed": strict}
+    charts = [
+        {
+            "chart": pfc.index,
+            "rank": pfc.sub2.presentation.rank,
+            "torsion": [str(c) for c in pfc.sub2.presentation.torsion],
+        }
+        for pfc in cover.partial_forms
+    ]
+    return {"degree": 2, "charts": charts, "passed": True}
 
 
-def dga_check(cover: Cover, seed: int = 0, samples: int = 20) -> dict:
+def dga_check(cover: Cover, seed: int = 0, samples: int = DEFAULT_SAMPLES // 10) -> dict:
     """Differential-graded structure, decided on generators chart by chart.
 
     Laws checked as ambient classes: the pullback intertwines d; d squares to

@@ -26,7 +26,7 @@ from taucover.connections import (
 from taucover.covers import Cover
 from taucover.fields import FqField
 from taucover.forms import cartier, omega_l
-from taucover.partialforms import dga_check, rank_torsion_report, verify_sequence
+from taucover.partialforms import dga_check, omega_l_report, verify_sequence
 from taucover.pidmod import smith_normal_form
 from taucover.rings import ChartRing
 
@@ -86,7 +86,7 @@ def test_criterion_2_cartier_fixes_the_log_form_and_it_glues():
 
 
 def test_criterion_3_rank_torsion_ambient_and_strictness():
-    reports = {name: rank_torsion_report(build(name)) for name in sorted(FIXTURES)}
+    reports = {name: omega_l_report(build(name), 1) for name in sorted(FIXTURES)}
     for chart in reports["ZEROTORSION"]["charts"]:
         assert chart["torsion"] == ["t + 2"]
     for name in ("GM_P2", "COPRIME"):
@@ -136,7 +136,7 @@ def test_criterion_5_corrected_tail_exact_literal_fails_where_documented():
         if not j["exact"]
     ]
     assert ("Omega2_L", "ill-defined map", "dt") in notes
-    gm_invariants = rank_torsion_report(build("GM_P2"))["charts"][0]
+    gm_invariants = omega_l_report(build("GM_P2"), 1)["charts"][0]
     assert gm_invariants["degree2_rank"] == 0
     assert gm_invariants["degree2_torsion"] == []
 
@@ -148,7 +148,7 @@ def test_criterion_5_corrected_tail_exact_literal_fails_where_documented():
         if not j["exact"]
     ]
     assert ("Omega2_L", "ill-defined map", "(t + 2)*dt") in notes
-    zt_invariants = rank_torsion_report(build("ZEROTORSION"))["charts"][0]
+    zt_invariants = omega_l_report(build("ZEROTORSION"), 1)["charts"][0]
     assert zt_invariants["degree2_rank"] == 0
     assert zt_invariants["degree2_torsion"] == ["t + 2"]
 

@@ -331,7 +331,7 @@ def test_connection_report_builds_the_classical_connection_once(monkeypatch):
         original(self, bundle)
 
     monkeypatch.setattr(connections.ClassicalConnection, "__init__", counting)
-    report = cli.connection_report(Cover(load_fixture("COPRIME").bundle()), samples=5)
+    report = connections.TauConnection(Cover(load_fixture("COPRIME").bundle())).report(samples=5)
     assert report["mode"] == "classical" and report["passed"]
     assert len(built) == 1
 

@@ -50,7 +50,7 @@ def test_connection_coords_and_form():
     conn = TauConnection(build("GM_P2"))
     ring = conn.charts[0].ring
     assert conn.connection_coords(0) == (ring.zero, -ring.one)
-    assert str(conn.connection_form(0)) == "(1/t*v)*dv"
+    assert str(conn.charts[0].lift1(conn.connection_coords(0))) == "(1/t*v)*dv"
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -217,7 +217,7 @@ def test_cocycle_rule_on_coprime_two_chart_bundle():
 def test_full_connection_report():
     report = TauConnection(build("GM_P3")).report(samples=20)
     assert report["passed"]
-    assert set(report) == {"leibniz", "flatness", "cocycle", "passed"}
+    assert set(report) == {"mode", "leibniz", "flatness", "cocycle", "passed"}
 
 
 # -- the classical averaged connection

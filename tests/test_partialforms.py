@@ -19,7 +19,7 @@ from taucover.partialforms import (
     atiyah_cocycle_check,
     basis_independence_check,
     dga_check,
-    rank_torsion_report,
+    omega_l_report,
     verify_sequence,
 )
 from taucover.pidmod import PolyMatrix, Submodule
@@ -46,7 +46,7 @@ EXPECTED_INVARIANTS = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_INVARIANTS))
 def test_partial_one_form_invariants(name):
-    report = rank_torsion_report(build(name))
+    report = omega_l_report(build(name), 1)
     rank, torsion, ambient, d2rank, d2torsion = EXPECTED_INVARIANTS[name]
     for chart_report in report["charts"]:
         assert chart_report["rank"] == rank
@@ -61,7 +61,7 @@ def test_partial_one_form_invariants(name):
 def test_ambient_rank_equals_order_when_du_nonzero():
     for name, make in FIXTURES.items():
         bundle = make()
-        report = rank_torsion_report(Cover(bundle))
+        report = omega_l_report(Cover(bundle), 1)
         for chart_report in report["charts"]:
             if name == "DEGENERATE":
                 assert chart_report["ambient_rank"] == 2 * bundle.n
@@ -441,7 +441,7 @@ def test_reports_are_json_serializable():
     for payload in (
         verify_sequence(cover, 1),
         verify_sequence(cover, 2, corrected=True),
-        rank_torsion_report(cover),
+        omega_l_report(cover, 1),
         dga_check(cover, samples=4),
         atiyah_cocycle_check(cover),
         basis_independence_check(twochart(), ["t", "1"]),

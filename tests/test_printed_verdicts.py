@@ -9,7 +9,8 @@ are the 7 catalog fixtures and the 66 of ``test_corpus_pin.py``, and 11
 spoiled ones, so that failed checks are read too: the glue bundles of the
 first seed with g(0,1) multiplied by t, which every chart inverts.  The
 same checks read the bundles of ``ODD_EXTENSION``, over F_9 and F_25, where
-the chart arithmetic adds field elements through Zech logarithms.
+the chart arithmetic adds field elements through Zech logarithms, and those
+of ``SNF_SWAPS``, whose reductions swap rows and columns to reach a pivot.
 
 - ``validate`` prints one check per pair, ``g(i,j)^n = u_j/u_i``, then one
   per triple, ``g(i,j)*g(j,k) = g(i,k)``.  Each check's ``passed`` is the
@@ -38,12 +39,13 @@ import io
 import itertools
 import json
 import re
+import sys
 
 import pytest
 from oracle import Fraction, frac_derive, trial_division_is_irreducible
 from test_corpus_pin import corpus, load_workloads
 
-from taucover import cli
+from taucover import cli, pidmod
 from taucover.catalog import catalog_dir, fixture_names
 from taucover.cli import json_text, main
 from taucover.fields import FqField
@@ -74,6 +76,29 @@ ODD_EXTENSION = [
      "charts": [{"inverted": ["t", "t^2 + a + 1"]}, {"inverted": ["t", "t^2 + t + a"]}],
      "u": ["t*(t^2 + a + 1)^2", "t*(t^2 + t + a)^2"],
      "g": {"(0,1)": "(t^2 + t + a)/(t^2 + a + 1)"}},
+]
+
+
+# Bundles outside GLUE_SHAPES, WIDE_SHAPES and the corpus whose Smith normal
+# forms swap rows and columns to bring a pivot forward: over F_3 one chart
+# inverting t and t^2 + t + 2 with u = t^2 + t + 2, its twin over F_9, and a
+# second F_3 chart inverting t + 1 with g(0,1) = t + 1.
+SNF_SWAPS = [
+    {"field": {"p": 3}, "n": 2, "charts": [{"inverted": ["t", "t^2 + t + 2"]}],
+     "u": ["t^2 + t + 2"], "g": {}},
+    {"field": {"p": 3, "e": 2}, "n": 2, "charts": [{"inverted": ["t", "t^2 + t + a"]}],
+     "u": ["t^2 + t + a"], "g": {}},
+    {"field": {"p": 3}, "n": 2,
+     "charts": [{"inverted": ["t", "t^2 + t + 2"]}, {"inverted": ["t + 1", "t^2 + t + 2"]}],
+     "u": ["t^2 + t + 2", "(t^2 + t + 2)*(t + 1)^2"], "g": {"(0,1)": "t + 1"}},
+]
+
+# The commands a swap bundle runs besides those of ``run_commands``.
+SWAP_COMMANDS = [
+    ["omega-l", "--degree", "1"],
+    ["omega-l", "--degree", "2"],
+    ["verify", "--sequence", "2.7"],
+    ["verify", "--sequence", "2.11"],
 ]
 
 
@@ -137,6 +162,42 @@ def odd_runs(tmp_path_factory):
     with recorded_documents() as payloads:
         out = run_commands(json_sources(tmp_path_factory.mktemp("odd"), bundles))
     return out, payloads
+
+
+@contextlib.contextmanager
+def counted_swaps():
+    """The number of row and of column swaps of two distinct lines that
+    ``pidmod.smith_normal_form`` makes inside the block, read by a tracer of
+    calls to its nested ``row_swap`` and ``col_swap``."""
+    swaps = {"row_swap": 0, "col_swap": 0}
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_name in swaps and code.co_filename == pidmod.__file__:
+            swaps[code.co_name] += frame.f_locals["i"] != frame.f_locals["j"]
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)  # call events only: the tracer asks for no line events
+    try:
+        yield swaps
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.fixture(scope="module")
+def swap_runs(tmp_path_factory):
+    """The runs of ``SNF_SWAPS``, the exit codes and documents of their
+    ``SWAP_COMMANDS``, the payloads handed to the JSON writer and the swaps."""
+    sources = json_sources(tmp_path_factory.mktemp("swaps"), SNF_SWAPS)
+    extra = []
+    with recorded_documents() as payloads, counted_swaps() as swaps:
+        out = run_commands(sources)
+        for argv, _ in sources:
+            for command in SWAP_COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = main([*command, *argv])
+                extra.append((code, json.loads(stdout.getvalue())))
+    return out, extra, payloads, swaps
 
 
 def run_commands(sources) -> list:
@@ -380,3 +441,17 @@ def test_verdicts_over_odd_extension_fields_are_the_fraction_identities(odd_runs
     assert check_averaged_connection(runs) == 3
     assert len(payloads) == sum(len(printed) for _, printed in runs)
     check_writable(payloads)
+
+
+def test_verdicts_through_snf_swaps_are_the_fraction_identities(swap_runs):
+    runs, extra, payloads, swaps = swap_runs
+    assert check_validate(runs) == 0
+    assert check_trivial_witnesses(runs) == 3
+    assert check_class_differences(runs) == 1  # dlog(t + 1) on the two-chart bundle
+    assert check_etale_stage(runs) == 0  # p prime to n: no inseparable stage
+    assert check_averaged_connection(runs) == 3
+    for code, report in extra:
+        assert code in (0, 1) and "error" not in report, report
+    assert len(payloads) == sum(len(printed) for _, printed in runs) + len(extra)
+    check_writable(payloads)
+    assert swaps["row_swap"] and swaps["col_swap"], swaps
