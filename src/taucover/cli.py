@@ -124,10 +124,6 @@ def sequence_reports(cover: Cover, sequence_ids) -> dict:
     runs = {}
     reports = {}
     for sid in sequence_ids:
-        if sid not in SEQUENCE_IDS:
-            raise MalformedInput(
-                f"unknown sequence id {sid!r}; known: {', '.join(SEQUENCE_IDS)}"
-            )
         degree, corrected = SEQUENCE_IDS[sid]
         for tail in (False,) if degree == 1 else (False, True):
             if (degree, tail) not in runs:

@@ -70,6 +70,8 @@ class PartialFormsChart:
         dt = pullback_one_form(chart, ring.one)
         root_form = dv_over_v(chart)
         self.generators1 = (dt, root_form)
+        # dv/v's coordinates on the generators dt, dv/v
+        self.root_coords = (ring.zero, ring.one)
         self.sub1 = self.omega1_ambient.span(
             [form.parts() for form in self.generators1], ["dt", "dv/v"]
         )

@@ -714,20 +714,6 @@ class Submodule:
         sol = solve(self.snf, vec)
         return None if sol is None else sol[: self.gens.ncols]
 
-    def contains_submodule(self, other: "Submodule") -> tuple[bool, Vec | None]:
-        """(True, None) or (False, witness vector in the ambient module)."""
-        for j in range(other.gens.ncols):
-            col = other.gens.col(j)
-            if self.contains(col) is None:
-                return False, col
-        return True, None
-
-    def equals(self, other: "Submodule") -> tuple[bool, Vec | None]:
-        ok, witness = self.contains_submodule(other)
-        if not ok:
-            return False, witness
-        return other.contains_submodule(self)
-
 
 class ModuleMap:
     """A map of finitely presented modules, given by a matrix on generators."""

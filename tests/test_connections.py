@@ -414,6 +414,58 @@ def test_transition_lattice_obstruction():
     assert verdict["obstruction"] == "transitions"
 
 
+def two_chart_bundle(p, e, n, c):
+    """Charts inverting [t, t + 1] and [t, t + c] with g(0,1) = (t + c)/(t + 1)."""
+    field = FqField(p, e)
+    chart0 = ChartRing(field, ["t", "t + 1"])
+    chart1 = ChartRing(field, ["t", f"t + {c}"])
+    scheme = ChartedScheme(field, [chart0, chart1])
+    g = {(0, 1): scheme.overlap(0, 1).parse(f"(t + {c})/(t + 1)")}
+    u = [chart0.parse(f"t*(t + 1)^{n}"), chart1.parse(f"t*(t + {c})^{n}")]
+    return TorsionBundle(scheme, n, g, u)
+
+
+# two-chart bundles with p prime to n, over F_4, F_5 and F_9
+COPRIME_TWO_CHARTS = {
+    "F4-n3": (2, 2, 3, "a"),
+    "F5-n2": (5, 1, 2, "2"),
+    "F9-n2": (3, 2, 2, "a"),
+}
+
+
+def two_chart_coboundary(key):
+    cover = Cover(two_chart_bundle(*COPRIME_TWO_CHARTS[key]))
+    return cover, coboundary_class(cover, ["t*(t + 1)", "t"])
+
+
+@pytest.mark.parametrize("key", sorted(COPRIME_TWO_CHARTS))
+def test_dlog_image_obstruction_over_two_chart_bundles(key):
+    cover, cochain = two_chart_coboundary(key)
+    assert is_trivial_class(cover, cochain)["trivial"]
+    # t is no F_p-combination of the proper fractions pi'/pi
+    cochain["chart_coords"] = [(a + a.ring.t, b) for a, b in cochain["chart_coords"]]
+    verdict = is_trivial_class(cover, cochain)
+    assert not verdict["trivial"]
+    assert verdict["obstruction"] == "dlog-image"
+    assert verdict["details"]["chart"] == 0
+    assert verdict["details"]["modulus"] is None
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("key", sorted(COPRIME_TWO_CHARTS))
+def test_transition_lattice_obstruction_over_two_chart_bundles(key, k):
+    cover, cochain = two_chart_coboundary(key)
+    overlap = cover.bundle.scheme.overlap(0, 1)
+    assert len(overlap.inverted) == 3
+    # dlog fixes each exponent mod p, so one more factor pi_k in g(0,1) is unsolvable
+    pi = overlap.coerce(overlap.inverted[k])
+    cochain["transitions"] = {(0, 1): cochain["transitions"][(0, 1)] * pi}
+    verdict = is_trivial_class(cover, cochain)
+    assert not verdict["trivial"]
+    assert verdict["obstruction"] == "transitions"
+    assert verdict["details"]["reason"].startswith("chart lattices are individually solvable")
+
+
 @pytest.mark.parametrize(
     "p, g01", [(2, "t"), (2, "t^2"), (3, "2")], ids=["F2-t", "F2-t^2", "F3-const"]
 )

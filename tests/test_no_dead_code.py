@@ -40,6 +40,10 @@ Matrix products have one owner: ``_product_rows`` forms them, and only
 The certificate reads rows and builds no ``PolyMatrix``, by its constructor
 or by ``@``.
 
+The coboundary of a unit cochain has one statement in ``connections``:
+``coboundary_class`` is the only function there that calls ``.coboundary``,
+and ``is_trivial_class`` re-checks its witness against it.
+
 No module holds a float constant or names ``float``: every reported value is
 exact, and the JSON writer takes no float.
 """
@@ -191,9 +195,9 @@ def _functions_naming(attr: str) -> set[str]:
     return _functions_where(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
-def _functions_calling(name: str) -> set[str]:
+def _functions_calling(name: str, paths=None) -> set[str]:
     """Qualified names of the functions that call ``name``, bare or as an
-    attribute."""
+    attribute, in ``paths`` (default: every module of the package)."""
 
     def calls(node):
         if not isinstance(node, ast.Call):
@@ -201,10 +205,10 @@ def _functions_calling(name: str) -> set[str]:
         func = node.func
         return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
 
-    return _functions_where(calls)
+    return _functions_where(calls, paths)
 
 
-def _functions_where(match) -> set[str]:
+def _functions_where(match, paths=None) -> set[str]:
     """Qualified names of the functions holding a node that ``match``
     accepts; a nested function or lambda counts as the function it is
     defined in."""
@@ -221,7 +225,7 @@ def _functions_where(match) -> set[str]:
                     found.add(owner or "<module>")
                 visit(child, prefix, owner)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in paths or sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), "", None)
     return found
 
@@ -244,6 +248,11 @@ def test_matrix_products_have_one_owner():
         lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
     )
     assert "_verify_snf" not in builders
+
+
+def test_connections_states_a_unit_coboundary_once():
+    connections = [PACKAGE / "connections.py"]
+    assert _functions_calling("coboundary", connections) == {"coboundary_class"}
 
 
 def test_only_the_grammar_decides_when_a_text_is_a_sum():

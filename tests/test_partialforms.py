@@ -164,8 +164,9 @@ def test_coprime_partial_forms_equal_pullback_forms():
         pfc.sub1.ambient,
         PolyMatrix.from_columns(pfc.ring, [pfc.sub1.gens.col(0)], 2),
     )
-    ok, witness = pfc.sub1.equals(pullback_only)
-    assert ok, witness
+    for outer, inner in ((pfc.sub1, pullback_only), (pullback_only, pfc.sub1)):
+        for j in range(inner.gens.ncols):
+            assert outer.contains(inner.gens.col(j)) is not None, inner.gens.col(j)
 
 
 def test_s_well_defined_exactly_when_order_shares_characteristic():
